@@ -1,0 +1,8 @@
+"""``python -m benchmarks.suite {run,trace,compare,baseline}``."""
+
+import sys
+
+from benchmarks.suite.cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())
