@@ -9,11 +9,16 @@ lightweight **block descriptors**:
 
 * the driver places the input array in a shared-memory *segment* once
   (``multiprocessing.shared_memory``) or points at an on-disk dataset
-  file (``mmap``);
+  file (``mmap``). A standalone :class:`ShmDataPlane` creates a segment
+  per placement and unlinks it on close; the plane a
+  :class:`~repro.mapreduce.runtime.MultiprocessExecutor` owns lives as
+  long as its worker pool, so each ``parallel_sum`` call costs one copy
+  into pages that are already mapped (:meth:`ShmDataPlane.refill`);
 * each map task receives a :class:`BlockRef` — ``(kind, segment,
   offset, length)``, ~100 bytes pickled regardless of block size;
 * the worker attaches the segment on first use (cached per process)
-  and builds an ``np.ndarray`` view at ``offset`` with **no copy**.
+  and builds an ``np.ndarray`` view at ``offset`` with **no copy**. A
+  refilled segment keeps its name, so that attachment stays valid.
 
 The job object itself is installed once per worker by the pool
 initializer (:func:`worker_initializer`) instead of being pickled into
@@ -153,7 +158,11 @@ def resolve_block(item: Union[BlockRef, np.ndarray]) -> np.ndarray:
         buf = _attach_mmap(item.segment)
     else:
         raise ValueError(f"unknown BlockRef kind {item.kind!r}")
-    view = np.frombuffer(buf, dtype=item.dtype, count=item.length, offset=item.offset)
+    return _readonly_view(buf, item)
+
+
+def _readonly_view(buf, ref: BlockRef) -> np.ndarray:
+    view = np.frombuffer(buf, dtype=ref.dtype, count=ref.length, offset=ref.offset)
     view.flags.writeable = False
     return view
 
@@ -180,6 +189,21 @@ def detach_all() -> None:
 # ----------------------------------------------------------------------
 
 
+class _Segment(shared_memory.SharedMemory):
+    """A segment a plane created.
+
+    :meth:`ShmDataPlane.view` hands out views of its own mapping, so it
+    may be closed while one is alive. The mapping then lives until the
+    last view dies instead of the close raising ``BufferError``.
+    """
+
+    def close(self) -> None:
+        try:
+            super().close()
+        except BufferError:
+            pass
+
+
 class ShmDataPlane:
     """Owns shared-memory segments holding input blocks.
 
@@ -191,23 +215,52 @@ class ShmDataPlane:
         with ShmDataPlane() as plane:
             refs = plane.share_blocks(blocks)
             result = run_job(job, refs, ...)
+
+    A segment is immutable while a job reads it. Only the plane that
+    owns it rewrites it, between jobs, through :meth:`refill` — how a
+    :class:`~repro.mapreduce.runtime.MultiprocessExecutor` keeps one
+    segment for the life of its pool.
     """
 
     def __init__(self) -> None:
-        self._segments: List[shared_memory.SharedMemory] = []
+        self._segments: Dict[str, _Segment] = {}
         self.placed_bytes = 0
+
+    def _create(self, nbytes: int) -> _Segment:
+        name = f"repro-{os.getpid():x}-{secrets.token_hex(4)}"
+        # zero-size segments are invalid
+        seg = _Segment(name=name, create=True, size=max(nbytes, 1))
+        self._segments[name] = seg
+        return seg
+
+    def _fill(
+        self, seg: _Segment, arr: np.ndarray
+    ) -> Tuple[str, shared_memory.SharedMemory]:
+        if arr.nbytes:
+            np.frombuffer(seg.buf, dtype=np.float64, count=arr.size)[:] = arr
+        self.placed_bytes += int(arr.nbytes)
+        return seg.name, seg
 
     def share_array(self, arr: np.ndarray) -> Tuple[str, shared_memory.SharedMemory]:
         """Place one array in a fresh segment; returns ``(name, segment)``."""
         arr = np.ascontiguousarray(arr, dtype=np.float64)
-        nbytes = max(int(arr.nbytes), 1)  # zero-size segments are invalid
-        name = f"repro-{os.getpid():x}-{secrets.token_hex(4)}"
-        seg = shared_memory.SharedMemory(name=name, create=True, size=nbytes)
-        if arr.nbytes:
-            np.frombuffer(seg.buf, dtype=np.float64, count=arr.size)[:] = arr
-        self._segments.append(seg)
-        self.placed_bytes += int(arr.nbytes)
-        return seg.name, seg
+        return self._fill(self._create(arr.nbytes), arr)
+
+    def refill(self, arr: np.ndarray) -> Tuple[str, shared_memory.SharedMemory]:
+        """Place one array in this plane's one segment, reusing it.
+
+        The copy lands in pages earlier calls already mapped and
+        faulted in, under the name workers already have attached. Only
+        an array larger than the segment replaces it: the old segment
+        is unlinked and the new one gets a fresh name. The caller
+        guarantees that no job still reads the segment.
+        """
+        arr = np.ascontiguousarray(arr, dtype=np.float64)
+        segs = list(self._segments.values())
+        if len(segs) != 1 or segs[0].size < arr.nbytes:
+            self.close()
+            segs = [self._create(arr.nbytes)]
+        return self._fill(segs[0], arr)
 
     def share_blocks(self, blocks: Sequence[np.ndarray]) -> List[BlockRef]:
         """Lay blocks out contiguously in one segment; return descriptors.
@@ -218,21 +271,17 @@ class ShmDataPlane:
         """
         sizes = [int(np.asarray(b).size) for b in blocks]
         total = sum(sizes)
-        name = f"repro-{os.getpid():x}-{secrets.token_hex(4)}"
-        seg = shared_memory.SharedMemory(
-            name=name, create=True, size=max(total * 8, 1)
-        )
+        seg = self._create(total * 8)
         flat = np.frombuffer(seg.buf, dtype=np.float64, count=total)
         refs: List[BlockRef] = []
         cursor = 0
         for block, size in zip(blocks, sizes):
             flat[cursor : cursor + size] = np.asarray(block, dtype=np.float64)
             refs.append(
-                BlockRef(kind="shm", segment=name, offset=cursor * 8, length=size)
+                BlockRef(kind="shm", segment=seg.name, offset=cursor * 8, length=size)
             )
             cursor += size
         del flat  # release the view so close()/unlink() can proceed
-        self._segments.append(seg)
         self.placed_bytes += total * 8
         return refs
 
@@ -250,13 +299,19 @@ class ShmDataPlane:
                 break
         return refs
 
+    def view(self, ref: BlockRef) -> np.ndarray:
+        """Read-only view of a block this plane placed.
+
+        Built on the plane's own mapping, not :func:`resolve_block`'s
+        attach cache, so once the plane closes the segment nothing but
+        the views themselves keeps it mapped.
+        """
+        return _readonly_view(self._segments[ref.segment].buf, ref)
+
     def close(self) -> None:
         """Close and unlink every owned segment (idempotent)."""
-        for seg in self._segments:
-            try:
-                seg.close()
-            except BufferError:
-                pass
+        for seg in self._segments.values():
+            seg.close()
             try:
                 seg.unlink()
             except FileNotFoundError:

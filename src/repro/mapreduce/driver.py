@@ -15,6 +15,8 @@ On the ``"process"`` executor the driver defaults to the zero-copy data
 plane: input blocks live in shared memory, workers receive ~100-byte
 descriptors, the job is installed once per worker, and the pool itself
 persists across calls (``reuse_pool=True``) so spin-up is amortized.
+The input segment belongs to the pool and lives as long as it does:
+each call costs one copy into it.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 from typing import Optional, Union
 
 from repro.core.digits import DEFAULT_RADIX, RadixConfig
+from repro.mapreduce.dataplane import ShmDataPlane
 from repro.mapreduce.hdfs import BlockStore
 from repro.mapreduce.partitioner import Partitioner
 import os
@@ -153,56 +156,51 @@ def parallel_sum(
     w = workers or 1
     kind = _select_executor_kind(executor, w)
     p = reducers if reducers is not None else nodes
-    use_plane = kind == "process" and w > 1 and zero_copy
 
-    with BlockStore(nodes=nodes, block_items=block_items, shared=use_plane) as store:
-        store.put("input", arr)
-        if use_plane:
-            items = store.block_refs("input")
-        else:
-            items = [b.data for b in store.blocks("input")]
-
-        def execute(the_job) -> JobResult:
-            if kind == "process" and w > 1:
-                if reuse_pool:
-                    exe = shared_process_executor(w)
-                    return run_job(
-                        the_job, items, reducers=p, executor=exe,
-                        partitioner=partitioner,
-                    )
-                with MultiprocessExecutor(w) as exe:
-                    return run_job(
-                        the_job, items, reducers=p, executor=exe,
-                        partitioner=partitioner,
-                    )
-            if kind == "simulated":
-                return run_job(
-                    the_job,
-                    items,
-                    reducers=p,
-                    executor=SimulatedClusterExecutor(w),
-                    partitioner=partitioner,
-                )
-            return run_job(
-                the_job,
-                items,
-                reducers=p,
-                executor=SerialExecutor(),
-                partitioner=partitioner,
-            )
-
+    def execute(items, exe) -> JobResult:
         try:
-            result = execute(job)
+            return run_job(job, items, reducers=p, executor=exe, partitioner=partitioner)
         except CertificationError:
             # The adaptive job's global certificate failed: the blocks
-            # are still in the store, so transparently redo the run
-            # with the fully exact job — a retry, never a wrong bit.
+            # are still placed, so transparently redo the run with the
+            # fully exact job — a retry, never a wrong bit.
             fallback = SparseSuperaccumulatorJob(radix=radix, mode=mode)
-            result = execute(fallback)
+            result = run_job(
+                fallback, items, reducers=p, executor=exe, partitioner=partitioner
+            )
             result.tier_counts = {
                 "tier0_hits": 0,
                 "escalations": result.blocks,
                 "tier2_folds": 1,
                 "certification_fallback": 1,
             }
+            return result
+
+    if kind == "process" and w > 1:
+        pool = shared_process_executor(w) if reuse_pool else MultiprocessExecutor(w)
+        try:
+            if zero_copy:
+                # The pool's own segment takes the input: one copy into
+                # pages that stay mapped from call to call.
+                with pool.borrow_plane() as plane:
+                    result = execute(_place(arr, nodes, block_items, plane), pool)
+            else:
+                result = execute(_place(arr, nodes, block_items), pool)
+        finally:
+            if not reuse_pool:
+                pool.close()
+    elif kind == "simulated":
+        result = execute(_place(arr, nodes, block_items), SimulatedClusterExecutor(w))
+    else:
+        result = execute(_place(arr, nodes, block_items), SerialExecutor())
     return result if report else result.value
+
+
+def _place(arr, nodes: int, block_items: int, plane: Optional[ShmDataPlane] = None):
+    """Split ``arr`` into simulated HDFS blocks: descriptors into
+    ``plane`` when given, in-process arrays otherwise."""
+    store = BlockStore(nodes=nodes, block_items=block_items)
+    blocks = store.put("input", arr, plane=plane)
+    if plane is not None:
+        return store.block_refs("input")
+    return [b.data for b in blocks]

@@ -18,7 +18,11 @@ data plane: ``put`` copies the dataset into a shared-memory segment
 :meth:`BlockStore.block_refs` hands out the lightweight
 :class:`~repro.mapreduce.dataplane.BlockRef` descriptors pool workers
 resolve in place — the analogue of workers reading their local HDFS
-blocks instead of receiving them over the wire.
+blocks instead of receiving them over the wire. Such a store creates a
+segment per dataset and unlinks it on :meth:`~BlockStore.delete` or
+:meth:`~BlockStore.close`. ``put(..., plane=...)`` instead copies into
+a plane someone else owns — a worker pool's, whose one segment lives as
+long as the pool, so each ``parallel_sum`` call costs one copy into it.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.mapreduce.dataplane import BlockRef, ShmDataPlane, resolve_block
+from repro.mapreduce.dataplane import BlockRef, ShmDataPlane
 from repro.util.validation import check_positive_int, ensure_float64_array
 
 __all__ = ["Block", "BlockStore"]
@@ -78,28 +82,36 @@ class BlockStore:
         self._datasets: Dict[str, List[Block]] = {}
         self._planes: Dict[str, ShmDataPlane] = {}
 
-    def put(self, name: str, values) -> List[Block]:
+    def put(
+        self, name: str, values, *, plane: Optional[ShmDataPlane] = None
+    ) -> List[Block]:
         """Load a dataset: split into blocks, place round-robin.
 
-        On a shared store the dataset is copied into a shared-memory
-        segment here — the one and only copy the data plane performs.
+        On a shared store the dataset is copied into a fresh
+        shared-memory segment the store owns. Given a ``plane``, it is
+        copied into that plane's reusable segment instead
+        (:meth:`~repro.mapreduce.dataplane.ShmDataPlane.refill`), which
+        the plane's owner releases. Either way this is the one and only
+        copy the data plane performs.
         """
         if name in self._datasets:
             raise ValueError(f"dataset {name!r} already stored")
         arr = ensure_float64_array(values)
-        refs: Optional[List[BlockRef]] = None
-        if self.shared:
-            plane = ShmDataPlane()
+        if plane is not None:
+            segment, _ = plane.refill(arr)
+        elif self.shared:
+            plane = self._planes[name] = ShmDataPlane()
             segment, _ = plane.share_array(arr)
+        refs: Optional[List[BlockRef]] = None
+        if plane is not None:
             refs = plane.refs_for_array(segment, int(arr.size), self.block_items)
-            self._planes[name] = plane
         blocks: List[Block] = []
         for i, start in enumerate(range(0, max(arr.size, 1), self.block_items)):
             chunk = arr[start : start + self.block_items]
             if chunk.size == 0 and i > 0:
                 break
             ref = refs[i] if refs is not None else None
-            data = resolve_block(ref) if ref is not None else chunk
+            data = plane.view(ref) if ref is not None else chunk
             blocks.append(
                 Block(dataset=name, index=i, node=i % self.nodes, data=data, ref=ref)
             )
@@ -132,10 +144,10 @@ class BlockStore:
             plane.close()
 
     def close(self) -> None:
-        """Unlink every shared segment this store placed (idempotent)."""
-        for plane in self._planes.values():
-            plane.close()
-        self._planes.clear()
+        """Drop every dataset this store placed in shared memory and
+        unlink its segment (idempotent)."""
+        for name in list(self._planes):
+            self.delete(name)
 
     def __enter__(self) -> "BlockStore":
         return self

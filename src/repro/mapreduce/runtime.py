@@ -33,17 +33,20 @@ from __future__ import annotations
 import atexit
 import pickle
 import secrets
+import threading
 import time
 from abc import ABC, abstractmethod
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from multiprocessing import get_all_start_methods, get_context
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.mapreduce.dataplane import (
     BlockRef,
     ResolvingCombine,
+    ShmDataPlane,
     resolve_block,
     run_phase_task,
     worker_initializer,
@@ -223,6 +226,11 @@ class MultiprocessExecutor:
     an equivalent job — the ``parallel_sum`` steady state — reuse both
     the worker processes and the installed job.
 
+    The executor also owns the input plane of the driver's zero-copy
+    path (:meth:`borrow_plane`): its one shared-memory segment is
+    created by the first job, refilled in place by every later one and
+    unlinked by :meth:`close`, so it lives exactly as long as the pool.
+
     Args:
         workers: pool size; plays the role of cluster cores in Fig. 3.
         chunksize: items per task handed to a worker.
@@ -247,10 +255,34 @@ class MultiprocessExecutor:
         self._closed = False  # job initializer for run_phase()
         self._job_payload: Optional[bytes] = None
         self._job_token: Optional[str] = None
+        self._plane: Optional[ShmDataPlane] = None
+        self._plane_lock = threading.Lock()
 
     def _check_open(self) -> None:
         if self._closed:
             raise RuntimeError("executor is closed")
+
+    @contextmanager
+    def borrow_plane(self) -> Iterator[ShmDataPlane]:
+        """Lend the pool's input plane to one job; jobs wait their turn.
+
+        Place the job's input with
+        :meth:`~repro.mapreduce.dataplane.ShmDataPlane.refill` and run
+        the job inside the ``with`` block. Holding the lock for the
+        whole job keeps another job from rewriting the segment while
+        this one's workers read it. If the job raises, sibling tasks
+        may still be reading, so the segment is unlinked, not reused.
+        """
+        self._check_open()
+        with self._plane_lock:
+            if self._plane is None:
+                self._plane = ShmDataPlane()
+            plane = self._plane
+            try:
+                yield plane
+            except BaseException:
+                plane.close()
+                raise
 
     def install_job(self, job: "MapReduceJob") -> None:
         """Install ``job`` in every worker (no-op if already installed).
@@ -295,11 +327,14 @@ class MultiprocessExecutor:
         )
 
     def close(self) -> None:
-        """Shut the pool down (idempotent)."""
+        """Shut the pool down and unlink its input segment (idempotent)."""
         if self._pool is not None:
             self._pool.close()
             self._pool.join()
             self._pool = None
+        if self._plane is not None:
+            self._plane.close()
+            self._plane = None
         self._closed = True
         self._job_payload = None
         self._job_token = None
@@ -316,6 +351,7 @@ class MultiprocessExecutor:
 # ----------------------------------------------------------------------
 
 _SHARED_EXECUTORS: Dict[Tuple[int, str], MultiprocessExecutor] = {}
+_SHARED_LOCK = threading.Lock()
 
 
 def shared_process_executor(
@@ -333,18 +369,22 @@ def shared_process_executor(
     """
     method = pick_start_method(start_method)
     key = (check_positive_int(workers, name="workers"), method)
-    exe = _SHARED_EXECUTORS.get(key)
-    if exe is None or exe._closed:
-        exe = MultiprocessExecutor(workers, start_method=method)
-        _SHARED_EXECUTORS[key] = exe
+    with _SHARED_LOCK:
+        exe = _SHARED_EXECUTORS.get(key)
+        if exe is None or exe._closed:
+            exe = MultiprocessExecutor(workers, start_method=method)
+            _SHARED_EXECUTORS[key] = exe
     return exe
 
 
 def shutdown_shared_executors() -> None:
-    """Close every pooled executor created by :func:`shared_process_executor`."""
-    for exe in _SHARED_EXECUTORS.values():
+    """Close every pooled executor created by :func:`shared_process_executor`
+    (which also unlinks each pool's input segment)."""
+    with _SHARED_LOCK:
+        executors = list(_SHARED_EXECUTORS.values())
+        _SHARED_EXECUTORS.clear()
+    for exe in executors:
         exe.close()
-    _SHARED_EXECUTORS.clear()
 
 
 atexit.register(shutdown_shared_executors)

@@ -9,13 +9,21 @@ path produces bit-identical results to the serial superaccumulator.
 
 from __future__ import annotations
 
+import os
 import pickle
+import sys
+import threading
+from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
 
+import repro.mapreduce.driver as mr_driver
+from repro.core import exact_sum
 from repro.data.io import dataset_block_refs, map_dataset, write_dataset
 from repro.extmem import MappedExtArray
+from repro.mapreduce.dataplane import detach_all
+from repro.util.bits import same_float
 from repro.mapreduce import (
     BlockRef,
     BlockStore,
@@ -39,6 +47,71 @@ from tests.conftest import random_hard_array, ref_sum
 def _clean_shared_pools():
     yield
     shutdown_shared_executors()
+
+
+def _start_method():
+    """The pool start method CI selects (``fork``/``spawn``), if any."""
+    return os.environ.get("REPRO_START_METHOD") or None
+
+
+@pytest.fixture
+def start_method(monkeypatch):
+    """Build ``parallel_sum``'s pools with ``REPRO_START_METHOD``, as
+    tests/test_kernel_matrix.py does for its executor."""
+    method = _start_method()
+    monkeypatch.setattr(
+        mr_driver,
+        "shared_process_executor",
+        lambda workers: shared_process_executor(workers, start_method=method),
+    )
+    monkeypatch.setattr(
+        mr_driver,
+        "MultiprocessExecutor",
+        lambda workers: MultiprocessExecutor(workers, start_method=method),
+    )
+    return method
+
+
+def _pool_sum(x, **kwargs):
+    return parallel_sum(x, workers=2, executor="process", block_items=1 << 12, **kwargs)
+
+
+def _pool_segments(method):
+    """Names of the segments the shared pool's input plane owns."""
+    return list(shared_process_executor(2, start_method=method)._plane._segments)
+
+
+def _own_segments():
+    """Names of this process's segments in /dev/shm."""
+    prefix = f"repro-{os.getpid():x}-"
+    return {n for n in os.listdir("/dev/shm") if n.startswith(prefix)}
+
+
+def _deleted_mappings() -> int:
+    """Unlinked repro segments this process still has mapped."""
+    with open("/proc/self/maps") as fh:
+        return sum("/dev/shm/repro-" in line and "(deleted)" in line for line in fh)
+
+
+def _unlinked(name: str) -> bool:
+    try:
+        shared_memory.SharedMemory(name=name, create=False).close()
+    except FileNotFoundError:
+        return True
+    return False
+
+
+#: Outside random_hard_array's exponent range, so only planted.
+POISON = 3.0 * 2.0**-300
+
+
+class PoisonedJob(SparseSuperaccumulatorJob):
+    """Fails the combine of any block holding :data:`POISON`."""
+
+    def combine(self, block):
+        if np.any(block == POISON):
+            raise ValueError("poisoned block")
+        return super().combine(block)
 
 
 class TestBlockRef:
@@ -269,6 +342,110 @@ class TestPersistentExecutor:
         pool = exe._pool
         assert parallel_sum(x, workers=2, executor="process", block_items=256) == expect
         assert shared_process_executor(2)._pool is pool
+
+
+class TestPoolSegmentReuse:
+    """The pool's one input segment: refilled by each job, replaced only
+    when outgrown, never reused after a failed job."""
+
+    def test_sizes_grow_shrink_and_empty(self, rng, start_method):
+        names = []
+        for n in (1 << 16, (1 << 12) + 3, 0, 1 << 17):
+            x = random_hard_array(rng, n)
+            assert same_float(_pool_sum(x), exact_sum(x)), n
+            names.append(_pool_segments(start_method))
+        # shrinking and empty inputs refill the first segment in place
+        assert len(names[0]) == 1 and names[0] == names[1] == names[2]
+        # a larger input replaces it under a new name
+        assert len(names[3]) == 1 and names[3] != names[0]
+        assert _unlinked(names[0][0])
+
+    def test_two_threads_share_one_pool(self, rng, start_method):
+        sizes = (((1 << 15), (1 << 13) + 1), ((1 << 14) + 7, 1 << 16))
+        inputs = [[random_hard_array(rng, n) for n in s] * 2 for s in sizes]
+        got = [[], []]
+        errors = []
+
+        def caller(i):
+            try:
+                for x in inputs[i]:
+                    got[i].append(_pool_sum(x))
+            except BaseException as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller, args=(i,)) for i in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=300)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        for i in range(2):
+            assert len(got[i]) == len(inputs[i])
+            for value, x in zip(got[i], inputs[i]):
+                assert same_float(value, exact_sum(x))
+
+    def test_failed_job_segment_is_not_reused(self, rng, start_method):
+        x = random_hard_array(rng, 1 << 14)
+        assert same_float(_pool_sum(x), exact_sum(x))
+        (used,) = _pool_segments(start_method)
+        poisoned = x.copy()
+        poisoned[3 << 12] = POISON  # first item of block 3
+        with pytest.raises(ValueError, match="poisoned"):
+            _pool_sum(poisoned, job=PoisonedJob())
+        assert _pool_segments(start_method) == []
+        assert _unlinked(used)
+        y = random_hard_array(rng, 1 << 13)
+        assert same_float(_pool_sum(y), exact_sum(y))
+        assert used not in _pool_segments(start_method)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm")
+class TestSegmentLifecycle:
+    def test_shutdown_unlinks_pool_segment(self, rng, start_method):
+        before = _own_segments()
+        x = random_hard_array(rng, 1 << 13)
+        assert same_float(_pool_sum(x), exact_sum(x))
+        assert len(_own_segments() - before) == 1  # kept between jobs
+        shutdown_shared_executors()
+        assert _own_segments() == before
+
+    def test_private_pool_leaves_no_segment(self, rng, start_method):
+        before = _own_segments()
+        x = random_hard_array(rng, 1 << 13)
+        assert same_float(_pool_sum(x, reuse_pool=False), exact_sum(x))
+        assert _own_segments() == before
+        with MultiprocessExecutor(2, start_method=start_method) as exe:
+            with exe.borrow_plane() as plane:
+                store = BlockStore(block_items=1 << 10)
+                store.put("d", x, plane=plane)
+                res = run_job(
+                    SparseSuperaccumulatorJob(), store.block_refs("d"),
+                    reducers=2, executor=exe,
+                )
+            assert len(_own_segments() - before) == 1
+        assert _own_segments() == before
+        assert same_float(res.value, exact_sum(x))
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/maps"), reason="needs /proc"
+    )
+    def test_closed_segments_stay_unmapped(self, rng, start_method):
+        # Block views once came from the attach cache, which kept up to
+        # four unlinked segments mapped in the placing process.
+        detach_all()
+        baseline = _deleted_mappings()
+        for shift in range(10, 16):
+            with BlockStore(block_items=1 << 9, shared=True) as store:
+                store.put("d", rng.random(1 << shift))
+            x = random_hard_array(rng, 1 << shift)  # outgrows the pool's segment
+            assert same_float(_pool_sum(x), exact_sum(x))
+        assert _deleted_mappings() <= baseline
 
 
 class TestMmapDescriptors:
