@@ -12,8 +12,8 @@ runs the two failure drills the subsystem exists for:
   assert it reconstructs its acked prefix bit-exactly.
 
 The ingest and kill/recover drills run once per **wire mode**:
-``json`` (boxed JSON-lines text) and ``binary`` (codec ``BBAT``
-frames whose raw float64 payloads land verbatim in ``WALR`` records —
+``json`` (boxed JSON-lines text) and ``binary`` (codec ``RBAT``
+frames whose raw float64 payloads land verbatim in ``WALO`` records —
 the zero-copy passthrough path). On the binary wire the replayed WAL
 records are therefore byte-for-byte the payloads the clients shipped,
 and the drill proves their replay is bit-identical anyway.

@@ -7,7 +7,7 @@ one ``add`` request per value — the naive client every RPC framework
 produces — against ``add_array`` batches, which the service's
 per-shard microbatcher folds with one superaccumulator operation per
 coalesced run. Batched cells run once per wire: ``json`` (boxed
-JSON-lines text) and ``binary`` (negotiated codec ``BBAT`` frames
+JSON-lines text) and ``binary`` (negotiated codec ``RBAT`` frames
 carrying raw little-endian float64, parsed server-side as zero-copy
 views). Every cell also asserts the service's rounded ``value()`` is
 bit-identical to ``core.exact_sum`` of everything it ingested: this

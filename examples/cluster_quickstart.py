@@ -6,7 +6,7 @@ the cluster exists for: SIGKILL the stream's primary mid-ingest, keep
 ingesting through failover, replay the dead node's write-ahead log,
 and read a final sum bit-identical to the serial exact reference.
 ``--wire json|binary`` pins the coordinator's wire mode; on the
-binary wire (the default) each batch ships as a codec ``BBAT`` frame
+binary wire (the default) each batch ships as a codec ``RBAT`` frame
 whose raw float64 payload lands verbatim in the node's WAL, so the
 replay below re-folds the very bytes the clients sent. Doubles as the
 CI cluster smoke test, run once per wire mode.

@@ -5,7 +5,7 @@ surface: wire negotiation (``--wire json|binary``), a round-trip, a
 1k-request concurrent burst of an ill-conditioned dataset shipped as
 numpy batches (asserted bit-identical to the serial exact sum),
 snapshot/restore persistence, stats, and a clean shutdown. On the
-binary wire each batch rides a codec ``BBAT`` frame of raw float64
+binary wire each batch rides a codec ``RBAT`` frame of raw float64
 bytes; on JSON-lines the same calls box through ``add_array`` — the
 result is bit-identical either way. Doubles as the CI service smoke
 test, run once per wire mode.
@@ -47,7 +47,7 @@ async def main(wire: str) -> None:
     async def producer(part_chunks) -> None:
         c = await ReproServeClient.connect(port=server.port, wire=wire)
         for chunk in part_chunks:
-            # numpy batch API: one frame per array — a codec BBAT frame
+            # numpy batch API: one frame per array — a codec RBAT frame
             # on the binary wire, an add_array op on JSON-lines
             await c.add_batch("burst", chunk)
         await c.close()

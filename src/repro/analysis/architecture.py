@@ -357,7 +357,7 @@ class BoxedFloatWirePayload(Rule):
     """ARCH005: value-bearing wire/WAL payloads must use the codec.
 
     The serve and cluster planes carry float64 batches as codec frames
-    (``BBAT`` on the wire, ``WALR`` in the log): raw little-endian
+    (``RBAT`` on the wire, ``WALO`` in the log): raw little-endian
     bytes, bit-exact by construction, zero boxing. Building a payload
     as ``values=[float(v) for v in ...]`` — or ``json.dumps`` of such
     a sequence — inside those packages re-routes the batch through
@@ -369,13 +369,13 @@ class BoxedFloatWirePayload(Rule):
     id = "ARCH005"
     title = "boxed float payload on a codec-capable wire path"
     rationale = (
-        "float batches boxed into JSON lists bypass the BBAT/WALR "
+        "float batches boxed into JSON lists bypass the RBAT/WALO "
         "codec frames, costing ~3x wire bytes and per-value boxing on "
         "paths that have a bit-identical binary fast path"
     )
     fixit = (
         "ship the batch as an ndarray through request_batch/add_batch "
-        "(codec BBAT frame), or suppress with a justification if this "
+        "(codec RBAT frame), or suppress with a justification if this "
         "is the JSON-lines fallback wire itself"
     )
 

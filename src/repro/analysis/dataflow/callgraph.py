@@ -408,7 +408,7 @@ class ProjectIndex:
                     seen.add(method.qualname)
                     targets.append(method)
             if not targets and isinstance(func.value, ast.Name):
-                # Module-attribute call: `codec.decode_batch(...)`.
+                # Module-attribute call: `codec.decode_reduce_batch(...)`.
                 module = self.imports.get((unit.module_name, func.value.id))
                 if module is not None:
                     info = self.functions.get(f"{module}.{func.attr}")

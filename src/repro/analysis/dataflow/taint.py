@@ -9,7 +9,7 @@ machine-checked tree-wide invariant.
 
 Model (classic taint with three label sets):
 
-* **sources** — codec/protocol decoders (``decode_batch``,
+* **sources** — codec/protocol decoders (``decode_reduce_batch``,
   ``parse_payload``, ``read_wal``, ``np.frombuffer``, ...) and serve
   endpoint payloads (``request[...]`` / ``request.get(...)`` where
   ``request`` is a parameter);
@@ -52,12 +52,9 @@ _SCOPED_PACKAGES = ("serve", "cluster", "reduce")
 SOURCE_CALLS = frozenset(
     {
         "decode",
-        "decode_batch",
         "decode_reduce_batch",
         "decode_snapshot",
-        "decode_wal_any",
         "decode_wal_record",
-        "decode_wal_reduce",
         "decode_payload",
         "parse_payload",
         "read_frame",
@@ -65,7 +62,6 @@ SOURCE_CALLS = frozenset(
         "iter_wal",
         "frombuffer",
         "decode_bytes_field",
-        "batch_wire_body",
         "reduce_batch_wire_bodies",
         "stream_from_bytes",
         "from_bytes",
@@ -139,11 +135,8 @@ SANITIZER_CALLS = frozenset(
         "merge",
         "merge_into",
         "scatter",
-        "scatter_reduce",
         "add_batch",
-        "add_reduce_batch",
         "append",
-        "append_reduce",
         "append_blob",
         "appendleft",
         "extend",
@@ -153,13 +146,11 @@ SANITIZER_CALLS = frozenset(
         "write",
         "publish",
         "encode",
-        "encode_batch",
         "encode_reduce_batch",
         "encode_frame",
         "encode_batch_frame",
         "encode_reduce_batch_frame",
         "encode_wal_record",
-        "encode_wal_reduce",
         "encode_snapshot",
         "encode_bytes_field",
         "two_sum_vec",

@@ -18,7 +18,7 @@ associatively, commutatively and bit-identically. Consequences:
   snapshots and replay frames; no reconciliation logic can disagree
   about a sum (:meth:`.ClusterCoordinator.failover`).
 
-See ``docs/CLUSTER.md`` for the placement ring, the ``WALR`` record
+See ``docs/CLUSTER.md`` for the placement ring, the ``WALO`` record
 format, and the failover sequence.
 """
 

@@ -7,12 +7,13 @@ disciplines coexist, chosen per call:
   placement names a primary plus replicas; every member receives the
   same sequenced batch, so each holds the full stream and any one of
   them can serve a read. Sequence numbers make redelivery idempotent.
-* **scatter** (:meth:`ClusterCoordinator.scatter`) — batches are
-  striped round-robin across all live nodes for raw ingest bandwidth;
-  a read (:meth:`gather_value`) fans out, pulls each node's kernel
-  snapshot, and merges the partials through the kernel's
-  ``stream_from_bytes``/``merge`` — the same ``KSTR``/``ERSM`` wire
-  merge every other plane uses, so the recombination is bit-exact.
+* **scatter** (:meth:`ClusterCoordinator.scatter`) — batches of any
+  ingest kind are striped round-robin across all live nodes for raw
+  ingest bandwidth; a read (:meth:`gather_value`, :meth:`gather_norm2`,
+  :meth:`gather_moments`) fans out, pulls each node's kernel snapshot,
+  and merges the partials through the kernel's
+  ``stream_from_bytes``/``merge`` — the same ``KSTR`` wire merge every
+  other plane uses, so the recombination is bit-exact.
 
 **Failover.** When a node dies (probe failure or a request-level
 transport error) the coordinator removes it from the ring — bumping
@@ -34,17 +35,32 @@ from __future__ import annotations
 import asyncio
 import tempfile
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Awaitable,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Union,
+)
 
 import numpy as np
 
 from repro.core.digits import DEFAULT_RADIX, RadixConfig
-from repro.errors import EmptyStreamError, NodeDownError, ServiceError
+from repro.errors import NodeDownError, ServiceError
 from repro.kernels import get_kernel
+from repro.reduce.ops import get_op
 from repro.serve import InProcessClient, ReproServeClient, ServeConfig
-from repro.serve.protocol import WIRE_BINARY, decode_bytes_field
-from repro.serve.service import square_shadow
-from repro.stats import round_fraction, sqrt_round_fraction
+from repro.serve.protocol import (
+    WIRE_BINARY,
+    decode_bytes_field,
+    ingest_kind,
+    json_batch_request,
+)
+from repro.serve.service import finish_moments, square_shadow
 from repro.util.validation import ensure_float64_array
 from repro.cluster.node import ClusterNode, WalService
 from repro.cluster.placement import HashRing
@@ -58,6 +74,12 @@ __all__ = [
     "ClusterCoordinator",
     "LocalCluster",
 ]
+
+
+def _as_array(values: Iterable[float]) -> np.ndarray:
+    if isinstance(values, np.ndarray):
+        return ensure_float64_array(values)
+    return np.asarray(list(values), dtype=np.float64)
 
 
 class NodeHandle:
@@ -77,57 +99,19 @@ class NodeHandle:
     async def add_batch(
         self,
         stream: str,
-        values: np.ndarray,
-        *,
-        seq: Optional[int] = None,
-    ) -> Dict[str, Any]:
-        """Send one float64 batch; full add_array response dict.
-
-        The base implementation boxes through the JSON ``add_array``
-        op; transport-aware subclasses route the array as a single
-        codec frame when the connection negotiated the binary wire.
-        """
-        fields: Dict[str, Any] = {
-            "stream": stream,
-            # reprolint: disable-next-line=ARCH005 -- JSON-lines fallback wire: boxing is the format
-            "values": [float(v) for v in values],
-        }
-        if seq is not None:
-            fields["seq"] = seq
-        return await self.request("add_array", **fields)
-
-    async def add_reduce_batch(
-        self,
-        stream: str,
-        op: str,
         x: np.ndarray,
-        y: Optional[np.ndarray] = None,
         *,
+        op: str = "sum",
+        y: Optional[np.ndarray] = None,
         seq: Optional[int] = None,
     ) -> Dict[str, Any]:
-        """Send one reduction ingest batch; full op response dict.
+        """Send one ingest batch of kind ``op``; full response dict.
 
-        ``op`` is the codec reduction kind (``"pairs"``/``"squares"``/
-        ``"observations"``). The base implementation boxes through the
-        JSON reduction ops; transport-aware subclasses ship a single
-        codec ``RBAT`` frame on binary connections.
+        The base implementation sends the kind's JSON op; transport-aware
+        subclasses ship a single codec ``RBAT`` frame when the
+        connection negotiated the binary wire.
         """
-        request_op = {
-            "pairs": "add_pairs",
-            "squares": "add_squares",
-            "observations": "add_observations",
-        }.get(op)
-        if request_op is None:
-            raise ValueError(f"unknown reduction op kind {op!r}")
-        fields: Dict[str, Any] = {
-            "stream": stream,
-            # reprolint: disable-next-line=ARCH005 -- JSON-lines fallback wire: boxing is the format
-            "values": [float(v) for v in x],
-        }
-        if y is not None:
-            fields["values2"] = [float(v) for v in y]
-        if seq is not None:
-            fields["seq"] = seq
+        request_op, fields = json_batch_request(stream, x, op=op, y=y, seq=seq)
         return await self.request(request_op, **fields)
 
     async def close(self) -> None:
@@ -162,26 +146,15 @@ class LocalNodeHandle(NodeHandle):
     async def add_batch(
         self,
         stream: str,
-        values: np.ndarray,
-        *,
-        seq: Optional[int] = None,
-    ) -> Dict[str, Any]:
-        if not self.alive:
-            raise self.down("killed")
-        return await self._client.request_batch(stream, values, seq=seq)
-
-    async def add_reduce_batch(
-        self,
-        stream: str,
-        op: str,
         x: np.ndarray,
-        y: Optional[np.ndarray] = None,
         *,
+        op: str = "sum",
+        y: Optional[np.ndarray] = None,
         seq: Optional[int] = None,
     ) -> Dict[str, Any]:
         if not self.alive:
             raise self.down("killed")
-        return await self._client.request_reduce(stream, op, x, y, seq=seq)
+        return await self._client.request_batch(stream, x, op=op, y=y, seq=seq)
 
     def kill(self) -> None:
         self.alive = False
@@ -218,57 +191,35 @@ class RemoteNodeHandle(NodeHandle):
             )
         return self._client
 
-    async def request(self, op: str, **fields: Any) -> Dict[str, Any]:
+    async def _call(
+        self, send: Callable[[ReproServeClient], Awaitable[Dict[str, Any]]]
+    ) -> Dict[str, Any]:
+        """Run one request on the connection; a transport failure marks
+        the node down."""
         if not self.alive:
             raise self.down("marked down")
         try:
             client = await self._ensure_client()
-            return await asyncio.wait_for(
-                client.request(op, **fields), timeout=self.timeout
-            )
+            return await asyncio.wait_for(send(client), timeout=self.timeout)
         except (ConnectionError, OSError, asyncio.TimeoutError, EOFError) as exc:
             await self._drop_client()
             raise self.down(f"{type(exc).__name__}: {exc}") from exc
+
+    async def request(self, op: str, **fields: Any) -> Dict[str, Any]:
+        return await self._call(lambda client: client.request(op, **fields))
 
     async def add_batch(
         self,
         stream: str,
-        values: np.ndarray,
-        *,
-        seq: Optional[int] = None,
-    ) -> Dict[str, Any]:
-        if not self.alive:
-            raise self.down("marked down")
-        try:
-            client = await self._ensure_client()
-            return await asyncio.wait_for(
-                client.request_batch(stream, values, seq=seq),
-                timeout=self.timeout,
-            )
-        except (ConnectionError, OSError, asyncio.TimeoutError, EOFError) as exc:
-            await self._drop_client()
-            raise self.down(f"{type(exc).__name__}: {exc}") from exc
-
-    async def add_reduce_batch(
-        self,
-        stream: str,
-        op: str,
         x: np.ndarray,
-        y: Optional[np.ndarray] = None,
         *,
+        op: str = "sum",
+        y: Optional[np.ndarray] = None,
         seq: Optional[int] = None,
     ) -> Dict[str, Any]:
-        if not self.alive:
-            raise self.down("marked down")
-        try:
-            client = await self._ensure_client()
-            return await asyncio.wait_for(
-                client.request_reduce(stream, op, x, y, seq=seq),
-                timeout=self.timeout,
-            )
-        except (ConnectionError, OSError, asyncio.TimeoutError, EOFError) as exc:
-            await self._drop_client()
-            raise self.down(f"{type(exc).__name__}: {exc}") from exc
+        return await self._call(
+            lambda client: client.request_batch(stream, x, op=op, y=y, seq=seq)
+        )
 
     async def _drop_client(self) -> None:
         client, self._client = self._client, None
@@ -372,11 +323,7 @@ class ClusterCoordinator:
         failover and a retry against the recomputed placement — the
         ``seq`` dedups the members that already applied it.
         """
-        arr = (
-            ensure_float64_array(values)
-            if isinstance(values, np.ndarray)
-            else np.asarray(list(values), dtype=np.float64)
-        )
+        arr = _as_array(values)
         if arr.size == 0:
             return {"added": 0, "seq": None, "epoch": self.ring.version}
         seq = self.replication.next_seq(stream)
@@ -441,93 +388,42 @@ class ClusterCoordinator:
     async def scatter(
         self,
         stream: str,
-        values: Iterable[float],
+        x: Iterable[float],
         *,
+        op: str = "sum",
+        y: Optional[Iterable[float]] = None,
         chunk: int = 8192,
     ) -> int:
-        """Stripe a batch across all live nodes (partition-parallel).
+        """Stripe one ingest batch of kind ``op`` across all live nodes.
 
-        Scatter mode trades replication for bandwidth: each value lands
+        Scatter mode trades replication for bandwidth: each input lands
         on exactly one node, and reads recombine the per-node partials
-        exactly (:meth:`gather_value`). Durability against the loss of
-        a node comes from that node's WAL, not from copies.
+        exactly (:meth:`gather_value`, :meth:`gather_norm2`,
+        :meth:`gather_moments`). Raw pre-expansion inputs ride the wire
+        (``"pairs"`` needs ``y``); each node expands its stripe with the
+        same deterministic expansion, so the union of per-node term
+        multisets equals a serial whole-array expansion. Durability
+        against the loss of a node comes from that node's WAL, not from
+        copies.
         """
-        arr = (
-            ensure_float64_array(values)
-            if isinstance(values, np.ndarray)
-            else np.asarray(list(values), dtype=np.float64)
-        )
-        if arr.size == 0:
+        ingest_kind(op, y)
+        xa = _as_array(x)
+        ya = None if y is None else _as_array(y)
+        if ya is not None and xa.shape != ya.shape:
+            raise ValueError("length mismatch")
+        if xa.size == 0:
             return 0
         handles = self.alive_handles()
         if not handles:
             raise NodeDownError("no live nodes to scatter onto")
         # Contiguous array views, not boxed lists: each slice rides the
         # wire as one codec frame on binary connections.
-        pieces = [arr[i : i + chunk] for i in range(0, arr.size, chunk)]
-        sends = []
-        for piece in pieces:
-            handle = handles[self._rr % len(handles)]
-            self._rr += 1
-            sends.append(handle.add_batch(stream, piece))
-        responses = await asyncio.gather(*sends)
-        return sum(int(r["added"]) for r in responses)
-
-    async def scatter_reduce(
-        self,
-        stream: str,
-        op: str,
-        x: Iterable[float],
-        y: Optional[Iterable[float]] = None,
-        *,
-        chunk: int = 8192,
-    ) -> int:
-        """Stripe one reduction ingest batch across all live nodes.
-
-        ``op`` is the codec reduction kind (``"pairs"`` needs ``y``;
-        ``"squares"``/``"observations"`` reject it). Raw pre-expansion
-        inputs ride the wire; each node expands its stripe with the
-        same deterministic EFTs, so the union of per-node term
-        multisets equals a serial whole-array expansion — which is what
-        keeps :meth:`gather_value`/:meth:`gather_norm2`/
-        :meth:`gather_moments` reads bit-identical to the serial
-        references.
-        """
-        xa = (
-            ensure_float64_array(x)
-            if isinstance(x, np.ndarray)
-            else np.asarray(list(x), dtype=np.float64)
-        )
-        ya: Optional[np.ndarray] = None
-        if op == "pairs":
-            if y is None:
-                raise ValueError("scatter_reduce('pairs', ...) needs two arrays")
-            ya = (
-                ensure_float64_array(y)
-                if isinstance(y, np.ndarray)
-                else np.asarray(list(y), dtype=np.float64)
-            )
-            if xa.shape != ya.shape:
-                raise ValueError("length mismatch")
-        elif y is not None:
-            raise ValueError(f"scatter_reduce({op!r}, ...) takes a single array")
-        if xa.size == 0:
-            return 0
-        handles = self.alive_handles()
-        if not handles:
-            raise NodeDownError("no live nodes to scatter onto")
         sends = []
         for i in range(0, xa.size, chunk):
             handle = handles[self._rr % len(handles)]
             self._rr += 1
-            sends.append(
-                handle.add_reduce_batch(
-                    stream,
-                    op,
-                    xa[i : i + chunk],
-                    None if ya is None else ya[i : i + chunk],
-                )
-            )
+            piece_y = None if ya is None else ya[i : i + chunk]
+            sends.append(handle.add_batch(stream, xa[i : i + chunk], op=op, y=piece_y))
         responses = await asyncio.gather(*sends)
         return sum(int(r["added"]) for r in responses)
 
@@ -554,8 +450,8 @@ class ClusterCoordinator:
     ) -> Dict[str, Any]:
         """Exact scatter/gather read: merge every live node's partial.
 
-        Each node returns its kernel-stream snapshot (``KSTR``/``ERSM``
-        wire bytes); the coordinator decodes them with the kernel's
+        Each node returns its kernel-stream snapshot (``KSTR`` wire
+        bytes); the coordinator decodes them with the kernel's
         ``stream_from_bytes`` and merges — cross-node recombination on
         the same exact-merge property every other plane relies on.
         """
@@ -572,20 +468,19 @@ class ClusterCoordinator:
         }
 
     async def gather_norm2(self, stream: str) -> Dict[str, Any]:
-        """Exact Euclidean norm of a ``scatter_reduce("squares")`` stream.
+        """Exact Euclidean norm of a ``scatter(op="squares")`` stream.
 
-        Merges the per-node TwoSquare-term partials, reads the exact
-        sum-of-squares fraction, and rounds its square root once
+        Merges the per-node TwoSquare-term partials; the ``norm2`` op's
+        finish rounds the square root of the exact sum of squares once
         (nearest only). The norm of nothing is 0.0, never an error.
         """
         handles = self.alive_handles()
         if not handles:
             raise NodeDownError("no live nodes to gather from")
         merged = await self._merged_snapshot(stream, handles)
-        if merged.count == 0:
-            value = 0.0
-        else:
-            value = sqrt_round_fraction(merged.exact_fraction())
+        value = get_op("norm2").finish_exact(
+            [merged.exact_fraction()], merged.count, "nearest"
+        )
         return {
             "value": value,
             "hex": value.hex(),
@@ -596,11 +491,11 @@ class ClusterCoordinator:
     async def gather_moments(
         self, stream: str, *, ddof: int = 0, mode: str = "nearest"
     ) -> Dict[str, Any]:
-        """Exact mean/variance of a ``scatter_reduce("observations")`` stream.
+        """Exact mean/variance of a ``scatter(op="observations")`` stream.
 
         Merges the raw-value partials and the NUL-suffixed square-shadow
-        partials, then finishes entirely in exact rational arithmetic —
-        bit-identical to the serial ``mean``/``var`` ops.
+        partials, then finishes through the ``mean``/``var`` ops —
+        bit-identical to the serial references.
         """
         if mode not in ("nearest", "down", "up", "zero"):
             raise ValueError(f"unknown rounding mode {mode!r}")
@@ -610,29 +505,12 @@ class ClusterCoordinator:
         if not handles:
             raise NodeDownError("no live nodes to gather from")
         merged = await self._merged_snapshot(stream, handles)
-        n = merged.count
-        if n == 0:
-            raise EmptyStreamError(f"moments of empty stream {stream!r}")
-        if n - ddof <= 0:
-            raise EmptyStreamError("need more observations than ddof")
         shadow = await self._merged_snapshot(square_shadow(stream), handles)
-        if shadow.count != 2 * n:
-            raise ServiceError(
-                f"stream {stream!r} was not fed through observations scatter: "
-                f"square shadow holds {shadow.count} terms, expected {2 * n}"
-            )
-        s = merged.exact_fraction()
-        ss = shadow.exact_fraction()
-        mean = round_fraction(s / n, mode)
-        variance = round_fraction((ss - s * s / n) / (n - ddof), mode)
-        return {
-            "mean": mean,
-            "variance": variance,
-            "count": n,
-            "ddof": ddof,
-            "hex": mean.hex(),
-            "nodes": len(handles),
-        }
+        moments = finish_moments(
+            stream, merged, shadow, ddof, mode, "observations scatter"
+        )
+        moments["nodes"] = len(handles)
+        return moments
 
     # ------------------------------------------------------------------
     # failover
@@ -715,31 +593,20 @@ class ClusterCoordinator:
                 placement.members if rec.sequenced else
                 [h.node_id for h in self.alive_handles()[:1]]
             )
-            # The decoded record's float64 array re-enters the wire as a
-            # codec frame whose body bytes match the WAL payload — the
-            # replayed bits are the ingested bits. Op-tagged reduction
-            # records re-enter through the matching reduce op, so the
-            # receiving node re-runs the identical EFT expansion.
-            if rec.op == "sum":
-                sends = [
-                    self._handle(m).add_batch(
-                        rec.stream,
-                        rec.values,
-                        seq=rec.seq if rec.sequenced else None,
-                    )
-                    for m in members
-                ]
-            else:
-                sends = [
-                    self._handle(m).add_reduce_batch(
-                        rec.stream,
-                        rec.op,
-                        rec.values,
-                        rec.values2,
-                        seq=rec.seq if rec.sequenced else None,
-                    )
-                    for m in members
-                ]
+            # The decoded record's inputs re-enter the wire as a codec
+            # frame of the same kind whose body bytes match the WAL
+            # payload — the replayed bits are the ingested bits, and the
+            # receiving node re-runs the identical expansion.
+            sends = [
+                self._handle(m).add_batch(
+                    rec.stream,
+                    rec.values,
+                    op=rec.op,
+                    y=rec.values2,
+                    seq=rec.seq if rec.sequenced else None,
+                )
+                for m in members
+            ]
             responses = await asyncio.gather(*sends)
             if any(r.get("duplicate") for r in responses):
                 duplicates += 1

@@ -21,17 +21,15 @@ no cross-node dedup identity.
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.core.digits import DEFAULT_RADIX, RadixConfig
 from repro import codec
 from repro.errors import ServiceError
-from repro.serve.protocol import WIRE_BINARY
 from repro.serve.service import ReproService, ServeConfig, _require_stream
 from repro.cluster.wal import WalWriter, read_wal
-from repro.util.validation import ensure_float64_array
 
 __all__ = ["WalService", "ClusterNode"]
 
@@ -44,6 +42,20 @@ def _seq_of(request: Dict[str, Any]) -> Optional[int]:
     if isinstance(seq, bool) or not isinstance(seq, int) or seq < 0:
         raise ServiceError("'seq' must be a non-negative integer")
     return seq
+
+
+def _logged_inputs(
+    request: Dict[str, Any], x: np.ndarray, y: Optional[np.ndarray]
+) -> Tuple[codec.F64Input, Optional[codec.F64Input]]:
+    """The inputs a WAL record logs: the binary-wire frame bodies
+    verbatim when the request carries them (the durable record's bytes
+    ARE the wire bytes), else the parsed arrays, which the codec
+    serializes to the identical little-endian layout."""
+    raw = (bytes, bytearray, memoryview)
+    raw_x, raw_y = request.get("payload_f64"), request.get("payload_f64_y")
+    if isinstance(raw_x, raw) and (y is None or isinstance(raw_y, raw)):
+        return raw_x, None if y is None else raw_y
+    return x, y
 
 
 class WalService(ReproService):
@@ -106,18 +118,14 @@ class WalService(ReproService):
                 )
                 if rec.seq <= seen:
                     continue
-            if rec.op == "sum":
-                await self._scatter(rec.stream, np.array(rec.values))
-            else:
-                # Op-tagged WALO record: the log holds the raw
-                # pre-expansion inputs; re-run the deterministic EFT
-                # expansion to recover the identical term multiset.
-                await self._apply_reduce(
-                    rec.stream,
-                    rec.op,
-                    np.array(rec.values),
-                    None if rec.values2 is None else np.array(rec.values2),
-                )
+            # The log holds the raw pre-expansion inputs; re-running
+            # the deterministic expansion recovers the identical terms.
+            await self._apply(
+                rec.stream,
+                rec.op,
+                np.array(rec.values),
+                None if rec.values2 is None else np.array(rec.values2),
+            )
             if rec.sequenced:
                 marks[rec.stream] = rec.seq
             applied += 1
@@ -134,106 +142,49 @@ class WalService(ReproService):
     async def _ingest(
         self,
         stream: str,
-        seq: Optional[int],
-        arr: np.ndarray,
-        payload: Optional[bytes] = None,
-    ) -> Dict[str, Any]:
-        if arr.size == 0:
-            return {"added": 0}
-        if seq is not None:
-            if seq <= self._applied.get(stream, -1):
-                # Already applied (retry after failover, or replay of
-                # records this member holds): ack without re-folding.
-                return {"added": 0, "duplicate": True, "seq": seq}
-            # Claim the seq before the first await so a concurrent
-            # duplicate cannot interleave past the check. If the WAL
-            # append then fails, the node is considered failed — the
-            # coordinator's failover path owns the cleanup.
-            self._applied[stream] = seq
-        if self._wal is not None:
-            # Binary-wire ingest hands the frame's float64 body bytes
-            # through untouched (WAL passthrough: the durable record's
-            # value bytes ARE the wire bytes); JSON ingest logs the
-            # parsed array, which the codec serializes to the identical
-            # little-endian layout.
-            await self._wal.append(
-                seq if seq is not None else codec.WAL_UNSEQUENCED,
-                stream,
-                payload if payload is not None else arr,
-            )
-        added = await self._scatter(stream, arr)
-        response: Dict[str, Any] = {"added": added}
-        if seq is not None:
-            response["seq"] = seq
-        return response
-
-    async def _op_add(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        stream = _require_stream(request)
-        value = request.get("value")
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ServiceError("'value' must be a number")
-        arr = self._validated_array([float(value)])
-        return await self._ingest(stream, _seq_of(request), arr)
-
-    async def _op_add_array(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        stream = _require_stream(request)
-        if "values" not in request:
-            raise ServiceError("add_array needs a 'values' field")
-        values = request.get("values")
-        payload: Optional[bytes] = None
-        if request.get("wire") == WIRE_BINARY and isinstance(values, np.ndarray):
-            # Validated by the protocol layer's BBAT parser; keep the
-            # zero-copy view and the raw frame body for WAL passthrough.
-            arr = ensure_float64_array(values)
-            raw = request.get("payload_f64")
-            if isinstance(raw, (bytes, bytearray, memoryview)):
-                payload = bytes(raw)
-        else:
-            arr = self._validated_array(values)
-        return await self._ingest(stream, _seq_of(request), arr, payload=payload)
-
-    async def _ingest_reduce(
-        self,
-        stream: str,
-        op_kind: str,
+        kind: str,
         x: np.ndarray,
         y: Optional[np.ndarray],
         request: Dict[str, Any],
     ) -> Dict[str, Any]:
-        """WAL-fronted reduction ingest: dedup, log raw inputs, expand.
+        """WAL-fronted ingest of any kind: dedup, log raw inputs, expand.
 
         The durable record carries the *pre-expansion* inputs (binary
         ``RBAT`` frame bodies pass through verbatim); replay re-expands
         deterministically, so recovery reconstructs the identical term
-        multiset at half the log volume.
+        multiset.
         """
+        seq = _seq_of(request)
         if x.size == 0:
             return {"added": 0}
         # Police the expansion domain before anything durable happens:
         # a rejected batch must never enter the WAL, or replay would
         # refuse the whole log.
-        self._reduce_op_for(op_kind).check_domain(x, y)
-        seq = _seq_of(request)
-        if seq is not None:
-            if seq <= self._applied.get(stream, -1):
-                return {"added": 0, "duplicate": True, "seq": seq}
-            # Claim before the first await, exactly like _ingest.
-            self._applied[stream] = seq
+        self._expansion(kind).check_domain(x, y)
+        if seq is not None and seq <= self._applied.get(stream, -1):
+            # Already applied (retry after failover, or replay of
+            # records this member holds): ack without re-folding.
+            return {"added": 0, "duplicate": True, "seq": seq}
+        record = None
         if self._wal is not None:
-            payload_x = request.get("payload_f64")
-            payload_y = request.get("payload_f64_y")
-            use_raw = isinstance(payload_x, (bytes, bytearray, memoryview)) and (
-                y is None or isinstance(payload_y, (bytes, bytearray, memoryview))
-            )
-            await self._wal.append_reduce(
-                seq if seq is not None else codec.WAL_UNSEQUENCED,
+            # Encode — and so validate — before claiming the seq: a
+            # batch the log cannot hold must fail without leaving a
+            # claim behind that would ack its retry as a duplicate.
+            record = codec.encode_wal_record(
+                codec.WAL_UNSEQUENCED if seq is None else seq,
                 stream,
-                op_kind,
-                bytes(payload_x) if use_raw else x,
-                (bytes(payload_y) if use_raw else y) if y is not None else None,
+                kind,
+                *_logged_inputs(request, x, y),
             )
-        added = await self._apply_reduce(stream, op_kind, x, y)
-        response: Dict[str, Any] = {"added": added}
+        if seq is not None:
+            # Claim before the first await so a concurrent duplicate
+            # cannot interleave past the check. If the WAL append then
+            # fails, the node is considered failed — the coordinator's
+            # failover path owns the cleanup.
+            self._applied[stream] = seq
+        if record is not None:
+            await self._wal.append(record)
+        response: Dict[str, Any] = {"added": await self._apply(stream, kind, x, y)}
         if seq is not None:
             response["seq"] = seq
         return response

@@ -9,10 +9,10 @@ This is the luxury the exact representation buys: replicas need no
 anti-entropy protocol because identical inputs give identical bits.
 
 Sequence numbers are allocated here, per stream, monotonically. They
-ride inside the ``WALR`` frame and the ``add_array`` request, giving
-nodes an idempotency key: a retried or replayed frame whose ``seq`` is
-at or below a node's high-water mark is acknowledged without being
-re-applied. That turns the coordinator's at-least-once delivery (retry
+ride inside the ``WALO`` record and the ingest request (an ``RBAT``
+frame or its JSON op), giving nodes an idempotency key: a retried or
+replayed frame whose ``seq`` is at or below a node's high-water mark
+is acknowledged without being re-applied. That turns the coordinator's at-least-once delivery (retry
 after failover, WAL replay onto survivors) into exactly-once folds.
 """
 

@@ -1,12 +1,13 @@
 """Write-ahead log of ingest frames: durability before application.
 
 Every ingest batch a cluster node accepts is first appended to its WAL
-as a ``WALR`` codec frame (length-prefixed header + CRC-32 over the
-body), then folded into shard state. Replaying the file therefore
-reconstructs shard state bit-identically: superaccumulator folds are
-exact and merge-order-independent, so "same records" implies "same
-rounded value" — no matter how the records were interleaved across
-shards before the crash or will be after replay.
+as a ``WALO`` codec frame (op tag + raw pre-expansion inputs, with a
+CRC-32 over the body), then expanded and folded into shard state.
+Replaying the file therefore reconstructs shard state bit-identically:
+expansions are deterministic and superaccumulator folds are exact and
+merge-order-independent, so "same records" implies "same rounded
+value" — no matter how the records were interleaved across shards
+before the crash or will be after replay.
 
 Tail semantics follow the classic WAL contract:
 
@@ -50,13 +51,12 @@ class WalRecord:
             :data:`repro.codec.WAL_UNSEQUENCED` for scatter-mode
             records that carry no dedup identity.
         stream: target stream name.
-        values: the float64 batch, exactly as ingested. For reduction
-            records these are the *pre-expansion* inputs — replay
-            re-runs the deterministic EFT expansion, so the recovered
-            term multiset is bit-identical to the original ingest.
-        op: ``"sum"`` for plain ``WALR`` ingest records, or a reduction
-            kind (``"pairs"``/``"squares"``/``"observations"``) for
-            op-tagged ``WALO`` records.
+        values: the float64 batch exactly as ingested: the
+            *pre-expansion* inputs — replay re-runs the deterministic
+            expansion, so the recovered term multiset is bit-identical
+            to the original ingest.
+        op: the ingest kind (``"sum"``/``"pairs"``/``"squares"``/
+            ``"observations"``; see :data:`repro.codec.REDUCE_OP_CODES`).
         values2: the second input array of a ``"pairs"`` record, else
             ``None``.
     """
@@ -96,7 +96,7 @@ def iter_wal(path: Union[str, Path]) -> Iterator[Union[WalRecord, bool]]:
             if len(body) < total - codec.WAL_HEADER_SIZE:
                 yield True
                 return
-            seq, stream, op, values, values2 = codec.decode_wal_any(header + body)
+            seq, stream, op, values, values2 = codec.decode_wal_record(header + body)
             yield WalRecord(
                 seq=seq, stream=stream, values=values, op=op, values2=values2
             )
@@ -129,34 +129,23 @@ class WriteAheadLog:
         self.path = Path(path)
 
     def append(
-        self, seq: int, stream: str, values: Union[np.ndarray, bytes]
-    ) -> int:
-        """Encode, append, fsync one record; returns bytes written.
-
-        ``values`` may be raw little-endian float64 bytes (a binary-wire
-        frame body): the codec logs them verbatim, so the durability
-        path never re-encodes what the network delivered.
-        """
-        blob = codec.encode_wal_record(seq, stream, values)
-        self.append_blob(blob)
-        return len(blob)
-
-    def append_reduce(
         self,
         seq: int,
         stream: str,
         op: str,
-        x: Union[np.ndarray, bytes],
-        y: Optional[Union[np.ndarray, bytes]] = None,
+        x: codec.F64Input,
+        y: Optional[codec.F64Input] = None,
     ) -> int:
-        """Append one op-tagged ``WALO`` reduction record; returns bytes.
+        """Encode, append, fsync one record; returns bytes written.
 
-        The record carries the *raw pre-expansion* inputs (half the
-        volume of logging expanded terms); replay re-expands
-        deterministically. ``y`` is required for ``"pairs"`` and
-        rejected otherwise — see :func:`repro.codec.encode_wal_reduce`.
+        The record carries the ingest kind ``op`` and its raw
+        pre-expansion inputs; ``y`` is required for ``"pairs"`` and
+        rejected otherwise — see :func:`repro.codec.encode_wal_record`.
+        Inputs may be raw little-endian float64 bytes (a binary-wire
+        frame body): the codec logs them verbatim, so the durability
+        path never re-encodes what the network delivered.
         """
-        blob = codec.encode_wal_reduce(seq, stream, op, x, y)
+        blob = codec.encode_wal_record(seq, stream, op, x, y)
         self.append_blob(blob)
         return len(blob)
 
@@ -179,8 +168,11 @@ class WriteAheadLog:
 class WalWriter:
     """Async group-commit writer around :class:`WriteAheadLog`.
 
-    ``append`` resolves only after the record is on disk (fsync'd), so
-    a node acks an ingest only once replay is guaranteed to recover it.
+    ``append`` takes one record already encoded with
+    :func:`repro.codec.encode_wal_record` — so a record that cannot be
+    encoded fails its caller before anything is claimed or queued — and
+    resolves only after the record is on disk (fsync'd), so a node acks
+    an ingest only once replay is guaranteed to recover it.
     Concurrent appends that arrive while a batch is being synced are
     coalesced into the next batch — one fsync covers them all.
     """
@@ -215,37 +207,12 @@ class WalWriter:
         self._task = None
         self._queue = None
 
-    async def append(
-        self, seq: int, stream: str, values: Union[np.ndarray, bytes]
-    ) -> None:
-        """Durably log one record; resolves after fsync.
-
-        Raw float64 bytes are accepted and logged verbatim (the
-        binary-wire passthrough) — see :meth:`WriteAheadLog.append`.
-        """
-        await self._enqueue(codec.encode_wal_record(seq, stream, values))
-
-    async def append_reduce(
-        self,
-        seq: int,
-        stream: str,
-        op: str,
-        x: Union[np.ndarray, bytes],
-        y: Optional[Union[np.ndarray, bytes]] = None,
-    ) -> None:
-        """Durably log one op-tagged reduction record; resolves after fsync.
-
-        Logs the raw pre-expansion inputs verbatim (binary-wire frame
-        bodies pass through untouched) — see
-        :meth:`WriteAheadLog.append_reduce`.
-        """
-        await self._enqueue(codec.encode_wal_reduce(seq, stream, op, x, y))
-
-    async def _enqueue(self, blob: bytes) -> None:
+    async def append(self, record: bytes) -> None:
+        """Durably log one encoded record; resolves after fsync."""
         if self._queue is None:
             raise RuntimeError("WalWriter is not started")
         done: "asyncio.Future[None]" = asyncio.get_running_loop().create_future()
-        await self._queue.put((blob, done))
+        await self._queue.put((record, done))
         await done
 
     async def _run(self) -> None:

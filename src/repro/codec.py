@@ -17,9 +17,8 @@ magic     payload                                            producer
 ``SSUP``  sparse superaccumulator: w, count, indices,        kernels /
           digits                                             shuffles
 ``DSUP``  dense superaccumulator: w, base, nlimbs, limbs     kernels
-``ERSM``  running sum: count + embedded ``SSUP``             serve
-          (service snapshot format)                          snapshots
-``KSTR``  generic kernel stream: count + any embedded frame  serve
+``KSTR``  kernel stream: count + any embedded frame          serve
+          (``SSUP`` for running sums)                        snapshots
 ``TSUP``  gamma-truncated sparse: gamma, drop accounting +   truncated
           embedded ``SSUP``                                  kernel
 ``BSUP``  binned superaccumulator: chunk budget, non-zero    binned
@@ -32,15 +31,11 @@ magic     payload                                            producer
           binary-wire value payload)                         serve wire
 ``NF64``  one naive float (inexact control job)              mapreduce
 ``F64D``  dataset file header: item count                    data/io
-``WALR``  write-ahead-log ingest record: seq, CRC-32,        cluster
-          length-prefixed stream name + float64 payload      WAL
-``BBAT``  binary batch ingest op: request id, seq,           serve wire
-          length-prefixed stream name + embedded ``RAWB``    (binary)
-``RBAT``  binary reduce-batch ingest op: request id, seq,    serve wire
-          op tag (pairs/squares/observations), name +        (binary)
-          one or two embedded ``RAWB`` input blocks
-``WALO``  op-tagged WAL reduce record: seq, CRC-32, op tag,  cluster
-          name + raw pre-expansion float64 input(s) —        WAL
+``RBAT``  binary batch ingest op: request id, seq, op tag    serve wire
+          (sum/pairs/squares/observations), name + one or    (binary)
+          two embedded ``RAWB`` input blocks
+``WALO``  write-ahead-log ingest record: seq, CRC-32, op     cluster
+          tag, name + raw pre-expansion float64 input(s) —   WAL
           replay re-expands deterministically
 ========  =================================================  =========
 
@@ -58,7 +53,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import TYPE_CHECKING, Any, Callable, Dict, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -72,7 +67,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 __all__ = [
     "MAGIC_SPARSE",
     "MAGIC_DENSE",
-    "MAGIC_RUNNING",
     "MAGIC_STREAM",
     "MAGIC_TRUNCATED",
     "MAGIC_BINNED",
@@ -82,15 +76,15 @@ __all__ = [
     "MAGIC_FLOAT",
     "MAGIC_DATASET",
     "MAGIC_WAL",
-    "MAGIC_BATCH",
     "MAGIC_REDUCE_BATCH",
-    "MAGIC_WAL_REDUCE",
     "REDUCE_OP_CODES",
     "REDUCE_OP_NAMES",
     "LENGTH_PREFIX",
     "DATASET_HEADER_SIZE",
     "WAL_HEADER_SIZE",
     "WAL_UNSEQUENCED",
+    "MAX_WAL_STREAM_NAME",
+    "F64Input",
     "peek_magic",
     "decode",
     "registered_formats",
@@ -98,8 +92,6 @@ __all__ = [
     "decode_sparse",
     "encode_dense",
     "decode_dense",
-    "encode_running",
-    "decode_running",
     "encode_stream",
     "decode_stream",
     "encode_truncated",
@@ -118,13 +110,7 @@ __all__ = [
     "decode_dataset_header",
     "encode_wal_record",
     "decode_wal_record",
-    "encode_wal_reduce",
-    "decode_wal_reduce",
-    "decode_wal_any",
     "wal_record_size",
-    "encode_batch",
-    "decode_batch",
-    "batch_wire_body",
     "encode_reduce_batch",
     "decode_reduce_batch",
     "reduce_batch_wire_bodies",
@@ -132,7 +118,6 @@ __all__ = [
 
 MAGIC_SPARSE = b"SSUP"
 MAGIC_DENSE = b"DSUP"
-MAGIC_RUNNING = b"ERSM"
 MAGIC_STREAM = b"KSTR"
 MAGIC_TRUNCATED = b"TSUP"
 MAGIC_BINNED = b"BSUP"
@@ -141,31 +126,31 @@ MAGIC_COMPOSITE = b"ACMP"
 MAGIC_RAW_BLOCK = b"RAWB"
 MAGIC_FLOAT = b"NF64"
 MAGIC_DATASET = b"F64D"
-MAGIC_WAL = b"WALR"
-MAGIC_BATCH = b"BBAT"
+MAGIC_WAL = b"WALO"
 MAGIC_REDUCE_BATCH = b"RBAT"
-MAGIC_WAL_REDUCE = b"WALO"
 
 _SPARSE_HEADER = struct.Struct("<4sBq")  # magic, w, ncomponents
 _DENSE_HEADER = struct.Struct("<4sBqqq")  # magic, w, base_index, nlimbs, count
-_COUNT_HEADER = struct.Struct("<4sq")  # magic, count (ERSM / KSTR / F64D)
+_COUNT_HEADER = struct.Struct("<4sq")  # magic, count (KSTR / F64D)
 _TRUNC_HEADER = struct.Struct("<4sqq?q")  # magic, gamma, drops, flag, max_idx
 _BINNED_HEADER = struct.Struct("<4sqq")  # magic, chunk budget used, nbins
 _CERT_FRAME = struct.Struct("<4sddd")  # magic, value, remainder, bound
 _COMPOSITE_HEADER = struct.Struct("<4sdqq")  # magic, bound, certs, fulls
 _FLOAT_FRAME = struct.Struct("<4sd")  # magic, value
-_WAL_HEADER = struct.Struct("<4sqIqq")  # magic, seq, crc32, stream_len, payload_len
-_BATCH_HEADER = struct.Struct("<4sqqqq")  # magic, request id, seq, stream_len, nvalues
-# magic, seq, crc32, op code, stream_len, n inputs, pad — 32 bytes, the
-# same fixed prefix as _WAL_HEADER so one reader loop serves both.
-_WAL_REDUCE_HEADER = struct.Struct("<4sqIHHq4x")
+# magic, seq, crc32, op code, stream_len, n inputs, pad — 32 bytes
+_WAL_HEADER = struct.Struct("<4sqIHHq4x")
 # magic, request id, seq, op code, stream_len, nx, ny
 _REDUCE_BATCH_HEADER = struct.Struct("<4sqqqqqq")
 
-#: Reduction ingest kinds carried by ``RBAT``/``WALO`` frames: the op
-#: tag names the *expansion* the receiver applies before folding, so
-#: WAL replay and shard scatter see identical deterministic terms.
-REDUCE_OP_CODES: Dict[str, int] = {"pairs": 1, "squares": 2, "observations": 3}
+#: Ingest kinds carried by ``RBAT``/``WALO`` frames: the op tag names
+#: the *expansion* the receiver applies before folding (``sum``'s is the
+#: identity), so WAL replay and shard scatter see identical terms.
+REDUCE_OP_CODES: Dict[str, int] = {
+    "sum": 0,
+    "pairs": 1,
+    "squares": 2,
+    "observations": 3,
+}
 REDUCE_OP_NAMES: Dict[int, str] = {v: k for k, v in REDUCE_OP_CODES.items()}
 
 #: Serve-transport frame length prefix (network byte order uint32).
@@ -176,9 +161,13 @@ LENGTH_PREFIX = struct.Struct("!I")
 #: Size in bytes of the ``.f64`` dataset file header.
 DATASET_HEADER_SIZE = _COUNT_HEADER.size
 
-#: Size in bytes of a ``WALR`` record header (the fixed-length prefix a
+#: Size in bytes of a ``WALO`` record header (the fixed-length prefix a
 #: WAL reader consumes before it knows how much body to read).
 WAL_HEADER_SIZE = _WAL_HEADER.size
+
+#: Longest stream name (UTF-8 bytes) a WAL record can carry: the
+#: header's name length is a uint16.
+MAX_WAL_STREAM_NAME = 0xFFFF
 
 #: Sequence number meaning "this record carries no cluster sequence"
 #: (scatter-mode ingest; dedup does not apply).
@@ -311,29 +300,8 @@ def decode_dense(payload: bytes) -> "DenseSuperaccumulator":
 
 
 # ----------------------------------------------------------------------
-# ERSM / KSTR — counted streams (running sums, generic kernel streams)
+# KSTR — counted streams (running sums, generic kernel streams)
 # ----------------------------------------------------------------------
-
-
-def encode_running(count: int, acc: "SparseSuperaccumulator") -> bytes:
-    """``ERSM`` frame: count + embedded ``SSUP`` (service snapshots)."""
-    return _COUNT_HEADER.pack(MAGIC_RUNNING, count) + encode_sparse(acc)
-
-
-def decode_running(payload: bytes) -> Tuple[int, "SparseSuperaccumulator"]:
-    """Inverse of :func:`encode_running`; returns ``(count, acc)``.
-
-    Raises:
-        CodecError: wrong magic, truncated header, negative count, or a
-            corrupt embedded accumulator.
-    """
-    _check_header(payload, _COUNT_HEADER, "ExactRunningSum")
-    magic, count = _COUNT_HEADER.unpack_from(payload, 0)
-    if magic != MAGIC_RUNNING:
-        raise CodecError("not an ExactRunningSum payload")
-    if count < 0:
-        raise CodecError(f"corrupt header: negative count {count}")
-    return int(count), decode_sparse(payload[_COUNT_HEADER.size :])
 
 
 def encode_stream(count: int, inner: bytes) -> bytes:
@@ -628,129 +596,14 @@ def decode_dataset_header(raw: bytes) -> int:
 
 
 # ----------------------------------------------------------------------
-# WALR — cluster write-ahead-log ingest record
+# op-tagged ingest inputs (shared by WALO and RBAT)
 # ----------------------------------------------------------------------
 
-
-def encode_wal_record(
-    seq: int, stream: str, values: Union[np.ndarray, bytes, bytearray, memoryview]
-) -> bytes:
-    """``WALR`` frame: one durably logged ingest batch.
-
-    Layout: header (magic, int64 ``seq``, uint32 CRC-32, int64 stream-name
-    length, int64 value-payload length) followed by the UTF-8 stream name
-    and the raw little-endian float64 values.  The CRC covers the body
-    (name + values) so replay can distinguish a torn tail from silent
-    corruption.  ``seq`` is the cluster's per-stream sequence number;
-    :data:`WAL_UNSEQUENCED` marks scatter-mode records with no dedup
-    identity.
-
-    ``values`` may be a float array or already-encoded little-endian
-    float64 bytes — the binary wire path logs the frame payload it
-    received verbatim, with no decode/re-encode on the durability path.
-
-    Raises:
-        CodecError: empty stream name, ``seq < WAL_UNSEQUENCED``, or a
-            byte payload that is not a whole number of float64s.
-    """
-    if not stream:
-        raise CodecError("WAL record requires a non-empty stream name")
-    if seq < WAL_UNSEQUENCED:
-        raise CodecError(f"corrupt WAL record: sequence {seq} < -1")
-    name = stream.encode("utf-8")
-    if isinstance(values, (bytes, bytearray, memoryview)):
-        body = bytes(values)
-        if len(body) % 8:
-            raise CodecError(
-                f"WAL payload of {len(body)} bytes is not a whole "
-                f"number of float64s"
-            )
-    else:
-        body = np.ascontiguousarray(values, dtype="<f8").tobytes()
-    crc = zlib.crc32(name + body) & 0xFFFFFFFF
-    header = _WAL_HEADER.pack(MAGIC_WAL, seq, crc, len(name), len(body))
-    return header + name + body
+#: Float64 input block: an array, or its little-endian bytes verbatim.
+F64Input = Union[np.ndarray, bytes, bytearray, memoryview]
 
 
-def wal_record_size(header: bytes) -> int:
-    """Total record length (header + body) from a WAL record header.
-
-    Lets a WAL reader consume a fixed :data:`WAL_HEADER_SIZE` prefix,
-    learn how much body follows, and read exactly that — without the
-    length arithmetic leaking out of the codec. Dispatches on the magic:
-    both ``WALR`` (plain ingest) and ``WALO`` (op-tagged reduce ingest)
-    share the 32-byte fixed prefix, so one reader loop serves both.
-
-    Raises:
-        CodecError: truncated header, wrong magic, or negative lengths.
-    """
-    _check_header(header, _WAL_HEADER, "WAL record")
-    magic = bytes(header[:4])
-    if magic == MAGIC_WAL_REDUCE:
-        _, seq, _crc, op_code, stream_len, nx = _WAL_REDUCE_HEADER.unpack_from(
-            header, 0
-        )
-        if op_code not in REDUCE_OP_NAMES:
-            raise CodecError(f"corrupt WAL header: unknown reduce op {op_code}")
-        if stream_len <= 0 or nx < 0:
-            raise CodecError(
-                f"corrupt WAL header: lengths ({stream_len}, {nx})"
-            )
-        if seq < WAL_UNSEQUENCED:
-            raise CodecError(f"corrupt WAL header: sequence {seq} < -1")
-        ny = nx if op_code == REDUCE_OP_CODES["pairs"] else 0
-        return int(_WAL_REDUCE_HEADER.size + stream_len + 8 * (nx + ny))
-    if magic != MAGIC_WAL:
-        raise CodecError("not a WAL record payload")
-    _, seq, _crc, stream_len, payload_len = _WAL_HEADER.unpack_from(header, 0)
-    if stream_len <= 0 or payload_len < 0:
-        raise CodecError(
-            f"corrupt WAL header: lengths ({stream_len}, {payload_len})"
-        )
-    if seq < WAL_UNSEQUENCED:
-        raise CodecError(f"corrupt WAL header: sequence {seq} < -1")
-    return int(_WAL_HEADER.size + stream_len + payload_len)
-
-
-def decode_wal_record(payload: bytes) -> Tuple[int, str, np.ndarray]:
-    """Inverse of :func:`encode_wal_record`: ``(seq, stream, values)``.
-
-    Raises:
-        CodecError: truncation, wrong magic, corrupt lengths, a body that
-            is not a whole number of float64s, or a CRC mismatch.
-    """
-    total = wal_record_size(payload)
-    if bytes(payload[:4]) != MAGIC_WAL:
-        raise CodecError("not a WAL record payload")
-    _, seq, crc, stream_len, payload_len = _WAL_HEADER.unpack_from(payload, 0)
-    if len(payload) != total:
-        raise CodecError(
-            f"WAL record length mismatch: expected {total} bytes, "
-            f"got {len(payload)}"
-        )
-    if payload_len % 8:
-        raise CodecError(
-            f"corrupt WAL record: {payload_len} value bytes is not a "
-            f"whole number of float64s"
-        )
-    body = payload[_WAL_HEADER.size :]
-    if zlib.crc32(body) & 0xFFFFFFFF != crc:
-        raise CodecError("WAL record CRC mismatch: corrupt body")
-    name = body[:stream_len]
-    try:
-        stream = name.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CodecError(f"corrupt WAL record: bad stream name: {exc}") from exc
-    values = np.frombuffer(body[stream_len:], dtype="<f8")
-    return int(seq), stream, values
-
-
-# ----------------------------------------------------------------------
-# WALO — op-tagged WAL reduce record
-# ----------------------------------------------------------------------
-
-
-def _as_f64_bytes(values: Union[np.ndarray, bytes, bytearray, memoryview]) -> bytes:
+def _as_f64_bytes(values: F64Input) -> bytes:
     if isinstance(values, (bytes, bytearray, memoryview)):
         body = bytes(values)
         if len(body) % 8:
@@ -761,223 +614,157 @@ def _as_f64_bytes(values: Union[np.ndarray, bytes, bytearray, memoryview]) -> by
     return np.ascontiguousarray(values, dtype="<f8").tobytes()
 
 
-def encode_wal_reduce(
-    seq: int,
-    stream: str,
-    op: str,
-    x: Union[np.ndarray, bytes, bytearray, memoryview],
-    y: Union[np.ndarray, bytes, bytearray, memoryview, None] = None,
-) -> bytes:
-    """``WALO`` frame: one durably logged *reduction* ingest batch.
-
-    Logs the raw **pre-expansion** inputs plus the op tag (one of
-    :data:`REDUCE_OP_CODES`), not the expanded terms: the EFT expansion
-    is deterministic, so replay re-expands and re-scatters bit-identical
-    terms while the log stays half the size. ``pairs`` records carry two
-    equal-length input blocks (``x`` then ``y``); the other ops carry
-    one. The 32-byte header matches :data:`WAL_HEADER_SIZE` so the WAL
-    reader's fixed-prefix loop is unchanged; the CRC covers the body
-    (name + inputs) like ``WALR``.
-
-    ``x``/``y`` may be float arrays or already-encoded little-endian
-    float64 bytes — the binary wire path logs the frame payloads it
-    received verbatim.
-
-    Raises:
-        CodecError: unknown op, empty or oversized stream name,
-            ``seq < WAL_UNSEQUENCED``, a missing/mismatched pair input,
-            or byte payloads that are not whole float64s.
-    """
+def _op_code(op: str) -> int:
     code = REDUCE_OP_CODES.get(op)
     if code is None:
         raise CodecError(
             f"unknown reduce op {op!r}; expected one of {sorted(REDUCE_OP_CODES)}"
         )
+    return code
+
+
+def _op_inputs(
+    op: str, x: F64Input, y: Optional[F64Input]
+) -> Tuple[bytes, Optional[bytes]]:
+    """Float64 bytes of one op's inputs; ``y`` is ``None`` unless ``pairs``.
+
+    ``pairs`` takes two equal-length blocks; every other op takes one.
+    """
+    xb = _as_f64_bytes(x)
+    if op != "pairs":
+        if y is not None:
+            raise CodecError(f"reduce op {op!r} takes a single input block")
+        return xb, None
+    if y is None:
+        raise CodecError("reduce op 'pairs' requires a second input block")
+    yb = _as_f64_bytes(y)
+    if len(yb) != len(xb):
+        raise CodecError(
+            f"reduce op 'pairs' input length mismatch: "
+            f"{len(xb) // 8} vs {len(yb) // 8}"
+        )
+    return xb, yb
+
+
+# ----------------------------------------------------------------------
+# WALO — cluster write-ahead-log record
+# ----------------------------------------------------------------------
+
+
+def encode_wal_record(
+    seq: int,
+    stream: str,
+    op: str,
+    x: F64Input,
+    y: Optional[F64Input] = None,
+) -> bytes:
+    """``WALO`` frame: one durably logged ingest batch.
+
+    Logs the op tag (one of :data:`REDUCE_OP_CODES`) and the raw
+    **pre-expansion** inputs, not the expanded terms: every expansion is
+    deterministic (``sum``'s is the identity), so replay re-expands and
+    re-scatters bit-identical terms while a dot record stays half the
+    size of its terms. ``pairs`` records carry two equal-length input
+    blocks (``x`` then ``y``); the other ops carry one.
+
+    Layout: a 32-byte header (magic, int64 ``seq``, uint32 CRC-32,
+    uint16 op code, uint16 stream-name length, int64 x count, 4 pad
+    bytes), then the UTF-8 stream name and the little-endian float64
+    inputs. The CRC covers the body (name + inputs), so replay can tell
+    a torn tail from silent corruption. ``seq`` is the cluster's
+    per-stream sequence number; :data:`WAL_UNSEQUENCED` marks
+    scatter-mode records with no dedup identity.
+
+    ``x``/``y`` may be float arrays or already-encoded little-endian
+    float64 bytes — the binary wire path logs the frame bodies it
+    received verbatim, with no decode/re-encode on the durability path.
+
+    Raises:
+        CodecError: unknown op, an empty stream name or one longer than
+            :data:`MAX_WAL_STREAM_NAME` UTF-8 bytes,
+            ``seq < WAL_UNSEQUENCED``, a missing/mismatched/superfluous
+            second input, or byte payloads that are not whole float64s.
+    """
+    code = _op_code(op)
     if not stream:
         raise CodecError("WAL record requires a non-empty stream name")
     if seq < WAL_UNSEQUENCED:
         raise CodecError(f"corrupt WAL record: sequence {seq} < -1")
     name = stream.encode("utf-8")
-    if len(name) > 0xFFFF:
-        raise CodecError(f"stream name of {len(name)} bytes exceeds 65535")
-    xb = _as_f64_bytes(x)
-    if op == "pairs":
-        if y is None:
-            raise CodecError("reduce op 'pairs' requires a second input block")
-        yb = _as_f64_bytes(y)
-        if len(yb) != len(xb):
-            raise CodecError(
-                f"reduce op 'pairs' input length mismatch: "
-                f"{len(xb)} vs {len(yb)} bytes"
-            )
-    else:
-        if y is not None:
-            raise CodecError(f"reduce op {op!r} takes a single input block")
-        yb = b""
-    body = name + xb + yb
+    if len(name) > MAX_WAL_STREAM_NAME:
+        raise CodecError(
+            f"stream name of {len(name)} bytes exceeds {MAX_WAL_STREAM_NAME}"
+        )
+    xb, yb = _op_inputs(op, x, y)
+    body = name + xb + (yb or b"")
     crc = zlib.crc32(body) & 0xFFFFFFFF
-    header = _WAL_REDUCE_HEADER.pack(
-        MAGIC_WAL_REDUCE, seq, crc, code, len(name), len(xb) // 8
-    )
+    header = _WAL_HEADER.pack(MAGIC_WAL, seq, crc, code, len(name), len(xb) // 8)
     return header + body
 
 
-def decode_wal_reduce(
-    payload: bytes,
-) -> Tuple[int, str, str, np.ndarray, "np.ndarray | None"]:
-    """Inverse of :func:`encode_wal_reduce`: ``(seq, stream, op, x, y)``.
+def wal_record_size(header: bytes) -> int:
+    """Total record length (header + body) from a WAL record header.
 
-    ``y`` is ``None`` for single-input ops.
+    Lets a WAL reader consume a fixed :data:`WAL_HEADER_SIZE` prefix,
+    learn how much body follows, and read exactly that — without the
+    length arithmetic leaking out of the codec.
 
     Raises:
-        CodecError: truncation, wrong magic, corrupt lengths, unknown
-            op code, or a CRC mismatch.
+        CodecError: truncated header, wrong magic, unknown op code,
+            corrupt lengths or sequence.
+    """
+    _check_header(header, _WAL_HEADER, "WAL record")
+    magic, seq, _crc, code, stream_len, nx = _WAL_HEADER.unpack_from(header, 0)
+    if magic != MAGIC_WAL:
+        raise CodecError("not a WAL record payload")
+    op = REDUCE_OP_NAMES.get(code)
+    if op is None:
+        raise CodecError(f"corrupt WAL header: unknown reduce op {code}")
+    if stream_len <= 0 or nx < 0:
+        raise CodecError(f"corrupt WAL header: lengths ({stream_len}, {nx})")
+    if seq < WAL_UNSEQUENCED:
+        raise CodecError(f"corrupt WAL header: sequence {seq} < -1")
+    ny = nx if op == "pairs" else 0
+    return int(_WAL_HEADER.size + stream_len + 8 * (nx + ny))
+
+
+def decode_wal_record(
+    payload: bytes,
+) -> Tuple[int, str, str, np.ndarray, Optional[np.ndarray]]:
+    """Inverse of :func:`encode_wal_record`: ``(seq, stream, op, x, y)``.
+
+    ``y`` is ``None`` for single-input ops. The arrays are read-only
+    views over ``payload``.
+
+    Raises:
+        CodecError: truncation or trailing garbage, wrong magic, corrupt
+            lengths, unknown op code, or a CRC mismatch.
     """
     total = wal_record_size(payload)
-    if bytes(payload[:4]) != MAGIC_WAL_REDUCE:
-        raise CodecError("not a WAL reduce record payload")
-    _, seq, crc, op_code, stream_len, nx = _WAL_REDUCE_HEADER.unpack_from(
-        payload, 0
-    )
+    _, seq, crc, code, stream_len, nx = _WAL_HEADER.unpack_from(payload, 0)
     if len(payload) != total:
         raise CodecError(
-            f"WAL reduce record length mismatch: expected {total} bytes, "
+            f"WAL record length mismatch: expected {total} bytes, "
             f"got {len(payload)}"
         )
-    body = payload[_WAL_REDUCE_HEADER.size :]
+    body = payload[_WAL_HEADER.size :]
     if zlib.crc32(body) & 0xFFFFFFFF != crc:
         raise CodecError("WAL record CRC mismatch: corrupt body")
     try:
         stream = body[:stream_len].decode("utf-8")
     except UnicodeDecodeError as exc:
         raise CodecError(f"corrupt WAL record: bad stream name: {exc}") from exc
-    op = REDUCE_OP_NAMES[op_code]
-    off = stream_len
-    x = np.frombuffer(payload, dtype="<f8", count=nx,
-                      offset=_WAL_REDUCE_HEADER.size + off)
+    op = REDUCE_OP_NAMES[code]
+    off = _WAL_HEADER.size + stream_len
+    x = np.frombuffer(payload, dtype="<f8", count=nx, offset=off)
     y = None
     if op == "pairs":
-        y = np.frombuffer(payload, dtype="<f8", count=nx,
-                          offset=_WAL_REDUCE_HEADER.size + off + 8 * nx)
+        y = np.frombuffer(payload, dtype="<f8", count=nx, offset=off + 8 * nx)
     return int(seq), stream, op, x, y
 
 
-def decode_wal_any(
-    payload: bytes,
-) -> Tuple[int, str, str, np.ndarray, "np.ndarray | None"]:
-    """Decode either WAL record kind: ``(seq, stream, op, x, y)``.
-
-    Plain ``WALR`` ingest records come back with ``op == "sum"`` and
-    ``y is None``, so one replay loop handles a mixed log.
-    """
-    if peek_magic(payload) == MAGIC_WAL_REDUCE:
-        return decode_wal_reduce(payload)
-    seq, stream, values = decode_wal_record(payload)
-    return seq, stream, "sum", values, None
-
-
 # ----------------------------------------------------------------------
-# BBAT — binary batch ingest op (serve wire)
-# ----------------------------------------------------------------------
-
-
-def encode_batch(
-    request_id: int, seq: int, stream: str, values: np.ndarray
-) -> bytes:
-    """``BBAT`` frame: one binary-wire ingest op.
-
-    Layout: header (magic, int64 request id, int64 ``seq``, int64
-    stream-name length, int64 value count) followed by the UTF-8 stream
-    name and an embedded ``RAWB`` frame carrying the raw little-endian
-    float64 values.  The explicit value count makes truncation at *any*
-    byte offset detectable (a bare ``RAWB`` frame cannot distinguish a
-    tail lost on an 8-byte boundary from a shorter batch).
-
-    ``seq`` is the cluster plane's per-stream dedup sequence;
-    :data:`WAL_UNSEQUENCED` marks single-node ops with no dedup identity.
-    The embedded ``RAWB`` body bytes are exactly what
-    :func:`encode_wal_record` accepts verbatim, so the durability path
-    never re-encodes values.
-
-    Raises:
-        CodecError: negative request id, ``seq < WAL_UNSEQUENCED``, or an
-            empty stream name.
-    """
-    if request_id < 0:
-        raise CodecError(f"batch frame requires request id >= 0, got {request_id}")
-    if seq < WAL_UNSEQUENCED:
-        raise CodecError(f"corrupt batch frame: sequence {seq} < -1")
-    if not stream:
-        raise CodecError("batch frame requires a non-empty stream name")
-    name = stream.encode("utf-8")
-    block = encode_raw_block(values)
-    nvalues = (len(block) - 4) // 8
-    header = _BATCH_HEADER.pack(MAGIC_BATCH, request_id, seq, len(name), nvalues)
-    return header + name + block
-
-
-def decode_batch(payload: bytes) -> Tuple[int, int, str, np.ndarray]:
-    """Inverse of :func:`encode_batch`: ``(request_id, seq, stream, values)``.
-
-    The returned ``values`` is a read-only zero-copy view over the frame
-    bytes (:func:`decode_raw_block` semantics) — callers that outlive the
-    frame buffer must copy.
-
-    Raises:
-        CodecError: truncation or trailing garbage at any offset, wrong
-            magic (outer or embedded), corrupt lengths, or a value count
-            that disagrees with the payload size.
-    """
-    _check_header(payload, _BATCH_HEADER, "batch frame")
-    magic, request_id, seq, stream_len, nvalues = _BATCH_HEADER.unpack_from(
-        payload, 0
-    )
-    if magic != MAGIC_BATCH:
-        raise CodecError("not a batch frame payload")
-    if request_id < 0:
-        raise CodecError(f"corrupt batch frame: request id {request_id} < 0")
-    if seq < WAL_UNSEQUENCED:
-        raise CodecError(f"corrupt batch frame: sequence {seq} < -1")
-    if stream_len <= 0 or nvalues < 0:
-        raise CodecError(
-            f"corrupt batch frame: lengths ({stream_len}, {nvalues})"
-        )
-    total = _BATCH_HEADER.size + stream_len + 4 + 8 * nvalues
-    if len(payload) != total:
-        raise CodecError(
-            f"batch frame length mismatch: expected {total} bytes for "
-            f"{nvalues} values, got {len(payload)}"
-        )
-    name = payload[_BATCH_HEADER.size : _BATCH_HEADER.size + stream_len]
-    try:
-        stream = name.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CodecError(f"corrupt batch frame: bad stream name: {exc}") from exc
-    values = decode_raw_block(payload[_BATCH_HEADER.size + stream_len :])
-    if values.size != nvalues:
-        raise CodecError(
-            f"corrupt batch frame: header promises {nvalues} values, "
-            f"embedded block holds {values.size}"
-        )
-    return int(request_id), int(seq), stream, values
-
-
-def batch_wire_body(payload: bytes) -> bytes:
-    """The embedded ``RAWB`` float64 body bytes of a ``BBAT`` frame.
-
-    This is the exact byte slice :func:`encode_wal_record` logs verbatim
-    on the binary durability path; extracting it here keeps the offset
-    arithmetic inside the codec.
-    """
-    _check_header(payload, _BATCH_HEADER, "batch frame")
-    magic, _rid, _seq, stream_len, _n = _BATCH_HEADER.unpack_from(payload, 0)
-    if magic != MAGIC_BATCH:
-        raise CodecError("not a batch frame payload")
-    return payload[_BATCH_HEADER.size + stream_len + 4 :]
-
-
-# ----------------------------------------------------------------------
-# RBAT — binary reduce-batch ingest op (serve wire)
+# RBAT — binary batch ingest op (serve wire)
 # ----------------------------------------------------------------------
 
 
@@ -986,30 +773,32 @@ def encode_reduce_batch(
     seq: int,
     stream: str,
     op: str,
-    x: np.ndarray,
-    y: "np.ndarray | None" = None,
+    x: F64Input,
+    y: Optional[F64Input] = None,
 ) -> bytes:
-    """``RBAT`` frame: one binary-wire reduction ingest op.
+    """``RBAT`` frame: one binary-wire ingest op of any kind.
 
-    The reduce analogue of ``BBAT``: header (magic, int64 request id,
-    int64 ``seq``, int64 op code from :data:`REDUCE_OP_CODES`, int64
-    stream-name length, int64 x count, int64 y count) followed by the
-    UTF-8 stream name and one (``squares``/``observations``) or two
-    (``pairs``) embedded ``RAWB`` frames carrying the raw little-endian
-    float64 *inputs*. Shipping inputs rather than expanded terms halves
-    the wire volume of a dot and lets the durability path log the exact
-    bytes received; the receiver's EFT expansion is deterministic.
+    Layout: header (magic, int64 request id, int64 ``seq``, int64 op
+    code from :data:`REDUCE_OP_CODES`, int64 stream-name length, int64
+    x count, int64 y count) followed by the UTF-8 stream name and one
+    (``sum``/``squares``/``observations``) or two (``pairs``) embedded
+    ``RAWB`` frames carrying the raw little-endian float64 *inputs*.
+    Shipping inputs rather than expanded terms halves the wire volume
+    of a dot and lets the durability path log the exact bytes received;
+    the receiver's expansion is deterministic. The explicit counts make
+    truncation at *any* byte offset detectable (a bare ``RAWB`` frame
+    cannot tell a tail lost on an 8-byte boundary from a shorter batch).
+
+    ``seq`` is the cluster plane's per-stream dedup sequence;
+    :data:`WAL_UNSEQUENCED` marks single-node ops with no dedup
+    identity.
 
     Raises:
         CodecError: unknown op, negative request id,
             ``seq < WAL_UNSEQUENCED``, empty stream name, or a
             missing/mismatched/superfluous second block.
     """
-    code = REDUCE_OP_CODES.get(op)
-    if code is None:
-        raise CodecError(
-            f"unknown reduce op {op!r}; expected one of {sorted(REDUCE_OP_CODES)}"
-        )
+    code = _op_code(op)
     if request_id < 0:
         raise CodecError(f"batch frame requires request id >= 0, got {request_id}")
     if seq < WAL_UNSEQUENCED:
@@ -1017,26 +806,15 @@ def encode_reduce_batch(
     if not stream:
         raise CodecError("batch frame requires a non-empty stream name")
     name = stream.encode("utf-8")
-    x_block = encode_raw_block(x)
-    nx = (len(x_block) - 4) // 8
-    if op == "pairs":
-        if y is None:
-            raise CodecError("reduce op 'pairs' requires a second input block")
-        y_block = encode_raw_block(y)
-        ny = (len(y_block) - 4) // 8
-        if ny != nx:
-            raise CodecError(
-                f"reduce op 'pairs' input length mismatch: {nx} vs {ny}"
-            )
-    else:
-        if y is not None:
-            raise CodecError(f"reduce op {op!r} takes a single input block")
-        y_block = b""
-        ny = 0
+    xb, yb = _op_inputs(op, x, y)
+    ny = 0 if yb is None else len(yb) // 8
     header = _REDUCE_BATCH_HEADER.pack(
-        MAGIC_REDUCE_BATCH, request_id, seq, code, len(name), nx, ny
+        MAGIC_REDUCE_BATCH, request_id, seq, code, len(name), len(xb) // 8, ny
     )
-    return header + name + x_block + y_block
+    blocks = MAGIC_RAW_BLOCK + xb
+    if yb is not None:
+        blocks += MAGIC_RAW_BLOCK + yb
+    return header + name + blocks
 
 
 def decode_reduce_batch(
@@ -1105,7 +883,7 @@ def reduce_batch_wire_bodies(payload: bytes) -> Tuple[bytes, "bytes | None"]:
     """The embedded ``RAWB`` float64 body bytes of an ``RBAT`` frame.
 
     Returns ``(x_bytes, y_bytes)`` (``y_bytes`` is ``None`` for
-    single-input ops) — exactly the slices :func:`encode_wal_reduce`
+    single-input ops) — exactly the slices :func:`encode_wal_record`
     logs verbatim on the binary durability path.
     """
     _check_header(payload, _REDUCE_BATCH_HEADER, "reduce batch frame")
@@ -1131,7 +909,6 @@ def reduce_batch_wire_bodies(payload: bytes) -> Tuple[bytes, "bytes | None"]:
 _DECODERS: Dict[bytes, Tuple[str, Callable[[bytes], Any]]] = {
     MAGIC_SPARSE: ("sparse-superaccumulator", decode_sparse),
     MAGIC_DENSE: ("dense-superaccumulator", decode_dense),
-    MAGIC_RUNNING: ("running-sum", decode_running),
     MAGIC_STREAM: ("kernel-stream", decode_stream),
     MAGIC_TRUNCATED: ("truncated-superaccumulator", decode_truncated),
     MAGIC_BINNED: ("binned-superaccumulator", decode_binned),
@@ -1140,10 +917,8 @@ _DECODERS: Dict[bytes, Tuple[str, Callable[[bytes], Any]]] = {
     MAGIC_RAW_BLOCK: ("raw-block", decode_raw_block),
     MAGIC_FLOAT: ("naive-float", decode_float),
     MAGIC_DATASET: ("dataset-header", decode_dataset_header),
+    MAGIC_REDUCE_BATCH: ("binary-batch", decode_reduce_batch),
     MAGIC_WAL: ("wal-record", decode_wal_record),
-    MAGIC_BATCH: ("binary-batch", decode_batch),
-    MAGIC_REDUCE_BATCH: ("binary-reduce-batch", decode_reduce_batch),
-    MAGIC_WAL_REDUCE: ("wal-reduce-record", decode_wal_reduce),
 }
 
 

@@ -138,7 +138,7 @@ class RunningSumKernel(SumKernel):
     """Streaming kernel: counted running sums with deferred folding.
 
     Partial type: :class:`~repro.streaming.ExactRunningSum` — the
-    serving plane's per-stream state. Its ``ERSM`` wire frame carries
+    serving plane's per-stream state. Its ``KSTR`` wire frame carries
     the observation count alongside the exact accumulator, so service
     snapshots round-trip through the same kernel interface as shuffle
     payloads.
@@ -182,8 +182,8 @@ class RunningSumKernel(SumKernel):
 
     def new_stream(self) -> Any:
         # The native stream type *is* the partial: it keeps its deferred
-        # pending buffer and the ERSM snapshot format the service's
-        # save_state files already use.
+        # pending buffer and writes the KSTR snapshot frame of the
+        # service's save_state files.
         return self.zero()
 
     def stream_from_bytes(self, payload: bytes) -> Any:

@@ -200,7 +200,7 @@ class KernelStream:
     registered kernel can back a shard. The running-sum kernel
     overrides :meth:`SumKernel.new_stream` to return the native
     :class:`~repro.streaming.ExactRunningSum` (which keeps its deferred
-    pending buffer and its ``ERSM`` snapshot compatibility).
+    pending buffer and writes the same ``KSTR`` snapshot frame).
     """
 
     __slots__ = ("kernel", "partial", "count")

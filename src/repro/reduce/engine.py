@@ -48,14 +48,13 @@ def _chunks(arr: np.ndarray, block_items: int) -> Iterator[np.ndarray]:
         yield arr[start : start + block_items]
 
 
-def _pair_chunks(
-    x: np.ndarray, y: np.ndarray, block_items: int
-) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    if x.size == 0:
-        yield x, y
-        return
-    for start in range(0, x.size, block_items):
-        yield x[start : start + block_items], y[start : start + block_items]
+def _batches(
+    x: np.ndarray, y: Optional[np.ndarray], block_items: int
+) -> Iterator[Tuple[np.ndarray, Optional[np.ndarray]]]:
+    """``(x, y)`` chunks of one op's inputs (``y`` stays ``None``)."""
+    if y is None:
+        return ((xs, None) for xs in _chunks(x, block_items))
+    return zip(_chunks(x, block_items), _chunks(y, block_items))
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +177,19 @@ def _run_local(
 # wire planes: raw inputs ship on op-tagged frames, expansion server-side
 
 
+def _wire_kind(op: ReduceOp, plane: str) -> str:
+    """The ingest kind ``op``'s inputs ship as on a wire plane: the kind
+    that expands through ``op`` itself, or ``observations`` for
+    ``mean``, whose read is the moments finish."""
+    from repro.serve.protocol import INGEST_KINDS
+
+    kinds = {entry.reduce_op: kind for kind, entry in INGEST_KINDS.items()}
+    kinds["mean"] = "observations"
+    if op.name not in kinds:
+        raise ValueError(f"op {op.name!r} has no {plane} route")
+    return kinds[op.name]
+
+
 def _run_serve(
     kernel_name: str,
     op: ReduceOp,
@@ -193,30 +205,22 @@ def _run_serve(
 
     from repro.serve import InProcessClient, ReproService, ServeConfig
 
+    kind = _wire_kind(op, "serve")
+
     async def run() -> float:
         config = ServeConfig(shards=max(1, workers), kernel=kernel_name)
         async with ReproService(config, radix=radix) as service:
             client = InProcessClient(service)
             name = "reduce"
-            if op.name == "sum":
-                for chunk in _chunks(x, block_items):
-                    await client.add_array(name, chunk)
-                return await client.value(name, mode=mode)
-            if op.name == "dot":
-                for xs, ys in _pair_chunks(x, y, block_items):
-                    await client.add_pairs(name, xs, ys)
-                return await client.dot(name, mode=mode)
-            if op.name == "norm2":
-                for chunk in _chunks(x, block_items):
-                    await client.add_squares(name, chunk)
+            for xs, ys in _batches(x, y, block_items):
+                await client.request_batch(name, xs, op=kind, y=ys)
+            if kind == "squares":
                 return await client.norm2(name)
-            if op.name in ("mean", "var"):
-                for chunk in _chunks(x, block_items):
-                    await client.add_observations(name, chunk)
+            if kind == "observations":
                 ddof = getattr(op, "ddof", 0)
                 stats = await client.moments(name, ddof=ddof, mode=mode)
                 return stats["mean" if op.name == "mean" else "variance"]
-            raise ValueError(f"op {op.name!r} has no serve route")
+            return await client.value(name, mode=mode)
 
     return asyncio.run(run())
 
@@ -236,37 +240,23 @@ def _run_cluster(
 
     from repro.cluster import LocalCluster
 
+    kind = _wire_kind(op, "cluster")
+
     async def run() -> float:
         async with LocalCluster(
             nodes=max(2, workers), kernel=kernel_name, radix=radix, shards=1
         ) as lc:
             coord = lc.coordinator
             name = "reduce"
-            if op.name == "sum":
-                for chunk in _chunks(x, block_items):
-                    await coord.scatter(name, chunk, chunk=block_items)
-                return (await coord.gather_value(name, mode=mode))["value"]
-            if op.name == "dot":
-                for xs, ys in _pair_chunks(x, y, block_items):
-                    await coord.scatter_reduce(
-                        name, "pairs", xs, ys, chunk=block_items
-                    )
-                return (await coord.gather_value(name, mode=mode))["value"]
-            if op.name == "norm2":
-                for chunk in _chunks(x, block_items):
-                    await coord.scatter_reduce(
-                        name, "squares", chunk, chunk=block_items
-                    )
+            for xs, ys in _batches(x, y, block_items):
+                await coord.scatter(name, xs, op=kind, y=ys, chunk=block_items)
+            if kind == "squares":
                 return (await coord.gather_norm2(name))["value"]
-            if op.name in ("mean", "var"):
-                for chunk in _chunks(x, block_items):
-                    await coord.scatter_reduce(
-                        name, "observations", chunk, chunk=block_items
-                    )
+            if kind == "observations":
                 ddof = getattr(op, "ddof", 0)
                 stats = await coord.gather_moments(name, ddof=ddof, mode=mode)
                 return stats["mean" if op.name == "mean" else "variance"]
-            raise ValueError(f"op {op.name!r} has no cluster route")
+            return (await coord.gather_value(name, mode=mode))["value"]
 
     return asyncio.run(run())
 

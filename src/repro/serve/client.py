@@ -9,9 +9,10 @@ still round-tripping every message through the wire codec so tests
 exercise the real encoding without sockets.
 
 Both clients can negotiate the **binary wire** (``wire="binary"``):
-after a successful ``hello`` the :meth:`~_ClientBase.add_batch` bulk
-path ships numpy arrays as single codec ``BBAT`` frames — raw
-little-endian float64 bytes, no per-value boxing, no JSON text. If the
+after a successful ``hello`` the :meth:`~_ClientBase.request_batch`
+bulk path ships each batch of any ingest kind as one codec ``RBAT``
+frame — raw little-endian float64 bytes, no per-value boxing, no JSON
+text. If the
 server rejects the hello (old build, unknown wire) the client raises
 nothing and **falls back to JSON-lines automatically**; the typed
 :class:`ProtocolVersionError` is surfaced by :meth:`hello` for callers
@@ -31,9 +32,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import itertools
-from typing import Any, Dict, Iterable, Optional, Tuple, Union
-
-import numpy as np
+from typing import Any, Dict, Iterable, Optional, Tuple
 
 from repro.errors import (
     BackpressureError,
@@ -53,14 +52,16 @@ from repro.serve.protocol import (
     encode_batch_frame,
     encode_bytes_field,
     encode_frame,
-    encode_reduce_batch_frame,
+    json_batch_request,
     parse_payload,
     read_frame,
     write_frame,
 )
-from repro.util.validation import ensure_float64_array
 
 __all__ = ["ReproServeClient", "InProcessClient", "raise_for_response"]
+
+# Kept for benchmarks/suite/trace.py, which wraps this name as well.
+encode_reduce_batch_frame = encode_batch_frame
 
 
 def raise_for_response(response: Dict[str, Any]) -> Dict[str, Any]:
@@ -103,15 +104,6 @@ class _ClientBase:
         resp = await self.request("add", stream=stream, value=float(value))
         return int(resp["added"])
 
-    async def add_array(self, stream: str, values: Iterable[float]) -> int:
-        resp = await self.request(
-            "add_array",
-            stream=stream,
-            # reprolint: disable-next-line=ARCH005 -- the JSON add_array op wrapper; batch ingest goes through request_batch
-            values=[float(v) for v in values],
-        )
-        return int(resp["added"])
-
     async def add_block(self, stream: str, block: Dict[str, Any]) -> int:
         resp = await self.request("add_block", stream=stream, block=block)
         return int(resp["added"])
@@ -119,121 +111,57 @@ class _ClientBase:
     async def request_batch(
         self,
         stream: str,
-        values: Union[np.ndarray, Iterable[float]],
+        x: Any,
         *,
+        op: str = "sum",
+        y: Any = None,
         seq: Optional[int] = None,
     ) -> Dict[str, Any]:
-        """Bulk ingest of a float64 array; returns the full response.
+        """Bulk ingest of one batch of kind ``op``; returns the full response.
 
-        On a binary-negotiated connection the array ships as one codec
-        ``BBAT`` frame (raw float64 bytes, zero boxing). On JSON-lines
-        transports this base implementation degrades to ``add_array`` —
-        same semantics, same bits, slower wire. ``seq`` is the cluster
-        plane's per-stream dedup sequence; single-node services ignore
-        it. Cluster callers read the ``duplicate`` flag off the
-        response; most callers want :meth:`add_batch` instead.
+        ``op`` is the ingest kind — ``"sum"`` (plain values),
+        ``"pairs"`` (dot products, needs ``y``), ``"squares"`` (norms)
+        or ``"observations"`` (moments). On a binary-negotiated
+        connection the raw pre-expansion inputs ship as one codec
+        ``RBAT`` frame and the server expands them; this base
+        implementation sends the kind's JSON op instead — same
+        deterministic expansion server-side, same bits, slower wire.
+        ``seq`` is the cluster plane's per-stream dedup sequence;
+        single-node services ignore it. Cluster callers read the
+        ``duplicate`` flag off the response.
         """
-        arr = ensure_float64_array(values)
-        fields: Dict[str, Any] = {
-            "stream": stream,
-            # reprolint: disable-next-line=ARCH005 -- JSON-lines fallback wire: boxing is the format
-            "values": [float(v) for v in arr],
-        }
-        if seq is not None:
-            fields["seq"] = int(seq)
-        return await self.request("add_array", **fields)
-
-    async def add_batch(
-        self,
-        stream: str,
-        values: Union[np.ndarray, Iterable[float]],
-        *,
-        seq: Optional[int] = None,
-    ) -> int:
-        """Bulk ingest of a float64 array; returns the count folded."""
-        resp = await self.request_batch(stream, values, seq=seq)
-        return int(resp["added"])
-
-    # -- reduction ingest ------------------------------------------------
-
-    #: reduction op kind (codec naming) -> the service op it invokes
-    _REDUCE_OPS = {
-        "pairs": "add_pairs",
-        "squares": "add_squares",
-        "observations": "add_observations",
-    }
-
-    async def request_reduce(
-        self,
-        stream: str,
-        op: str,
-        x: Union[np.ndarray, Iterable[float]],
-        y: Optional[Union[np.ndarray, Iterable[float]]] = None,
-        *,
-        seq: Optional[int] = None,
-    ) -> Dict[str, Any]:
-        """Bulk reduction ingest; returns the full response.
-
-        ``op`` is the codec op kind — ``"pairs"`` (dot products, needs
-        ``y``), ``"squares"`` (norms), or ``"observations"`` (moments).
-        On a binary-negotiated connection the raw pre-expansion inputs
-        ship as one codec ``RBAT`` frame and the server expands them;
-        JSON transports degrade to the boxed op — same deterministic
-        expansion server-side, same bits, slower wire. ``seq`` is the
-        cluster plane's per-stream dedup sequence.
-        """
-        request_op = self._REDUCE_OPS.get(op)
-        if request_op is None:
-            raise ValueError(
-                f"unknown reduction op kind {op!r}; "
-                f"expected one of {sorted(self._REDUCE_OPS)}"
-            )
-        xa = ensure_float64_array(x)
-        fields: Dict[str, Any] = {
-            "stream": stream,
-            # reprolint: disable-next-line=ARCH005 -- JSON-lines fallback wire: boxing is the format
-            "values": [float(v) for v in xa],
-        }
-        if y is not None:
-            ya = ensure_float64_array(y)
-            fields["values2"] = [float(v) for v in ya]
-        if seq is not None:
-            fields["seq"] = int(seq)
+        request_op, fields = json_batch_request(stream, x, op=op, y=y, seq=seq)
         return await self.request(request_op, **fields)
 
+    async def _added(self, stream: str, x: Any, **batch: Any) -> int:
+        return int((await self.request_batch(stream, x, **batch))["added"])
+
+    async def add_batch(
+        self, stream: str, values: Any, *, seq: Optional[int] = None
+    ) -> int:
+        """Bulk ingest of a float64 array; returns the count folded."""
+        return await self._added(stream, values, seq=seq)
+
+    #: the same call under its JSON op's name
+    add_array = add_batch
+
     async def add_pairs(
-        self,
-        stream: str,
-        xs: Union[np.ndarray, Iterable[float]],
-        ys: Union[np.ndarray, Iterable[float]],
-        *,
-        seq: Optional[int] = None,
+        self, stream: str, xs: Any, ys: Any, *, seq: Optional[int] = None
     ) -> int:
         """Ingest (x, y) pairs for a dot-product stream; returns pairs added."""
-        resp = await self.request_reduce(stream, "pairs", xs, ys, seq=seq)
-        return int(resp["added"])
+        return await self._added(stream, xs, op="pairs", y=ys, seq=seq)
 
     async def add_squares(
-        self,
-        stream: str,
-        values: Union[np.ndarray, Iterable[float]],
-        *,
-        seq: Optional[int] = None,
+        self, stream: str, values: Any, *, seq: Optional[int] = None
     ) -> int:
         """Ingest values for a norm stream; returns values added."""
-        resp = await self.request_reduce(stream, "squares", values, seq=seq)
-        return int(resp["added"])
+        return await self._added(stream, values, op="squares", seq=seq)
 
     async def add_observations(
-        self,
-        stream: str,
-        values: Union[np.ndarray, Iterable[float]],
-        *,
-        seq: Optional[int] = None,
+        self, stream: str, values: Any, *, seq: Optional[int] = None
     ) -> int:
         """Ingest observations for a moments stream; returns values added."""
-        resp = await self.request_reduce(stream, "observations", values, seq=seq)
-        return int(resp["added"])
+        return await self._added(stream, values, op="observations", seq=seq)
 
     async def sum_values(
         self, values: Iterable[float], mode: str = "nearest"
@@ -400,67 +328,34 @@ class ReproServeClient(_ClientBase):
 
     async def request(self, op: str, **fields: Any) -> Dict[str, Any]:
         rid = next(self._ids)
-        fut: "asyncio.Future[Dict[str, Any]]" = (
-            asyncio.get_running_loop().create_future()
-        )
-        self._pending[rid] = fut
         message = {"op": op, "id": rid, **fields}
-        try:
-            async with self._write_lock:
-                await write_frame(self._writer, message, max_frame=self._max_frame)
-        except Exception:
-            self._pending.pop(rid, None)
-            raise
-        return raise_for_response(await fut)
+        return await self._round_trip(
+            rid, encode_frame(message, max_frame=self._max_frame)
+        )
 
     async def request_batch(
         self,
         stream: str,
-        values: Union[np.ndarray, Iterable[float]],
+        x: Any,
         *,
+        op: str = "sum",
+        y: Any = None,
         seq: Optional[int] = None,
     ) -> Dict[str, Any]:
         if self.wire != WIRE_BINARY:
-            return await super().request_batch(stream, values, seq=seq)
-        arr = ensure_float64_array(values)
+            return await super().request_batch(stream, x, op=op, y=y, seq=seq)
         rid = next(self._ids)
-        fut: "asyncio.Future[Dict[str, Any]]" = (
-            asyncio.get_running_loop().create_future()
-        )
-        self._pending[rid] = fut
         frame = encode_batch_frame(
-            rid, stream, arr, seq=seq, max_frame=self._max_frame
+            rid, stream, x, op=op, y=y, seq=seq, max_frame=self._max_frame
         )
-        try:
-            async with self._write_lock:
-                self._writer.write(frame)
-                await self._writer.drain()
-        except Exception:
-            self._pending.pop(rid, None)
-            raise
-        return raise_for_response(await fut)
+        return await self._round_trip(rid, frame)
 
-    async def request_reduce(
-        self,
-        stream: str,
-        op: str,
-        x: Union[np.ndarray, Iterable[float]],
-        y: Optional[Union[np.ndarray, Iterable[float]]] = None,
-        *,
-        seq: Optional[int] = None,
-    ) -> Dict[str, Any]:
-        if self.wire != WIRE_BINARY:
-            return await super().request_reduce(stream, op, x, y, seq=seq)
-        xa = ensure_float64_array(x)
-        ya = None if y is None else ensure_float64_array(y)
-        rid = next(self._ids)
+    async def _round_trip(self, rid: int, frame: bytes) -> Dict[str, Any]:
+        """Send one encoded request frame and await its matched response."""
         fut: "asyncio.Future[Dict[str, Any]]" = (
             asyncio.get_running_loop().create_future()
         )
         self._pending[rid] = fut
-        frame = encode_reduce_batch_frame(
-            rid, stream, op, xa, ya, seq=seq, max_frame=self._max_frame
-        )
         try:
             async with self._write_lock:
                 self._writer.write(frame)
@@ -516,9 +411,9 @@ class InProcessClient(_ClientBase):
     Every message still passes through ``encode_frame``/``decode`` so
     the JSON codec (including bit-exact float round-tripping) is on the
     path, making this a faithful stand-in for the TCP client in tests
-    and benchmarks. With ``wire="binary"``, :meth:`add_batch` likewise
-    round-trips through the real ``BBAT`` encode/parse pair, so the
-    zero-copy binary path is exercised without sockets too.
+    and benchmarks. With ``wire="binary"``, :meth:`request_batch`
+    likewise round-trips through the real ``RBAT`` encode/parse pair, so
+    the zero-copy binary path is exercised without sockets too.
     """
 
     def __init__(self, service: Any, *, wire: str = WIRE_JSON) -> None:
@@ -531,82 +426,42 @@ class InProcessClient(_ClientBase):
     async def request(self, op: str, **fields: Any) -> Dict[str, Any]:
         message = {"op": op, "id": next(self._ids), **fields}
         frame = encode_frame(message, max_frame=self.service.config.max_frame)
-        request = decode_payload(frame[4:])
-        self._record_wire(request, len(frame) - 4)
+        return await self._round_trip(decode_payload(frame[4:]), len(frame) - 4)
+
+    async def request_batch(
+        self,
+        stream: str,
+        x: Any,
+        *,
+        op: str = "sum",
+        y: Any = None,
+        seq: Optional[int] = None,
+    ) -> Dict[str, Any]:
+        if self.wire != WIRE_BINARY:
+            return await super().request_batch(stream, x, op=op, y=y, seq=seq)
+        frame = encode_batch_frame(
+            next(self._ids), stream, x, op=op, y=y, seq=seq,
+            max_frame=self.service.config.max_frame,
+        )
+        return await self._round_trip(
+            parse_payload(frame[4:], binary=True), len(frame) - 4
+        )
+
+    async def _round_trip(
+        self, request: Dict[str, Any], payload_bytes: int
+    ) -> Dict[str, Any]:
+        """Hand one parsed request to the service, as the TCP server does.
+
+        The per-wire ingest accounting is the server's too, so
+        LocalCluster nodes' ``stats.wire`` sees the frames the socketless
+        transport encoded and parsed.
+        """
+        self.service.record_wire(request, payload_bytes)
         response = await self.service.handle(request)
         back = decode_payload(
             encode_frame(response, max_frame=self.service.config.max_frame)[4:]
         )
         return raise_for_response(back)
-
-    async def request_batch(
-        self,
-        stream: str,
-        values: Union[np.ndarray, Iterable[float]],
-        *,
-        seq: Optional[int] = None,
-    ) -> Dict[str, Any]:
-        if self.wire != WIRE_BINARY:
-            return await super().request_batch(stream, values, seq=seq)
-        arr = ensure_float64_array(values)
-        max_frame = self.service.config.max_frame
-        frame = encode_batch_frame(
-            next(self._ids), stream, arr, seq=seq, max_frame=max_frame
-        )
-        request = parse_payload(frame[4:], binary=True)
-        self._record_wire(request, len(frame) - 4)
-        response = await self.service.handle(request)
-        back = decode_payload(encode_frame(response, max_frame=max_frame)[4:])
-        return raise_for_response(back)
-
-    async def request_reduce(
-        self,
-        stream: str,
-        op: str,
-        x: Union[np.ndarray, Iterable[float]],
-        y: Optional[Union[np.ndarray, Iterable[float]]] = None,
-        *,
-        seq: Optional[int] = None,
-    ) -> Dict[str, Any]:
-        if self.wire != WIRE_BINARY:
-            return await super().request_reduce(stream, op, x, y, seq=seq)
-        xa = ensure_float64_array(x)
-        ya = None if y is None else ensure_float64_array(y)
-        max_frame = self.service.config.max_frame
-        frame = encode_reduce_batch_frame(
-            next(self._ids), stream, op, xa, ya, seq=seq, max_frame=max_frame
-        )
-        request = parse_payload(frame[4:], binary=True)
-        self._record_wire(request, len(frame) - 4)
-        response = await self.service.handle(request)
-        back = decode_payload(encode_frame(response, max_frame=max_frame)[4:])
-        return raise_for_response(back)
-
-    def _record_wire(self, request: Dict[str, Any], payload_bytes: int) -> None:
-        """Mirror the TCP server's per-wire ingest accounting.
-
-        The socketless transport would otherwise leave LocalCluster
-        nodes' ``stats.wire`` empty even though real frame bytes were
-        encoded and parsed on the way in.
-        """
-
-        def size(field: str) -> int:
-            values = request.get(field)
-            if isinstance(values, np.ndarray):
-                return int(values.size)
-            return len(values) if isinstance(values, (list, tuple)) else 0
-
-        op = request.get("op")
-        if op == "add":
-            nvalues = 1
-        elif op == "add_array":
-            nvalues = size("values")
-        elif op in ("add_pairs", "add_squares", "add_observations"):
-            nvalues = size("values") + size("values2")
-        else:
-            return
-        mode = WIRE_BINARY if request.get("wire") == WIRE_BINARY else WIRE_JSON
-        self.service.metrics.record_wire_frame(mode, payload_bytes, nvalues)
 
     async def close(self) -> None:  # symmetry with the TCP client
         return None

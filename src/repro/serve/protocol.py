@@ -9,12 +9,18 @@ string fields.
 
 A client may send a ``hello`` op negotiating the *binary* wire: after a
 successful upgrade, ingest request payloads may instead be
-codec-registered ``BBAT`` frames carrying raw little-endian float64
-batches (:func:`repro.codec.encode_batch`) — no per-value text
-encoding, no Python boxing. The first payload byte discriminates:
-``{`` is a JSON object, a codec magic is a binary op. Responses stay
-JSON in both modes; only value-bearing ingest is worth the binary
-treatment.
+codec-registered ``RBAT`` frames carrying an ingest kind and raw
+little-endian float64 inputs (:func:`repro.codec.encode_reduce_batch`)
+— no per-value text encoding, no Python boxing. The first payload byte
+discriminates: ``{`` is a JSON object, a codec magic is a binary op.
+Responses stay JSON in both modes; only value-bearing ingest is worth
+the binary treatment.
+
+Every ingest is "expand, then fold": its *kind* (``sum``, ``pairs``,
+``squares``, ``observations``) names the :mod:`repro.reduce` op whose
+expansion turns the inputs into fold terms — ``sum``'s is the
+identity. :data:`INGEST_KINDS` is the one table mapping kinds to the
+JSON op names a batch travels as; binary frames carry the kind itself.
 
 Framing errors are *connection-fatal* (after an oversized or negative
 length prefix the byte stream cannot be resynchronized); payload
@@ -37,13 +43,14 @@ from __future__ import annotations
 import asyncio
 import base64
 import json
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro import codec
 from repro.codec import LENGTH_PREFIX
 from repro.errors import CodecError, ProtocolError
+from repro.util.validation import ensure_float64_array
 
 __all__ = [
     "DEFAULT_MAX_FRAME",
@@ -52,9 +59,14 @@ __all__ = [
     "WIRE_JSON",
     "WIRE_BINARY",
     "SUPPORTED_WIRES",
+    "IngestKind",
+    "INGEST_KINDS",
+    "KIND_OF_OP",
+    "ingest_kind",
+    "ingest_value_count",
+    "json_batch_request",
     "encode_frame",
     "encode_batch_frame",
-    "encode_reduce_batch_frame",
     "decode_payload",
     "parse_payload",
     "read_frame",
@@ -78,6 +90,102 @@ PROTOCOL_VERSION = 2
 WIRE_JSON = "json"
 WIRE_BINARY = "binary"
 SUPPORTED_WIRES = (WIRE_JSON, WIRE_BINARY)
+
+
+class IngestKind(NamedTuple):
+    """One ingest kind: how its batches travel and how they expand."""
+
+    #: the JSON op a batch of this kind travels as
+    request_op: str
+    #: the :mod:`repro.reduce.ops` op whose ``expand`` makes fold terms
+    reduce_op: str
+    #: input arrays per batch (``values``, plus ``values2`` when 2)
+    arity: int
+
+
+#: The one ingest-kind table (keys are the codec op tags).
+INGEST_KINDS: Dict[str, IngestKind] = {
+    "sum": IngestKind("add_array", "sum", 1),
+    "pairs": IngestKind("add_pairs", "dot", 2),
+    "squares": IngestKind("add_squares", "norm2", 1),
+    "observations": IngestKind("add_observations", "var", 1),
+}
+
+#: JSON batch ingest op -> its kind.
+KIND_OF_OP: Dict[str, str] = {
+    entry.request_op: kind for kind, entry in INGEST_KINDS.items()
+}
+
+
+def ingest_kind(kind: str, y: Any = None) -> IngestKind:
+    """The table entry of ``kind``, checking ``y`` against its arity.
+
+    Raises:
+        ValueError: unknown kind, or a second input given to a
+            one-input kind / missing from a two-input kind.
+    """
+    entry = INGEST_KINDS.get(kind)
+    if entry is None:
+        raise ValueError(
+            f"unknown ingest kind {kind!r}; expected one of {sorted(INGEST_KINDS)}"
+        )
+    if (y is not None) != (entry.arity == 2):
+        raise ValueError(
+            f"ingest kind {kind!r} takes {entry.arity} input array(s)"
+        )
+    return entry
+
+
+def ingest_value_count(request: Dict[str, Any]) -> Optional[int]:
+    """Float64 values an ingest request carried; ``None`` if not ingest.
+
+    The one count both transports feed the per-wire ingest metrics:
+    one for ``add``, and every ``values``/``values2`` element of a
+    batch op of any kind, whether it arrived as a JSON list or as a
+    binary frame's array.
+    """
+    op = request.get("op")
+    if op == "add":
+        return 1
+    if op not in KIND_OF_OP:
+        return None
+    count = 0
+    for field in ("values", "values2"):
+        values = request.get(field)
+        if isinstance(values, np.ndarray):
+            count += int(values.size)
+        elif isinstance(values, (list, tuple)):
+            count += len(values)
+    return count
+
+
+def json_batch_request(
+    stream: str,
+    x: Any,
+    *,
+    op: str = "sum",
+    y: Any = None,
+    seq: Optional[int] = None,
+) -> Tuple[str, Dict[str, Any]]:
+    """``(request op, fields)`` of one batch ingest on the JSON wire.
+
+    The JSON-lines form of what a binary ``RBAT`` frame parses to: the
+    kind's JSON op with its inputs boxed into float lists.
+
+    Raises:
+        ValueError: unknown kind or wrong number of inputs.
+    """
+    entry = ingest_kind(op, y)
+    fields: Dict[str, Any] = {
+        "stream": stream,
+        # reprolint: disable-next-line=ARCH005 -- the JSON-lines wire itself: boxing is the format
+        "values": [float(v) for v in ensure_float64_array(x)],
+    }
+    if y is not None:
+        fields["values2"] = [float(v) for v in ensure_float64_array(y)]
+    if seq is not None:
+        fields["seq"] = int(seq)
+    return entry.request_op, fields
 
 
 def _fatal(message: str) -> ProtocolError:
@@ -128,24 +236,29 @@ def decode_payload(payload: bytes) -> Dict[str, Any]:
 def encode_batch_frame(
     request_id: int,
     stream: str,
-    values: np.ndarray,
+    x: codec.F64Input,
     *,
+    op: str = "sum",
+    y: Optional[codec.F64Input] = None,
     seq: Optional[int] = None,
     max_frame: int = DEFAULT_MAX_FRAME,
 ) -> bytes:
-    """Serialize one binary ingest op to a wire frame.
+    """Serialize one binary ingest op of kind ``op`` to a wire frame.
 
-    The payload is a codec ``BBAT`` frame: the values travel as their
-    raw little-endian float64 bytes, ~3.4x denser than JSON text and
-    decodable server-side as a zero-copy numpy view. Only valid on a
-    connection that has negotiated ``wire="binary"``.
+    The payload is a codec ``RBAT`` frame carrying the *pre-expansion*
+    inputs as raw little-endian float64 bytes — ~3.4x denser than JSON
+    text, decodable server-side as zero-copy numpy views, and half the
+    volume of shipping a dot's expanded terms; the server expands
+    deterministically. ``y`` is the second input of ``pairs``. Only
+    valid on a connection that has negotiated ``wire="binary"``.
 
     Raises:
         ProtocolError: if the encoded payload exceeds ``max_frame``.
-        CodecError: negative request id or empty stream name.
+        CodecError: unknown kind, negative request id, empty stream
+            name, or a missing/mismatched/superfluous ``y``.
     """
     wal_seq = codec.WAL_UNSEQUENCED if seq is None else seq
-    payload = codec.encode_batch(request_id, wal_seq, stream, values)
+    payload = codec.encode_reduce_batch(request_id, wal_seq, stream, op, x, y)
     if len(payload) > max_frame:
         raise _fatal(
             f"outgoing batch frame of {len(payload)} bytes exceeds "
@@ -154,26 +267,17 @@ def encode_batch_frame(
     return LENGTH_PREFIX.pack(len(payload)) + payload
 
 
-#: codec reduce-op kind -> the service op name its request dict carries
-_REDUCE_REQUEST_OPS = {
-    "pairs": "add_pairs",
-    "squares": "add_squares",
-    "observations": "add_observations",
-}
-
-
 def _parse_binary_payload(payload: bytes) -> Dict[str, Any]:
-    """Decode a binary op payload into the request-dict shape.
+    """Decode an ``RBAT`` frame into the request dict of its kind.
 
-    A ``BBAT`` frame becomes the same request dict the JSON
-    ``add_array`` op produces — ``values`` is a read-only zero-copy
-    float64 view instead of a list, ``seq`` appears only when the frame
-    carries a cluster sequence, and ``payload_f64`` carries the raw
-    float64 body bytes so the WAL can log them verbatim. An ``RBAT``
-    frame likewise becomes the reduction-op request dict
-    (``add_pairs``/``add_squares``/``add_observations``), with
-    ``values2``/``payload_f64_y`` present for two-input ops. Downstream
-    service code is wire-agnostic either way.
+    The request is the one the kind's JSON op produces
+    (``add_array`` for ``sum``, ``add_pairs``/``add_squares``/
+    ``add_observations`` otherwise), except that ``values`` (and
+    ``values2`` for two-input kinds) are read-only zero-copy float64
+    views instead of lists, ``seq`` appears only when the frame carries
+    a cluster sequence, and ``payload_f64``/``payload_f64_y`` carry the
+    raw float64 body bytes so the WAL can log them verbatim. Downstream
+    service code is wire-agnostic.
 
     Raises:
         ProtocolError: (recoverable) on unknown magic, any codec-level
@@ -181,57 +285,29 @@ def _parse_binary_payload(payload: bytes) -> Dict[str, Any]:
             intact, so the connection survives.
     """
     magic = bytes(payload[:4])
-    if magic == codec.MAGIC_REDUCE_BATCH:
-        return _parse_reduce_batch_payload(payload)
-    if magic != codec.MAGIC_BATCH:
+    if magic != codec.MAGIC_REDUCE_BATCH:
         raise _recoverable(
             f"unknown binary frame magic {magic!r} "
-            f"(expected {codec.MAGIC_BATCH!r} or {codec.MAGIC_REDUCE_BATCH!r})"
+            f"(expected {codec.MAGIC_REDUCE_BATCH!r})"
         )
     try:
-        request_id, seq, stream, values = codec.decode_batch(payload)
-    except CodecError as exc:
-        raise _recoverable(f"corrupt batch frame: {exc}") from exc
-    if values.size and not np.isfinite(values).all():
-        err = _recoverable(
-            "batch frame carries non-finite values: exact summation is "
-            "defined only for finite float64"
-        )
-        # The frame decoded — the request id is known, so the error
-        # response can be matched by a pipelined client instead of
-        # stalling its future.
-        err.request_id = request_id
-        raise err
-    request: Dict[str, Any] = {
-        "op": "add_array",
-        "id": request_id,
-        "stream": stream,
-        "values": values,
-        "wire": WIRE_BINARY,
-        "payload_f64": codec.batch_wire_body(payload),
-    }
-    if seq != codec.WAL_UNSEQUENCED:
-        request["seq"] = seq
-    return request
-
-
-def _parse_reduce_batch_payload(payload: bytes) -> Dict[str, Any]:
-    """Decode an ``RBAT`` reduce-op frame into its request dict."""
-    try:
-        request_id, seq, stream, op_kind, x, y = codec.decode_reduce_batch(payload)
+        request_id, seq, stream, kind, x, y = codec.decode_reduce_batch(payload)
         x_body, y_body = codec.reduce_batch_wire_bodies(payload)
     except CodecError as exc:
-        raise _recoverable(f"corrupt reduce batch frame: {exc}") from exc
+        raise _recoverable(f"corrupt batch frame: {exc}") from exc
     for arr in (x,) if y is None else (x, y):
         if arr.size and not np.isfinite(arr).all():
             err = _recoverable(
-                "reduce batch frame carries non-finite values: exact "
-                "reduction is defined only for finite float64"
+                "batch frame carries non-finite values: exact summation is "
+                "defined only for finite float64"
             )
+            # The frame decoded — the request id is known, so the error
+            # response can be matched by a pipelined client instead of
+            # stalling its future.
             err.request_id = request_id
             raise err
     request: Dict[str, Any] = {
-        "op": _REDUCE_REQUEST_OPS[op_kind],
+        "op": INGEST_KINDS[kind].request_op,
         "id": request_id,
         "stream": stream,
         "values": x,
@@ -246,44 +322,10 @@ def _parse_reduce_batch_payload(payload: bytes) -> Dict[str, Any]:
     return request
 
 
-def encode_reduce_batch_frame(
-    request_id: int,
-    stream: str,
-    op: str,
-    x: np.ndarray,
-    y: Optional[np.ndarray] = None,
-    *,
-    seq: Optional[int] = None,
-    max_frame: int = DEFAULT_MAX_FRAME,
-) -> bytes:
-    """Serialize one binary reduction ingest op to a wire frame.
-
-    The payload is a codec ``RBAT`` frame carrying the *pre-expansion*
-    inputs of a reduction op (``"pairs"``, ``"squares"``, or
-    ``"observations"``) as raw little-endian float64 bytes — half the
-    wire volume of shipping expanded EFT terms, with the server
-    re-expanding deterministically. Only valid on a connection that has
-    negotiated ``wire="binary"``.
-
-    Raises:
-        ProtocolError: if the encoded payload exceeds ``max_frame``.
-        CodecError: unknown op kind, negative request id, empty stream
-            name, or mismatched pair lengths.
-    """
-    wal_seq = codec.WAL_UNSEQUENCED if seq is None else seq
-    payload = codec.encode_reduce_batch(request_id, wal_seq, stream, op, x, y)
-    if len(payload) > max_frame:
-        raise _fatal(
-            f"outgoing reduce batch frame of {len(payload)} bytes exceeds "
-            f"max_frame={max_frame}"
-        )
-    return LENGTH_PREFIX.pack(len(payload)) + payload
-
-
 def parse_payload(payload: bytes, *, binary: bool = False) -> Dict[str, Any]:
     """Parse a frame payload in the connection's negotiated wire mode.
 
-    JSON-lines payloads (first byte ``{``) always parse; binary ``BBAT``
+    JSON-lines payloads (first byte ``{``) always parse; binary ``RBAT``
     payloads parse only when ``binary=True`` (i.e. after a successful
     ``hello`` upgrade). A binary frame on a JSON-only connection fails
     as a recoverable not-valid-JSON error, exactly like any other

@@ -11,7 +11,7 @@ through the service's FIFO shard queues.
 Every connection starts on the JSON-lines wire. A ``hello`` op
 (handled inline, like ``shutdown``, because it mutates per-connection
 state) negotiates the protocol version and may upgrade the connection
-to the binary wire, after which ingest payloads may be codec ``BBAT``
+to the binary wire, after which ingest payloads may be codec ``RBAT``
 frames decoded as zero-copy float64 views. Responses stay JSON either
 way, and a binary connection may still interleave JSON requests — the
 payload's first byte discriminates per frame.
@@ -30,8 +30,6 @@ import asyncio
 import contextlib
 from typing import Any, Dict, Optional, Set
 
-import numpy as np
-
 from repro.errors import ProtocolError
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
@@ -45,21 +43,6 @@ from repro.serve.protocol import (
 from repro.serve.service import ReproService
 
 __all__ = ["ReproServer"]
-
-#: Ops whose request frames carry stream values (ingest observability).
-_VALUE_BEARING_OPS = frozenset({"add", "add_array"})
-
-
-def _frame_value_count(request: Dict[str, Any]) -> int:
-    """Float64 count a value-bearing request frame carried (best effort)."""
-    if request.get("op") == "add":
-        return 1
-    values = request.get("values")
-    if isinstance(values, np.ndarray):
-        return int(values.size)
-    if isinstance(values, (list, tuple)):
-        return len(values)
-    return 0
 
 
 class ReproServer:
@@ -159,7 +142,7 @@ class ReproServer:
                     }
                     # Payload errors found after the frame decoded far
                     # enough to yield a request id (e.g. non-finite
-                    # values in a valid BBAT frame) are matchable.
+                    # values in a valid RBAT frame) are matchable.
                     rid = getattr(exc, "request_id", None)
                     if rid is not None:
                         err["id"] = rid
@@ -178,12 +161,7 @@ class ReproServer:
                 if op == "shutdown":
                     await self._handle_shutdown(request, writer, write_lock, max_frame)
                     break
-                if op in _VALUE_BEARING_OPS:
-                    self.service.metrics.record_wire_frame(
-                        WIRE_BINARY if request.get("wire") == WIRE_BINARY else WIRE_JSON,
-                        len(payload),
-                        _frame_value_count(request),
-                    )
+                self.service.record_wire(request, len(payload))
                 await inflight.acquire()
                 sub = asyncio.get_running_loop().create_task(
                     self._dispatch(request, writer, write_lock, inflight, max_frame)

@@ -21,11 +21,17 @@ folds enqueued before it (FIFO), so a read observes every add that was
 *acknowledged* before the read was issued. Acks fire after the fold
 lands, giving read-your-writes to any client that awaits its adds.
 
+**Ingest.** Every ingest op is "expand, then fold": its kind (see
+:data:`repro.serve.protocol.INGEST_KINDS`) names the
+:mod:`repro.reduce` op whose deterministic expansion turns the inputs
+into fold terms — ``sum``'s is the identity — and one implementation
+(:meth:`ReproService._ingest`) serves every kind on both wires.
+
 **Persistence.** Stream state round-trips through the configured
-kernel's stream wire format (``ERSM`` for the default ``running``
-kernel — the same bytes the MapReduce shuffle uses — ``KSTR``-framed
-kernel partials otherwise) via the ``snapshot``/``restore``/``drain``
-endpoints and :meth:`save_state`/:meth:`load_state`.
+kernel's ``KSTR`` stream frame (count + the kernel's partial — the
+same partial bytes the MapReduce shuffle uses) via the
+``snapshot``/``restore``/``drain`` endpoints and
+:meth:`save_state`/:meth:`load_state`.
 """
 
 from __future__ import annotations
@@ -56,17 +62,21 @@ from repro.kernels import get_kernel, kernel_names
 # reprolint: disable-next-line=ARCH004 -- dataplane is the shared zero-copy layer, not a plane entry point
 from repro.mapreduce.dataplane import BlockRef, resolve_block
 from repro.serve.metrics import ServiceMetrics
+from repro.reduce.ops import ReduceOp, VarOp, get_op
 from repro.serve.protocol import (
     DEFAULT_MAX_FRAME,
+    INGEST_KINDS,
+    KIND_OF_OP,
     WIRE_BINARY,
+    WIRE_JSON,
     decode_bytes_field,
     encode_bytes_field,
+    ingest_value_count,
 )
 from repro.serve.shards import AccumulatorShard
-from repro.stats import round_fraction, sqrt_round_fraction
 from repro.util.validation import check_finite_array, ensure_float64_array
 
-__all__ = ["ServeConfig", "ReproService"]
+__all__ = ["ServeConfig", "ReproService", "square_shadow", "finish_moments"]
 
 
 @dataclass(frozen=True)
@@ -135,6 +145,37 @@ def square_shadow(stream: str) -> str:
     return stream + SQUARE_SHADOW_SUFFIX
 
 
+def finish_moments(
+    stream: str, merged: Any, shadow: Any, ddof: int, mode: str, fed_by: str
+) -> Dict[str, Any]:
+    """Exact mean and variance of an ``observations`` stream.
+
+    ``merged`` and ``shadow`` are the merged states of the stream and of
+    its :func:`square_shadow`. The finishes are the :mod:`repro.reduce`
+    ops' own — ``sum(x)/n`` and ``(sum(x^2) - sum(x)^2/n) / (n - ddof)``
+    in exact rational arithmetic, rounded once — so the result matches
+    the serial ``mean``/``var`` ops bit for bit.
+    """
+    n = merged.count
+    if n == 0:
+        raise EmptyStreamError(f"moments of empty stream {stream!r}")
+    if shadow.count != 2 * n:
+        raise ServiceError(
+            f"stream {stream!r} was not fed through {fed_by}: "
+            f"square shadow holds {shadow.count} terms, expected {2 * n}"
+        )
+    s = merged.exact_fraction()
+    mean = get_op("mean").finish_exact([s], n, mode)
+    variance = VarOp(ddof).finish_exact([s, shadow.exact_fraction()], n, mode)
+    return {
+        "mean": mean,
+        "variance": variance,
+        "count": n,
+        "ddof": ddof,
+        "hex": mean.hex(),
+    }
+
+
 class ReproService:
     """Sharded exact-aggregation service (transport-agnostic core)."""
 
@@ -176,11 +217,8 @@ class ReproService:
             "ping": self._op_ping,
             "sum": self._op_sum,
             "add": self._op_add,
-            "add_array": self._op_add_array,
             "add_block": self._op_add_block,
-            "add_pairs": self._op_add_pairs,
-            "add_squares": self._op_add_squares,
-            "add_observations": self._op_add_observations,
+            **{op: self._op_add_batch for op in KIND_OF_OP},
             "value": self._op_value,
             "dot": self._op_dot,
             "norm2": self._op_norm2,
@@ -253,6 +291,18 @@ class ReproService:
             ok=bool(response.get("ok")),
         )
         return response
+
+    def record_wire(self, request: Dict[str, Any], payload_bytes: int) -> None:
+        """Per-wire ingest accounting of one parsed request frame.
+
+        Both transports — the TCP server and the in-process client —
+        call this with every frame they parse, so ``stats.wire`` counts
+        the same frames and values whichever one carried them.
+        """
+        nvalues = ingest_value_count(request)
+        if nvalues is not None:
+            wire = WIRE_BINARY if request.get("wire") == WIRE_BINARY else WIRE_JSON
+            self.metrics.record_wire_frame(wire, payload_bytes, nvalues)
 
     # ------------------------------------------------------------------
     # routing
@@ -334,38 +384,15 @@ class ReproService:
             ),
         }
 
+    # -- ingest: every kind is "expand, then fold" ----------------------
+
     async def _op_add(self, request: Dict[str, Any]) -> Dict[str, Any]:
         stream = _require_stream(request)
         value = request.get("value")
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ServiceError("'value' must be a number")
         arr = self._validated_array([float(value)])
-        added = await self._next_shard().fold(stream, arr)
-        return {"added": added}
-
-    async def _op_add_array(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        """Bulk ingest; the one op the binary wire accelerates.
-
-        JSON requests carry ``values`` as a list and pay per-value
-        boxing in :meth:`_validated_array`. Binary-wire requests
-        (``wire == "binary"``, set only by the protocol layer's ``BBAT``
-        parser, which already enforced dtype and finiteness) arrive as a
-        read-only zero-copy float64 view and skip the re-scan — the
-        array flows from socket bytes to the shard fold without ever
-        becoming Python objects.
-        """
-        stream = _require_stream(request)
-        if "values" not in request:
-            raise ServiceError("add_array needs a 'values' field")
-        values = request.get("values")
-        if request.get("wire") == WIRE_BINARY and isinstance(values, np.ndarray):
-            arr = ensure_float64_array(values)
-        else:
-            arr = self._validated_array(values)
-        if arr.size == 0:
-            return {"added": 0}
-        added = await self._scatter(stream, arr)
-        return {"added": added}
+        return await self._ingest(stream, "sum", arr, None, request)
 
     async def _op_add_block(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """Zero-copy bulk ingest from a data-plane block descriptor.
@@ -393,71 +420,52 @@ class ReproService:
             raise ServiceError(f"cannot resolve block {ref.describe()}: {exc}") from exc
         arr = ensure_float64_array(view)
         check_finite_array(arr)
-        added = await self._scatter(stream, arr)
-        return {"added": added, "block": ref.describe()}
+        response = await self._ingest(stream, "sum", arr, None, request)
+        response["block"] = ref.describe()
+        return response
 
-    # -- reduction ingest: EFT expansion happens server-side -----------
+    def _input_array(self, request: Dict[str, Any], key: str) -> np.ndarray:
+        """One float64 input field of a batch ingest request.
 
-    def _reduce_array(self, request: Dict[str, Any], key: str, op: str) -> np.ndarray:
-        """Pull one float64 array field of a reduction ingest request.
-
-        Binary-wire requests (``RBAT`` frames) arrive as read-only
-        zero-copy views the protocol layer already validated; JSON
-        requests pay the per-value boxing scan, like ``add_array``.
+        Binary-wire requests (``wire == "binary"``, set only by the
+        protocol layer's ``RBAT`` parser, which already enforced dtype
+        and finiteness) arrive as read-only zero-copy views and skip the
+        re-scan — the array flows from socket bytes to the shard fold
+        without ever becoming Python objects. JSON requests carry lists
+        and pay per-value boxing in :meth:`_validated_array`.
         """
         if key not in request:
-            raise ServiceError(f"{op} needs a '{key}' field")
+            raise ServiceError(f"{request['op']} needs a '{key}' field")
         values = request.get(key)
         if request.get("wire") == WIRE_BINARY and isinstance(values, np.ndarray):
             return ensure_float64_array(values)
         return self._validated_array(values)
 
-    @staticmethod
-    def _reduce_op_for(op_kind: str):
-        """The :class:`~repro.reduce.ops.ReduceOp` behind one ingest kind."""
-        from repro.reduce.ops import get_op
+    async def _op_add_batch(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        """Batch ingest of any kind: ``add_array`` (``sum``),
+        ``add_pairs``, ``add_squares`` or ``add_observations`` — the ops
+        the binary wire's ``RBAT`` frame carries."""
+        stream = _require_stream(request)
+        kind = KIND_OF_OP[request["op"]]
+        x = self._input_array(request, "values")
+        y = None
+        if INGEST_KINDS[kind].arity == 2:
+            y = self._input_array(request, "values2")
+            if x.shape != y.shape:
+                raise ServiceError(
+                    f"{request['op']} needs equal-length 'values' and 'values2'"
+                )
+        return await self._ingest(stream, kind, x, y, request)
 
-        name = {"pairs": "dot", "squares": "norm2", "observations": "var"}.get(
-            op_kind
-        )
-        if name is None:
-            raise ServiceError(f"unknown reduction kind {op_kind!r}")
-        return get_op(name)
-
-    async def _apply_reduce(
+    async def _ingest(
         self,
         stream: str,
-        op_kind: str,
-        x: np.ndarray,
-        y: Optional[np.ndarray] = None,
-    ) -> int:
-        """Domain-check, EFT-expand, and scatter one reduction batch.
-
-        The expansion is elementwise and deterministic, so chunked
-        ingest produces exactly the term multiset a serial expansion of
-        the whole array would — which is what makes reduction reads
-        bit-identical to the serial references, and what lets the
-        cluster WAL log pre-expansion inputs and re-expand on replay.
-        """
-        op = self._reduce_op_for(op_kind)
-        op.check_domain(x, y)
-        if op_kind == "observations":
-            raw, sq_terms = op.expand(x)
-            await self._scatter(stream, raw)
-            await self._scatter(square_shadow(stream), sq_terms)
-        else:
-            await self._scatter(stream, op.expand(x, y)[0])
-        return int(x.size)
-
-    async def _ingest_reduce(
-        self,
-        stream: str,
-        op_kind: str,
+        kind: str,
         x: np.ndarray,
         y: Optional[np.ndarray],
         request: Dict[str, Any],
     ) -> Dict[str, Any]:
-        """Apply one validated reduction batch.
+        """Apply one validated batch of any kind.
 
         Overridable seam: the WAL-backed cluster node intercepts here
         to add seq dedup and durable logging of the raw inputs before
@@ -465,36 +473,37 @@ class ReproService:
         """
         if x.size == 0:
             return {"added": 0}
-        added = await self._apply_reduce(stream, op_kind, x, y)
-        return {"added": added}
+        return {"added": await self._apply(stream, kind, x, y)}
 
-    async def _op_add_pairs(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        """Dot-product ingest: TwoProduct-expand (x, y), scatter the terms."""
-        stream = _require_stream(request)
-        x = self._reduce_array(request, "values", "add_pairs")
-        y = self._reduce_array(request, "values2", "add_pairs")
-        if x.shape != y.shape:
-            raise ServiceError(
-                "add_pairs needs equal-length 'values' and 'values2'"
-            )
-        return await self._ingest_reduce(stream, "pairs", x, y, request)
+    @staticmethod
+    def _expansion(kind: str) -> ReduceOp:
+        """The :mod:`repro.reduce` op whose ``expand`` an ingest kind runs."""
+        return get_op(INGEST_KINDS[kind].reduce_op)
 
-    async def _op_add_squares(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        """Norm ingest: TwoSquare-expand the values, scatter the terms."""
-        stream = _require_stream(request)
-        x = self._reduce_array(request, "values", "add_squares")
-        return await self._ingest_reduce(stream, "squares", x, None, request)
+    async def _apply(
+        self,
+        stream: str,
+        kind: str,
+        x: np.ndarray,
+        y: Optional[np.ndarray] = None,
+    ) -> int:
+        """Domain-check, expand, and scatter one batch; returns inputs folded.
 
-    async def _op_add_observations(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        """Moments ingest: raw values into the stream, TwoSquare terms
-        into its NUL-suffixed shadow stream (:func:`square_shadow`), so
-        ``moments`` can read both exact sums the variance finish needs.
+        The expansion is elementwise and deterministic (``sum``'s is the
+        identity), so chunked ingest produces exactly the term multiset
+        a serial expansion of the whole array would — which is what
+        makes reads bit-identical to the serial references, and what
+        lets the cluster WAL log pre-expansion inputs and re-expand on
+        replay. A second term stream (the ``observations`` kind's
+        TwoSquare terms) lands in the stream's :func:`square_shadow`.
         """
-        stream = _require_stream(request)
-        x = self._reduce_array(request, "values", "add_observations")
-        return await self._ingest_reduce(stream, "observations", x, None, request)
+        op = self._expansion(kind)
+        op.check_domain(x, y)
+        for target, terms in zip((stream, square_shadow(stream)), op.expand(x, y)):
+            await self._scatter(target, terms)
+        return int(x.size)
 
-    # -- reduction reads ------------------------------------------------
+    # -- reads ----------------------------------------------------------
 
     async def _op_dot(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """Correctly rounded dot product of an ``add_pairs`` stream.
@@ -508,25 +517,19 @@ class ReproService:
     async def _op_norm2(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """Correctly rounded Euclidean norm of an ``add_squares`` stream.
 
-        Reads the *exact* sum-of-squares fraction off the merged state
-        and rounds its square root once (nearest only); the norm of an
-        empty stream is 0.0, never an error.
+        The ``norm2`` op's finish rounds the square root of the exact
+        sum-of-squares once (nearest only); the norm of an empty stream
+        is 0.0, never an error.
         """
         stream = _require_stream(request)
         merged = await self._merged_state(stream)
-        if merged.count == 0:
-            value = 0.0
-        else:
-            value = sqrt_round_fraction(merged.exact_fraction())
+        value = get_op("norm2").finish_exact(
+            [merged.exact_fraction()], merged.count, "nearest"
+        )
         return {"value": value, "count": merged.count, "hex": value.hex()}
 
     async def _op_moments(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        """Exact mean and variance of an ``add_observations`` stream.
-
-        Both finishes run in exact rational arithmetic — ``sum(x)/n``
-        and ``(sum(x^2) - sum(x)^2/n) / (n - ddof)`` — then round once,
-        matching the serial ``var``/``mean`` ops bit for bit.
-        """
+        """Exact mean and variance of an ``add_observations`` stream."""
         stream = _require_stream(request)
         mode = request.get("mode", "nearest")
         if mode not in ("nearest", "down", "up", "zero"):
@@ -535,28 +538,8 @@ class ReproService:
         if isinstance(ddof, bool) or not isinstance(ddof, int) or ddof < 0:
             raise ServiceError("'ddof' must be a non-negative integer")
         merged = await self._merged_state(stream)
-        n = merged.count
-        if n == 0:
-            raise EmptyStreamError(f"moments of empty stream {stream!r}")
-        if n - ddof <= 0:
-            raise EmptyStreamError("need more observations than ddof")
         shadow = await self._merged_state(square_shadow(stream))
-        if shadow.count != 2 * n:
-            raise ServiceError(
-                f"stream {stream!r} was not fed through add_observations: "
-                f"square shadow holds {shadow.count} terms, expected {2 * n}"
-            )
-        s = merged.exact_fraction()
-        ss = shadow.exact_fraction()
-        mean = round_fraction(s / n, mode)
-        variance = round_fraction((ss - s * s / n) / (n - ddof), mode)
-        return {
-            "mean": mean,
-            "variance": variance,
-            "count": n,
-            "ddof": ddof,
-            "hex": mean.hex(),
-        }
+        return finish_moments(stream, merged, shadow, ddof, mode, "add_observations")
 
     async def _op_value(self, request: Dict[str, Any]) -> Dict[str, Any]:
         stream = _require_stream(request)
@@ -574,7 +557,9 @@ class ReproService:
         merged = await self._merged_state(stream)
         if merged.count == 0:
             raise EmptyStreamError(f"mean of empty stream {stream!r}")
-        mean = round_fraction(merged.exact_fraction() / merged.count)
+        mean = get_op("mean").finish_exact(
+            [merged.exact_fraction()], merged.count, "nearest"
+        )
         return {"mean": mean, "count": merged.count, "hex": mean.hex()}
 
     async def _op_stats(self, request: Dict[str, Any]) -> Dict[str, Any]:

@@ -211,15 +211,16 @@ class ExactRunningSum:
     def to_bytes(self) -> bytes:
         """Serialize exact state **and** count (service snapshot format).
 
-        The ``ERSM`` frame (:func:`repro.codec.encode_running`): magic +
-        int64 count, then the embedded ``SSUP`` accumulator frame — one
-        wire format shared by service snapshots, streaming checkpoints,
-        and the running-sum kernel.
+        The generic ``KSTR`` kernel-stream frame
+        (:func:`repro.codec.encode_stream`): magic + int64 count, then
+        the embedded ``SSUP`` accumulator frame — one wire format shared
+        by service snapshots, streaming checkpoints, and every kernel's
+        stream.
         """
         self._flush()
         from repro import codec
 
-        return codec.encode_running(self.count, self._acc)
+        return codec.encode_stream(self.count, codec.encode_sparse(self._acc))
 
     @classmethod
     def from_bytes(
@@ -240,7 +241,8 @@ class ExactRunningSum:
         """
         from repro import codec
 
-        count, acc = codec.decode_running(payload)
+        count, inner = codec.decode_stream(payload)
+        acc = codec.decode_sparse(inner)
         if acc.radix != radix:
             raise ValueError(
                 f"radix mismatch: payload w={acc.radix.w}, expected w={radix.w}"

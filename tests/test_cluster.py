@@ -48,6 +48,34 @@ def _batches(data, size=250):
     return [data[i : i + size] for i in range(0, data.size, size)]
 
 
+#: Every ingest kind; ``pairs`` is the one that takes a second input.
+KINDS = ("sum", "pairs", "squares", "observations")
+
+
+def _kind_plan(data, partner, size=250):
+    """``(stream, kind, x, y)`` batches rotating through every kind."""
+    plan = []
+    for i, (x, y) in enumerate(zip(_batches(data, size), _batches(partner, size))):
+        kind = KINDS[i % len(KINDS)]
+        plan.append((f"s-{kind}", kind, x, y if kind == "pairs" else None))
+    return plan
+
+
+async def _kind_reads(request):
+    """Every kind's read of a :func:`_kind_plan` ingest, as exact hex."""
+    value = await request("value", stream="s-sum")
+    dot = await request("dot", stream="s-pairs")
+    norm = await request("norm2", stream="s-squares")
+    moments = await request("moments", stream="s-observations", ddof=1)
+    return {
+        "sum": (value["hex"], value["count"]),
+        "dot": (dot["hex"], dot["count"]),
+        "norm2": (norm["hex"], norm["count"]),
+        "mean": float(moments["mean"]).hex(),
+        "variance": (float(moments["variance"]).hex(), moments["count"]),
+    }
+
+
 async def _serve_reference(batches):
     """The uninterrupted single-node serve path (the acceptance oracle)."""
     async with ReproService(ServeConfig(shards=2)) as service:
@@ -130,9 +158,9 @@ class TestWal:
         wal = WriteAheadLog(tmp_path / "node.wal")
         a = np.array([1.5, -2.0, 3e300])
         b = np.array([5e-324])
-        wal.append(0, "orders", a)
-        wal.append(1, "orders", b)
-        wal.append(codec.WAL_UNSEQUENCED, "scatter", a)
+        wal.append(0, "orders", "sum", a)
+        wal.append(1, "orders", "sum", b)
+        wal.append(codec.WAL_UNSEQUENCED, "scatter", "sum", a)
         records, truncated = wal.replay()
         assert not truncated
         assert [(r.seq, r.stream) for r in records] == [
@@ -148,8 +176,8 @@ class TestWal:
     def test_torn_tail_is_tolerated(self, tmp_path):
         path = tmp_path / "node.wal"
         wal = WriteAheadLog(path)
-        wal.append(0, "s", np.array([1.0, 2.0]))
-        wal.append(1, "s", np.array([3.0]))
+        wal.append(0, "s", "sum", np.array([1.0, 2.0]))
+        wal.append(1, "s", "sum", np.array([3.0]))
         blob = path.read_bytes()
         # tear the file at every point inside the *last* record
         first_len = codec.wal_record_size(blob[: codec.WAL_HEADER_SIZE])
@@ -162,8 +190,8 @@ class TestWal:
     def test_midfile_corruption_raises(self, tmp_path):
         path = tmp_path / "node.wal"
         wal = WriteAheadLog(path)
-        wal.append(0, "s", np.array([1.0, 2.0]))
-        wal.append(1, "s", np.array([3.0]))
+        wal.append(0, "s", "sum", np.array([1.0, 2.0]))
+        wal.append(1, "s", "sum", np.array([3.0]))
         blob = bytearray(path.read_bytes())
         blob[codec.WAL_HEADER_SIZE] ^= 0xFF  # body of record 0
         path.write_bytes(bytes(blob))
@@ -175,7 +203,12 @@ class TestWal:
             writer = WalWriter(tmp_path / "node.wal", max_batch=64)
             writer.start()
             await asyncio.gather(
-                *(writer.append(i, "s", np.array([float(i)])) for i in range(32))
+                *(
+                    writer.append(
+                        codec.encode_wal_record(i, "s", "sum", np.array([float(i)]))
+                    )
+                    for i in range(32)
+                )
             )
             await writer.stop()
             return writer
@@ -291,6 +324,79 @@ class TestWalService:
         resp = asyncio.run(run())
         assert resp["ok"] is False
         assert "add_block" in resp["error"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rejected_sequenced_batch_leaves_no_claim(
+        self, tmp_path, monkeypatch, kind
+    ):
+        """A sequenced batch the WAL cannot log fails without claiming
+        its seq: the retry is applied, never acked as a duplicate."""
+        x = np.array([1.5, -2.0, 3.25])
+        y = np.array([2.0, 0.5, -4.0]) if kind == "pairs" else None
+        long_name = "s" * (codec.MAX_WAL_STREAM_NAME + 1)
+        encode = codec.encode_wal_record
+        calls = []
+
+        def fails_once(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise CodecError("injected encode failure")
+            return encode(*args)
+
+        async def run():
+            service = WalService(ServeConfig(shards=2), wal_path=tmp_path / "n.wal")
+            async with service:
+                client = InProcessClient(service, wire="binary")
+                # A name no WAL record can hold is rejected every time.
+                for _ in range(2):
+                    with pytest.raises(ServiceError, match="exceeds"):
+                        await client.request_batch(long_name, x, op=kind, y=y, seq=0)
+                monkeypatch.setattr(codec, "encode_wal_record", fails_once)
+                with pytest.raises(ServiceError, match="injected"):
+                    await client.request_batch("s", x, op=kind, y=y, seq=0)
+                retry = await client.request_batch("s", x, op=kind, y=y, seq=0)
+                info = await client.request("cluster_info")
+            return retry, info
+
+        retry, info = asyncio.run(run())
+        assert retry["added"] == x.size and "duplicate" not in retry
+        assert info["applied"] == {"s": 0}
+        records, _ = read_wal(tmp_path / "n.wal")
+        assert [(r.stream, r.op, r.seq) for r in records] == [("s", kind, 0)]
+
+    def test_mixed_kind_wal_replays_bit_identically(self, tmp_path):
+        """One WAL holding every ingest kind recovers the same bits on a
+        fresh node (``recover``) and through a coordinator
+        (``replay_wal_onto``)."""
+        plan = _kind_plan(_panel(2000, seed=31), _panel(2000, seed=32))
+        wal = tmp_path / "mixed.wal"
+
+        async def run():
+            async with ClusterNode("src", wal_path=wal) as node:
+                client = InProcessClient(node.service, wire="binary")
+                for seq, (stream, kind, x, y) in enumerate(plan):
+                    await client.request_batch(stream, x, op=kind, y=y, seq=seq)
+                live = await _kind_reads(client.request)
+            assert {r.op for r in read_wal(wal)[0]} == set(KINDS)
+            async with ClusterNode("fresh", wal_path=wal) as fresh:
+                recovered = await _kind_reads(InProcessClient(fresh.service).request)
+            async with LocalCluster(nodes=3, base_dir=tmp_path / "c") as lc:
+                co = lc.coordinator
+                report = await co.replay_wal_onto(wal)
+
+                async def request(op, stream, **fields):
+                    primary = co._placement(stream).primary
+                    return await co._handle(primary).request(op, stream=stream, **fields)
+
+                replayed = await _kind_reads(request)
+            return live, recovered, replayed, report
+
+        live, recovered, replayed, report = asyncio.run(run())
+        assert recovered == live
+        assert replayed == live
+        assert report["applied"] == len(plan) and report["duplicates"] == 0
+        data = np.concatenate([x for _, kind, x, _ in plan if kind == "sum"])
+        assert live["sum"] == (exact_sum(data).hex(), data.size)
 
     def test_bad_seq_rejected(self):
         async def run():
@@ -439,24 +545,25 @@ class TestCoordinator:
 
     def test_json_and_binary_ingest_write_identical_wal(self, tmp_path):
         """The durability contract behind 'bit-identity is provable':
-        the same batches produce byte-identical WAL files whether they
-        arrived boxed in JSON text or as raw BBAT frame bodies."""
-        data = _panel(2000, seed=5)
-        batches = _batches(data, size=250)
+        the same batches of every ingest kind produce byte-identical WAL
+        files whether they arrived boxed in JSON text or as raw RBAT
+        frame bodies."""
+        plan = _kind_plan(_panel(2000, seed=5), _panel(2000, seed=6))
 
         async def run():
             for wire, path in (("json", tmp_path / "j.wal"), ("binary", tmp_path / "b.wal")):
                 service = WalService(ServeConfig(shards=2), wal_path=path)
                 await service.start()
                 client = InProcessClient(service, wire=wire)
-                for seq, batch in enumerate(batches):
-                    await client.request_batch("orders", batch, seq=seq)
+                for seq, (stream, kind, x, y) in enumerate(plan):
+                    await client.request_batch(stream, x, op=kind, y=y, seq=seq)
                 await service.close()
 
         asyncio.run(run())
         assert (tmp_path / "j.wal").read_bytes() == (tmp_path / "b.wal").read_bytes()
         records, truncated = read_wal(tmp_path / "b.wal")
-        assert not truncated and len(records) == len(batches)
+        assert not truncated and len(records) == len(plan)
+        assert [r.op for r in records] == [kind for _, kind, _, _ in plan]
 
     def test_read_fails_over_to_replica(self):
         data = _panel(1000, seed=9)

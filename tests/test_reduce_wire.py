@@ -78,33 +78,34 @@ class TestReduceBatchFrame:
 
 class TestWalReduceFrame:
     def test_header_size_matches_wal_contract(self):
-        # WALO headers are exactly WAL_HEADER_SIZE bytes so one fixed
-        # prefix read dispatches both record kinds in the WAL.
+        # WALO headers are exactly WAL_HEADER_SIZE bytes: the WAL
+        # reader's fixed prefix read sizes every record.
         x = _panel(5, seed=8)
-        blob = codec.encode_wal_reduce(4, "s", "squares", x)
+        blob = codec.encode_wal_record(4, "s", "squares", x)
         assert codec.peek_magic(blob[: codec.WAL_HEADER_SIZE]) == b"WALO"
         assert codec.wal_record_size(blob[: codec.WAL_HEADER_SIZE]) == len(blob)
 
     def test_round_trip_and_raw_bytes_input(self):
         x, y = _panel(12, seed=9), _panel(12, seed=10)
-        blob = codec.encode_wal_reduce(9, "s", "pairs", x.tobytes(), y.tobytes())
-        seq, stream, op, gx, gy = codec.decode_wal_any(blob)
+        blob = codec.encode_wal_record(9, "s", "pairs", x.tobytes(), y.tobytes())
+        seq, stream, op, gx, gy = codec.decode_wal_record(blob)
         assert (seq, stream, op) == (9, "s", "pairs")
         assert np.array_equal(gx, x) and np.array_equal(gy, y)
 
-    def test_decode_wal_any_dispatches_plain_records(self):
+    def test_sum_records_share_the_op_tagged_layout(self):
         x = _panel(6, seed=11)
-        blob = codec.encode_wal_record(2, "s", x)
-        seq, stream, op, gx, gy = codec.decode_wal_any(blob)
+        blob = codec.encode_wal_record(2, "s", "sum", x)
+        assert codec.peek_magic(blob) == b"WALO"
+        seq, stream, op, gx, gy = codec.decode(blob)
         assert (seq, stream, op, gy) == (2, "s", "sum", None)
         assert np.array_equal(gx, x)
 
     def test_crc_corruption_raises(self):
         x = _panel(10, seed=12)
-        blob = bytearray(codec.encode_wal_reduce(1, "s", "observations", x))
+        blob = bytearray(codec.encode_wal_record(1, "s", "observations", x))
         blob[-2] ^= 0xFF
         with pytest.raises(CodecError):
-            codec.decode_wal_any(bytes(blob))
+            codec.decode_wal_record(bytes(blob))
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +238,9 @@ class TestClusterReduction:
         async def run():
             async with LocalCluster(nodes=3, kernel="running") as lc:
                 co = lc.coordinator
-                await co.scatter_reduce("d", "pairs", x, y, chunk=97)
-                await co.scatter_reduce("n", "squares", x, chunk=101)
-                await co.scatter_reduce("m", "observations", x, chunk=103)
+                await co.scatter("d", x, op="pairs", y=y, chunk=97)
+                await co.scatter("n", x, op="squares", chunk=101)
+                await co.scatter("m", x, op="observations", chunk=103)
                 return (
                     (await co.gather_value("d"))["value"],
                     (await co.gather_norm2("n"))["value"],
@@ -320,8 +321,8 @@ class TestClusterReduction:
                 nodes=3, kernel="sparse", base_dir=tmp_path
             ) as lc:
                 co = lc.coordinator
-                await co.scatter_reduce("n", "squares", x, chunk=57)
-                await co.scatter_reduce("m", "observations", x, chunk=61)
+                await co.scatter("n", x, op="squares", chunk=57)
+                await co.scatter("m", x, op="observations", chunk=61)
                 before_norm = (await co.gather_norm2("n"))["value"]
                 before = await co.gather_moments("m", ddof=1)
                 lc.kill("node-1")
@@ -366,9 +367,13 @@ class TestClusterReduction:
             async with LocalCluster(nodes=2) as lc:
                 co = lc.coordinator
                 with pytest.raises(ValueError):
-                    await co.scatter_reduce("s", "squares", [1.0], [2.0])
+                    await co.scatter("s", [1.0], op="squares", y=[2.0])
                 with pytest.raises(ValueError):
-                    await co.scatter_reduce("s", "pairs", [1.0, 2.0], [3.0])
-                assert await co.scatter_reduce("s", "squares", []) == 0
+                    await co.scatter("s", [1.0, 2.0], op="pairs", y=[3.0])
+                with pytest.raises(ValueError):
+                    await co.scatter("s", [1.0], op="pairs")
+                with pytest.raises(ValueError):
+                    await co.scatter("s", [1.0], op="cumsum")
+                assert await co.scatter("s", [], op="squares") == 0
 
         asyncio.run(run())

@@ -167,7 +167,7 @@ class TestFuzz:
 
 
 class TestBinaryWire:
-    """BBAT batch frames: parse shape, error taxonomy, fuzz safety.
+    """RBAT batch frames: parse shape, error taxonomy, fuzz safety.
 
     The taxonomy under test: *framing* violations (bad length prefix)
     stay fatal exactly as in JSON mode; every *payload*-level problem
@@ -222,10 +222,11 @@ class TestBinaryWire:
 
     def test_oversized_vs_forged_nvalues_recoverable(self):
         payload = bytearray(self.batch_frame([1.0, 2.0])[4:])
-        # forge nvalues up and down: explicit count vs byte length must disagree
+        # forge the x count up and down: explicit count vs byte length
+        # must disagree
         for forged in (0, 1, 3, 1 << 40):
             mutated = bytearray(payload)
-            mutated[28:36] = forged.to_bytes(8, "little", signed=True)
+            mutated[36:44] = forged.to_bytes(8, "little", signed=True)
             with pytest.raises(ProtocolError) as exc:
                 parse_payload(bytes(mutated), binary=True)
             assert not exc.value.fatal
@@ -233,7 +234,7 @@ class TestBinaryWire:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_values_recoverable(self, bad):
         arr = np.array([1.0, bad, 2.0])
-        frame = codec.encode_batch(1, codec.WAL_UNSEQUENCED, "s", arr)
+        frame = codec.encode_reduce_batch(1, codec.WAL_UNSEQUENCED, "s", "sum", arr)
         with pytest.raises(ProtocolError, match="non-finite") as exc:
             parse_payload(frame, binary=True)
         assert not exc.value.fatal

@@ -442,3 +442,37 @@ class TestBinaryNegotiation:
             await service.close()
 
         run(main())
+
+    @pytest.mark.parametrize("wire", ["json", "binary"])
+    def test_tcp_and_in_process_wire_stats_agree(self, rng, wire):
+        """Both transports count the same ingest frames and values for
+        a workload mixing every ingest kind."""
+        from repro.serve import InProcessClient
+
+        x = random_hard_array(rng, 64)
+        y = random_hard_array(rng, 64)
+
+        async def traffic(client):
+            await client.add_batch("s", x)
+            await client.add_pairs("d", x, y)
+            await client.add_squares("n", x)
+            await client.add_observations("m", x)
+            wire_stats = (await client.stats())["wire"]
+            return {
+                mode: (row["frames"], row["values"], row["payload_bytes"])
+                for mode, row in wire_stats.items()
+            }
+
+        async def main():
+            service, server = await start_stack(shards=2)
+            tcp = await ReproServeClient.connect(port=server.port, wire=wire)
+            over_tcp = await traffic(tcp)
+            await tcp.close()
+            await stop_stack(service, server)
+            async with ReproService(ServeConfig(shards=2)) as local:
+                in_process = await traffic(InProcessClient(local, wire=wire))
+            return over_tcp, in_process
+
+        over_tcp, in_process = run(main())
+        assert over_tcp == in_process
+        assert over_tcp[wire][:2] == (4, 64 + 128 + 64 + 64)
