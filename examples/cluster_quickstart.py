@@ -80,7 +80,7 @@ async def main(wire: str) -> None:
 
             # -- scatter/gather: striped ingest, exact recombination -----
             await coordinator.scatter("stripe", data, chunk=1024)
-            gathered = await coordinator.gather_value("stripe")
+            gathered = await coordinator.gather("stripe")
             assert gathered["value"] == expected
             print(f"scatter/gather across {gathered['nodes']} nodes "
                   f"recombines bit-identically")

@@ -298,7 +298,7 @@ class CrossPlaneImport(Rule):
     )
     fixit = (
         "move the shared piece into a common layer (kernels/codec/"
-        "data) or dispatch through repro.plan.run_plane"
+        "data) or dispatch through repro.plan.run_reduction"
     )
 
     def applies_to(self, unit: ModuleUnit) -> bool:

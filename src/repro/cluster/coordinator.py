@@ -9,9 +9,9 @@ disciplines coexist, chosen per call:
   them can serve a read. Sequence numbers make redelivery idempotent.
 * **scatter** (:meth:`ClusterCoordinator.scatter`) — batches of any
   ingest kind are striped round-robin across all live nodes for raw
-  ingest bandwidth; a read (:meth:`gather_value`, :meth:`gather_norm2`,
-  :meth:`gather_moments`) fans out, pulls each node's kernel snapshot,
-  and merges the partials through the kernel's
+  ingest bandwidth; a read (:meth:`gather`, any serve read op) fans
+  out, pulls each node's kernel snapshot, and merges the partials
+  through the kernel's
   ``stream_from_bytes``/``merge`` — the same ``KSTR`` wire merge every
   other plane uses, so the recombination is bit-exact.
 
@@ -52,7 +52,6 @@ import numpy as np
 from repro.core.digits import DEFAULT_RADIX, RadixConfig
 from repro.errors import NodeDownError, ServiceError
 from repro.kernels import get_kernel
-from repro.reduce.ops import get_op
 from repro.serve import InProcessClient, ReproServeClient, ServeConfig
 from repro.serve.protocol import (
     WIRE_BINARY,
@@ -60,7 +59,7 @@ from repro.serve.protocol import (
     ingest_kind,
     json_batch_request,
 )
-from repro.serve.service import finish_moments, square_shadow
+from repro.serve.service import read_stream
 from repro.util.validation import ensure_float64_array
 from repro.cluster.node import ClusterNode, WalService
 from repro.cluster.placement import HashRing
@@ -398,8 +397,7 @@ class ClusterCoordinator:
 
         Scatter mode trades replication for bandwidth: each input lands
         on exactly one node, and reads recombine the per-node partials
-        exactly (:meth:`gather_value`, :meth:`gather_norm2`,
-        :meth:`gather_moments`). Raw pre-expansion inputs ride the wire
+        exactly (:meth:`gather`). Raw pre-expansion inputs ride the wire
         (``"pairs"`` needs ``y``); each node expands its stripe with the
         same deterministic expansion, so the union of per-node term
         multisets equals a serial whole-array expansion. Durability
@@ -445,72 +443,37 @@ class ClusterCoordinator:
             merged.merge(partial)
         return merged
 
-    async def gather_value(
-        self, stream: str, mode: str = "nearest"
+    async def gather(
+        self,
+        stream: str,
+        op: str = "value",
+        *,
+        mode: str = "nearest",
+        ddof: int = 0,
     ) -> Dict[str, Any]:
         """Exact scatter/gather read: merge every live node's partial.
 
-        Each node returns its kernel-stream snapshot (``KSTR`` wire
-        bytes); the coordinator decodes them with the kernel's
-        ``stream_from_bytes`` and merges — cross-node recombination on
-        the same exact-merge property every other plane relies on.
+        ``op`` is any serve read op (``value``, ``dot``, ``mean``,
+        ``norm2``, ``moments``) with the service's response fields plus
+        ``nodes``. Each node returns its kernel-stream snapshot
+        (``KSTR`` wire bytes); the coordinator decodes them with the
+        kernel's ``stream_from_bytes`` and merges — cross-node
+        recombination on the same exact-merge property every other
+        plane relies on — then finishes through the service's own read
+        path, :func:`~repro.serve.service.read_stream`.
         """
         handles = self.alive_handles()
         if not handles:
             raise NodeDownError("no live nodes to gather from")
-        merged = await self._merged_snapshot(stream, handles)
-        result = merged.value(mode)
-        return {
-            "value": result,
-            "hex": result.hex(),
-            "count": merged.count,
-            "nodes": len(handles),
-        }
-
-    async def gather_norm2(self, stream: str) -> Dict[str, Any]:
-        """Exact Euclidean norm of a ``scatter(op="squares")`` stream.
-
-        Merges the per-node TwoSquare-term partials; the ``norm2`` op's
-        finish rounds the square root of the exact sum of squares once
-        (nearest only). The norm of nothing is 0.0, never an error.
-        """
-        handles = self.alive_handles()
-        if not handles:
-            raise NodeDownError("no live nodes to gather from")
-        merged = await self._merged_snapshot(stream, handles)
-        value = get_op("norm2").finish_exact(
-            [merged.exact_fraction()], merged.count, "nearest"
+        result = await read_stream(
+            op,
+            stream,
+            lambda name: self._merged_snapshot(name, handles),
+            mode=mode,
+            ddof=ddof,
         )
-        return {
-            "value": value,
-            "hex": value.hex(),
-            "count": merged.count,
-            "nodes": len(handles),
-        }
-
-    async def gather_moments(
-        self, stream: str, *, ddof: int = 0, mode: str = "nearest"
-    ) -> Dict[str, Any]:
-        """Exact mean/variance of a ``scatter(op="observations")`` stream.
-
-        Merges the raw-value partials and the NUL-suffixed square-shadow
-        partials, then finishes through the ``mean``/``var`` ops —
-        bit-identical to the serial references.
-        """
-        if mode not in ("nearest", "down", "up", "zero"):
-            raise ValueError(f"unknown rounding mode {mode!r}")
-        if isinstance(ddof, bool) or not isinstance(ddof, int) or ddof < 0:
-            raise ValueError("'ddof' must be a non-negative integer")
-        handles = self.alive_handles()
-        if not handles:
-            raise NodeDownError("no live nodes to gather from")
-        merged = await self._merged_snapshot(stream, handles)
-        shadow = await self._merged_snapshot(square_shadow(stream), handles)
-        moments = finish_moments(
-            stream, merged, shadow, ddof, mode, "observations scatter"
-        )
-        moments["nodes"] = len(handles)
-        return moments
+        result["nodes"] = len(handles)
+        return result
 
     # ------------------------------------------------------------------
     # failover

@@ -150,9 +150,10 @@ class WalService(ReproService):
         """WAL-fronted ingest of any kind: dedup, log raw inputs, expand.
 
         The durable record carries the *pre-expansion* inputs (binary
-        ``RBAT`` frame bodies pass through verbatim); replay re-expands
-        deterministically, so recovery reconstructs the identical term
-        multiset.
+        ``RBAT`` frame bodies pass through verbatim; an ``add_block``'s
+        resolved values are copied in, so replay never needs its
+        segment); replay re-expands deterministically, so recovery
+        reconstructs the identical term multiset.
         """
         seq = _seq_of(request)
         if x.size == 0:
@@ -188,15 +189,6 @@ class WalService(ReproService):
         if seq is not None:
             response["seq"] = seq
         return response
-
-    async def _op_add_block(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        # A zero-copy block fold would bypass the WAL: the descriptor's
-        # segment may be gone by replay time. Refuse loudly rather than
-        # silently break the durability contract.
-        raise ServiceError(
-            "add_block is not supported on WAL-backed cluster nodes; "
-            "use add_array"
-        )
 
     async def _op_restore(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """Parent restore, plus an optional ``seq`` high-water mark.

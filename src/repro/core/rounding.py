@@ -42,12 +42,20 @@ __all__ = [
     "round_digits",
     "round_windowed",
     "MAX_FINITE",
+    "check_mode",
 ]
 
 #: Largest finite binary64 value.
 MAX_FINITE = math.ldexp(float((1 << 53) - 1), 971)
 
 _MODES = ("nearest", "down", "up", "zero")
+
+
+def check_mode(mode: str) -> str:
+    """Return ``mode`` if it names a rounding direction, else raise ValueError."""
+    if mode not in _MODES:
+        raise ValueError(f"unknown rounding mode {mode!r}; expected one of {_MODES}")
+    return mode
 
 
 def _apply_direction(
@@ -87,8 +95,7 @@ def round_scaled_int(value: int, shift: int, mode: str = "nearest") -> float:
         according to IEEE overflow semantics for the mode. Tiny values
         round through the subnormal range to ``±0.0`` correctly.
     """
-    if mode not in _MODES:
-        raise ValueError(f"unknown rounding mode {mode!r}; expected one of {_MODES}")
+    check_mode(mode)
     if value == 0:
         return 0.0
     sign = -1 if value < 0 else 1

@@ -15,6 +15,7 @@ __all__ = [
     "ProtocolVersionError",
     "BackpressureError",
     "ServiceError",
+    "BadRequestError",
     "NodeDownError",
 ]
 
@@ -96,6 +97,18 @@ class ServiceError(ReproError):
 
     #: machine-readable error code echoed in service error responses
     code = "service"
+
+
+class BadRequestError(ServiceError, ValueError):
+    """The service rejected a request argument (``bad-request``).
+
+    Raised client-side for the response the service sends when a
+    handler raised ``ValueError``/``TypeError`` — an unknown rounding
+    mode, a mode the op's finish does not define — so a remote caller
+    sees the same ``ValueError`` an in-process one does.
+    """
+
+    code = "bad-request"
 
 
 class ProtocolError(ServiceError, ValueError):

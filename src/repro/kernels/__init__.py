@@ -16,6 +16,7 @@ from repro.kernels.base import (
     KernelStream,
     SumKernel,
     get_kernel,
+    kernel_fold,
     kernel_names,
     kernel_sum,
     register_kernel,
@@ -41,6 +42,7 @@ __all__ = [
     "get_kernel",
     "kernel_names",
     "kernel_sum",
+    "kernel_fold",
     "SparseKernel",
     "DenseKernel",
     "SmallKernel",

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from fractions import Fraction
-from typing import Any, Callable, Dict, Iterable, Optional, Sequence, TypeVar
+from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -59,6 +59,7 @@ __all__ = [
     "get_kernel",
     "kernel_names",
     "kernel_sum",
+    "kernel_fold",
 ]
 
 
@@ -300,6 +301,20 @@ def kernel_sum(
     retry, never a wrong bit — so this function is bit-identical to the
     exact sparse reference for every registered kernel.
     """
+    return kernel_fold(kernel, blocks, mode=mode)[0]
+
+
+def kernel_fold(
+    kernel: SumKernel,
+    blocks: Sequence[np.ndarray],
+    *,
+    mode: str = "nearest",
+) -> Tuple[float, Any]:
+    """:func:`kernel_sum` that also returns the merged partial it rounded.
+
+    After a failed certificate the partial is the escalation kernel's,
+    so only an exact kernel's caller may read it as its own.
+    """
     if mode != "nearest" and not kernel.exact:
         # Certifying fast paths only prove nearest rounding.
         kernel = kernel.exact_variant()
@@ -314,9 +329,9 @@ def kernel_sum(
     if total is None:
         total = kernel.zero()
     try:
-        return kernel.round(total, mode)
+        return kernel.round(total, mode), total
     except CertificationError:
         fallback = get_kernel(
             kernel.escalates_to, radix=kernel.radix, counters=kernel.counters
         )
-        return kernel_sum(fallback, blocks, mode=mode)
+        return kernel_fold(fallback, blocks, mode=mode)

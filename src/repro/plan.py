@@ -15,23 +15,43 @@ makes that decision explicit and inspectable:
   rounded float, bit-identical across every choice the planner could
   have made (that is the whole point of the kernel protocol).
 
-:func:`run_plane` is the shared dispatch the planner, the ``repro
-plan`` CLI and the cross-plane bit-identity matrix test all use, so a
-plane listed in :data:`PLANES` is by construction a plane the planner
-can schedule onto and the test suite checks.
+:func:`run_reduction` is the shared dispatch the planner, the ``repro
+plan`` CLI, the :mod:`repro.reduce` one-liners and the cross-plane
+bit-identity matrix test all use, so a plane listed in :data:`PLANES`
+is by construction a plane the planner can schedule onto and the test
+suite checks. Every result is "fold on a plane, then the op's finish":
+a local plane folds each of the op's term streams, and the serve and
+cluster planes ship the raw inputs and read back through the service's
+one read path.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
 from repro.core.digits import DEFAULT_RADIX, RadixConfig
-from repro.kernels import get_kernel, kernel_names, kernel_sum
+from repro.core.rounding import check_mode
+from repro.kernels import SumKernel, get_kernel, kernel_fold, kernel_names
+
+if TYPE_CHECKING:
+    from repro.reduce.ops import ReduceOp
 
 __all__ = [
     "DataDescriptor",
@@ -39,7 +59,7 @@ __all__ = [
     "KernelCandidate",
     "kernel_candidates",
     "plan_sum",
-    "run_plane",
+    "run_reduction",
     "PLANES",
     "KERNEL_RATES",
     "OPTIONAL_KERNEL_REQUIREMENTS",
@@ -203,10 +223,10 @@ def kernel_candidates(
 
 
 # ---------------------------------------------------------------------------
-# plane runners
+# plane runners: each plane folds term streams once, each op finishes
 
 
-def _chunks(arr: np.ndarray, block_items: int):
+def _chunks(arr: np.ndarray, block_items: int) -> Iterator[np.ndarray]:
     if arr.size == 0:
         yield arr
         return
@@ -214,20 +234,135 @@ def _chunks(arr: np.ndarray, block_items: int):
         yield arr[start : start + block_items]
 
 
-def _run_serial(kernel_name, values, *, radix, mode, workers, block_items):
-    kernel = get_kernel(kernel_name, radix=radix)
-    return kernel_sum(kernel, _chunks(values, block_items), mode=mode)
+def _partial(kernel: SumKernel, wire: Optional[bytes]) -> Any:
+    """An exact kernel's merged partial from a plane result's wire frame.
+
+    A plane that folded nothing may keep no frame. A speculative
+    kernel's partial is never read: only exact kernels host the
+    finishes that need it.
+    """
+    if not kernel.exact:
+        return None
+    return kernel.zero() if wire is None else kernel.from_wire(wire)
 
 
-def _run_streaming(kernel_name, values, *, radix, mode, workers, block_items):
-    kernel = get_kernel(kernel_name, radix=radix)
+def _fold_serial(kernel, terms, *, mode, workers, block_items):
+    return kernel_fold(kernel, _chunks(terms, block_items), mode=mode)
+
+
+def _fold_streaming(kernel, terms, *, mode, workers, block_items):
     stream = kernel.new_stream()
-    for chunk in _chunks(values, block_items):
+    for chunk in _chunks(terms, block_items):
         kernel.fold_into(stream, chunk)
-    return stream.value(mode)
+    # The running kernel's stream type is its partial type.
+    return stream.value(mode), getattr(stream, "partial", stream)
 
 
-def _run_serve(kernel_name, values, *, radix, mode, workers, block_items):
+def _fold_mapreduce(kernel, terms, *, mode, workers, block_items):
+    from repro.mapreduce import parallel_sum
+    from repro.mapreduce.sum_job import KernelReduceJob
+
+    # An exact kernel runs the job that keeps its merged partial; a
+    # speculative one runs its own job (adaptive ships certificates).
+    job = None
+    if kernel.exact:
+        job = KernelReduceJob(radix=kernel.radix, mode=mode, kernel_name=kernel.name)
+    value = parallel_sum(
+        terms,
+        workers=workers,
+        method=kernel.name,
+        block_items=block_items,
+        radix=kernel.radix,
+        mode=mode,
+        job=job,
+    )
+    return value, _partial(kernel, job.partial_wire if job else None)
+
+
+def _fold_extmem(kernel, terms, *, mode, workers, block_items):
+    from repro.extmem import BlockDevice, ExtArray, extmem_sum_scan
+
+    block = max(8, min(block_items, 1 << 12))
+    device = BlockDevice(block_size=block, memory=block * 64)
+    source = ExtArray.from_numpy(device, "plan-input", terms)
+    result = extmem_sum_scan(
+        device, source, radix=kernel.radix, mode=mode, kernel=kernel
+    )
+    return result.value, _partial(kernel, result.partial)
+
+
+def _fold_bsp(kernel, terms, *, mode, workers, block_items):
+    from repro.bsp import exact_allreduce_sum
+
+    result = exact_allreduce_sum(
+        np.array_split(terms, max(2, workers)),
+        radix=kernel.radix, mode=mode, kernel=kernel,
+    )
+    return result.values[0], _partial(kernel, result.partial)
+
+
+def _fold_pram(kernel, terms, *, mode, workers, block_items):
+    from repro.pram import pram_exact_sum
+
+    result = pram_exact_sum(terms, radix=kernel.radix, mode=mode, kernel=kernel)
+    return result.value, _partial(kernel, result.partial)
+
+
+def _local(fold: Callable[..., Tuple[float, Any]]) -> Callable[..., float]:
+    """The runner of a local plane, from its fold of one term stream.
+
+    The op expands its inputs into term streams and ``fold`` folds each
+    one on the plane, returning the rounded term sum (escalation
+    included) and, for exact kernels, the merged partial. A rounded-sum
+    op's answer is that rounded sum; an exact-fraction op finishes from
+    the partials' exact fractions.
+    """
+
+    def run(kernel_name, op, x, y, *, radix, mode, workers, block_items):
+        kernel = get_kernel(kernel_name, radix=radix)
+        folds = [
+            fold(kernel, terms, mode=mode, workers=workers, block_items=block_items)
+            for terms in op.expand(x, y)
+        ]
+        if not op.needs_exact:
+            return op.finish_rounded(folds[0][0], int(x.size), mode)
+        fracs = [kernel.exact_fraction(partial) for _, partial in folds]
+        return op.finish_exact(fracs, int(x.size), mode)
+
+    return run
+
+
+def _wire_route(op: ReduceOp) -> Tuple[str, str, str]:
+    """``(ingest kind, read op, response field)`` of ``op`` on a wire plane.
+
+    The raw inputs ship as the ingest kind that expands through ``op``
+    (``mean`` expands like ``sum``, by the identity) and come back
+    through the first read op with a finish of ``op``.
+    """
+    from repro.serve.protocol import INGEST_KINDS, READ_OPS
+
+    kind = next(
+        (k for k, entry in INGEST_KINDS.items() if entry.reduce_op == op.name),
+        "sum",
+    )
+    for read_op, read in READ_OPS.items():
+        for field, name in read.finishes:
+            if name == op.name:
+                return kind, read_op, field
+    raise ValueError(f"op {op.name!r} has no read on the serve/cluster planes")
+
+
+async def _ship_and_read(send, read, op, x, y, *, mode, block_items) -> float:
+    """Ship ``op``'s raw inputs in batches, then read its value back."""
+    kind, read_op, field = _wire_route(op)
+    ys = _chunks(y, block_items) if y is not None else itertools.repeat(None)
+    for xs, y_chunk in zip(_chunks(x, block_items), ys):
+        await send("plan", xs, op=kind, y=y_chunk)
+    response = await read("plan", read_op, mode=mode, ddof=getattr(op, "ddof", 0))
+    return response[field]
+
+
+def _run_serve(kernel_name, op, x, y, *, radix, mode, workers, block_items):
     import asyncio
 
     from repro.serve import InProcessClient, ReproService, ServeConfig
@@ -236,14 +371,15 @@ def _run_serve(kernel_name, values, *, radix, mode, workers, block_items):
         config = ServeConfig(shards=max(1, workers), kernel=kernel_name)
         async with ReproService(config, radix=radix) as service:
             client = InProcessClient(service)
-            for chunk in _chunks(values, block_items):
-                await client.add_array("plan", chunk)
-            return await client.value("plan", mode=mode)
+            return await _ship_and_read(
+                client.request_batch, client.read, op, x, y,
+                mode=mode, block_items=block_items,
+            )
 
     return asyncio.run(run())
 
 
-def _run_cluster(kernel_name, values, *, radix, mode, workers, block_items):
+def _run_cluster(kernel_name, op, x, y, *, radix, mode, workers, block_items):
     import asyncio
 
     from repro.cluster import LocalCluster
@@ -252,99 +388,81 @@ def _run_cluster(kernel_name, values, *, radix, mode, workers, block_items):
         async with LocalCluster(
             nodes=max(2, workers), kernel=kernel_name, radix=radix, shards=1
         ) as lc:
-            for chunk in _chunks(values, block_items):
-                await lc.coordinator.scatter("plan", chunk, chunk=block_items)
-            result = await lc.coordinator.gather_value("plan", mode=mode)
-            return result["value"]
+            coord = lc.coordinator
+            return await _ship_and_read(
+                functools.partial(coord.scatter, chunk=block_items), coord.gather,
+                op, x, y, mode=mode, block_items=block_items,
+            )
 
     return asyncio.run(run())
 
 
-def _run_mapreduce(kernel_name, values, *, radix, mode, workers, block_items):
-    from repro.mapreduce import parallel_sum
-
-    return parallel_sum(
-        values,
-        workers=workers,
-        method=kernel_name,
-        block_items=block_items,
-        radix=radix,
-        mode=mode,
-    )
-
-
-def _run_extmem(kernel_name, values, *, radix, mode, workers, block_items):
-    from repro.extmem import BlockDevice, ExtArray, extmem_sum_scan
-
-    block = max(8, min(block_items, 1 << 12))
-    device = BlockDevice(block_size=block, memory=block * 64)
-    source = ExtArray.from_numpy(device, "plan-input", values)
-    result = extmem_sum_scan(
-        device, source, radix=radix, mode=mode,
-        kernel=get_kernel(kernel_name, radix=radix),
-    )
-    return result.value
-
-
-def _run_bsp(kernel_name, values, *, radix, mode, workers, block_items):
-    from repro.bsp import exact_allreduce_sum
-
-    ranks = max(2, workers)
-    result = exact_allreduce_sum(
-        np.array_split(np.asarray(values, dtype=np.float64), ranks),
-        radix=radix, mode=mode, kernel=get_kernel(kernel_name, radix=radix),
-    )
-    return result.values[0]
-
-
-def _run_pram(kernel_name, values, *, radix, mode, workers, block_items):
-    from repro.pram import pram_exact_sum
-
-    result = pram_exact_sum(
-        values, radix=radix, mode=mode,
-        kernel=get_kernel(kernel_name, radix=radix),
-    )
-    return result.value
-
-
-#: Every schedulable plane, by name. The bit-identity matrix test walks
-#: this mapping, so adding a plane here enrolls it in the invariant.
-PLANES = {
-    "serial": _run_serial,
-    "streaming": _run_streaming,
+#: Every schedulable plane, by name: ``(kernel_name, op, x, y, ...)``
+#: -> the op's correctly rounded value. The bit-identity matrix test
+#: walks this mapping, so adding a plane here enrolls it in the
+#: invariant.
+PLANES: Dict[str, Callable[..., float]] = {
+    "serial": _local(_fold_serial),
+    "streaming": _local(_fold_streaming),
     "serve": _run_serve,
     "cluster": _run_cluster,
-    "mapreduce": _run_mapreduce,
-    "extmem": _run_extmem,
-    "bsp": _run_bsp,
-    "pram": _run_pram,
+    "mapreduce": _local(_fold_mapreduce),
+    "extmem": _local(_fold_extmem),
+    "bsp": _local(_fold_bsp),
+    "pram": _local(_fold_pram),
 }
 
 
-def run_plane(
+def run_reduction(
     plane: str,
     kernel_name: str,
-    values,
+    op: Union[str, ReduceOp],
+    x,
+    y=None,
     *,
     radix: RadixConfig = DEFAULT_RADIX,
     mode: str = "nearest",
     workers: int = 1,
     block_items: int = DEFAULT_BLOCK_ITEMS,
 ) -> float:
-    """Sum ``values`` on one named plane with one named kernel.
+    """Run one reduction op on one named plane with one named kernel.
 
-    The uniform entry point behind :meth:`SumPlan.execute`; every plane
-    returns the same bits for the same input, whatever the kernel.
+    The uniform entry point behind :meth:`SumPlan.execute`, the
+    :mod:`repro.reduce` one-liners and the cross-plane bit-identity
+    matrix. Returns the correctly rounded value of the true
+    mathematical quantity for the given float inputs — the same bits
+    whichever plane/kernel pair the caller (or the planner) picks.
+
+    Raises:
+        ValueError: unknown plane/kernel/op/rounding mode, a mode the
+            op's finish does not define, or a kernel that cannot host
+            the op (exact-fraction finishes need ``exact`` kernels).
+        ReductionRangeError: inputs outside the op's error-free
+            expansion domain.
+        EmptyStreamError: ``mean``/``var`` finishes on too few
+            observations (sums and norms of nothing are simply 0.0).
     """
+    from repro.reduce.ops import get_op, kernel_supports
+
+    if isinstance(op, str):
+        op = get_op(op)
     if plane not in PLANES:
         raise ValueError(f"unknown plane {plane!r}; expected one of {sorted(PLANES)}")
     if kernel_name not in kernel_names():
         raise ValueError(
             f"unknown kernel {kernel_name!r}; expected one of {list(kernel_names())}"
         )
-    arr = np.asarray(values, dtype=np.float64)
+    check_mode(mode)
+    if not kernel_supports(op, get_kernel(kernel_name, radix=radix)):
+        raise ValueError(
+            f"kernel {kernel_name!r} cannot host op {op.name!r}: the finish "
+            f"needs the exact term-sum fraction and the kernel's partials "
+            f"are speculative/lossy (exact=False)"
+        )
+    xa, ya = op.validate(x, y)
+    op.check_domain(xa, ya)
     return PLANES[plane](
-        kernel_name, arr, radix=radix, mode=mode,
+        kernel_name, op, xa, ya, radix=radix, mode=mode,
         workers=workers, block_items=block_items,
     )
 
@@ -485,24 +603,12 @@ class SumPlan:
                 raise ValueError("plan has no data; pass values=")
         if values2 is None:
             values2 = self.descriptor.values2
-        if self.descriptor.op != "sum":
-            from repro.reduce.engine import run_reduction
-
-            return run_reduction(
-                self.plane,
-                self.kernel,
-                self.descriptor.op,
-                values,
-                values2,
-                radix=self.radix,
-                mode=mode if mode is not None else self.mode,
-                workers=self.workers,
-                block_items=self.block_items,
-            )
-        return run_plane(
+        return run_reduction(
             self.plane,
             self.kernel,
+            self.descriptor.op,
             values,
+            values2,
             radix=self.radix,
             mode=mode if mode is not None else self.mode,
             workers=self.workers,

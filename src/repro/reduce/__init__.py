@@ -3,8 +3,8 @@
 The layer that converts this repo from "exact sum service" to "exact
 reduction engine". Ops are declared in :mod:`repro.reduce.ops` as an
 error-free expansion composed with any registered sum kernel;
-:mod:`repro.reduce.engine` schedules them onto the same eight
-execution planes summation runs on. Convenience one-liners::
+:func:`repro.plan.run_reduction` schedules them onto the eight
+execution planes of :data:`repro.plan.PLANES`. Convenience one-liners::
 
     from repro import reduce
     d = reduce.dot(x, y)            # correctly rounded inner product
@@ -19,7 +19,7 @@ terms fold; the bits never change with the choice.
 from __future__ import annotations
 
 from repro.core.digits import DEFAULT_RADIX, RadixConfig
-from repro.reduce.engine import DEFAULT_BLOCK_ITEMS, REDUCE_PLANES, run_reduction
+from repro.plan import DEFAULT_BLOCK_ITEMS, run_reduction
 from repro.reduce.ops import (
     DotOp,
     MeanOp,
@@ -35,7 +35,6 @@ from repro.reduce.ops import (
 
 __all__ = [
     "run_reduction",
-    "REDUCE_PLANES",
     "ReduceOp",
     "SumOp",
     "DotOp",

@@ -236,7 +236,7 @@ def _check_cluster() -> None:
             assert same_float(placed["value"], want), "placed read drifted"
             # scatter/gather recombination is the same exact merge
             await co.scatter("u", x, chunk=256)
-            gathered = await co.gather_value("u")
+            gathered = await co.gather("u")
             assert same_float(gathered["value"], want), "gather drifted"
 
     asyncio.run(roundtrip())

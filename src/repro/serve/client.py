@@ -21,7 +21,8 @@ the negotiation is purely about speed.
 
 Error responses are raised as the exception they encode:
 ``busy`` -> :class:`BackpressureError` (with ``retry_after``),
-``empty-stream`` -> :class:`EmptyStreamError`, ``protocol`` ->
+``empty-stream`` -> :class:`EmptyStreamError`, ``bad-request`` ->
+:class:`BadRequestError` (a ``ValueError``), ``protocol`` ->
 :class:`ProtocolError`, ``protocol-version`` ->
 :class:`ProtocolVersionError`, anything else ->
 :class:`ServiceError` with ``.code`` set.
@@ -36,6 +37,7 @@ from typing import Any, Dict, Iterable, Optional, Tuple
 
 from repro.errors import (
     BackpressureError,
+    BadRequestError,
     EmptyStreamError,
     ProtocolError,
     ProtocolVersionError,
@@ -45,6 +47,7 @@ from repro.errors import (
 from repro.serve.protocol import (
     DEFAULT_MAX_FRAME,
     PROTOCOL_VERSION,
+    READ_OPS,
     WIRE_BINARY,
     WIRE_JSON,
     decode_bytes_field,
@@ -76,6 +79,8 @@ def raise_for_response(response: Dict[str, Any]) -> Dict[str, Any]:
         raise EmptyStreamError(message)
     if code == "reduction-range":
         raise ReductionRangeError(message)
+    if code == "bad-request":
+        raise BadRequestError(message)
     if code == "protocol-version":
         raise ProtocolVersionError(message)
     if code == "protocol":
@@ -181,27 +186,37 @@ class _ClientBase:
 
     # -- snapshot reads --------------------------------------------------
 
+    async def read(
+        self, stream: str, op: str = "value", **fields: Any
+    ) -> Dict[str, Any]:
+        """One read op of ``stream``; returns the full response.
+
+        ``op`` is a :data:`~repro.serve.protocol.READ_OPS` name —
+        ``value``, ``dot``, ``mean``, ``norm2`` or ``moments`` — and
+        ``fields`` its ``mode`` (and, for ``moments``, ``ddof``).
+        """
+        if op not in READ_OPS:
+            raise ValueError(
+                f"unknown read op {op!r}; expected one of {sorted(READ_OPS)}"
+            )
+        return await self.request(op, stream=stream, **fields)
+
     async def value(self, stream: str, mode: str = "nearest") -> float:
-        resp = await self.request("value", stream=stream, mode=mode)
-        return float(resp["value"])
+        return float((await self.read(stream, "value", mode=mode))["value"])
 
     async def count(self, stream: str) -> int:
-        resp = await self.request("value", stream=stream)
-        return int(resp["count"])
+        return int((await self.read(stream))["count"])
 
     async def mean(self, stream: str) -> float:
-        resp = await self.request("mean", stream=stream)
-        return float(resp["mean"])
+        return float((await self.read(stream, "mean"))["mean"])
 
     async def dot(self, stream: str, mode: str = "nearest") -> float:
         """Correctly rounded dot product of an :meth:`add_pairs` stream."""
-        resp = await self.request("dot", stream=stream, mode=mode)
-        return float(resp["value"])
+        return float((await self.read(stream, "dot", mode=mode))["value"])
 
     async def norm2(self, stream: str) -> float:
         """Correctly rounded Euclidean norm of an :meth:`add_squares` stream."""
-        resp = await self.request("norm2", stream=stream)
-        return float(resp["value"])
+        return float((await self.read(stream, "norm2"))["value"])
 
     async def moments(
         self, stream: str, *, ddof: int = 0, mode: str = "nearest"
@@ -211,7 +226,7 @@ class _ClientBase:
         Returns the full response dict — ``mean``, ``variance``,
         ``count``, ``ddof``.
         """
-        return await self.request("moments", stream=stream, ddof=ddof, mode=mode)
+        return await self.read(stream, "moments", ddof=ddof, mode=mode)
 
     async def stats(self) -> Dict[str, Any]:
         return (await self.request("stats"))["stats"]

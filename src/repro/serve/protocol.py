@@ -21,6 +21,8 @@ Every ingest is "expand, then fold": its *kind* (``sum``, ``pairs``,
 expansion turns the inputs into fold terms — ``sum``'s is the
 identity. :data:`INGEST_KINDS` is the one table mapping kinds to the
 JSON op names a batch travels as; binary frames carry the kind itself.
+Every read is "merge, then finish": :data:`READ_OPS` maps each JSON
+read op to the :mod:`repro.reduce` finishes that fill its response.
 
 Framing errors are *connection-fatal* (after an oversized or negative
 length prefix the byte stream cannot be resynchronized); payload
@@ -62,6 +64,8 @@ __all__ = [
     "IngestKind",
     "INGEST_KINDS",
     "KIND_OF_OP",
+    "ReadOp",
+    "READ_OPS",
     "ingest_kind",
     "ingest_value_count",
     "json_batch_request",
@@ -114,6 +118,30 @@ INGEST_KINDS: Dict[str, IngestKind] = {
 #: JSON batch ingest op -> its kind.
 KIND_OF_OP: Dict[str, str] = {
     entry.request_op: kind for kind, entry in INGEST_KINDS.items()
+}
+
+
+class ReadOp(NamedTuple):
+    """One read op: the finishes that fill its response."""
+
+    #: ``(response field, repro.reduce op)`` per finished value; the
+    #: first value's bits also travel as ``hex``
+    finishes: Tuple[Tuple[str, str], ...]
+    #: whether a finish also needs the stream's square shadow (``var``'s
+    #: second term stream, which the ``observations`` kind feeds)
+    shadow: bool = False
+
+
+#: The one read-op table, by JSON op name. Every read merges a stream's
+#: partials, then runs its ops' finishes: a rounded-sum finish rounds
+#: the merged partial through the kernel, an exact one rounds once
+#: from the exact fraction.
+READ_OPS: Dict[str, ReadOp] = {
+    "value": ReadOp((("value", "sum"),)),
+    "dot": ReadOp((("value", "dot"),)),
+    "mean": ReadOp((("mean", "mean"),)),
+    "norm2": ReadOp((("value", "norm2"),)),
+    "moments": ReadOp((("mean", "mean"), ("variance", "var")), shadow=True),
 }
 
 

@@ -15,11 +15,14 @@ an N-way parallel ingest problem, which hash-affinity routing cannot.
 Large arrays are additionally striped across all shards in
 ``scatter_chunk``-sized pieces.
 
-**Snapshot reads.** ``value``/``mean``/``snapshot``/``drain`` fan a
-sequence-point call out to every shard; each shard answers after the
-folds enqueued before it (FIFO), so a read observes every add that was
-*acknowledged* before the read was issued. Acks fire after the fold
-lands, giving read-your-writes to any client that awaits its adds.
+**Snapshot reads.** Every read op, ``snapshot`` and ``drain`` fan
+one sequence-point call out to every shard (:meth:`ReproService._merged`);
+each shard merges its partial after the folds enqueued before it
+(FIFO), so a read observes every add that was *acknowledged* before
+the read was issued. Acks fire after the fold lands, giving
+read-your-writes to any client that awaits its adds. A read op then
+finishes through :func:`read_stream`, the one read path the cluster
+coordinator's ``gather`` shares.
 
 **Ingest.** Every ingest op is "expand, then fold": its kind (see
 :data:`repro.serve.protocol.INGEST_KINDS`) names the
@@ -42,12 +45,14 @@ import math
 import os
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 from typing import Any, Awaitable, Callable, Dict, List, Optional, Union
 
 import numpy as np
 
 from repro.core.digits import DEFAULT_RADIX, RadixConfig
+from repro.core.rounding import check_mode
 from repro.errors import (
     BackpressureError,
     EmptyStreamError,
@@ -67,6 +72,7 @@ from repro.serve.protocol import (
     DEFAULT_MAX_FRAME,
     INGEST_KINDS,
     KIND_OF_OP,
+    READ_OPS,
     WIRE_BINARY,
     WIRE_JSON,
     decode_bytes_field,
@@ -76,7 +82,7 @@ from repro.serve.protocol import (
 from repro.serve.shards import AccumulatorShard
 from repro.util.validation import check_finite_array, ensure_float64_array
 
-__all__ = ["ServeConfig", "ReproService", "square_shadow", "finish_moments"]
+__all__ = ["ServeConfig", "ReproService", "square_shadow", "read_stream"]
 
 
 @dataclass(frozen=True)
@@ -145,35 +151,62 @@ def square_shadow(stream: str) -> str:
     return stream + SQUARE_SHADOW_SUFFIX
 
 
-def finish_moments(
-    stream: str, merged: Any, shadow: Any, ddof: int, mode: str, fed_by: str
+async def read_stream(
+    op: str,
+    stream: str,
+    merge: Callable[[str], Awaitable[Any]],
+    *,
+    mode: str = "nearest",
+    ddof: Any = 0,
 ) -> Dict[str, Any]:
-    """Exact mean and variance of an ``observations`` stream.
+    """The one read path: merge ``stream``, then run ``op``'s finishes.
 
-    ``merged`` and ``shadow`` are the merged states of the stream and of
-    its :func:`square_shadow`. The finishes are the :mod:`repro.reduce`
-    ops' own — ``sum(x)/n`` and ``(sum(x^2) - sum(x)^2/n) / (n - ddof)``
-    in exact rational arithmetic, rounded once — so the result matches
-    the serial ``mean``/``var`` ops bit for bit.
+    ``op`` names a :data:`~repro.serve.protocol.READ_OPS` entry, and
+    ``merge`` returns the merged state of one stream name: a service
+    merges its shards, a coordinator its nodes. ``mode`` (and ``ddof``
+    when the read takes it) are checked before anything is merged.
+    Rounded-sum finishes (``sum``, ``dot``) round the merged partial
+    through the kernel; exact ones (``mean``, ``norm2``, ``var``) round
+    the exact fraction once. Every read thus matches the serial
+    :mod:`repro.reduce` op bit for bit.
     """
-    n = merged.count
-    if n == 0:
-        raise EmptyStreamError(f"moments of empty stream {stream!r}")
-    if shadow.count != 2 * n:
-        raise ServiceError(
-            f"stream {stream!r} was not fed through {fed_by}: "
-            f"square shadow holds {shadow.count} terms, expected {2 * n}"
+    read = READ_OPS.get(op)
+    if read is None:
+        raise ValueError(
+            f"unknown read op {op!r}; expected one of {sorted(READ_OPS)}"
         )
-    s = merged.exact_fraction()
-    mean = get_op("mean").finish_exact([s], n, mode)
-    variance = VarOp(ddof).finish_exact([s, shadow.exact_fraction()], n, mode)
-    return {
-        "mean": mean,
-        "variance": variance,
-        "count": n,
-        "ddof": ddof,
-        "hex": mean.hex(),
-    }
+    check_mode(mode)
+    if read.shadow and (
+        isinstance(ddof, bool) or not isinstance(ddof, int) or ddof < 0
+    ):
+        raise ServiceError("'ddof' must be a non-negative integer")
+    states = [await merge(stream)]
+    n = states[0].count
+    if read.shadow:
+        states.append(await merge(square_shadow(stream)))
+        if states[1].count != 2 * n:
+            raise ServiceError(
+                f"stream {stream!r} was not fed as observations: square "
+                f"shadow holds {states[1].count} terms, expected {2 * n}"
+            )
+    out: Dict[str, Any] = {}
+    fracs: Optional[List[Fraction]] = None
+    try:
+        for field, name in read.finishes:
+            reduction = VarOp(ddof) if name == "var" else get_op(name)
+            if not reduction.needs_exact:
+                out[field] = reduction.finish_rounded(states[0].value(mode), n, mode)
+                continue
+            if fracs is None:
+                fracs = [state.exact_fraction() for state in states]
+            out[field] = reduction.finish_exact(fracs[: reduction.streams], n, mode)
+    except EmptyStreamError as exc:
+        raise EmptyStreamError(f"{op} of stream {stream!r}: {exc}") from None
+    out["count"] = n
+    out["hex"] = out[read.finishes[0][0]].hex()
+    if read.shadow:
+        out["ddof"] = ddof
+    return out
 
 
 class ReproService:
@@ -219,11 +252,7 @@ class ReproService:
             "add": self._op_add,
             "add_block": self._op_add_block,
             **{op: self._op_add_batch for op in KIND_OF_OP},
-            "value": self._op_value,
-            "dot": self._op_dot,
-            "norm2": self._op_norm2,
-            "moments": self._op_moments,
-            "mean": self._op_mean,
+            **{op: self._op_read for op in READ_OPS},
             "stats": self._op_stats,
             "streams": self._op_streams,
             "merge": self._op_merge,
@@ -323,23 +352,21 @@ class ReproService:
         folds = [self._next_shard().fold(stream, piece) for piece in pieces]
         return sum(await asyncio.gather(*folds))
 
-    async def _gather_partials(self, stream: str) -> List[Any]:
-        """Sequence-point read of every shard's partial for ``stream``."""
-        def read(streams: Dict[str, Any]) -> Optional[Any]:
-            rs = streams.get(stream)
-            if rs is None:
-                return None
-            out = self._kernel.new_stream()
-            out.merge(rs)  # deep-ish copy: merge duplicates the exact state
-            return out
+    async def _merged(self, stream: str, *, pop: bool = False) -> Any:
+        """Merge every shard's partial of ``stream`` at one sequence point.
 
-        partials = await asyncio.gather(*(s.call(read) for s in self.shards))
-        return [p for p in partials if p is not None]
-
-    async def _merged_state(self, stream: str) -> Any:
+        Each shard merges its partial from inside its own writer loop,
+        after the folds enqueued before the read and before any later
+        one. With ``pop`` the shards also drop the stream.
+        """
         merged = self._kernel.new_stream()
-        for partial in await self._gather_partials(stream):
-            merged.merge(partial)
+
+        def absorb(streams: Dict[str, Any]) -> None:
+            partial = streams.pop(stream, None) if pop else streams.get(stream)
+            if partial is not None:
+                merged.merge(partial)
+
+        await asyncio.gather(*(s.call(absorb) for s in self.shards))
         return merged
 
     # ------------------------------------------------------------------
@@ -368,9 +395,7 @@ class ReproService:
         """
         if "values" not in request:
             raise ServiceError("sum needs a 'values' field")
-        mode = request.get("mode", "nearest")
-        if mode not in ("nearest", "down", "up", "zero"):
-            raise ValueError(f"unknown rounding mode {mode!r}")
+        mode = check_mode(request.get("mode", "nearest"))
         arr = self._validated_array(request["values"])
         result = self._folder.sum(arr, mode=mode)
         return {
@@ -505,62 +530,16 @@ class ReproService:
 
     # -- reads ----------------------------------------------------------
 
-    async def _op_dot(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        """Correctly rounded dot product of an ``add_pairs`` stream.
-
-        The TwoProduct terms already sum to the exact inner product, so
-        this is precisely the ``value`` read — a named endpoint keeps
-        the op surface symmetric with ``norm2``/``moments``.
-        """
-        return await self._op_value(request)
-
-    async def _op_norm2(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        """Correctly rounded Euclidean norm of an ``add_squares`` stream.
-
-        The ``norm2`` op's finish rounds the square root of the exact
-        sum-of-squares once (nearest only); the norm of an empty stream
-        is 0.0, never an error.
-        """
-        stream = _require_stream(request)
-        merged = await self._merged_state(stream)
-        value = get_op("norm2").finish_exact(
-            [merged.exact_fraction()], merged.count, "nearest"
+    async def _op_read(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        """Every read op (``value``, ``dot``, ``mean``, ``norm2``,
+        ``moments``): merge the stream's shard partials, then finish."""
+        return await read_stream(
+            request["op"],
+            _require_stream(request),
+            self._merged,
+            mode=request.get("mode", "nearest"),
+            ddof=request.get("ddof", 0),
         )
-        return {"value": value, "count": merged.count, "hex": value.hex()}
-
-    async def _op_moments(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        """Exact mean and variance of an ``add_observations`` stream."""
-        stream = _require_stream(request)
-        mode = request.get("mode", "nearest")
-        if mode not in ("nearest", "down", "up", "zero"):
-            raise ValueError(f"unknown rounding mode {mode!r}")
-        ddof = request.get("ddof", 0)
-        if isinstance(ddof, bool) or not isinstance(ddof, int) or ddof < 0:
-            raise ServiceError("'ddof' must be a non-negative integer")
-        merged = await self._merged_state(stream)
-        shadow = await self._merged_state(square_shadow(stream))
-        return finish_moments(stream, merged, shadow, ddof, mode, "add_observations")
-
-    async def _op_value(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        stream = _require_stream(request)
-        mode = request.get("mode", "nearest")
-        if mode not in ("nearest", "down", "up", "zero"):
-            # validate eagerly: rounding is skipped for empty streams,
-            # which must not let a bad mode slip through silently
-            raise ValueError(f"unknown rounding mode {mode!r}")
-        merged = await self._merged_state(stream)
-        value = merged.value(mode)
-        return {"value": value, "count": merged.count, "hex": value.hex()}
-
-    async def _op_mean(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        stream = _require_stream(request)
-        merged = await self._merged_state(stream)
-        if merged.count == 0:
-            raise EmptyStreamError(f"mean of empty stream {stream!r}")
-        mean = get_op("mean").finish_exact(
-            [merged.exact_fraction()], merged.count, "nearest"
-        )
-        return {"mean": mean, "count": merged.count, "hex": mean.hex()}
 
     async def _op_stats(self, request: Dict[str, Any]) -> Dict[str, Any]:
         snap = self.metrics.snapshot()
@@ -611,8 +590,7 @@ class ReproService:
         return {"merged": moved, "src": src, "dst": dst}
 
     async def _op_snapshot(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        stream = _require_stream(request)
-        merged = await self._merged_state(stream)
+        merged = await self._merged(_require_stream(request))
         return {
             "snapshot": encode_bytes_field(merged.to_bytes()),
             "count": merged.count,
@@ -638,15 +616,7 @@ class ReproService:
 
     async def _op_drain(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """Atomically read out and remove a stream (exact hand-off)."""
-        stream = _require_stream(request)
-
-        def pop(streams: Dict[str, Any]) -> Optional[Any]:
-            return streams.pop(stream, None)
-
-        merged = self._kernel.new_stream()
-        for partial in await asyncio.gather(*(s.call(pop) for s in self.shards)):
-            if partial is not None:
-                merged.merge(partial)
+        merged = await self._merged(_require_stream(request), pop=True)
         value = merged.value()
         return {
             "value": value,

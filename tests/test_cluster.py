@@ -32,7 +32,7 @@ from repro.cluster import (
 from repro.cluster.node import ClusterNode
 from repro.core.exact import exact_sum
 from repro.errors import CodecError, NodeDownError, ServiceError
-from repro.plan import run_plane
+from repro.plan import run_reduction
 from repro.serve import InProcessClient, ReproService, ServeConfig
 from repro.util.bits import same_float
 
@@ -311,19 +311,43 @@ class TestWalService:
         assert fresh["added"] == 1
         assert value["value"] == 12.0 and value["count"] == 3
 
-    def test_add_block_refused_on_wal_nodes(self, tmp_path):
-        async def run():
-            service = WalService(
-                ServeConfig(shards=1), wal_path=tmp_path / "n.wal"
-            )
-            async with service:
-                return await service.handle(
-                    {"op": "add_block", "stream": "s", "block": {}}
-                )
+    def test_add_block_recovers_after_segment_unlink(self, tmp_path):
+        """A WAL node logs an ``add_block``'s values, not its block
+        descriptor: a fresh node recovers the stream from the WAL alone
+        after the shared-memory segment is gone."""
+        from repro.mapreduce.dataplane import ShmDataPlane, detach_all
 
-        resp = asyncio.run(run())
-        assert resp["ok"] is False
-        assert "add_block" in resp["error"]
+        data = _panel(3000, seed=29)
+        wal = tmp_path / "n.wal"
+
+        async def run():
+            with ShmDataPlane() as plane:
+                (ref,) = plane.share_blocks([data])
+                block = {
+                    "kind": ref.kind,
+                    "segment": ref.segment,
+                    "offset": ref.offset,
+                    "length": ref.length,
+                }
+                async with WalService(ServeConfig(shards=2), wal_path=wal) as node:
+                    client = InProcessClient(node)
+                    added = await client.add_block("s", block)
+                    live = await client.read("s")
+            # leaving the plane unlinked the segment
+            async with WalService(ServeConfig(shards=2), wal_path=wal) as fresh:
+                recovered = await fresh.recover()
+                got = await InProcessClient(fresh).read("s")
+            return added, live, recovered, got
+
+        try:
+            added, live, recovered, got = asyncio.run(run())
+        finally:
+            detach_all()
+        assert added == data.size
+        assert recovered["records"] == 1
+        assert got["hex"] == live["hex"]
+        assert got["count"] == live["count"] == data.size
+        assert same_float(live["value"], exact_sum(data))
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_rejected_sequenced_batch_leaves_no_claim(
@@ -439,7 +463,7 @@ class TestCoordinator:
             ref_value, ref_count = await _serve_reference(_batches(data))
             async with LocalCluster(nodes=3) as lc:
                 await lc.coordinator.scatter("stripe", data, chunk=333)
-                got = await lc.coordinator.gather_value("stripe")
+                got = await lc.coordinator.gather("stripe")
             return ref_value, ref_count, got
 
         ref_value, ref_count, got = asyncio.run(run())
@@ -642,9 +666,9 @@ class TestCoordinator:
 class TestClusterPlane:
     def test_run_plane_cluster_bit_identical_to_serial(self):
         data = _panel(3000, seed=17)
-        serial = run_plane("serial", "sparse", data)
-        clustered = run_plane(
-            "cluster", "sparse", data, workers=3, block_items=512
+        serial = run_reduction("serial", "sparse", "sum", data)
+        clustered = run_reduction(
+            "cluster", "sparse", "sum", data, workers=3, block_items=512
         )
         assert same_float(clustered, serial)
 

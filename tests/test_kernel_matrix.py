@@ -20,7 +20,7 @@ import pytest
 from repro.core import exact_sum
 from repro.data import generate
 from repro.kernels import kernel_names
-from repro.plan import PLANES, run_plane
+from repro.plan import PLANES, run_reduction
 
 #: Adversarial panels: massive cancellation (escalation pressure),
 #: near-ulp rounding ties (certificate boundary pressure), Anderson's
@@ -46,7 +46,7 @@ def test_every_kernel_on_every_plane_matches_serial_sparse(
     plane, kernel, dataset
 ):
     data = DATASETS[dataset]
-    value = run_plane(plane, kernel, data, workers=2, block_items=64)
+    value = run_reduction(plane, kernel, "sum", data, workers=2, block_items=64)
     ref = REFERENCE[dataset]
     assert value == ref, (
         f"{kernel} on {plane} over {dataset}: {value!r} != {ref!r}"

@@ -13,7 +13,7 @@ from repro.plan import (
     DataDescriptor,
     PLANES,
     plan_sum,
-    run_plane,
+    run_reduction,
 )
 
 
@@ -199,18 +199,18 @@ class TestExecution:
 class TestRunPlane:
     def test_unknown_plane_and_kernel_rejected(self, data):
         with pytest.raises(ValueError, match="unknown plane"):
-            run_plane("quantum", "sparse", data)
+            run_reduction("quantum", "sparse", "sum", data)
         with pytest.raises(ValueError, match="unknown kernel"):
-            run_plane("serial", "quantum", data)
+            run_reduction("serial", "quantum", "sum", data)
 
     def test_empty_input_sums_to_zero_on_every_plane(self):
         empty = np.array([], dtype=np.float64)
         for plane in PLANES:
             if plane == "bsp":
                 continue  # allreduce needs at least one rank's block
-            assert run_plane(plane, "sparse", empty) == 0.0
+            assert run_reduction(plane, "sparse", "sum", empty) == 0.0
 
     @pytest.mark.parametrize("kernel", sorted(kernel_names()))
     def test_serial_plane_matches_reference_for_all_kernels(self, data, kernel):
         ref = exact_sum(data, method="sparse")
-        assert run_plane("serial", kernel, data, block_items=500) == ref
+        assert run_reduction("serial", kernel, "sum", data, block_items=500) == ref

@@ -4,7 +4,8 @@ Covers the op-tagged frames end to end: ``RBAT`` / ``WALO`` codec
 round-trips and corruption behaviour, the serve plane's six reduction
 endpoints over both JSON and binary wires, shadow-stream moments, and
 the cluster plane's scatter/gather plus WAL replay — including crash
-recovery on a *fresh* node instance reading the dead node's log.
+recovery on a *fresh* node instance reading the dead node's log —
+and the one read path's rounding modes on every plane.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import pytest
 
 from repro import codec
 from repro.errors import CodecError, EmptyStreamError, ReductionRangeError, ServiceError
+from repro.plan import PLANES
+from repro.reduce import run_reduction
 from repro.stats import (
     exact_dot_fraction,
     exact_mean,
@@ -242,9 +245,9 @@ class TestClusterReduction:
                 await co.scatter("n", x, op="squares", chunk=101)
                 await co.scatter("m", x, op="observations", chunk=103)
                 return (
-                    (await co.gather_value("d"))["value"],
-                    (await co.gather_norm2("n"))["value"],
-                    await co.gather_moments("m", ddof=1),
+                    (await co.gather("d", "dot"))["value"],
+                    (await co.gather("n", "norm2"))["value"],
+                    await co.gather("m", "moments", ddof=1),
                 )
 
         dot, norm, moments = asyncio.run(run())
@@ -323,15 +326,15 @@ class TestClusterReduction:
                 co = lc.coordinator
                 await co.scatter("n", x, op="squares", chunk=57)
                 await co.scatter("m", x, op="observations", chunk=61)
-                before_norm = (await co.gather_norm2("n"))["value"]
-                before = await co.gather_moments("m", ddof=1)
+                before_norm = (await co.gather("n", "norm2"))["value"]
+                before = await co.gather("m", "moments", ddof=1)
                 lc.kill("node-1")
                 await co.failover("node-1")
                 await co.replay_wal_onto(
                     lc.wal_path("node-1"), include_unsequenced=True
                 )
-                after_norm = (await co.gather_norm2("n"))["value"]
-                after = await co.gather_moments("m", ddof=1)
+                after_norm = (await co.gather("n", "norm2"))["value"]
+                after = await co.gather("m", "moments", ddof=1)
                 return before_norm, before, after_norm, after
 
         before_norm, before, after_norm, after = asyncio.run(run())
@@ -377,3 +380,78 @@ class TestClusterReduction:
                 assert await co.scatter("s", [], op="squares") == 0
 
         asyncio.run(run())
+
+
+# ---------------------------------------------------------------------------
+# read modes: every read rounds in the mode it is asked for, on every plane
+
+
+READ_X = [1.0, 1.0, 2.0]  # mean 4/3: every directed mode rounds differently
+
+#: The JSON read ops, and the reduce op each one finishes.
+READ_OPS = ("value", "dot", "mean", "norm2", "moments")
+REDUCE_OPS_OF_READS = ("sum", "dot", "mean", "norm2", "var")
+
+
+def _reduce_args(op):
+    return (READ_X, READ_X) if op == "dot" else (READ_X,)
+
+
+class TestReadModes:
+    @pytest.mark.parametrize("plane", sorted(PLANES))
+    def test_norm2_refuses_directed_modes(self, plane):
+        with pytest.raises(ValueError):
+            run_reduction(plane, "sparse", "norm2", [3.0, 4.0], mode="up")
+
+    @pytest.mark.parametrize("mode", ["down", "up", "zero"])
+    @pytest.mark.parametrize("plane", sorted(PLANES))
+    def test_mean_rounds_in_the_requested_mode(self, plane, mode):
+        want = run_reduction("serial", "sparse", "mean", READ_X, mode=mode)
+        got = run_reduction(plane, "sparse", "mean", READ_X, mode=mode)
+        assert same_float(got, want)
+
+    @pytest.mark.parametrize("op", REDUCE_OPS_OF_READS)
+    @pytest.mark.parametrize("plane", sorted(PLANES))
+    def test_unknown_mode_rejected_on_every_plane(self, plane, op):
+        with pytest.raises(ValueError, match="rounding mode"):
+            run_reduction(plane, "sparse", op, *_reduce_args(op), mode="sideways")
+
+    @pytest.mark.parametrize("mode", ["down", "up", "zero"])
+    def test_serve_and_cluster_mean_reads_take_the_mode(self, mode):
+        from repro.cluster import LocalCluster
+        from repro.serve import ReproService, ServeConfig
+
+        async def run():
+            async with ReproService(ServeConfig(shards=2)) as service:
+                await service.handle(
+                    {"op": "add_array", "stream": "s", "values": READ_X}
+                )
+                served = await service.handle(
+                    {"op": "mean", "stream": "s", "mode": mode}
+                )
+            async with LocalCluster(nodes=2) as lc:
+                await lc.coordinator.scatter("s", READ_X, chunk=1)
+                gathered = await lc.coordinator.gather("s", "mean", mode=mode)
+            return served["mean"], gathered["mean"]
+
+        want = run_reduction("serial", "sparse", "mean", READ_X, mode=mode)
+        served, gathered = asyncio.run(run())
+        assert same_float(served, want)
+        assert same_float(gathered, want)
+
+    @pytest.mark.parametrize("op", READ_OPS)
+    def test_unknown_mode_on_every_read_op_is_bad_request(self, op):
+        from repro.serve import ReproService, ServeConfig
+
+        async def run():
+            async with ReproService(ServeConfig(shards=2)) as service:
+                await service.handle(
+                    {"op": "add_observations", "stream": "s", "values": READ_X}
+                )
+                return await service.handle(
+                    {"op": op, "stream": "s", "mode": "sideways"}
+                )
+
+        response = asyncio.run(run())
+        assert response["ok"] is False
+        assert response["code"] == "bad-request"
