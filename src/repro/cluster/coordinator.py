@@ -425,22 +425,22 @@ class ClusterCoordinator:
         responses = await asyncio.gather(*sends)
         return sum(int(r["added"]) for r in responses)
 
-    async def _merged_snapshot(
-        self, stream: str, handles: Sequence[NodeHandle]
-    ) -> Any:
-        """Merge every given node's kernel snapshot of ``stream``."""
+    async def _merged_snapshots(
+        self, names: Sequence[str], handles: Sequence[NodeHandle]
+    ) -> List[Any]:
+        """Merge every given node's kernel snapshot of each of ``names``."""
         snaps = await asyncio.gather(
-            *(h.request("snapshot", stream=stream) for h in handles)
+            *(h.request("snapshot", stream=name) for name in names for h in handles)
         )
-        merged = self._kernel.new_stream()
-        for snap in snaps:
+        merged = [self._kernel.new_stream() for _ in names]
+        for i, snap in enumerate(snaps):
             try:
                 partial = self._kernel.stream_from_bytes(
                     decode_bytes_field(snap["snapshot"])
                 )
             except ValueError as exc:
                 raise ServiceError(f"corrupt node snapshot: {exc}") from exc
-            merged.merge(partial)
+            merged[i // len(handles)].merge(partial)
         return merged
 
     async def gather(
@@ -468,7 +468,7 @@ class ClusterCoordinator:
         result = await read_stream(
             op,
             stream,
-            lambda name: self._merged_snapshot(name, handles),
+            lambda *names: self._merged_snapshots(names, handles),
             mode=mode,
             ddof=ddof,
         )

@@ -131,12 +131,20 @@ class SparseSuperaccumulator:
         Digit contributions of all inputs are scatter-added into a
         compact position range, then reduced once to regularized form.
         The active set is the union of positions touched by any input
-        or by a final carry.
+        or by a final carry. Radices too wide for the int64 paths
+        (``w > 31``) add one input at a time instead.
         """
         arr = ensure_float64_array(values)
         check_finite_array(arr)
         if arr.size == 0:
             return cls(radix)
+        if not radix.supports_vectorized:
+            # Digits too wide for the int64 scatter-add: one exact
+            # scalar split per input, like the paper's R = 2**51 radix.
+            total = cls(radix)
+            for x in arr.tolist():
+                total = total.add_float(x)
+            return total
         acc: Optional[SparseSuperaccumulator] = None
         # Chunked so per-limb raw sums stay within int64 (w <= 31 digits
         # allow ~2**31 deposits per limb between renormalizations).

@@ -16,6 +16,7 @@ the common case at float speed.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import permutations
 from typing import List, Sequence
 
@@ -23,6 +24,9 @@ import numpy as np
 
 from repro.core.eft import two_product, two_sum
 from repro.core.exact import exact_sum
+from repro.errors import ReductionRangeError
+from repro.reduce.ops import product_domain_mask
+from repro.stats import round_fraction
 
 __all__ = [
     "product_expansion",
@@ -45,10 +49,19 @@ def product_expansion(factors: Sequence[float]) -> List[float]:
     TwoSum doubles the term count, so a product of ``m`` floats yields
     at most ``2**(m-1)`` terms. Intended for the tiny ``m <= 4`` of
     geometric predicates.
+
+    Raises:
+        ReductionRangeError: if a TwoProduct would leave the band where
+            it is error-free (:func:`repro.reduce.ops.product_domain_mask`)
+            — an error term below the subnormal floor, or an overflow.
     """
     terms = [float(factors[0])]
     for f in factors[1:]:
         f = float(f)
+        if not product_domain_mask(np.array(terms), np.full(len(terms), f)).all():
+            raise ReductionRangeError(
+                "product expansion leaves the error-free TwoProduct band"
+            )
         new_terms: List[float] = []
         carry = 0.0
         for t in terms:
@@ -87,7 +100,9 @@ def exact_det(matrix: Sequence[Sequence[float]]) -> float:
 
     Leibniz expansion: each of the ``n!`` permutation products is
     expanded error-free; all terms are summed exactly; one rounding at
-    the end. Practical for ``n <= 4`` (the predicate sizes).
+    the end. Practical for ``n <= 4`` (the predicate sizes). A product
+    outside the error-free TwoProduct band falls back to exact
+    ``Fraction`` arithmetic, so the result (and its sign) stays exact.
     """
     m = [[float(v) for v in row] for row in matrix]
     n = len(m)
@@ -98,14 +113,27 @@ def exact_det(matrix: Sequence[Sequence[float]]) -> float:
     if n > 5:
         raise ValueError("exact_det is for small predicate matrices (n <= 5)")
     terms: List[float] = []
-    for sign, perm in _signed_permutations(n):
-        factors = [m[i][perm[i]] for i in range(n)]
-        expansion = product_expansion(factors)
-        if sign > 0:
-            terms.extend(expansion)
-        else:
-            terms.extend(-t for t in expansion)
+    try:
+        for sign, perm in _signed_permutations(n):
+            expansion = product_expansion([m[i][perm[i]] for i in range(n)])
+            if sign > 0:
+                terms.extend(expansion)
+            else:
+                terms.extend(-t for t in expansion)
+    except ReductionRangeError:
+        return round_fraction(_fraction_det(m))
     return exact_sum(np.array(terms, dtype=np.float64))
+
+
+def _fraction_det(m: List[List[float]]) -> Fraction:
+    """Exact Leibniz determinant in rational arithmetic."""
+    total = Fraction(0)
+    for sign, perm in _signed_permutations(len(m)):
+        term = Fraction(int(sign))
+        for i, j in enumerate(perm):
+            term *= Fraction(m[i][j])
+        total += term
+    return total
 
 
 def exact_det_sign(matrix: Sequence[Sequence[float]]) -> int:

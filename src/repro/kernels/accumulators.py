@@ -6,6 +6,10 @@ protocol. All four are *exact*: partials hold the exact sum of
 everything folded in, ``round`` cannot fail, and any combine order
 yields the same bits — which is precisely why one kernel serves every
 execution plane.
+
+The running-sum kernel's streams hold their exact total in exponent
+bins (:class:`~repro.kernels.binned.BinnedPartial`): a fold deposits
+and nothing else, and carries resolve only on a read or an export.
 """
 
 from __future__ import annotations
@@ -22,13 +26,6 @@ from repro.kernels.base import SumKernel, register_kernel
 from repro.util.validation import check_finite_array, ensure_float64_array
 
 __all__ = ["SparseKernel", "DenseKernel", "SmallKernel", "RunningSumKernel"]
-
-#: Bulk folds at or above this many elements route through the
-#: vectorized exponent-binned deposit instead of the scalar-ish sparse
-#: ``from_floats`` build. Below it, bin allocation + resolution
-#: overhead (~32 KiB of bins) outweighs the vectorization win.
-BINNED_FOLD_THRESHOLD = 2048
-
 
 @register_kernel
 class SparseKernel(SumKernel):
@@ -135,11 +132,13 @@ class SmallKernel(DenseKernel):
 
 @register_kernel
 class RunningSumKernel(SumKernel):
-    """Streaming kernel: counted running sums with deferred folding.
+    """Streaming kernel: counted running sums over exponent bins.
 
     Partial type: :class:`~repro.streaming.ExactRunningSum` — the
-    serving plane's per-stream state. Its ``KSTR`` wire frame carries
-    the observation count alongside the exact accumulator, so service
+    serving plane's per-stream state, whose exact total lives in
+    exponent bins that writes only deposit into; carries resolve on a
+    read or an export. Its ``KSTR`` wire frame carries the observation
+    count alongside the resolved sparse accumulator, so service
     snapshots round-trip through the same kernel interface as shuffle
     payloads.
     """
@@ -181,42 +180,22 @@ class RunningSumKernel(SumKernel):
         return partial.exact_fraction()
 
     def new_stream(self) -> Any:
-        # The native stream type *is* the partial: it keeps its deferred
-        # pending buffer and writes the KSTR snapshot frame of the
-        # service's save_state files.
+        # The native stream type *is* the partial: it keeps its staged
+        # writes and exponent bins and writes the KSTR snapshot frame of
+        # the service's save_state files.
         return self.zero()
 
     def stream_from_bytes(self, payload: bytes) -> Any:
         return self.from_wire(payload)
 
     def fold_into(self, stream: Any, values: Any) -> int:
-        """Exact bulk fold; large batches take the binned fast path.
+        """Exact bulk fold into a running sum: a deposit, no carries.
 
         Serve shards coalesce pending ingest into one contiguous array
-        and land it here. At or above :data:`BINNED_FOLD_THRESHOLD`
-        elements (and when the radix supports the vectorized integer
-        paths) the array is deposited through
-        :class:`~repro.kernels.binned.BinnedPartial`'s chunked
-        exponent-bin scatter-add and absorbed as an already-exact
-        sparse partial — the same kernel the native benchmarks measure
-        at 4.5-7.8x the sparse bulk fold. Both routes are exact, so the
-        stream's readable state is bit-identical either way.
+        and land it here. The stream deposits it into its own exponent
+        bins (:class:`~repro.kernels.binned.BinnedPartial`), staging it
+        first when it is smaller than
+        :data:`~repro.streaming.DEPOSIT_MIN`; carries resolve only when
+        the stream is read or exported.
         """
-        from repro.streaming import ExactRunningSum
-
-        arr = ensure_float64_array(values)
-        if (
-            arr.size >= BINNED_FOLD_THRESHOLD
-            and isinstance(stream, ExactRunningSum)
-            and self.radix.supports_vectorized
-        ):
-            check_finite_array(arr)
-            from repro.kernels.binned import BinnedPartial
-
-            part = BinnedPartial(self.radix)
-            part.deposit(arr)
-            stream.absorb_exact(part.to_sparse(), int(arr.size))
-            if self.counters is not None:
-                self.counters.record_bulk_fold()
-            return int(arr.size)
-        return super().fold_into(stream, arr)
+        return super().fold_into(stream, values)

@@ -200,8 +200,8 @@ class KernelStream:
     ``to_bytes`` — on top of an arbitrary exact kernel, so every
     registered kernel can back a shard. The running-sum kernel
     overrides :meth:`SumKernel.new_stream` to return the native
-    :class:`~repro.streaming.ExactRunningSum` (which keeps its deferred
-    pending buffer and writes the same ``KSTR`` snapshot frame).
+    :class:`~repro.streaming.ExactRunningSum` (which keeps its state in
+    exponent bins and writes the same ``KSTR`` snapshot frame).
     """
 
     __slots__ = ("kernel", "partial", "count")

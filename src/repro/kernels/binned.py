@@ -36,7 +36,11 @@ bit), and a subnormal equals ``±m * 2**(1 - 1075)``.
 The partial (:class:`BinnedPartial`) = bins + chunk budget + sparse
 spill, merged carry-free (bins add componentwise, spills merge via the
 paper's Lemma 1 add), so the kernel serves every execution plane like
-any other registered kernel. The optional numba backend
+any other registered kernel. It is also the state of every
+:class:`~repro.streaming.ExactRunningSum` (and so of every serve
+stream): a write deposits into the stream's bins and nothing else, and
+carries resolve only on a read or an export (``to_sparse``) or when
+the chunk budget runs out. The optional numba backend
 (:mod:`repro.kernels.binned_jit`) shares this partial and wire frame
 and replaces only the deposit loop.
 """
@@ -53,7 +57,7 @@ from repro.core.digits import RadixConfig, split_scaled_ints_vec
 from repro.core.sparse import SparseSuperaccumulator
 from repro.errors import NonFiniteInputError
 from repro.kernels.base import SumKernel, register_kernel
-from repro.util.validation import check_finite_array, ensure_float64_array
+from repro.util.validation import ensure_float64_array
 
 __all__ = [
     "BIN_COUNT",
@@ -164,10 +168,20 @@ class BinnedPartial:
     def deposit(self, arr: np.ndarray) -> None:
         """Fold a contiguous float64 array into the bins (vectorized).
 
+        No carry is touched unless the chunk budget runs out. Radices
+        too wide for the vectorized integer paths (``w > 31``) fold the
+        array into the spill instead, so exactness never depends on the
+        radix.
+
         Raises :class:`~repro.errors.NonFiniteInputError` on NaN or
         infinities; the partial must then be discarded (chunks folded
         before the offending one are already deposited).
         """
+        if not self.radix.supports_vectorized:
+            self.spill = self.spill.add(
+                SparseSuperaccumulator.from_floats(arr, self.radix)
+            )
+            return
         bins_lo, bins_hi = self.ensure_bins()
         bits = arr.view(np.int64)
         for start in range(0, bits.size, DEPOSIT_CHUNK):
@@ -275,13 +289,8 @@ class BinnedKernel(SumKernel):
     def fold(self, block: np.ndarray) -> BinnedPartial:
         arr = ensure_float64_array(block)
         part = BinnedPartial(self.radix)
-        if arr.size == 0:
-            return part
-        if not self.radix.supports_vectorized:
-            check_finite_array(arr)
-            part.spill = SparseSuperaccumulator.from_floats(arr, self.radix)
-            return part
-        part.deposit(arr)
+        if arr.size:
+            part.deposit(arr)
         return part
 
     def fold_scalar(self, x: float) -> BinnedPartial:

@@ -65,15 +65,19 @@ __all__ = [
     "product_domain_mask",
 ]
 
-#: TwoSquare is error-free only while ``x*x`` stays comfortably inside
-#: the normal range; magnitudes in this band square safely (shared with
-#: the serial reference in :mod:`repro.stats`).
-_SQ_LO = 2.0**-500
+#: TwoSquare is error-free only while ``x*x`` stays inside the normal
+#: range with its error term's last bit at or above ``2**-1074``: for
+#: ``|x| > 2**-485`` that bit is at least ``2**(2*-485 - 104)``. The
+#: band is shared with the serial reference in :mod:`repro.stats` and
+#: the geometry predicates.
+_SQ_LO = 2.0**-485
 _SQ_HI = 2.0**500
 
 #: TwoProduct needs the product's error term above the subnormal floor
 #: and both factors below the point where Dekker's splitter overflows.
-_DOT_P_LO = 2.0**-1000
+#: ``|x*y| > 2**-969`` forces ``ex + ey >= -970``, so the exact
+#: product's last bit, ``2**(ex + ey - 104)``, is at least ``2**-1074``.
+_DOT_P_LO = 2.0**-969
 _DOT_AB_HI = 2.0**996
 
 

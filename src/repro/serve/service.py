@@ -17,10 +17,11 @@ Large arrays are additionally striped across all shards in
 
 **Snapshot reads.** Every read op, ``snapshot`` and ``drain`` fan
 one sequence-point call out to every shard (:meth:`ReproService._merged`);
-each shard merges its partial after the folds enqueued before it
-(FIFO), so a read observes every add that was *acknowledged* before
-the read was issued. Acks fire after the fold lands, giving
-read-your-writes to any client that awaits its adds. A read op then
+each shard merges its partials of every stream name the read needs
+(a ``moments`` read also needs the square shadow) after the folds
+enqueued before it (FIFO), so a read observes every add that was
+*acknowledged* before the read was issued. Acks fire after the fold
+lands, giving read-your-writes to any client that awaits its adds. A read op then
 finishes through :func:`read_stream`, the one read path the cluster
 coordinator's ``gather`` shares.
 
@@ -154,7 +155,7 @@ def square_shadow(stream: str) -> str:
 async def read_stream(
     op: str,
     stream: str,
-    merge: Callable[[str], Awaitable[Any]],
+    merge: Callable[..., Awaitable[List[Any]]],
     *,
     mode: str = "nearest",
     ddof: Any = 0,
@@ -162,9 +163,10 @@ async def read_stream(
     """The one read path: merge ``stream``, then run ``op``'s finishes.
 
     ``op`` names a :data:`~repro.serve.protocol.READ_OPS` entry, and
-    ``merge`` returns the merged state of one stream name: a service
-    merges its shards, a coordinator its nodes. ``mode`` (and ``ddof``
-    when the read takes it) are checked before anything is merged.
+    ``merge(*names)`` returns the merged states of the stream names it
+    is given, read at one sequence point: a service merges its shards,
+    a coordinator its nodes. ``mode`` (and ``ddof`` when the read takes
+    it) are checked before anything is merged.
     Rounded-sum finishes (``sum``, ``dot``) round the merged partial
     through the kernel; exact ones (``mean``, ``norm2``, ``var``) round
     the exact fraction once. Every read thus matches the serial
@@ -180,10 +182,10 @@ async def read_stream(
         isinstance(ddof, bool) or not isinstance(ddof, int) or ddof < 0
     ):
         raise ServiceError("'ddof' must be a non-negative integer")
-    states = [await merge(stream)]
+    names = (stream, square_shadow(stream)) if read.shadow else (stream,)
+    states = await merge(*names)
     n = states[0].count
     if read.shadow:
-        states.append(await merge(square_shadow(stream)))
         if states[1].count != 2 * n:
             raise ServiceError(
                 f"stream {stream!r} was not fed as observations: square "
@@ -342,29 +344,35 @@ class ReproService:
         self._rr += 1
         return shard
 
-    async def _scatter(self, stream: str, arr: np.ndarray) -> int:
-        """Route a validated array across shards; returns values folded."""
+    def _folds(self, stream: str, arr: np.ndarray) -> List[Awaitable[int]]:
+        """Shard folds routing a validated array (not yet enqueued).
+
+        Awaiting them together (one ``asyncio.gather``) enqueues every
+        piece in one event-loop pass, before any of them is awaited.
+        """
         nshards = len(self.shards)
         chunk = self.config.scatter_chunk
         if nshards == 1 or arr.size <= chunk:
-            return await self._next_shard().fold(stream, arr)
+            return [self._next_shard().fold(stream, arr)]
         pieces = np.array_split(arr, min(nshards, max(1, arr.size // chunk)))
-        folds = [self._next_shard().fold(stream, piece) for piece in pieces]
-        return sum(await asyncio.gather(*folds))
+        return [self._next_shard().fold(stream, piece) for piece in pieces]
 
-    async def _merged(self, stream: str, *, pop: bool = False) -> Any:
-        """Merge every shard's partial of ``stream`` at one sequence point.
+    async def _merged(self, *names: str, pop: bool = False) -> List[Any]:
+        """Merge every shard's partials of ``names`` at one sequence point.
 
-        Each shard merges its partial from inside its own writer loop,
-        after the folds enqueued before the read and before any later
-        one. With ``pop`` the shards also drop the stream.
+        Each shard merges its partials of all the names in one call
+        from inside its own writer loop, after the folds enqueued
+        before the read and before any later one, so the merged states
+        are mutually consistent. With ``pop`` the shards also drop the
+        streams.
         """
-        merged = self._kernel.new_stream()
+        merged = [self._kernel.new_stream() for _ in names]
 
         def absorb(streams: Dict[str, Any]) -> None:
-            partial = streams.pop(stream, None) if pop else streams.get(stream)
-            if partial is not None:
-                merged.merge(partial)
+            for name, into in zip(names, merged):
+                partial = streams.pop(name, None) if pop else streams.get(name)
+                if partial is not None:
+                    into.merge(partial)
 
         await asyncio.gather(*(s.call(absorb) for s in self.shards))
         return merged
@@ -524,8 +532,19 @@ class ReproService:
         """
         op = self._expansion(kind)
         op.check_domain(x, y)
-        for target, terms in zip((stream, square_shadow(stream)), op.expand(x, y)):
-            await self._scatter(target, terms)
+        targets = (stream, square_shadow(stream))
+        folds = [
+            fold
+            for target, terms in zip(targets, op.expand(x, y))
+            for fold in self._folds(target, terms)
+        ]
+        if len(folds) == 1:
+            await folds[0]
+        else:
+            # Every term stream is enqueued before any fold is awaited,
+            # so a read never lands between a batch's values and its
+            # squares.
+            await asyncio.gather(*folds)
         return int(x.size)
 
     # -- reads ----------------------------------------------------------
@@ -590,7 +609,7 @@ class ReproService:
         return {"merged": moved, "src": src, "dst": dst}
 
     async def _op_snapshot(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        merged = await self._merged(_require_stream(request))
+        (merged,) = await self._merged(_require_stream(request))
         return {
             "snapshot": encode_bytes_field(merged.to_bytes()),
             "count": merged.count,
@@ -616,7 +635,7 @@ class ReproService:
 
     async def _op_drain(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """Atomically read out and remove a stream (exact hand-off)."""
-        merged = await self._merged(_require_stream(request), pop=True)
+        (merged,) = await self._merged(_require_stream(request), pop=True)
         value = merged.value()
         return {
             "value": value,

@@ -68,20 +68,13 @@ def exact_mean(values: Iterable[float]) -> float:
     return round_fraction(total / arr.size)
 
 
-#: TwoProduct is error-free only when the product is comfortably inside
-#: the normal range (no overflow, and the error term above the
-#: subnormal floor). Magnitudes in this band square safely.
-_SAFE_LO = 2.0**-500
-_SAFE_HI = 2.0**500
-
-
 def _exact_square_sum_fraction(arr: np.ndarray) -> Fraction:
     """Exact ``sum(x_i**2)``: vectorized TwoProduct where safe, exact
     integer squares for magnitudes whose float squares would under- or
     overflow (where TwoProduct stops being error-free)."""
-    a = np.abs(arr)
-    # reprolint: disable-next-line=FP002 -- exact-zero mask, not a tolerance
-    safe = ((a > _SAFE_LO) & (a < _SAFE_HI)) | (a == 0.0)
+    from repro.reduce.ops import square_domain_mask
+
+    safe = square_domain_mask(arr)
     total = Fraction(0)
     s = arr[safe]
     if s.size:
@@ -187,18 +180,11 @@ def exact_dot_fraction(x: Iterable[float], y: Iterable[float]) -> Fraction:
         raise ValueError("length mismatch")
     check_finite_array(xa)
     check_finite_array(ya)
-    with np.errstate(over="ignore", under="ignore"):
-        p = xa * ya
-    # TwoProduct is error-free only for products in the normal range;
-    # route the rest through exact integer decomposition.
-    ap = np.abs(p)
-    # ... and Dekker's splitter itself overflows above ~2**996.
-    safe = (
-        np.isfinite(p)
-        & (ap > 2.0**-1000)
-        & (np.abs(xa) < 2.0**996)
-        & (np.abs(ya) < 2.0**996)
-    ) | (xa == 0.0) | (ya == 0.0)  # reprolint: disable=FP002 -- exact-zero mask, not a tolerance
+    # TwoProduct is error-free only inside its band; route the rest
+    # through exact integer decomposition.
+    from repro.reduce.ops import product_domain_mask
+
+    safe = product_domain_mask(xa, ya)
     total = Fraction(0)
     if safe.any():
         xs, ys = xa[safe], ya[safe]

@@ -8,10 +8,17 @@ exact internal state and rounds only at query time, so query results
 are correctly rounded and independent of the update order that
 produced the state.
 
+A running sum's state is a set of exponent bins
+(:class:`~repro.kernels.binned.BinnedPartial`): a write deposits its
+mantissas into the bins and does nothing else. Carries are resolved
+only when the state is read or exported (``value``, ``exact_fraction``,
+``exact_state``, ``to_bytes``) or when the bins' carry budget runs out
+— the deferred-carry shape of Neal's small superaccumulator.
+
 Streams accept ``method="adaptive"`` to route reads through the
 condition-adaptive tier ladder (:mod:`repro.adaptive`): folds stay
 exact — a stateful stream can never un-fold a speculated value — but
-queries on still-pending data take the certified Tier-0/1 fast path,
+queries on still-staged data take the certified Tier-0/1 fast path,
 and every tier decision lands in the stream's
 :attr:`~ExactRunningSum.tier_counters` telemetry.
 """
@@ -20,13 +27,14 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Deque, Iterable, Optional
+from typing import Deque, Iterable, Optional, Union
 
 import numpy as np
 
 from repro.core.digits import DEFAULT_RADIX, RadixConfig
 from repro.core.sparse import SparseSuperaccumulator
 from repro.errors import EmptyStreamError, NonFiniteInputError
+from repro.kernels.binned import BinnedPartial
 from repro.stats import round_fraction
 from repro.util.validation import check_finite_array, ensure_float64_array
 
@@ -36,11 +44,11 @@ __all__ = ["ExactRunningSum", "SlidingWindowSum", "RunningStats", "exact_cumsum"
 _STREAM_METHODS = ("exact", "adaptive")
 
 
-#: Deferred-fold buffer cap (elements). Batches are staged here and
-#: folded in one bulk ``from_floats`` + single merge instead of one
-#: merge per call — the same microbatching win the serving plane gets,
-#: now built into the stream itself.
-_PENDING_CAP = 1 << 16
+#: Smallest write deposited straight from the caller's array. Smaller
+#: writes are staged and deposited together once this many values are
+#: staged: below it, a deposit's fixed cost (two full-width bin
+#: scatter-adds) outweighs the vectorized per-value work.
+DEPOSIT_MIN = 2048
 
 
 def _check_stream_method(method: str) -> str:
@@ -52,23 +60,26 @@ def _check_stream_method(method: str) -> str:
 
 
 class ExactRunningSum:
-    """Append-only exact running total with O(sigma) state.
+    """Append-only exact running total whose state is exponent bins.
 
     ``add``/``add_array`` fold values in exactly; ``value()`` rounds the
     exact total on demand. ``merge`` combines two independent streams
     (the MapReduce/allreduce building block at the user API level).
 
-    Updates are staged in a pending buffer and folded lazily — one bulk
-    accumulator build + one merge per ~``2**16`` staged elements, or on
-    any read (``value``/``mean``/``merge``/``exact_state``/
-    ``to_bytes``). Validation and ``count`` stay eager, so error
-    behaviour and observable state are unchanged; only the fold cost
-    moves. Exactness is unaffected: superaccumulator addition is
-    associative, so fold timing can never change a single bit.
+    A write only deposits: arrays of at least :data:`DEPOSIT_MIN`
+    values go straight into the stream's
+    :class:`~repro.kernels.binned.BinnedPartial`, smaller ones are
+    staged and deposited together. Carries resolve when the state is
+    read or exported, or when the bins' ``RESOLVE_CHUNKS`` budget runs
+    out. Validation and ``count`` stay eager, so error behaviour and
+    observable state do not depend on when values reach the bins.
+    Exactness is unaffected: the bins hold the exact total, so deposit
+    and resolution timing can never change a single bit. No bins are
+    allocated until the first deposit.
 
-    With ``method="adaptive"``, reads over purely pending data go
+    With ``method="adaptive"``, reads over purely staged data go
     through the certified tier ladder (bit-identical, often much
-    cheaper), bulk folds are tallied, and :attr:`tier_counters` exposes
+    cheaper), deposits are tallied, and :attr:`tier_counters` exposes
     the decisions.
     """
 
@@ -76,7 +87,7 @@ class ExactRunningSum:
         self, radix: RadixConfig = DEFAULT_RADIX, *, method: str = "exact"
     ) -> None:
         self.method = _check_stream_method(method)
-        self._acc = SparseSuperaccumulator.zero(radix)
+        self._part = BinnedPartial(radix)
         self.count = 0
         self._pending_scalars: list = []
         self._pending_arrays: list = []
@@ -100,24 +111,26 @@ class ExactRunningSum:
         self._pending_scalars.append(x)
         self._pending_items += 1
         self.count += 1
-        if self._pending_items >= _PENDING_CAP:
+        if self._pending_items >= DEPOSIT_MIN:
             self._flush()
 
     def add_array(self, values: Iterable[float]) -> None:
         """Fold a batch in exactly (vectorized)."""
         arr = ensure_float64_array(values)
         check_finite_array(arr)
-        if arr.size:
+        if arr.size >= DEPOSIT_MIN:
+            self._deposit(arr)
+        elif arr.size:
             if arr is values:
-                # The stage holds a reference until the next flush; a
+                # The stage holds a reference until the next deposit; a
                 # caller-owned buffer must be snapshotted so later
                 # mutation cannot corrupt the deferred fold.
                 arr = arr.copy()
             self._pending_arrays.append(arr)
             self._pending_items += int(arr.size)
-            self.count += int(arr.size)
-            if self._pending_items >= _PENDING_CAP:
+            if self._pending_items >= DEPOSIT_MIN:
                 self._flush()
+        self.count += int(arr.size)
 
     def _pending_merged(self) -> Optional[np.ndarray]:
         if self._pending_items == 0:
@@ -127,44 +140,49 @@ class ExactRunningSum:
             parts.append(np.array(self._pending_scalars, dtype=np.float64))
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
+    def _deposit(self, arr: np.ndarray) -> None:
+        self._part.deposit(arr)
+        if self._counters is not None:
+            self._counters.record_bulk_fold()
+
     def _flush(self) -> None:
         merged = self._pending_merged()
         if merged is None:
             return
-        self._acc = self._acc.add(
-            SparseSuperaccumulator.from_floats(merged, self._acc.radix)
-        )
         self._pending_scalars = []
         self._pending_arrays = []
         self._pending_items = 0
-        if self._counters is not None:
-            self._counters.record_bulk_fold()
+        self._deposit(merged)
 
     def merge(self, other: "ExactRunningSum") -> None:
-        """Absorb another stream's exact state."""
-        self._flush()
+        """Absorb another stream's exact state (``other`` keeps its value)."""
         other._flush()
-        self._acc = self._acc.add(other._acc)
-        self.count += other.count
+        self.absorb_exact(other._part, other.count)
 
-    def absorb_exact(self, acc: SparseSuperaccumulator, count: int) -> None:
-        """Fold an already-exact accumulator (plus its observation count).
+    def absorb_exact(
+        self, acc: Union[BinnedPartial, SparseSuperaccumulator], count: int
+    ) -> None:
+        """Fold an already-exact partial (plus its observation count).
 
-        The bulk-ingest seam: a caller that built an exact partial by a
-        faster route (the vectorized binned deposit on the serve-shard
-        path) lands it here without a second fold. Exactness makes this
-        safe — superaccumulator addition is associative and exact, so
-        the stream's readable state is bit-identical to having folded
-        the original values directly.
+        The merge seam: ``merge`` and ``from_bytes`` land exact partials
+        here without a second fold. A :class:`BinnedPartial` adds its
+        bins carry-free (resolving first only if the combined carry
+        budget would overflow); a sparse accumulator adds to the bins'
+        spill. ``acc`` is never modified. Exactness makes this safe —
+        both adds are exact, so the stream's readable state is
+        bit-identical to having folded the original values directly.
         """
         if count < 0:
             raise ValueError(f"absorbed count must be >= 0, got {count}")
-        if acc.radix != self._acc.radix:
+        if acc.radix != self._part.radix:
             raise ValueError(
                 f"radix mismatch: partial w={acc.radix.w}, "
-                f"stream w={self._acc.radix.w}"
+                f"stream w={self._part.radix.w}"
             )
-        self._acc = self._acc.add(acc)
+        if isinstance(acc, BinnedPartial):
+            self._part.merge(acc)
+        else:
+            self._part.spill = self._part.spill.add(acc)
         self.count += int(count)
 
     def value(self, mode: str = "nearest") -> float:
@@ -172,21 +190,25 @@ class ExactRunningSum:
         if (
             self._counters is not None
             and mode == "nearest"
-            and self._acc.is_zero()
+            and self._part.width == 0
         ):
             merged = self._pending_merged()
             if merged is not None:
-                # Certified read over still-pending data: bit-identical
-                # to flush-then-round (the ladder proves it), usually a
-                # single cascade pass instead of an accumulator build.
-                # Pending stays staged so later adds keep batching.
+                # Certified read over still-staged data: bit-identical
+                # to deposit-then-round (the ladder proves it), usually
+                # a single cascade pass instead of a carry resolution.
+                # The stage stays staged so later adds keep batching.
                 from repro.adaptive import adaptive_sum_detail
 
-                result = adaptive_sum_detail(merged, radix=self._acc.radix)
+                result = adaptive_sum_detail(merged, radix=self._part.radix)
                 self._counters.record(result)
                 return result.value
+        return self._resolved().to_float(mode)
+
+    def _resolved(self) -> SparseSuperaccumulator:
+        """The exact total with every carry resolved (state untouched)."""
         self._flush()
-        return self._acc.to_float(mode)
+        return self._part.to_sparse()
 
     def mean(self) -> float:
         """Correctly rounded mean of the stream so far.
@@ -200,27 +222,24 @@ class ExactRunningSum:
 
     def exact_fraction(self):
         """The exact total as a :class:`fractions.Fraction`."""
-        self._flush()
-        return self._acc.to_fraction()
+        return self._resolved().to_fraction()
 
     def exact_state(self) -> SparseSuperaccumulator:
         """The exact accumulator (copy) for checkpointing/transport."""
-        self._flush()
-        return self._acc.copy()
+        return self._resolved().copy()
 
     def to_bytes(self) -> bytes:
         """Serialize exact state **and** count (service snapshot format).
 
         The generic ``KSTR`` kernel-stream frame
         (:func:`repro.codec.encode_stream`): magic + int64 count, then
-        the embedded ``SSUP`` accumulator frame — one wire format shared
-        by service snapshots, streaming checkpoints, and every kernel's
-        stream.
+        the embedded ``SSUP`` accumulator frame of the resolved total —
+        one wire format shared by service snapshots, streaming
+        checkpoints, and every kernel's stream.
         """
-        self._flush()
         from repro import codec
 
-        return codec.encode_stream(self.count, codec.encode_sparse(self._acc))
+        return codec.encode_stream(self.count, codec.encode_sparse(self._resolved()))
 
     @classmethod
     def from_bytes(
@@ -242,14 +261,8 @@ class ExactRunningSum:
         from repro import codec
 
         count, inner = codec.decode_stream(payload)
-        acc = codec.decode_sparse(inner)
-        if acc.radix != radix:
-            raise ValueError(
-                f"radix mismatch: payload w={acc.radix.w}, expected w={radix.w}"
-            )
         out = cls(radix, method=method)
-        out._acc = acc
-        out.count = int(count)
+        out.absorb_exact(codec.decode_sparse(inner), int(count))
         return out
 
 
@@ -295,14 +308,16 @@ class RunningStats:
     ``merge`` combines shards exactly, so distributed statistics come
     out bit-identical to a serial pass.
 
-    The square path is the same expansion ingest every other plane
-    uses: in-band magnitudes go through the vectorized TwoSquare EFT
+    The square sum is a second :class:`ExactRunningSum` fed by the same
+    expansion ingest every other plane uses: in-band magnitudes go
+    through the vectorized TwoSquare EFT
     (:func:`repro.core.eft.two_square_vec` — the ``norm2``/``var``
-    reduction ops' expansion, folded directly as float terms), and only
-    magnitudes outside the error-free band
+    reduction ops' expansion), whose float terms are deposited like
+    any write; only magnitudes outside the error-free band
     (:func:`repro.reduce.ops.square_domain_mask`) fall back to exact
-    integer squaring. Both routes land the identical exact rational in
-    the accumulator, so the rounded reads cannot tell them apart.
+    integer squaring, absorbed as one sparse partial. Both routes land
+    the identical exact rational, so the rounded reads cannot tell
+    them apart.
 
     The value sum is held as an :class:`ExactRunningSum`, so
     ``method="adaptive"`` gives ``sum()`` the same certified read fast
@@ -316,7 +331,7 @@ class RunningStats:
         self.method = _check_stream_method(method)
         self._n = 0
         self._sum = ExactRunningSum(radix, method=method)
-        self._sum_sq = SparseSuperaccumulator.zero(radix)
+        self._sum_sq = ExactRunningSum(radix)
 
     @property
     def tier_counters(self):
@@ -337,16 +352,11 @@ class RunningStats:
         in_band = arr if safe.all() else arr[safe]
         if in_band.size:
             # Error-free squares: x^2 = p + e exactly. The terms are
-            # plain floats, so they fold through the ordinary bulk
-            # deposit — no rational arithmetic on the hot path.
+            # plain floats, so they fold through the ordinary deposit —
+            # no rational arithmetic on the hot path.
             from repro.core.eft import two_square_vec
 
-            p, e = two_square_vec(in_band)
-            self._sum_sq = self._sum_sq.add(
-                SparseSuperaccumulator.from_floats(
-                    np.concatenate([p, e]), self._radix
-                )
-            )
+            self._sum_sq.add_array(np.concatenate(two_square_vec(in_band)))
         if not safe.all():
             # Out-of-band magnitudes (square would under/overflow):
             # exact integer squaring, folded as one dyadic rational.
@@ -365,15 +375,15 @@ class RunningStats:
             if pairs:
                 idx = np.array([j for j, _ in pairs], dtype=np.int64)
                 dig = np.array([d for _, d in pairs], dtype=np.int64)
-                self._sum_sq = self._sum_sq.add(
-                    SparseSuperaccumulator(self._radix, idx, dig, _validated=True)
+                self._sum_sq.absorb_exact(
+                    SparseSuperaccumulator(self._radix, idx, dig, _validated=True), 0
                 )
 
     def merge(self, other: "RunningStats") -> None:
         """Absorb another shard's exact state."""
         self._n += other._n
         self._sum.merge(other._sum)
-        self._sum_sq = self._sum_sq.add(other._sum_sq)
+        self._sum_sq.merge(other._sum_sq)
 
     @property
     def count(self) -> int:
@@ -402,7 +412,7 @@ class RunningStats:
         if self._n - ddof <= 0:
             raise EmptyStreamError("need more observations than ddof")
         s = self._sum.exact_fraction()
-        ss = self._sum_sq.to_fraction()
+        ss = self._sum_sq.exact_fraction()
         return round_fraction((ss - s * s / self._n) / (self._n - ddof))
 
 

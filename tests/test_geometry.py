@@ -72,6 +72,14 @@ class TestExactDet:
         assert exact_det(np.eye(4)) == 1.0
         assert exact_det([]) == 1.0
 
+    def test_out_of_band_products_fall_back_to_fractions(self):
+        # A 4-factor product near 1e-266 pushes TwoProduct error terms
+        # below the subnormal floor; the determinant must stay exact.
+        a = 1.8257328485107343e-67
+        m = np.diag([a, a, a, -a]) + np.diag([a * 2.0**-30] * 3, k=1)
+        assert exact_det(m) == fraction_to_float(frac_det(m))
+        assert exact_det_sign(m) == -1
+
     def test_rejects_nonsquare_and_big(self):
         with pytest.raises(ValueError):
             exact_det([[1.0, 2.0]])

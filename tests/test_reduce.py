@@ -119,6 +119,23 @@ class TestDomainPolicing:
         with pytest.raises(ReductionRangeError):
             reduce.dot([1e-200], [1e-200])
 
+    def test_band_edges_admit_only_error_free_expansions(self):
+        # Just inside the old lower edges (products above 2**-1000,
+        # squares of magnitudes above 2**-500) the error term's last
+        # bit falls below 2**-1074; those inputs must be refused, and
+        # the serial references must stay exact there.
+        from repro.stats import exact_dot_fraction, exact_norm2
+
+        x = (1.0 + 2.0**-52) * 2.0**-500
+        with pytest.raises(ReductionRangeError):
+            reduce.dot([x], [x])
+        with pytest.raises(ReductionRangeError):
+            reduce.norm2([x])
+        assert exact_dot_fraction([x], [x]) == Fraction(x) ** 2
+        y = (1.0 + 2.0**-52) * 2.0**-484
+        assert reduce.norm2([y]) == exact_norm2([y])
+        assert reduce.dot([y], [y]) == float(Fraction(y) ** 2)
+
     def test_var_out_of_band_square_rejected(self):
         with pytest.raises(ReductionRangeError):
             reduce.var([1e260, 1.0])

@@ -209,6 +209,30 @@ class TestServeReductionValidation:
         assert same_float(mean, exact_mean(x))
         assert same_float(stats["variance"], exact_variance(x))
 
+    def test_moments_reads_never_split_an_observations_batch(self):
+        # Reads interleaved with observations ingest: each read must see
+        # a batch's values and its square-shadow terms together.
+        x = _panel(20000, seed=19)
+        batches = [x[i : i + 100] for i in range(0, x.size, 100)]
+
+        async def go(client):
+            await client.add_observations("live", batches[0])
+            writes = [client.add_observations("live", b) for b in batches[1:]]
+            reads = [client.moments("live") for _ in range(400)]
+            ops = []
+            for i, read in enumerate(reads):
+                ops.append(read)
+                if i % 2 == 0 and i // 2 < len(writes):
+                    ops.append(writes[i // 2])
+            done = await asyncio.gather(*ops, return_exceptions=True)
+            failures = [r for r in done if isinstance(r, BaseException)]
+            return failures, await client.moments("live")
+
+        failures, final = _serve(go, scatter_chunk=64)
+        assert failures == []
+        assert final["count"] == x.size
+        assert same_float(final["variance"], exact_variance(x))
+
     def test_binary_wire_records_reduce_traffic(self):
         from repro.serve import InProcessClient, ReproService, ServeConfig
 

@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.errors import EmptyStreamError, ReproError
+from repro.kernels.binned import RESOLVE_CHUNKS
 from repro.stats import round_fraction
 from repro.streaming import (
+    DEPOSIT_MIN,
     ExactRunningSum,
     RunningStats,
     SlidingWindowSum,
@@ -94,6 +97,137 @@ class TestExactRunningSum:
         rs = ExactRunningSum()
         rs.add_array(x)
         assert rs.mean() == exact_mean(x)
+
+
+FIXTURE_KSTR = Path(__file__).parent / "data" / "running_sum.kstr"
+
+
+def _fixture_values():
+    """The values the checked-in ``KSTR`` fixture was folded from."""
+    out = [(-1) ** i * (i + 0.1) * 2.0 ** ((i * 37) % 1200 - 600) for i in range(300)]
+    return out + [1e300, -1e300, 2.0**-1074, -2.5e-310, 0.1, 1 / 3, 12345.678]
+
+
+def _counting(monkeypatch, owner, name):
+    """Wrap ``owner.name`` so calls are counted; returns the counter."""
+    calls = [0]
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestBinnedStreamState:
+    """The stream state is exponent bins: writes deposit, reads resolve."""
+
+    @pytest.mark.parametrize("size", [64, 4096])
+    def test_writes_never_resolve_carries(self, monkeypatch, rng, size):
+        from repro.core.sparse import SparseSuperaccumulator
+        from repro.kernels import get_kernel
+        from repro.kernels.binned import BinnedPartial
+
+        kernel = get_kernel("running").exact_variant()
+        stream = kernel.new_stream()
+        batches = [random_hard_array(rng, size) for _ in range(40)]
+        resolves = _counting(monkeypatch, BinnedPartial, "to_sparse")
+        builds = _counting(monkeypatch, SparseSuperaccumulator, "from_floats")
+        for batch in batches:
+            kernel.fold_into(stream, batch)
+        assert resolves[0] == 0 and builds[0] == 0
+        assert stream.value() == math.fsum(np.concatenate(batches))
+        assert resolves[0] == 1 and builds[0] == 0
+
+    def test_no_bins_before_the_first_deposit(self):
+        rs = ExactRunningSum()
+        assert rs._part.bins_lo is None
+        rs.add_array(np.ones(DEPOSIT_MIN - 1))
+        assert rs._part.bins_lo is None
+        rs.add(1.0)
+        assert rs._part.bins_lo is not None
+        assert rs.value() == float(DEPOSIT_MIN)
+
+    @staticmethod
+    def _extreme_batch():
+        # Full 53-bit mantissas at a few exponents (normal and the
+        # largest subnormal): every deposit adds the most a value can.
+        top = np.nextafter(2.0, 0.0)
+        scales = [2.0**-1022, 1.0, 2.0**600, -(2.0**300)]
+        batch = np.array([top * scales[i % 4] for i in range(DEPOSIT_MIN)])
+        batch[::64] = np.nextafter(2.0**-1022, 0.0)
+        return batch
+
+    def test_deposits_past_the_carry_budget_stay_exact(self):
+        batch = self._extreme_batch()
+        rounds = RESOLVE_CHUNKS + 9
+        rs = ExactRunningSum()
+        for _ in range(rounds):
+            rs.add_array(batch)
+        want = rounds * exact_fraction(batch)
+        assert rs.exact_fraction() == want
+        assert rs.value() == round_fraction(want)
+        assert rs.count == rounds * batch.size
+
+    def test_merges_past_the_carry_budget_stay_exact(self):
+        batch = self._extreme_batch()
+        shards = []
+        for _ in range(3):
+            shard = ExactRunningSum()
+            for _ in range(RESOLVE_CHUNKS // 2 + 5):
+                shard.add_array(batch)
+            shards.append(shard)
+        merged = ExactRunningSum()
+        for shard in shards:
+            merged.merge(shard)
+        want = 3 * (RESOLVE_CHUNKS // 2 + 5) * exact_fraction(batch)
+        assert merged.exact_fraction() == want
+        assert merged.value() == round_fraction(want)
+
+    def test_wide_radix_matches_default(self, rng):
+        from repro.core.digits import DEFAULT_RADIX, RadixConfig
+
+        wide = RadixConfig(w=40)
+        assert not wide.supports_vectorized
+        x = random_hard_array(rng, 3 * DEPOSIT_MIN)
+        streams = []
+        for radix in (DEFAULT_RADIX, wide):
+            rs = ExactRunningSum(radix)
+            rs.add_array(x[:DEPOSIT_MIN + 7])
+            for v in x[DEPOSIT_MIN + 7 : DEPOSIT_MIN + 40]:
+                rs.add(float(v))
+            other = ExactRunningSum(radix)
+            other.add_array(x[DEPOSIT_MIN + 40 :])
+            rs.merge(other)
+            back = ExactRunningSum.from_bytes(rs.to_bytes(), radix)
+            streams.append((rs.exact_fraction(), back.value(), back.count))
+        assert streams[0] == streams[1]
+        assert streams[0][1] == ref_sum(x) and streams[0][2] == x.size
+
+    def test_merge_leaves_the_other_stream_unchanged(self, rng):
+        x = random_hard_array(rng, DEPOSIT_MIN + 300)
+        other = ExactRunningSum()
+        other.add_array(x[:DEPOSIT_MIN])
+        other.add_array(x[DEPOSIT_MIN:])
+        before = (other.exact_fraction(), other.value(), other.count)
+        rs = ExactRunningSum()
+        rs.add_array(x[:50])
+        rs.merge(other)
+        rs.add_array(x)
+        rs.merge(other)
+        assert (other.exact_fraction(), other.value(), other.count) == before
+        assert rs.exact_fraction() == exact_fraction(x[:50]) + 3 * before[0]
+
+    def test_snapshot_written_before_bins_still_loads(self):
+        values = _fixture_values()
+        blob = FIXTURE_KSTR.read_bytes()
+        rs = ExactRunningSum.from_bytes(blob)
+        assert rs.count == len(values) == 307
+        assert rs.value().hex() == "-0x1.bc43a0535e609p+606"
+        assert rs.exact_fraction() == sum(map(Fraction, values), Fraction(0))
+        assert rs.to_bytes() == blob
 
 
 class TestSlidingWindow:
