@@ -1,12 +1,11 @@
-"""SERVE — microbatched service ingest vs one-request-per-add.
+"""SERVE — batched service ingest vs one-request-per-add.
 
 Stands up the real TCP stack (server + pipelined clients over
 loopback) and measures sustained ingest throughput as a function of
 request batch size, shard count, and **wire mode**. The baseline is
 one ``add`` request per value — the naive client every RPC framework
-produces — against ``add_array`` batches, which the service's
-per-shard microbatcher folds with one superaccumulator operation per
-coalesced run. Batched cells run once per wire: ``json`` (boxed
+produces — against ``add_array`` batches, which the service folds
+inline with one superaccumulator deposit per request. Batched cells run once per wire: ``json`` (boxed
 JSON-lines text) and ``binary`` (negotiated codec ``RBAT`` frames
 carrying raw little-endian float64, parsed server-side as zero-copy
 views). Every cell also asserts the service's rounded ``value()`` is
@@ -59,7 +58,7 @@ async def run_cell(
     wire: str = "json",
 ) -> Dict[str, Any]:
     """One measurement: ingest ``data`` fully, then verify exactness."""
-    service = ReproService(ServeConfig(shards=shards, queue_depth=1024))
+    service = ReproService(ServeConfig(shards=shards))
     await service.start()
     server = ReproServer(service, port=0)
     await server.start()
@@ -119,7 +118,6 @@ async def run_cell(
         "wire_frames": wire_stats.get("frames", 0),
         "server_batches_folded": stats["batches_folded"],
         "server_mean_batch_values": stats["mean_batch_values"],
-        "server_max_coalesced_ops": stats["max_coalesced_ops"],
         "server_queue_depth_peak": stats["queue_depth_peak"],
     }
 

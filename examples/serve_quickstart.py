@@ -1,6 +1,7 @@
 """Serving quickstart: a sharded exact-summation service end to end.
 
-Starts the TCP server in-process, then demonstrates the full client
+Starts the TCP server in-process (folds run inline on its event loop;
+each connection's replies go out together), then demonstrates the full client
 surface: wire negotiation (``--wire json|binary``), a round-trip, a
 1k-request concurrent burst of an ill-conditioned dataset shipped as
 numpy batches (asserted bit-identical to the serial exact sum),
@@ -24,7 +25,7 @@ from repro.serve import ReproServeClient, ReproServer, ReproService, ServeConfig
 
 
 async def main(wire: str) -> None:
-    service = ReproService(ServeConfig(shards=4, queue_depth=256))
+    service = ReproService(ServeConfig(shards=4))
     await service.start()
     server = ReproServer(service, port=0)  # ephemeral port
     await server.start()
@@ -71,7 +72,7 @@ async def main(wire: str) -> None:
     print(
         f"stats: {stats['requests_total']} requests, "
         f"{stats['batches_folded']} folds, "
-        f"mean batch {stats['mean_batch_values']:.0f} values, "
+        f"mean fold {stats['mean_batch_values']:.0f} values, "
         f"p99 {stats['latency_p99_ms']:.2f} ms"
     )
     wire_stats = stats["wire"].get(wire, {})

@@ -1,10 +1,11 @@
 """Concurrency-invariant rules: single-writer shards, event-loop hygiene.
 
 The serving plane's exactness story leans on two disciplines no test
-can fully pin down: shard state is mutated by exactly one writer task
-(so folds need no locks and FIFO queue order *is* the snapshot
-consistency model), and the event loop never blocks (so backpressure
-and latency numbers mean what they claim). The shared-memory data
+can fully pin down: shard state is mutated only by the shard's own
+synchronous methods on the event loop thread (so folds need no locks
+and a read with no ``await`` inside *is* one consistent snapshot), and
+the event loop never blocks (so backpressure and latency numbers mean
+what they claim). The shared-memory data
 plane adds a third: a published segment is immutable (workers hold
 zero-copy views into it). These rules encode all three.
 """
@@ -49,9 +50,9 @@ _BLOCKING_METHOD_NAMES = {
 class BlockingIoInAsync(Rule):
     """CC001: blocking I/O inside ``serve/`` async functions.
 
-    One blocking call in a handler stalls every shard queue behind the
-    same loop — backpressure readings, microbatch coalescing windows,
-    and p99 latency all silently degrade. Blocking work moves to
+    One blocking call in a handler stalls every connection served by
+    the same loop — inline folds, reply flushes and p99 latency all
+    silently degrade. Blocking work moves to
     ``await asyncio.to_thread(...)``.
     """
 
@@ -157,25 +158,27 @@ class BlockingIoInClusterAsync(BlockingIoInAsync):
 
 @register_rule
 class ShardStateEscape(Rule):
-    """CC002: shard accumulator state touched outside its writer.
+    """CC002: shard accumulator state touched outside its owner.
 
-    ``AccumulatorShard._streams`` is single-writer state: only the
-    shard's own methods (executed by its writer loop) may read or
-    mutate it. Any ``other._streams`` access from outside the class
-    races the writer — reads see torn microbatches, writes corrupt
-    exact state without failing loudly.
+    ``AccumulatorShard._streams`` is the partition's private state: only
+    the shard's own methods (``fold``, ``call``) may read or mutate it.
+    They run on the event loop thread between awaits, which is what
+    makes a service read one consistent point. Any ``other._streams``
+    access from outside the class bypasses that contract — a read can
+    tear across an ``await``, and a write skips the fold accounting
+    and corrupts exact state without failing loudly.
     """
 
     id = "CC002"
     title = "shard accumulator state accessed outside the owning shard"
     rationale = (
-        "the lock-free fold path is sound only while one task owns "
-        "the stream map; outside access reintroduces the race the "
-        "queue exists to remove"
+        "the lock-free fold path is sound only while the shard's own "
+        "methods are the one way into the stream map; outside access "
+        "can interleave with an await and see a half-applied batch"
     )
     fixit = (
-        "route the access through shard.call(fn) so it runs inside "
-        "the writer loop at a queue sequence point"
+        "route the access through shard.call(fn) so it runs in one "
+        "synchronous step on the event loop thread"
     )
 
     #: Attributes that constitute the shard's private mutable state.

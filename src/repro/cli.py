@@ -199,10 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--port", type=int, default=8765,
                    help="TCP port (0 picks an ephemeral port)")
     v.add_argument("--shards", type=int, default=4)
-    v.add_argument("--queue-depth", type=int, default=256,
-                   help="per-shard ingest queue bound (backpressure)")
-    v.add_argument("--policy", choices=["block", "reject"], default="block",
-                   help="overload policy: block producers or reject with retry-after")
     v.add_argument("--state-path", default=None,
                    help="snapshot file: restored on start if present, saved on shutdown")
     v.add_argument("--no-shutdown-op", action="store_true",
@@ -273,8 +269,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     async def run() -> int:
         config = ServeConfig(
             shards=args.shards,
-            queue_depth=args.queue_depth,
-            policy=args.policy,
             allow_shutdown=not args.no_shutdown_op,
         )
         service = ReproService(config)
@@ -296,8 +290,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 pass
         print(
             f"repro serve listening on {args.host}:{server.port} "
-            f"(shards={args.shards}, queue_depth={args.queue_depth}, "
-            f"policy={args.policy})",
+            f"(shards={args.shards})",
             flush=True,
         )
         try:

@@ -428,19 +428,23 @@ class ClusterCoordinator:
     async def _merged_snapshots(
         self, names: Sequence[str], handles: Sequence[NodeHandle]
     ) -> List[Any]:
-        """Merge every given node's kernel snapshot of each of ``names``."""
+        """Merge every given node's kernel snapshots of ``names``.
+
+        Each node reads all of ``names`` in one ``snapshot`` request, at
+        one point of its own execution, so a stream and its square
+        shadow always come from the same node state.
+        """
         snaps = await asyncio.gather(
-            *(h.request("snapshot", stream=name) for name in names for h in handles)
+            *(h.request("snapshot", streams=list(names)) for h in handles)
         )
         merged = [self._kernel.new_stream() for _ in names]
-        for i, snap in enumerate(snaps):
-            try:
-                partial = self._kernel.stream_from_bytes(
-                    decode_bytes_field(snap["snapshot"])
-                )
-            except ValueError as exc:
-                raise ServiceError(f"corrupt node snapshot: {exc}") from exc
-            merged[i // len(handles)].merge(partial)
+        for snap in snaps:
+            for into, blob in zip(merged, snap["snapshots"]):
+                try:
+                    partial = self._kernel.stream_from_bytes(decode_bytes_field(blob))
+                except ValueError as exc:
+                    raise ServiceError(f"corrupt node snapshot: {exc}") from exc
+                into.merge(partial)
         return merged
 
     async def gather(

@@ -87,7 +87,7 @@ class WalService(ReproService):
 
     async def close(self) -> None:
         # Flush the WAL first: everything acknowledged must be on disk
-        # before the shard writers stop.
+        # before the service closes.
         if self._wal is not None:
             await self._wal.stop()
         await super().close()
@@ -104,11 +104,9 @@ class WalService(ReproService):
         records, truncated = await asyncio.to_thread(read_wal, self._wal.path)
         applied = 0
         # Stage high-water marks locally and publish them after the
-        # replay loop: claiming `self._applied[stream]` before the fold
-        # awaits (the old shape, flagged by CC101) let concurrent
-        # sequenced ingest observe a claimed-but-unfolded seq — and a
-        # fold that raised mid-replay would have permanently poisoned
-        # the dedup table against retrying the same record.
+        # replay loop: a fold that raised mid-replay must not leave a
+        # claimed-but-unfolded seq behind, or it would permanently
+        # poison the dedup table against retrying the same record.
         marks: Dict[str, int] = {}
         for rec in records:
             if rec.sequenced:
@@ -120,7 +118,7 @@ class WalService(ReproService):
                     continue
             # The log holds the raw pre-expansion inputs; re-running
             # the deterministic expansion recovers the identical terms.
-            await self._apply(
+            self._apply(
                 rec.stream,
                 rec.op,
                 np.array(rec.values),
@@ -185,7 +183,7 @@ class WalService(ReproService):
             self._applied[stream] = seq
         if record is not None:
             await self._wal.append(record)
-        response: Dict[str, Any] = {"added": await self._apply(stream, kind, x, y)}
+        response: Dict[str, Any] = {"added": self._apply(stream, kind, x, y)}
         if seq is not None:
             response["seq"] = seq
         return response

@@ -36,6 +36,8 @@ __all__ = [
     "two_square",
     "two_product_vec",
     "two_square_vec",
+    "product_domain_mask",
+    "square_domain_mask",
 ]
 
 # Dekker's splitting constant for binary64: 2**ceil(53/2) + 1.
@@ -157,3 +159,55 @@ def two_square_vec(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     hi, lo = split_vec(a)
     e = ((hi * hi - p) + 2.0 * (hi * lo)) + lo * lo
     return p, e
+
+
+# ----------------------------------------------------------------------
+# exactness domains: where TwoProduct / TwoSquare are error-free
+# ----------------------------------------------------------------------
+
+#: TwoSquare is error-free only while ``x*x`` stays inside the normal
+#: range with its error term's last bit at or above ``2**-1074``: for
+#: ``|x| > 2**-485`` that bit is at least ``2**(2*-485 - 104)``. Below
+#: ``2**500`` neither the square nor the split overflows.
+_SQ_LO = 2.0**-485
+_SQ_HI = 2.0**500
+
+#: TwoProduct needs the product's error term above the subnormal floor,
+#: both factors below the point where Dekker's splitter overflows, and
+#: the product far enough below overflow that ``a_hi*b_hi`` (about
+#: ``2**-26`` larger than ``a*b`` at most) stays finite.
+#: ``|x*y| > 2**-969`` forces ``ex + ey >= -970``, so the exact
+#: product's last bit, ``2**(ex + ey - 104)``, is at least ``2**-1074``.
+_DOT_P_LO = 2.0**-969
+_DOT_P_HI = 2.0**1023
+_DOT_AB_HI = 2.0**996
+
+
+def square_domain_mask(x: np.ndarray) -> np.ndarray:
+    """True where ``x*x`` expands error-free through TwoSquare.
+
+    The band is ``2**-485 < |x| < 2**500``, plus exact zeros.
+    """
+    a = np.abs(x)
+    # reprolint: disable-next-line=FP002 -- exact-zero mask, not a tolerance
+    return ((a > _SQ_LO) & (a < _SQ_HI)) | (a == 0.0)
+
+
+def product_domain_mask(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """True where ``x*y`` expands error-free through TwoProduct.
+
+    The band is ``2**-969 < |x*y| < 2**1023`` with ``|x|, |y| < 2**996``.
+    Zero-paired elements are always in domain: their product term is an
+    exact 0.0 regardless of the partner's magnitude (the expansion
+    masks them out before the splitter can overflow on the partner).
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        p = np.abs(x * y)
+    safe = (
+        (p > _DOT_P_LO)
+        & (p < _DOT_P_HI)
+        & (np.abs(x) < _DOT_AB_HI)
+        & (np.abs(y) < _DOT_AB_HI)
+    )
+    # reprolint: disable-next-line=FP002 -- exact-zero mask, not a tolerance
+    return safe | (x == 0.0) | (y == 0.0)

@@ -13,7 +13,6 @@ __all__ = [
     "ReductionRangeError",
     "ProtocolError",
     "ProtocolVersionError",
-    "BackpressureError",
     "ServiceError",
     "BadRequestError",
     "NodeDownError",
@@ -147,17 +146,3 @@ class NodeDownError(ServiceError, ConnectionError):
     """
 
     code = "node-down"
-
-
-class BackpressureError(ServiceError, RuntimeError):
-    """An ingest queue was full under the ``reject`` overload policy.
-
-    Attributes:
-        retry_after: suggested client back-off in seconds.
-    """
-
-    code = "busy"
-
-    def __init__(self, message: str, retry_after: float = 0.05) -> None:
-        super().__init__(message)
-        self.retry_after = float(retry_after)

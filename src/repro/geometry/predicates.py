@@ -22,10 +22,9 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.core.eft import two_product, two_sum
+from repro.core.eft import product_domain_mask, two_product, two_sum
 from repro.core.exact import exact_sum
 from repro.errors import ReductionRangeError
-from repro.reduce.ops import product_domain_mask
 from repro.stats import round_fraction
 
 __all__ = [
@@ -52,7 +51,7 @@ def product_expansion(factors: Sequence[float]) -> List[float]:
 
     Raises:
         ReductionRangeError: if a TwoProduct would leave the band where
-            it is error-free (:func:`repro.reduce.ops.product_domain_mask`)
+            it is error-free (:func:`repro.core.eft.product_domain_mask`)
             — an error term below the subnormal floor, or an overflow.
     """
     terms = [float(factors[0])]

@@ -191,8 +191,7 @@ class RunningSumKernel(SumKernel):
     def fold_into(self, stream: Any, values: Any) -> int:
         """Exact bulk fold into a running sum: a deposit, no carries.
 
-        Serve shards coalesce pending ingest into one contiguous array
-        and land it here. The stream deposits it into its own exponent
+        Serve shards land each request's validated array here. The stream deposits it into its own exponent
         bins (:class:`~repro.kernels.binned.BinnedPartial`), staging it
         first when it is smaller than
         :data:`~repro.streaming.DEPOSIT_MIN`; carries resolve only when

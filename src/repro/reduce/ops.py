@@ -30,7 +30,9 @@ Ops split by what their finish needs:
 Expansion exactness has a domain: TwoProduct/TwoSquare are error-free
 only while the products neither overflow nor lose bits to underflow
 (and Dekker's splitter itself overflows above ``2**996``).
-``check_domain`` polices that band up front and raises
+:func:`repro.core.eft.product_domain_mask` and
+:func:`~repro.core.eft.square_domain_mask` (re-exported here) define
+that band; ``check_domain`` polices it up front and raises
 :class:`~repro.errors.ReductionRangeError` instead of silently folding
 an inexact term stream; the full-range (slower, Fraction-based) serial
 references in :mod:`repro.stats` remain available for out-of-band
@@ -45,7 +47,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.eft import two_product_vec, two_square_vec
+from repro.core.eft import (
+    product_domain_mask,
+    square_domain_mask,
+    two_product_vec,
+    two_square_vec,
+)
 from repro.errors import EmptyStreamError, ReductionRangeError
 from repro.stats import round_fraction, sqrt_round_fraction
 from repro.util.validation import check_finite_array, ensure_float64_array
@@ -64,48 +71,6 @@ __all__ = [
     "square_domain_mask",
     "product_domain_mask",
 ]
-
-#: TwoSquare is error-free only while ``x*x`` stays inside the normal
-#: range with its error term's last bit at or above ``2**-1074``: for
-#: ``|x| > 2**-485`` that bit is at least ``2**(2*-485 - 104)``. The
-#: band is shared with the serial reference in :mod:`repro.stats` and
-#: the geometry predicates.
-_SQ_LO = 2.0**-485
-_SQ_HI = 2.0**500
-
-#: TwoProduct needs the product's error term above the subnormal floor
-#: and both factors below the point where Dekker's splitter overflows.
-#: ``|x*y| > 2**-969`` forces ``ex + ey >= -970``, so the exact
-#: product's last bit, ``2**(ex + ey - 104)``, is at least ``2**-1074``.
-_DOT_P_LO = 2.0**-969
-_DOT_AB_HI = 2.0**996
-
-
-def square_domain_mask(x: np.ndarray) -> np.ndarray:
-    """True where ``x*x`` expands error-free through TwoSquare."""
-    a = np.abs(x)
-    # reprolint: disable-next-line=FP002 -- exact-zero mask, not a tolerance
-    return ((a > _SQ_LO) & (a < _SQ_HI)) | (a == 0.0)
-
-
-def product_domain_mask(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """True where ``x*y`` expands error-free through TwoProduct.
-
-    Zero-paired elements are always in domain: their product term is an
-    exact 0.0 regardless of the partner's magnitude (the expansion
-    masks them out before the splitter can overflow on the partner).
-    """
-    with np.errstate(over="ignore", under="ignore"):
-        p = x * y
-    safe = (
-        np.isfinite(p)
-        & (np.abs(p) > _DOT_P_LO)
-        & (np.abs(x) < _DOT_AB_HI)
-        & (np.abs(y) < _DOT_AB_HI)
-    )
-    # reprolint: disable-next-line=FP002 -- exact-zero mask, not a tolerance
-    return safe | (x == 0.0) | (y == 0.0)
-
 
 def _require_domain(mask: np.ndarray, op_name: str, primitive: str) -> None:
     if bool(np.all(mask)):

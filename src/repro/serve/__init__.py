@@ -1,8 +1,8 @@
 """repro.serve — the exact-aggregation serving plane.
 
 A long-lived process that holds superaccumulator state and answers
-concurrent requests: named streams sharded across single-writer
-asyncio tasks, microbatched ingest with bounded-queue backpressure,
+concurrent requests: named streams partitioned across shards that
+fold inline on the event loop, replies coalesced per connection,
 snapshot reads that round the exact state on demand, and a
 length-prefixed JSON-lines TCP protocol. Built directly on the
 library's exact primitives — updates commute and merges are exact, so

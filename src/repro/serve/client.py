@@ -2,8 +2,8 @@
 
 :class:`ReproServeClient` speaks the TCP protocol with pipelining: a
 background reader task matches responses to requests by ``id``, so
-many requests may be in flight on one connection — that concurrency is
-what feeds the server's microbatcher. :class:`InProcessClient` has the
+many requests may be in flight on one connection, and the server
+answers a pipelined burst with one socket write. :class:`InProcessClient` has the
 identical surface but calls :meth:`ReproService.handle` directly,
 still round-tripping every message through the wire codec so tests
 exercise the real encoding without sockets.
@@ -20,7 +20,6 @@ that negotiate explicitly. Either wire produces bit-identical sums —
 the negotiation is purely about speed.
 
 Error responses are raised as the exception they encode:
-``busy`` -> :class:`BackpressureError` (with ``retry_after``),
 ``empty-stream`` -> :class:`EmptyStreamError`, ``bad-request`` ->
 :class:`BadRequestError` (a ``ValueError``), ``protocol`` ->
 :class:`ProtocolError`, ``protocol-version`` ->
@@ -36,7 +35,6 @@ import itertools
 from typing import Any, Dict, Iterable, Optional, Tuple
 
 from repro.errors import (
-    BackpressureError,
     BadRequestError,
     EmptyStreamError,
     ProtocolError,
@@ -73,8 +71,6 @@ def raise_for_response(response: Dict[str, Any]) -> Dict[str, Any]:
         return response
     code = response.get("code", "service")
     message = response.get("error", "service error")
-    if code == "busy":
-        raise BackpressureError(message, retry_after=response.get("retry_after", 0.05))
     if code == "empty-stream":
         raise EmptyStreamError(message)
     if code == "reduction-range":

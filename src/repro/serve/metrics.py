@@ -1,4 +1,4 @@
-"""Service metrics: request counters, batch shapes, queue depth, latency.
+"""Service metrics: request counters, fold sizes, concurrency, latency.
 
 Everything here is plain in-process bookkeeping updated from the
 event loop (no locks needed: asyncio callbacks don't preempt each
@@ -59,9 +59,11 @@ class ServiceMetrics:
         self.requests_by_op: Counter = Counter()
         self.values_ingested = 0
         self.batches_folded = 0
-        self.batched_values = 0
-        self.max_batch = 0
-        self.queue_rejections = 0
+        #: Requests inside ``ReproService.handle`` now, and the peak of
+        #: that number. Folds run inline, so only requests that await
+        #: (a WAL append, a thread hop) overlap; the server's
+        #: per-connection ``max_inflight`` bounds it per connection.
+        self.in_handle = 0
         self.queue_depth_peak = 0
         #: Ingest wire observability: per-mode frame / byte / value
         #: tallies for the value-bearing ops that arrived on each wire.
@@ -83,12 +85,10 @@ class ServiceMetrics:
             self.errors_total += 1
         self.latency.record(seconds)
 
-    def record_fold(self, batch_values: int, coalesced_ops: int) -> None:
-        """One shard fold: ``batch_values`` floats from ``coalesced_ops`` ops."""
+    def record_fold(self, values: int) -> None:
+        """One shard fold of ``values`` floats."""
         self.batches_folded += 1
-        self.batched_values += batch_values
-        self.values_ingested += batch_values
-        self.max_batch = max(self.max_batch, coalesced_ops)
+        self.values_ingested += values
 
     def record_wire_frame(self, mode: str, payload_bytes: int, values: int) -> None:
         """One value-bearing ingest frame arrived on wire ``mode``.
@@ -102,12 +102,15 @@ class ServiceMetrics:
         self.wire_bytes[mode] += payload_bytes
         self.wire_values[mode] += values
 
-    def record_queue_depth(self, depth: int) -> None:
-        if depth > self.queue_depth_peak:
-            self.queue_depth_peak = depth
+    def begin_request(self) -> None:
+        """A request entered the service's ``handle``."""
+        self.in_handle += 1
+        if self.in_handle > self.queue_depth_peak:
+            self.queue_depth_peak = self.in_handle
 
-    def record_rejection(self) -> None:
-        self.queue_rejections += 1
+    def end_request(self) -> None:
+        """A request left the service's ``handle``."""
+        self.in_handle -= 1
 
     # -- reporting -------------------------------------------------------
 
@@ -137,9 +140,7 @@ class ServiceMetrics:
             "requests_by_op": dict(self.requests_by_op),
             "values_ingested": self.values_ingested,
             "batches_folded": folds,
-            "mean_batch_values": (self.batched_values / folds) if folds else 0.0,
-            "max_coalesced_ops": self.max_batch,
-            "queue_rejections": self.queue_rejections,
+            "mean_batch_values": (self.values_ingested / folds) if folds else 0.0,
             "queue_depth_peak": self.queue_depth_peak,
             "wire": wire,
             "latency_p50_ms": self.latency.percentile(50) * 1e3,

@@ -460,6 +460,12 @@ class FrameDecoder:
     recoverable ones and the decoder stays usable for the next frame —
     mirroring the server's connection semantics. ``binary=True`` mirrors
     a connection that negotiated the binary wire via ``hello``.
+
+    A bad frame never costs the good frames before it: :meth:`feed`
+    returns the messages decoded ahead of it, and the *next* call
+    raises the bad frame's error (buffering that call's bytes first).
+    Frames after a bad one come out of later calls; ``feed(b"")``
+    drains them.
     """
 
     def __init__(
@@ -469,24 +475,37 @@ class FrameDecoder:
         self.binary = binary
         self._buf = bytearray()
         self._dead = False
+        self._error: Optional[ProtocolError] = None
 
     def feed(self, data: bytes) -> List[Dict[str, Any]]:
+        self._buf.extend(data)
+        if self._error is not None:
+            err, self._error = self._error, None
+            raise err
         if self._dead:
             raise _fatal("decoder poisoned by an earlier framing error")
-        self._buf.extend(data)
         out: List[Dict[str, Any]] = []
         while len(self._buf) >= LENGTH_PREFIX.size:
             (length,) = LENGTH_PREFIX.unpack_from(self._buf, 0)
-            if length > self.max_frame or length == 0:
-                self._dead = True
-                raise _fatal(
-                    f"length prefix {length} outside (0, max_frame={self.max_frame}]"
+            try:
+                if length > self.max_frame or length == 0:
+                    self._dead = True
+                    raise _fatal(
+                        f"length prefix {length} outside "
+                        f"(0, max_frame={self.max_frame}]"
+                    )
+                if len(self._buf) < LENGTH_PREFIX.size + length:
+                    break
+                payload = bytes(
+                    self._buf[LENGTH_PREFIX.size : LENGTH_PREFIX.size + length]
                 )
-            if len(self._buf) < LENGTH_PREFIX.size + length:
+                del self._buf[: LENGTH_PREFIX.size + length]
+                out.append(parse_payload(payload, binary=self.binary))
+            except ProtocolError as exc:
+                if not out:
+                    raise
+                self._error = exc
                 break
-            payload = bytes(self._buf[LENGTH_PREFIX.size : LENGTH_PREFIX.size + length])
-            del self._buf[: LENGTH_PREFIX.size + length]
-            out.append(parse_payload(payload, binary=self.binary))
         return out
 
     @property

@@ -2,11 +2,23 @@
 
 One connection may *pipeline* frames: the server reads continuously,
 dispatches each request as its own task (bounded by a per-connection
-in-flight cap), and writes responses as they complete, tagged with the
-request's ``id`` for client-side matching. Out-of-order completion is
-harmless for ingest — superaccumulator updates commute — and any
-client that awaits its adds before reading still gets read-your-writes
-through the service's FIFO shard queues.
+in-flight cap, ``max_inflight``), and answers each response tagged with
+the request's ``id`` for client-side matching. Out-of-order completion
+is harmless for ingest — superaccumulator updates commute — and any
+client that awaits its adds before reading gets read-your-writes,
+because the service applies a fold before it acknowledges it.
+
+**Reply coalescing.** A finished request adds its encoded reply to the
+connection's outbox. If no other request of that connection is still
+unanswered, the outbox goes out now in one ``writer.write``; otherwise
+one flush is scheduled with ``loop.call_soon``, so a pipelined burst
+read in one pass is answered with one socket send. The count of
+unanswered requests is exact: it rises when a request is dispatched
+and falls when its reply is queued.
+
+**Backpressure** is the ``max_inflight`` bound plus TCP flow control:
+the read loop waits for the transport to drain before it reads the
+next frame, so a client that stops reading replies stops being read.
 
 Every connection starts on the JSON-lines wire. A ``hello`` op
 (handled inline, like ``shutdown``, because it mutates per-connection
@@ -28,7 +40,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-from typing import Any, Dict, Optional, Set
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.errors import ProtocolError
 from repro.serve.protocol import (
@@ -36,13 +48,47 @@ from repro.serve.protocol import (
     SUPPORTED_WIRES,
     WIRE_BINARY,
     WIRE_JSON,
+    encode_frame,
     parse_payload,
     read_frame_bytes,
-    write_frame,
 )
 from repro.serve.service import ReproService
 
 __all__ = ["ReproServer"]
+
+
+class _Outbox:
+    """One connection's queued reply frames, written together."""
+
+    __slots__ = ("_writer", "_max_frame", "_frames", "_scheduled", "unanswered")
+
+    def __init__(self, writer: asyncio.StreamWriter, max_frame: int) -> None:
+        self._writer = writer
+        self._max_frame = max_frame
+        self._frames: List[bytes] = []
+        self._scheduled = False
+        #: dispatched requests whose reply is not queued yet
+        self.unanswered = 0
+
+    def reply(self, response: Dict[str, Any]) -> None:
+        """Queue one reply; send now unless more replies are coming."""
+        try:
+            self._frames.append(encode_frame(response, max_frame=self._max_frame))
+        except ProtocolError:
+            return  # unencodable response; nothing to send
+        if self.unanswered == 0:
+            self.flush()
+        elif not self._scheduled:
+            self._scheduled = True
+            asyncio.get_running_loop().call_soon(self.flush)
+
+    def flush(self) -> None:
+        """Write every queued reply in one ``writer.write``."""
+        self._scheduled = False
+        if not self._frames or self._writer.is_closing():
+            return
+        frames, self._frames = self._frames, []
+        self._writer.write(b"".join(frames))
 
 
 class ReproServer:
@@ -121,24 +167,26 @@ class ReproServer:
         if task is not None:
             self._conn_tasks.add(task)
             task.add_done_callback(self._conn_tasks.discard)
-        write_lock = asyncio.Lock()
+        max_frame = self.service.config.max_frame
+        outbox = _Outbox(writer, max_frame)
         inflight = asyncio.Semaphore(self.max_inflight)
         pending: Set["asyncio.Task[None]"] = set()
-        max_frame = self.service.config.max_frame
         wire = WIRE_JSON  # per-connection mode; `hello` may upgrade it
         try:
             while True:
+                await writer.drain()
                 try:
                     payload = await read_frame_bytes(reader, max_frame=max_frame)
                     if payload is None:  # clean EOF
                         break
                     request = parse_payload(payload, binary=wire == WIRE_BINARY)
                 except ProtocolError as exc:
+                    fatal = getattr(exc, "fatal", True)
                     err = {
                         "ok": False,
                         "code": exc.code,
                         "error": str(exc),
-                        "fatal": getattr(exc, "fatal", True),
+                        "fatal": fatal,
                     }
                     # Payload errors found after the frame decoded far
                     # enough to yield a request id (e.g. non-finite
@@ -146,25 +194,26 @@ class ReproServer:
                     rid = getattr(exc, "request_id", None)
                     if rid is not None:
                         err["id"] = rid
-                    with contextlib.suppress(ConnectionError, ProtocolError):
-                        async with write_lock:
-                            await write_frame(writer, err, max_frame=max_frame)
-                    if getattr(exc, "fatal", True):
+                    outbox.reply(err)
+                    if fatal:
                         break
                     continue
                 op = request.get("op")
                 if op == "hello":
-                    wire = await self._handle_hello(
-                        request, writer, write_lock, max_frame, wire
-                    )
+                    wire, response = self._hello(request, wire)
+                    outbox.reply(response)
                     continue
                 if op == "shutdown":
-                    await self._handle_shutdown(request, writer, write_lock, max_frame)
+                    outbox.reply(self._shutdown(request))
+                    outbox.flush()
+                    if self.service.config.allow_shutdown:
+                        self.request_stop()
                     break
                 self.service.record_wire(request, len(payload))
                 await inflight.acquire()
+                outbox.unanswered += 1
                 sub = asyncio.get_running_loop().create_task(
-                    self._dispatch(request, writer, write_lock, inflight, max_frame)
+                    self._dispatch(request, outbox, inflight)
                 )
                 pending.add(sub)
                 sub.add_done_callback(pending.discard)
@@ -173,6 +222,7 @@ class ReproServer:
         finally:
             if pending:
                 await asyncio.gather(*pending, return_exceptions=True)
+            outbox.flush()
             with contextlib.suppress(ConnectionError, asyncio.CancelledError):
                 writer.close()
                 await writer.wait_closed()
@@ -180,30 +230,18 @@ class ReproServer:
     async def _dispatch(
         self,
         request: Dict[str, Any],
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
+        outbox: _Outbox,
         inflight: asyncio.Semaphore,
-        max_frame: int,
     ) -> None:
         try:
             response = await self.service.handle(request)
-            try:
-                async with write_lock:
-                    await write_frame(writer, response, max_frame=max_frame)
-            except (ConnectionError, ProtocolError):
-                pass  # client gone or response unencodable; nothing to do
         finally:
             inflight.release()
+            outbox.unanswered -= 1
+        outbox.reply(response)
 
-    async def _handle_hello(
-        self,
-        request: Dict[str, Any],
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        max_frame: int,
-        wire: str,
-    ) -> str:
-        """Negotiate protocol version / wire mode; returns the new mode.
+    def _hello(self, request: Dict[str, Any], wire: str) -> Tuple[str, Dict[str, Any]]:
+        """Negotiate protocol version / wire mode: (new mode, reply).
 
         Handled inline (not dispatched) because the wire mode is
         per-connection read-loop state. A rejected hello answers with
@@ -240,28 +278,15 @@ class ReproServer:
             }
         if "id" in request:
             response["id"] = request["id"]
-        with contextlib.suppress(ConnectionError):
-            async with write_lock:
-                await write_frame(writer, response, max_frame=max_frame)
-        return wire
+        return wire, response
 
-    async def _handle_shutdown(
-        self,
-        request: Dict[str, Any],
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        max_frame: int,
-    ) -> None:
-        allowed = self.service.config.allow_shutdown
+    def _shutdown(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        """The reply to a ``shutdown`` op (the caller stops the server)."""
         response: Dict[str, Any] = (
             {"ok": True, "stopping": True}
-            if allowed
+            if self.service.config.allow_shutdown
             else {"ok": False, "code": "forbidden", "error": "shutdown op disabled"}
         )
         if "id" in request:
             response["id"] = request["id"]
-        with contextlib.suppress(ConnectionError):
-            async with write_lock:
-                await write_frame(writer, response, max_frame=max_frame)
-        if allowed:
-            self.request_stop()
+        return response

@@ -5,25 +5,26 @@
 TCP server and the in-process client both sit on :meth:`handle`, so
 every test of service semantics runs without sockets.
 
-**Routing.** Updates are scattered round-robin across shards; a
-stream's state therefore lives as per-shard *partial* exact sums.
+**Routing.** Each ingest batch folds into the next shard round-robin;
+a stream's state therefore lives as per-shard *partial* exact sums.
 This is safe precisely because of the paper's representation: partial
 superaccumulators merge exactly and commutatively, so reads recombine
 the partials into a state bit-identical to any serial execution of
-the same updates. Scatter routing turns even a single hot stream into
-an N-way parallel ingest problem, which hash-affinity routing cannot.
-Large arrays are additionally striped across all shards in
-``scatter_chunk``-sized pieces.
+the same updates.
 
-**Snapshot reads.** Every read op, ``snapshot`` and ``drain`` fan
-one sequence-point call out to every shard (:meth:`ReproService._merged`);
-each shard merges its partials of every stream name the read needs
-(a ``moments`` read also needs the square shadow) after the folds
-enqueued before it (FIFO), so a read observes every add that was
-*acknowledged* before the read was issued. Acks fire after the fold
-lands, giving read-your-writes to any client that awaits its adds. A read op then
-finishes through :func:`read_stream`, the one read path the cluster
-coordinator's ``gather`` shares.
+**Inline folds.** Shards are partitions, not tasks: a fold runs on the
+event loop thread inside the request that carries it, so a batch is
+applied before its request is acknowledged, and every acknowledged
+fold is visible to every later read.
+
+**Snapshot reads.** Every read op, ``snapshot`` and ``drain`` merge
+every shard's partials of every stream name the read needs (a
+``moments`` read also needs the square shadow) in one pass with no
+``await`` in between (:meth:`ReproService._merged`), so the merged
+states are mutually consistent: a read never lands between a batch's
+values and its squares. A read op then finishes through
+:func:`read_stream`, the one read path the cluster coordinator's
+``gather`` shares.
 
 **Ingest.** Every ingest op is "expand, then fold": its kind (see
 :data:`repro.serve.protocol.INGEST_KINDS`) names the
@@ -55,7 +56,6 @@ import numpy as np
 from repro.core.digits import DEFAULT_RADIX, RadixConfig
 from repro.core.rounding import check_mode
 from repro.errors import (
-    BackpressureError,
     EmptyStreamError,
     NonFiniteInputError,
     ProtocolError,
@@ -91,11 +91,7 @@ class ServeConfig:
     """Tunables for one service instance."""
 
     shards: int = 4
-    queue_depth: int = 256
-    policy: str = "block"  # "block" | "reject"
-    retry_after: float = 0.05
     max_frame: int = DEFAULT_MAX_FRAME
-    scatter_chunk: int = 8192
     allow_shutdown: bool = True
     #: registry name of the kernel backing every stream; the service
     #: always uses the kernel's exact variant (stateful streams cannot
@@ -105,10 +101,6 @@ class ServeConfig:
     def __post_init__(self) -> None:
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
-        if self.policy not in ("block", "reject"):
-            raise ValueError(f"unknown backpressure policy {self.policy!r}")
-        if self.scatter_chunk < 1:
-            raise ValueError("scatter_chunk must be >= 1")
         if self.kernel not in kernel_names():
             raise ValueError(
                 f"unknown kernel {self.kernel!r}; "
@@ -223,23 +215,15 @@ class ReproService:
         self.config = config if config is not None else ServeConfig()
         self.radix = radix
         self.metrics = ServiceMetrics()
-        # One kernel instance serves the whole service: shard writers
-        # fold through it, reads recombine through it, and snapshots
+        # One kernel instance serves the whole service: shards fold
+        # through it, reads recombine through it, and snapshots
         # use its wire format. exact_variant() pins stateful streams to
         # the exact fold path.
         self._kernel = get_kernel(
             self.config.kernel, radix=radix, counters=self.metrics.tiering
         ).exact_variant()
         self.shards: List[AccumulatorShard] = [
-            AccumulatorShard(
-                i,
-                queue_depth=self.config.queue_depth,
-                policy=self.config.policy,
-                retry_after=self.config.retry_after,
-                metrics=self.metrics,
-                radix=radix,
-                kernel=self._kernel,
-            )
+            AccumulatorShard(i, metrics=self.metrics, radix=radix, kernel=self._kernel)
             for i in range(self.config.shards)
         ]
         # Stateless one-shot sums (`sum` op) run the full tier ladder;
@@ -247,7 +231,6 @@ class ReproService:
         # shards' fold accounting.
         self._folder = AdaptiveFolder(radix=radix, counters=self.metrics.tiering)
         self._rr = 0
-        self._started = False
         self._ops: Dict[str, Callable[[Dict[str, Any]], Awaitable[Dict[str, Any]]]] = {
             "ping": self._op_ping,
             "sum": self._op_sum,
@@ -269,14 +252,14 @@ class ReproService:
     # ------------------------------------------------------------------
 
     async def start(self) -> None:
-        for shard in self.shards:
-            shard.start()
-        self._started = True
+        """Nothing to start: shards are partitions folded inline.
+
+        Kept so subclasses that own background work (the cluster node's
+        WAL writer) share one lifecycle with the plain service.
+        """
 
     async def close(self) -> None:
-        for shard in self.shards:
-            await shard.stop()
-        self._started = False
+        """Nothing to stop: every acknowledged fold is already applied."""
 
     async def __aenter__(self) -> "ReproService":
         await self.start()
@@ -292,6 +275,7 @@ class ReproService:
     async def handle(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """Map one request object to one response object (never raises)."""
         t0 = time.perf_counter()
+        self.metrics.begin_request()
         op = request.get("op") if isinstance(request, dict) else None
         try:
             if not isinstance(request, dict):
@@ -305,15 +289,10 @@ class ReproService:
                 raise err
             response = await handler(request)
             response.setdefault("ok", True)
-        except BackpressureError as exc:
-            response = {
-                "ok": False,
-                "code": exc.code,
-                "error": str(exc),
-                "retry_after": exc.retry_after,
-            }
         except (ReproError, ValueError, TypeError) as exc:
             response = {"ok": False, "code": _error_code(exc), "error": str(exc)}
+        finally:
+            self.metrics.end_request()
         if isinstance(request, dict) and "id" in request:
             response["id"] = request["id"]
         self.metrics.record_request(
@@ -344,27 +323,14 @@ class ReproService:
         self._rr += 1
         return shard
 
-    def _folds(self, stream: str, arr: np.ndarray) -> List[Awaitable[int]]:
-        """Shard folds routing a validated array (not yet enqueued).
-
-        Awaiting them together (one ``asyncio.gather``) enqueues every
-        piece in one event-loop pass, before any of them is awaited.
-        """
-        nshards = len(self.shards)
-        chunk = self.config.scatter_chunk
-        if nshards == 1 or arr.size <= chunk:
-            return [self._next_shard().fold(stream, arr)]
-        pieces = np.array_split(arr, min(nshards, max(1, arr.size // chunk)))
-        return [self._next_shard().fold(stream, piece) for piece in pieces]
-
     async def _merged(self, *names: str, pop: bool = False) -> List[Any]:
-        """Merge every shard's partials of ``names`` at one sequence point.
+        """Merge every shard's partials of ``names`` at one point.
 
-        Each shard merges its partials of all the names in one call
-        from inside its own writer loop, after the folds enqueued
-        before the read and before any later one, so the merged states
-        are mutually consistent. With ``pop`` the shards also drop the
-        streams.
+        Every shard is called in turn with no ``await`` in between, so
+        no fold lands during the read and the merged states are
+        mutually consistent. With ``pop`` the shards also drop the
+        streams. A coroutine only because :func:`read_stream` awaits
+        its ``merge`` (a coordinator's merge crosses the network).
         """
         merged = [self._kernel.new_stream() for _ in names]
 
@@ -374,7 +340,8 @@ class ReproService:
                 if partial is not None:
                     into.merge(partial)
 
-        await asyncio.gather(*(s.call(absorb) for s in self.shards))
+        for shard in self.shards:
+            shard.call(absorb)
         return merged
 
     # ------------------------------------------------------------------
@@ -506,21 +473,21 @@ class ReproService:
         """
         if x.size == 0:
             return {"added": 0}
-        return {"added": await self._apply(stream, kind, x, y)}
+        return {"added": self._apply(stream, kind, x, y)}
 
     @staticmethod
     def _expansion(kind: str) -> ReduceOp:
         """The :mod:`repro.reduce` op whose ``expand`` an ingest kind runs."""
         return get_op(INGEST_KINDS[kind].reduce_op)
 
-    async def _apply(
+    def _apply(
         self,
         stream: str,
         kind: str,
         x: np.ndarray,
         y: Optional[np.ndarray] = None,
     ) -> int:
-        """Domain-check, expand, and scatter one batch; returns inputs folded.
+        """Domain-check, expand, and fold one batch; returns inputs folded.
 
         The expansion is elementwise and deterministic (``sum``'s is the
         identity), so chunked ingest produces exactly the term multiset
@@ -532,19 +499,9 @@ class ReproService:
         """
         op = self._expansion(kind)
         op.check_domain(x, y)
-        targets = (stream, square_shadow(stream))
-        folds = [
-            fold
-            for target, terms in zip(targets, op.expand(x, y))
-            for fold in self._folds(target, terms)
-        ]
-        if len(folds) == 1:
-            await folds[0]
-        else:
-            # Every term stream is enqueued before any fold is awaited,
-            # so a read never lands between a batch's values and its
-            # squares.
-            await asyncio.gather(*folds)
+        shard = self._next_shard()
+        for target, terms in zip((stream, square_shadow(stream)), op.expand(x, y)):
+            shard.fold(target, terms)
         return int(x.size)
 
     # -- reads ----------------------------------------------------------
@@ -563,8 +520,6 @@ class ReproService:
     async def _op_stats(self, request: Dict[str, Any]) -> Dict[str, Any]:
         snap = self.metrics.snapshot()
         snap["shards"] = len(self.shards)
-        snap["policy"] = self.config.policy
-        snap["queue_depths"] = [s.queue_depth for s in self.shards]
         return {"stats": snap}
 
     async def _op_streams(self, request: Dict[str, Any]) -> Dict[str, Any]:
@@ -572,10 +527,8 @@ class ReproService:
             return {name: rs.count for name, rs in streams.items()}
 
         totals: Dict[str, int] = {}
-        for shard_counts in await asyncio.gather(
-            *(s.call(counts) for s in self.shards)
-        ):
-            for name, count in shard_counts.items():
+        for shard in self.shards:
+            for name, count in shard.call(counts).items():
                 totals[name] = totals.get(name, 0) + count
         return {"streams": dict(sorted(totals.items()))}
 
@@ -603,16 +556,32 @@ class ReproService:
             rs.merge(partial)
             return partial.count
 
-        moved = sum(
-            await asyncio.gather(*(s.call(merge_local) for s in self.shards))
-        )
+        moved = sum(shard.call(merge_local) for shard in self.shards)
         return {"merged": moved, "src": src, "dst": dst}
 
     async def _op_snapshot(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        (merged,) = await self._merged(_require_stream(request))
+        """Snapshot ``stream``, or every name in ``streams`` at one point.
+
+        The list form answers ``snapshots`` and ``counts`` in the order
+        asked; the coordinator reads a stream and its square shadow
+        with it, so an ``observations`` batch can never fall between
+        the two.
+        """
+        names = request.get("streams")
+        if names is None:
+            (merged,) = await self._merged(_require_stream(request))
+            return {
+                "snapshot": encode_bytes_field(merged.to_bytes()),
+                "count": merged.count,
+            }
+        if not isinstance(names, list) or not names or not all(
+            isinstance(name, str) and name for name in names
+        ):
+            raise ServiceError("'streams' must be a non-empty list of stream names")
+        states = await self._merged(*names)
         return {
-            "snapshot": encode_bytes_field(merged.to_bytes()),
-            "count": merged.count,
+            "snapshots": [encode_bytes_field(m.to_bytes()) for m in states],
+            "counts": [m.count for m in states],
         }
 
     async def _op_restore(self, request: Dict[str, Any]) -> Dict[str, Any]:
@@ -630,7 +599,7 @@ class ReproService:
             rs.merge(restored)
             return rs.count
 
-        await self._next_shard().call(absorb)
+        self._next_shard().call(absorb)
         return {"restored": restored.count}
 
     async def _op_drain(self, request: Dict[str, Any]) -> Dict[str, Any]:
@@ -645,8 +614,8 @@ class ReproService:
         }
 
     async def _op_flush(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        """Barrier: resolves after every previously enqueued fold."""
-        await asyncio.gather(*(s.call(lambda streams: None) for s in self.shards))
+        """Barrier, kept on the wire: every acknowledged fold is already
+        applied, so there is nothing left to wait for."""
         return {"flushed": True}
 
     # ------------------------------------------------------------------

@@ -1,101 +1,58 @@
-"""Sharded single-writer accumulator state with microbatched ingest.
+"""Partitions of the service's accumulator state.
 
 Each :class:`AccumulatorShard` owns a private ``{stream name ->
 stream}`` map — streams come from the configured
 :class:`~repro.kernels.base.SumKernel`'s ``new_stream()`` (the native
 :class:`~repro.streaming.ExactRunningSum` for the default ``running``
-kernel, a :class:`~repro.kernels.base.KernelStream` otherwise) —
-mutated by exactly one asyncio task, the shard's *writer loop*, so the
-hot path needs no locks. Work arrives through a bounded queue as two
-op kinds:
+kernel, a :class:`~repro.kernels.base.KernelStream` otherwise). Its two
+operations run synchronously on the caller:
 
 * **fold** — append an already-validated float64 array to a stream.
-  The writer drains every op sitting in the queue, coalesces
-  *contiguous runs* of folds per stream into one ``np.concatenate`` +
-  one bulk ``add_array``, and only then resolves their futures. That is the microbatching win: k concurrent small adds cost
-  one superaccumulator fold, not k.
+  The stream itself stages small writes and deposits them together
+  (:data:`repro.streaming.DEPOSIT_MIN`), so there is nothing to gain
+  from batching folds here.
 * **call** — run an arbitrary function against the shard's stream map
-  (reads, merges, drains). Calls are *sequence points*: coalescing
-  never reorders a fold past a call, so a read enqueued after a set of
-  folds observes all of them — FIFO queue order is the snapshot
-  consistency story.
+  (reads, merges, drains).
 
-Exactness makes this sharding trivial where a float service would be
-wrong: superaccumulator addition commutes and merges are exact, so a
-stream's value may be scattered across shards as partial sums and
+The service calls both from the event loop thread, which is the single
+writer, so the hot path needs no locks, no queue and no futures. A read
+that calls every shard in turn, with no ``await`` in between, observes
+every fold that ran before it and none that ran after.
+
+Exactness makes this partitioning trivial where a float service would
+be wrong: superaccumulator addition commutes and merges are exact, so a
+stream's value may be spread across shards as partial sums and
 recombined at read time with a bit-identical result regardless of
 which shard saw which update in which order.
-
-Backpressure is the queue bound: ``policy="block"`` makes submitters
-await capacity (end-to-end flow control); ``policy="reject"`` raises
-:class:`BackpressureError` with a retry hint, for callers that prefer
-shedding load to queueing it.
 """
 
 from __future__ import annotations
 
-import asyncio
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Optional
 
 import numpy as np
 
 from repro.core.digits import DEFAULT_RADIX, RadixConfig
-from repro.errors import BackpressureError
 from repro.kernels import SumKernel, get_kernel
 from repro.serve.metrics import ServiceMetrics
 
 __all__ = ["AccumulatorShard"]
 
 
-class _Op:
-    """One queued unit of shard work (fold or call)."""
-
-    __slots__ = ("kind", "stream", "array", "fn", "future")
-
-    def __init__(
-        self,
-        kind: str,
-        future: "asyncio.Future[Any]",
-        *,
-        stream: Optional[str] = None,
-        array: Optional[np.ndarray] = None,
-        fn: Optional[Callable[[Dict[str, Any]], Any]] = None,
-    ) -> None:
-        self.kind = kind
-        self.stream = stream
-        self.array = array
-        self.fn = fn
-        self.future = future
-
-
-_STOP = object()
-
-
 class AccumulatorShard:
-    """One single-writer shard of the service's accumulator registry."""
+    """One partition of the service's accumulator registry."""
 
     def __init__(
         self,
         shard_id: int,
         *,
-        queue_depth: int = 256,
-        policy: str = "block",
-        retry_after: float = 0.05,
         metrics: Optional[ServiceMetrics] = None,
         radix: RadixConfig = DEFAULT_RADIX,
         kernel: Optional[SumKernel] = None,
     ) -> None:
-        if queue_depth < 1:
-            raise ValueError("queue_depth must be >= 1")
-        if policy not in ("block", "reject"):
-            raise ValueError(f"unknown backpressure policy {policy!r}")
         self.shard_id = int(shard_id)
-        self.policy = policy
-        self.retry_after = float(retry_after)
         self.radix = radix
         self.metrics = metrics if metrics is not None else ServiceMetrics()
-        self._queue: "asyncio.Queue[Any]" = asyncio.Queue(maxsize=queue_depth)
-        self._task: Optional["asyncio.Task[None]"] = None
         self._streams: Dict[str, Any] = {}
         # Folds route through the kernel so tier telemetry lands in the
         # shared ServiceMetrics tally; stateful streams always take the
@@ -107,128 +64,19 @@ class AccumulatorShard:
             )
         self._kernel = kernel.exact_variant()
 
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-
-    def start(self) -> None:
-        """Spawn the writer loop (idempotent)."""
-        if self._task is None:
-            self._task = asyncio.get_running_loop().create_task(
-                self._run(), name=f"repro-shard-{self.shard_id}"
-            )
-
-    async def stop(self) -> None:
-        """Drain outstanding work, then stop the writer loop."""
-        if self._task is None:
-            return
-        await self._queue.put(_STOP)
-        await self._task
-        self._task = None
-
-    @property
-    def queue_depth(self) -> int:
-        """Ops currently waiting in this shard's queue."""
-        return self._queue.qsize()
-
-    # ------------------------------------------------------------------
-    # submission (any task may call; the queue serializes)
-    # ------------------------------------------------------------------
-
-    async def _submit(self, op: _Op) -> Any:
-        if self.policy == "reject":
-            try:
-                self._queue.put_nowait(op)
-            except asyncio.QueueFull:
-                self.metrics.record_rejection()
-                raise BackpressureError(
-                    f"shard {self.shard_id} ingest queue full "
-                    f"({self._queue.maxsize} ops)",
-                    retry_after=self.retry_after,
-                ) from None
-        else:
-            await self._queue.put(op)
-        self.metrics.record_queue_depth(self._queue.qsize())
-        return await op.future
-
-    async def fold(self, stream: str, array: np.ndarray) -> int:
+    def fold(self, stream: str, array: np.ndarray) -> int:
         """Append a validated float64 array to ``stream``; returns its size.
 
-        The array must already be finite float64 (the service layer
-        validates before routing) because coalesced folds share one
-        ``add_array`` call and must not fail on a neighbour's input.
+        The array must already be finite float64: the service layer
+        validates before routing.
         """
-        fut: "asyncio.Future[Any]" = asyncio.get_running_loop().create_future()
-        await self._submit(_Op("fold", fut, stream=stream, array=array))
+        rs = self._streams.get(stream)
+        if rs is None:
+            rs = self._streams[stream] = self._kernel.new_stream()
+        self._kernel.fold_into(rs, array)
+        self.metrics.record_fold(int(array.size))
         return int(array.size)
 
-    async def call(self, fn: Callable[[Dict[str, Any]], Any]) -> Any:
-        """Run ``fn`` against the stream map inside the writer loop.
-
-        FIFO-ordered after every previously enqueued fold — the
-        snapshot-read primitive.
-        """
-        fut: "asyncio.Future[Any]" = asyncio.get_running_loop().create_future()
-        return await self._submit(_Op("call", fut, fn=fn))
-
-    # ------------------------------------------------------------------
-    # the writer loop
-    # ------------------------------------------------------------------
-
-    async def _run(self) -> None:
-        stopping = False
-        while not stopping:
-            batch: List[Any] = [await self._queue.get()]
-            while True:
-                try:
-                    batch.append(self._queue.get_nowait())
-                except asyncio.QueueEmpty:
-                    break
-            # Coalesce contiguous fold runs; execute calls in place so
-            # queue order is observable order.
-            run: List[_Op] = []
-            for item in batch:
-                if item is _STOP:
-                    stopping = True
-                    continue
-                if item.kind == "fold":
-                    run.append(item)
-                    continue
-                self._flush_folds(run)
-                run = []
-                self._execute_call(item)
-            self._flush_folds(run)
-
-    def _flush_folds(self, run: List[_Op]) -> None:
-        if not run:
-            return
-        per_stream: Dict[str, List[_Op]] = {}
-        for op in run:
-            per_stream.setdefault(op.stream, []).append(op)
-        for stream, ops in per_stream.items():
-            arrays = [op.array for op in ops]
-            merged = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-            try:
-                rs = self._streams.get(stream)
-                if rs is None:
-                    rs = self._streams[stream] = self._kernel.new_stream()
-                self._kernel.fold_into(rs, merged)
-            except Exception as exc:  # defensive: inputs are pre-validated
-                for op in ops:
-                    if not op.future.cancelled():
-                        op.future.set_exception(exc)
-                continue
-            self.metrics.record_fold(int(merged.size), len(ops))
-            for op in ops:
-                if not op.future.cancelled():
-                    op.future.set_result(int(op.array.size))
-
-    def _execute_call(self, op: _Op) -> None:
-        try:
-            result = op.fn(self._streams)
-        except Exception as exc:
-            if not op.future.cancelled():
-                op.future.set_exception(exc)
-            return
-        if not op.future.cancelled():
-            op.future.set_result(result)
+    def call(self, fn: Callable[[Dict[str, Any]], Any]) -> Any:
+        """Run ``fn`` against the stream map and return its result."""
+        return fn(self._streams)

@@ -16,7 +16,12 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.core.eft import two_product_vec, two_square_vec
+from repro.core.eft import (
+    product_domain_mask,
+    square_domain_mask,
+    two_product_vec,
+    two_square_vec,
+)
 from repro.core.exact import exact_sum_fraction
 from repro.core.fpinfo import decompose as _decompose
 from repro.core.rounding import round_scaled_int
@@ -72,8 +77,6 @@ def _exact_square_sum_fraction(arr: np.ndarray) -> Fraction:
     """Exact ``sum(x_i**2)``: vectorized TwoProduct where safe, exact
     integer squares for magnitudes whose float squares would under- or
     overflow (where TwoProduct stops being error-free)."""
-    from repro.reduce.ops import square_domain_mask
-
     safe = square_domain_mask(arr)
     total = Fraction(0)
     s = arr[safe]
@@ -182,8 +185,6 @@ def exact_dot_fraction(x: Iterable[float], y: Iterable[float]) -> Fraction:
     check_finite_array(ya)
     # TwoProduct is error-free only inside its band; route the rest
     # through exact integer decomposition.
-    from repro.reduce.ops import product_domain_mask
-
     safe = product_domain_mask(xa, ya)
     total = Fraction(0)
     if safe.any():

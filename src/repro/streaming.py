@@ -32,6 +32,7 @@ from typing import Deque, Iterable, Optional, Union
 import numpy as np
 
 from repro.core.digits import DEFAULT_RADIX, RadixConfig
+from repro.core.eft import square_domain_mask, two_square_vec
 from repro.core.sparse import SparseSuperaccumulator
 from repro.errors import EmptyStreamError, NonFiniteInputError
 from repro.kernels.binned import BinnedPartial
@@ -314,7 +315,7 @@ class RunningStats:
     (:func:`repro.core.eft.two_square_vec` — the ``norm2``/``var``
     reduction ops' expansion), whose float terms are deposited like
     any write; only magnitudes outside the error-free band
-    (:func:`repro.reduce.ops.square_domain_mask`) fall back to exact
+    (:func:`repro.core.eft.square_domain_mask`) fall back to exact
     integer squaring, absorbed as one sparse partial. Both routes land
     the identical exact rational, so the rounded reads cannot tell
     them apart.
@@ -346,16 +347,12 @@ class RunningStats:
             return
         self._n += int(arr.size)
         self._sum.add_array(arr)
-        from repro.reduce.ops import square_domain_mask
-
         safe = square_domain_mask(arr)
         in_band = arr if safe.all() else arr[safe]
         if in_band.size:
             # Error-free squares: x^2 = p + e exactly. The terms are
             # plain floats, so they fold through the ordinary deposit —
             # no rational arithmetic on the hot path.
-            from repro.core.eft import two_square_vec
-
             self._sum_sq.add_array(np.concatenate(two_square_vec(in_band)))
         if not safe.all():
             # Out-of-band magnitudes (square would under/overflow):

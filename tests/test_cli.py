@@ -84,13 +84,17 @@ class TestServe:
     def test_parser_accepts_serve_flags(self):
         from repro.cli import build_parser
 
-        args = build_parser().parse_args(
-            ["serve", "--port", "0", "--shards", "2", "--queue-depth", "8",
-             "--policy", "reject", "--state-path", "/tmp/x.json",
-             "--no-shutdown-op"]
+        parser = build_parser()
+        args = parser.parse_args(
+            ["serve", "--port", "0", "--shards", "2",
+             "--state-path", "/tmp/x.json", "--no-shutdown-op"]
         )
         assert args.port == 0 and args.shards == 2
-        assert args.policy == "reject" and args.no_shutdown_op
+        assert args.state_path == "/tmp/x.json" and args.no_shutdown_op
+        # the service has no queue settings to take
+        for gone in (["--queue-depth", "8"], ["--policy", "reject"]):
+            with pytest.raises(SystemExit):
+                parser.parse_args(["serve", *gone])
 
     def test_serve_subprocess_roundtrip(self, tmp_path):
         """`python -m repro serve` end to end: boot, ingest, shutdown,

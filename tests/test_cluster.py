@@ -663,6 +663,62 @@ class TestCoordinator:
 # ----------------------------------------------------------------------
 
 
+class _IngestBeforeLaterSnapshots(LocalNodeHandle):
+    """Runs an ``observations`` batch on its node before every
+    ``snapshot`` it serves after the first."""
+
+    def __init__(self, node_id, service, batch):
+        super().__init__(node_id, service)
+        self.batch = batch
+        self.snapshots = 0
+
+    async def request(self, op, **fields):
+        if op == "snapshot":
+            self.snapshots += 1
+            if self.snapshots > 1:
+                await self.add_batch("live", self.batch, op="observations")
+        return await super().request(op, **fields)
+
+
+class TestGatherConsistency:
+    def test_moments_gather_never_splits_an_observations_batch(self, tmp_path):
+        """A node reads a stream and its square shadow in one snapshot
+        request, so ingest between a node's requests cannot make the
+        shadow disagree with the stream."""
+        from repro.stats import exact_variance
+
+        x = _panel(600, seed=5)
+        extra = x[:100]
+
+        async def run():
+            nodes = [
+                ClusterNode(
+                    f"node-{i}",
+                    config=ServeConfig(shards=2),
+                    wal_path=tmp_path / f"node-{i}.wal",
+                )
+                for i in range(2)
+            ]
+            for node in nodes:
+                await node.start()
+            handles = [
+                _IngestBeforeLaterSnapshots(n.node_id, n.service, extra)
+                for n in nodes
+            ]
+            co = ClusterCoordinator(handles, replication=2)
+            await co.scatter("live", x, op="observations", chunk=150)
+            reads = [await co.gather("live", "moments") for _ in range(3)]
+            for node in nodes:
+                await node.close()
+            return reads
+
+        reads = asyncio.run(run())
+        # every gather after the first saw one more batch per node
+        assert [r["count"] for r in reads] == [600, 800, 1000]
+        total = np.concatenate([x] + [extra] * 4)
+        assert same_float(reads[-1]["variance"], exact_variance(total))
+
+
 class TestClusterPlane:
     def test_run_plane_cluster_bit_identical_to_serial(self):
         data = _panel(3000, seed=17)

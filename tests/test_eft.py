@@ -7,12 +7,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.eft import (
     fast_two_sum,
     fast_two_sum_vec,
+    product_domain_mask,
     split,
+    square_domain_mask,
     two_product,
     two_product_vec,
     two_square,
@@ -107,18 +109,42 @@ class TestSplitAndProduct:
         assert (p, e) == (1.5, 0.0)
 
 
-#: Magnitudes whose products/squares stay strictly inside the
-#: error-free TwoProduct/TwoSquare band the reduction ops police
-#: (|x*y| in (2^-1000, 2^996), |x^2| in (2^-500, 2^500)).
-_safe_floats = st.floats(
-    min_value=2.0**-240,
-    max_value=2.0**240,
-    allow_nan=False,
-    allow_infinity=False,
+#: Binades at the edges of the float range and of the error-free bands
+#: (``core.eft.product_domain_mask``: 2^-969 < |x*y| < 2^1023 with
+#: |x|, |y| < 2^996; ``square_domain_mask``: 2^-485 < |x| < 2^500):
+#: the subnormal floor, the normal floor, both lower band edges, the
+#: square's upper edge, the splitter's overflow point, the top binade.
+_EDGE_EXPONENTS = (-1074, -1022, -969, -485, 500, 996, 1023)
+
+
+def _at_edge(draw):
+    exponent, offset, mantissa = draw
+    return math.ldexp(mantissa, min(exponent + offset, 1023))
+
+
+_safe_floats = st.one_of(
+    st.floats(
+        min_value=2.0**-240,
+        max_value=2.0**240,
+        allow_nan=False,
+        allow_infinity=False,
+    ),
+    st.tuples(
+        st.sampled_from(_EDGE_EXPONENTS),
+        st.integers(min_value=-2, max_value=2),
+        st.one_of(
+            st.sampled_from([1.0, 1.0 + 2.0**-52, 1.5, 2.0 - 2.0**-52, 1.0 - 2.0**-40]),
+            st.floats(min_value=1.0, max_value=2.0, exclude_max=True),
+        ),
+    ).map(_at_edge),
 )
 _signed_safe = st.tuples(st.booleans(), _safe_floats).map(
     lambda t: -t[1] if t[0] else t[1]
 )
+
+
+def _same_bits(vec: np.ndarray, scalar: list) -> bool:
+    return np.array_equal(vec, np.array(scalar, dtype=np.float64), equal_nan=True)
 
 
 class TestVectorizedProductDifferential:
@@ -128,14 +154,22 @@ class TestVectorizedProductDifferential:
 
     @given(st.lists(st.tuples(_signed_safe, _signed_safe), max_size=64))
     @settings(max_examples=200, deadline=None)
+    # a product 2^-39 below overflow: the split halves' product is not
+    @example([(math.ldexp(1 - 2.0**-40, 996), math.ldexp(1 - 2.0**-40, 28))])
     def test_two_product_vec_matches_scalar(self, pairs):
         a = np.array([p[0] for p in pairs], dtype=np.float64)
         b = np.array([p[1] for p in pairs], dtype=np.float64)
-        p, e = two_product_vec(a, b)
+        with np.errstate(all="ignore"):
+            p, e = two_product_vec(a, b)
+            scalar = [two_product(float(x), float(y)) for x, y in zip(a, b)]
         assert p.shape == e.shape == a.shape
-        for i in range(a.size):
-            ps, es = two_product(float(a[i]), float(b[i]))
-            assert p[i] == ps and e[i] == es
+        assert _same_bits(p, [t[0] for t in scalar])
+        assert _same_bits(e, [t[1] for t in scalar])
+        # mask true => the expansion is exact. The mask also admits a
+        # zero paired with a partner the splitter overflows on; the
+        # reduce layer's expansion writes those terms as exact zeros.
+        for i in np.flatnonzero(product_domain_mask(a, b) & (a != 0) & (b != 0)):
+            ps, es = scalar[i]
             assert Fraction(ps) + Fraction(es) == Fraction(
                 float(a[i])
             ) * Fraction(float(b[i]))
@@ -144,11 +178,15 @@ class TestVectorizedProductDifferential:
     @settings(max_examples=200, deadline=None)
     def test_two_square_vec_matches_scalar(self, values):
         a = np.array(values, dtype=np.float64)
-        p, e = two_square_vec(a)
+        with np.errstate(all="ignore"):
+            p, e = two_square_vec(a)
+            scalar = [two_square(float(x)) for x in a]
         assert p.shape == e.shape == a.shape
-        for i in range(a.size):
-            ps, es = two_square(float(a[i]))
-            assert p[i] == ps and e[i] == es
+        assert _same_bits(p, [t[0] for t in scalar])
+        assert _same_bits(e, [t[1] for t in scalar])
+        # mask true => the expansion is exact
+        for i in np.flatnonzero(square_domain_mask(a)):
+            ps, es = scalar[i]
             assert Fraction(ps) + Fraction(es) == Fraction(float(a[i])) ** 2
 
     def test_two_square_vec_agrees_with_two_product_vec(self, rng):

@@ -228,7 +228,7 @@ class TestServeReductionValidation:
             failures = [r for r in done if isinstance(r, BaseException)]
             return failures, await client.moments("live")
 
-        failures, final = _serve(go, scatter_chunk=64)
+        failures, final = _serve(go)
         assert failures == []
         assert final["count"] == x.size
         assert same_float(final["variance"], exact_variance(x))

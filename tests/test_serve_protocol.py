@@ -14,6 +14,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import codec
 from repro.errors import ProtocolError
@@ -127,6 +129,74 @@ class TestDecoderIncremental:
         assert not exc.value.fatal
 
 
+def _bad_frame(body: bytes = b"{not json]\n") -> bytes:
+    return LENGTH_PREFIX.pack(len(body)) + body
+
+
+def _drain(dec: FrameDecoder, chunks):
+    """Feed ``chunks`` then ``b""`` until nothing is left: (msgs, errors)."""
+    msgs, errors = [], 0
+    for chunk in [*chunks, b""]:
+        while True:
+            try:
+                got = dec.feed(chunk)
+            except ProtocolError as exc:
+                assert not exc.fatal
+                errors += 1
+                chunk = b""
+                continue
+            msgs.extend(got)
+            if not got or chunk:
+                break
+            chunk = b""
+    return msgs, errors
+
+
+class TestDecoderKeepsGoodFrames:
+    def test_good_frame_before_bad_frame_is_returned(self):
+        dec = FrameDecoder()
+        ping = {"op": "ping", "id": 1}
+        assert dec.feed(encode_frame(ping) + _bad_frame()) == [ping]
+        # the bad frame's recoverable error comes with the next feed,
+        # whose bytes are kept for the call after it
+        with pytest.raises(ProtocolError) as exc:
+            dec.feed(encode_frame({"op": "ping", "id": 2}))
+        assert not exc.value.fatal
+        assert dec.feed(b"") == [{"op": "ping", "id": 2}]
+        assert dec.pending_bytes == 0
+
+    def test_good_frame_before_framing_error_is_returned(self):
+        dec = FrameDecoder(max_frame=1024)
+        ping = {"op": "ping", "id": 1}
+        assert dec.feed(encode_frame(ping) + LENGTH_PREFIX.pack(1 << 30)) == [ping]
+        with pytest.raises(ProtocolError) as exc:
+            dec.feed(b"")
+        assert exc.value.fatal
+        with pytest.raises(ProtocolError):
+            dec.feed(encode_frame(ping))  # poisoned
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kinds=st.lists(st.booleans(), min_size=1, max_size=12),
+        cuts=st.lists(st.integers(min_value=0, max_value=10_000), max_size=8),
+    )
+    def test_any_split_yields_every_good_message_once(self, kinds, cuts):
+        frames, want = [], []
+        for i, good in enumerate(kinds):
+            if good:
+                msg = {"op": "ping", "id": i}
+                want.append(msg)
+                frames.append(encode_frame(msg))
+            else:
+                frames.append(_bad_frame(b"[%d]\n" % i))
+        stream = b"".join(frames)
+        points = sorted({c % (len(stream) + 1) for c in cuts})
+        chunks = [stream[a:b] for a, b in zip([0, *points], [*points, len(stream)])]
+        msgs, errors = _drain(FrameDecoder(), chunks)
+        assert msgs == want
+        assert errors == kinds.count(False)
+
+
 class TestFuzz:
     def test_random_bytes_never_leak_raw_errors(self, rng):
         for trial in range(200):
@@ -173,8 +243,8 @@ class TestBinaryWire:
     stay fatal exactly as in JSON mode; every *payload*-level problem
     of a binary frame — wrong magic, truncation inside the payload,
     forged lengths, non-finite values — is recoverable, because the
-    frame boundary itself was intact. A shard task must never die to a
-    corrupt batch; the connection answers an error and lives on.
+    frame boundary itself was intact. A corrupt batch must never kill
+    the connection; it answers an error and lives on.
     """
 
     def batch_frame(self, values, *, rid=7, stream="s", seq=None):

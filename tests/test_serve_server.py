@@ -114,7 +114,7 @@ class TestConcurrentExactness:
     @pytest.mark.parametrize("dist", ["sumzero", "anderson"])
     def test_eight_clients_four_shards_bit_identical(self, dist):
         async def main():
-            service, server = await start_stack(shards=4, queue_depth=128)
+            service, server = await start_stack(shards=4)
             data = generate(dist, 8192, delta=600, seed=7)
             reference = exact_sum(data)
             parts = np.array_split(data, 8)
@@ -252,6 +252,68 @@ class TestWireAbuse:
             await client.add_array("g", x)
             assert await client.value("g") == 1.0
             await client.close()
+            await stop_stack(service, server)
+
+        run(main())
+
+
+class _SlowPingService(ReproService):
+    """A service whose ``ping`` awaits, so requests overlap in handle."""
+
+    async def _op_ping(self, request):
+        await asyncio.sleep(0.002)
+        return await super()._op_ping(request)
+
+
+class TestBackpressure:
+    def test_max_inflight_bounds_requests_inside_handle(self):
+        async def main():
+            service = _SlowPingService(ServeConfig(shards=1))
+            await service.start()
+            server = ReproServer(service, port=0, max_inflight=2)
+            await server.start()
+            client = await ReproServeClient.connect(port=server.port)
+            pongs = await asyncio.gather(*(client.ping() for _ in range(20)))
+            assert all(p["pong"] is True for p in pongs)
+            # peak requests inside ReproService.handle at once: the
+            # connection's bound, and it was reached
+            assert service.metrics.queue_depth_peak == 2
+            await client.close()
+            await stop_stack(service, server)
+
+        run(main())
+
+
+class TestReplyCoalescing:
+    def test_pipelined_burst_answered_in_fewer_writes(self, monkeypatch):
+        writes = []
+        original = asyncio.StreamWriter.write
+
+        def counting_write(self, data):
+            writes.append(self)
+            return original(self, data)
+
+        monkeypatch.setattr(asyncio.StreamWriter, "write", counting_write)
+        n = 32
+
+        async def main():
+            service, server = await start_stack(shards=2)
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            burst = b"".join(
+                encode_frame({"op": "add", "stream": "b", "value": float(i), "id": i})
+                for i in range(n)
+            )
+            writer.write(burst)
+            await writer.drain()
+            replies = [await read_frame(reader) for _ in range(n)]
+            assert sorted(r["id"] for r in replies) == list(range(n))
+            assert all(r["ok"] and r["added"] == 1 for r in replies)
+            server_writes = sum(1 for w in writes if w is not writer)
+            assert 1 <= server_writes < n
+            writer.close()
+            await writer.wait_closed()
+            resp = await service.handle({"op": "value", "stream": "b"})
+            assert resp["count"] == n and resp["value"] == sum(range(n))
             await stop_stack(service, server)
 
         run(main())

@@ -1,8 +1,8 @@
 """Service-layer semantics, in process (no sockets).
 
-Covers routing/exactness across shards, microbatch coalescing,
-backpressure under both policies, snapshot/restore/drain/merge, the
-stats endpoint, and error-response mapping.
+Covers routing/exactness across shards, inline folds (no shard task,
+one fold per request), snapshot/restore/drain/merge, the stats
+endpoint, and error-response mapping.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core import exact_sum
-from repro.errors import BackpressureError, EmptyStreamError
+from repro.errors import EmptyStreamError
 from repro.serve import (
     AccumulatorShard,
     InProcessClient,
@@ -52,7 +52,7 @@ class TestIngestExactness:
     def test_scatter_across_shards_bit_identical(self, rng):
         # array large enough to stripe across every shard
         async def main():
-            service = await make_service(shards=4, scatter_chunk=64)
+            service = await make_service(shards=4)
             client = InProcessClient(service)
             x = random_hard_array(rng, 5000)
             await client.add_array("s", x)
@@ -132,9 +132,25 @@ class TestIngestExactness:
 
 
 class TestMicrobatching:
-    def test_concurrent_adds_coalesce(self):
+    """Streams stage small writes themselves (``streaming.DEPOSIT_MIN``);
+    the service folds each request inline, with no shard task or queue."""
+
+    def test_start_creates_no_task(self):
         async def main():
-            service = await make_service(shards=1, queue_depth=512)
+            before = asyncio.all_tasks()
+            service = await make_service(shards=4)
+            assert asyncio.all_tasks() == before
+            # a shard folds on the caller and returns a plain int
+            shard = AccumulatorShard(0)
+            assert shard.fold("s", np.array([1.0, 2.0])) == 2
+            assert shard.call(lambda streams: streams["s"].count) == 2
+            await service.close()
+
+        run(main())
+
+    def test_concurrent_adds_fold_inline(self):
+        async def main():
+            service = await make_service(shards=1)
             client = InProcessClient(service)
             await asyncio.gather(
                 *(client.add("s", float(i)) for i in range(200))
@@ -142,10 +158,10 @@ class TestMicrobatching:
             assert await client.value("s") == ref_sum(
                 [float(i) for i in range(200)]
             )
+            assert await client.count("s") == 200
             stats = await client.stats()
-            # far fewer folds than adds proves coalescing happened
-            assert stats["batches_folded"] < 200
-            assert stats["max_coalesced_ops"] > 1
+            # one AccumulatorShard.fold per request, nothing coalesced
+            assert stats["batches_folded"] == 200
             assert stats["values_ingested"] == 200
             await service.close()
 
@@ -157,52 +173,24 @@ class TestMicrobatching:
             client = InProcessClient(service)
             x = random_hard_array(rng, 256)
             await client.add_array("s", x)
+            resp = await service.handle({"op": "flush", "id": 3})
+            assert resp == {"flushed": True, "ok": True, "id": 3}
             await client.flush()
-            assert all(s.queue_depth == 0 for s in service.shards)
+            # every acknowledged fold was applied before its ack
+            assert await client.value("s") == ref_sum(x)
             await service.close()
 
         run(main())
 
 
 class TestBackpressure:
-    def test_reject_policy_raises(self):
-        async def main():
-            # shard never started: queue fills and must reject
-            shard = AccumulatorShard(0, queue_depth=2, policy="reject")
-            arr = np.array([1.0])
-            first = asyncio.ensure_future(shard.fold("s", arr))
-            second = asyncio.ensure_future(shard.fold("s", arr))
-            await asyncio.sleep(0)  # let both enqueue
-            with pytest.raises(BackpressureError) as exc:
-                await shard.fold("s", arr)
-            assert exc.value.retry_after > 0
-            assert shard.metrics.queue_rejections == 1
-            # drain: start the writer, everything completes
-            shard.start()
-            assert await first == 1 and await second == 1
-            await shard.stop()
-
-        run(main())
-
-    def test_reject_maps_to_busy_response(self):
-        async def main():
-            service = await make_service(shards=1, queue_depth=1, policy="reject")
-            # stop the writer so the queue cannot drain, then fill it
-            await service.close()
-            service.shards[0]._queue.put_nowait(object())
-            resp = await service.handle(
-                {"op": "add", "stream": "s", "value": 1.0, "id": 9}
-            )
-            assert resp["ok"] is False
-            assert resp["code"] == "busy"
-            assert resp["retry_after"] > 0
-            assert resp["id"] == 9
-
-        run(main())
+    """Backpressure is the server's per-connection ``max_inflight``
+    bound plus TCP flow control (``tests/test_serve_server.py``); in
+    process, concurrent producers simply complete."""
 
     def test_block_policy_waits_and_completes(self, rng):
         async def main():
-            service = await make_service(shards=1, queue_depth=4, policy="block")
+            service = await make_service(shards=1)
             client = InProcessClient(service)
             x = random_hard_array(rng, 512)
             await asyncio.gather(
@@ -210,7 +198,8 @@ class TestBackpressure:
             )
             assert await client.value("s") == ref_sum(x)
             stats = await client.stats()
-            assert stats["queue_rejections"] == 0
+            assert stats["errors_total"] == 0
+            assert "queue_rejections" not in stats
             await service.close()
 
         run(main())
@@ -318,6 +307,9 @@ class TestDispatchErrors:
                 },
                 "service",
             ),
+            ({"op": "snapshot", "streams": "s"}, "service"),
+            ({"op": "snapshot", "streams": []}, "service"),
+            ({"op": "snapshot", "streams": ["s", 3]}, "service"),
         ],
     )
     def test_bad_requests_map_to_error_responses(self, request_, code):
@@ -354,7 +346,9 @@ class TestDispatchErrors:
             assert stats["errors_total"] == 1
             assert stats["requests_by_op"]["ping"] == 1
             assert stats["latency_p99_ms"] >= stats["latency_p50_ms"] >= 0
-            assert stats["shards"] == 1 and stats["policy"] == "block"
+            assert stats["shards"] == 1
+            # the stats request itself is inside handle while it runs
+            assert stats["queue_depth_peak"] >= 1
             await service.close()
 
         run(main())
@@ -369,7 +363,7 @@ class TestAddBlock:
             x = random_hard_array(rng, 2048)
             path = tmp_path / "d.f64"
             write_dataset(path, x)
-            service = await make_service(shards=4, scatter_chunk=256)
+            service = await make_service(shards=4)
             client = InProcessClient(service)
             added = await client.add_block(
                 "blk",
