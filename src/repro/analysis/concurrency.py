@@ -100,7 +100,7 @@ class BlockingIoInAsync(Rule):
 
 
 #: Additional blocking calls that matter on the cluster's WAL path:
-#: durability syscalls that must run inside the writer task's
+#: durability syscalls that must run on the WAL writer thread or in an
 #: ``asyncio.to_thread`` hop, never on the event loop.
 _BLOCKING_FS_CALLS = {
     ("os", "fsync"),
@@ -123,7 +123,8 @@ class BlockingIoInClusterAsync(BlockingIoInAsync):
     synchronous WAL append or fsync on that loop freezes every node
     handle at once — exactly when the cluster is trying to ride out a
     failure. Durability work goes through ``asyncio.to_thread`` or
-    the WAL writer task (which batches it off-loop).
+    the WAL's writer thread, which batches it off-loop and acks from
+    there.
     """
 
     id = "CC004"
@@ -135,7 +136,7 @@ class BlockingIoInClusterAsync(BlockingIoInAsync):
     )
     fixit = (
         "route the call through 'await asyncio.to_thread(...)' or "
-        "enqueue it on the WalWriter task"
+        "append it to the WalWriter, whose thread does the file I/O"
     )
 
     def applies_to(self, unit: ModuleUnit) -> bool:

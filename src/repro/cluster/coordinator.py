@@ -64,7 +64,7 @@ from repro.util.validation import ensure_float64_array
 from repro.cluster.node import ClusterNode, WalService
 from repro.cluster.placement import HashRing
 from repro.cluster.replication import ReplicationManager, StreamPlacement
-from repro.cluster.wal import read_wal
+from repro.cluster.wal import WAL_IO, read_wal
 
 __all__ = [
     "NodeHandle",
@@ -129,7 +129,9 @@ class LocalNodeHandle(NodeHandle):
     ``kill`` simulates abrupt node death: the handle starts refusing
     requests exactly like a dead TCP peer would, while the node's WAL
     file stays behind for replay — which is the only artifact a real
-    crash leaves either.
+    crash leaves either. A ``wal-io`` error response is death too: a
+    node that cannot make a record durable must leave its groups, so
+    failover heals them and the caller's retry keeps its ``seq``.
     """
 
     def __init__(self, node_id: str, service: WalService) -> None:
@@ -137,10 +139,21 @@ class LocalNodeHandle(NodeHandle):
         self.service = service
         self._client = InProcessClient(service, wire=WIRE_BINARY)
 
-    async def request(self, op: str, **fields: Any) -> Dict[str, Any]:
+    async def _call(
+        self, send: Callable[[InProcessClient], Awaitable[Dict[str, Any]]]
+    ) -> Dict[str, Any]:
+        """Run one request on the node; a failed WAL marks it down."""
         if not self.alive:
             raise self.down("killed")
-        return await self._client.request(op, **fields)
+        try:
+            return await send(self._client)
+        except ServiceError as exc:
+            if exc.code != WAL_IO:
+                raise
+            raise self.down(f"WAL write failed: {exc}") from exc
+
+    async def request(self, op: str, **fields: Any) -> Dict[str, Any]:
+        return await self._call(lambda client: client.request(op, **fields))
 
     async def add_batch(
         self,
@@ -151,9 +164,9 @@ class LocalNodeHandle(NodeHandle):
         y: Optional[np.ndarray] = None,
         seq: Optional[int] = None,
     ) -> Dict[str, Any]:
-        if not self.alive:
-            raise self.down("killed")
-        return await self._client.request_batch(stream, x, op=op, y=y, seq=seq)
+        return await self._call(
+            lambda client: client.request_batch(stream, x, op=op, y=y, seq=seq)
+        )
 
     def kill(self) -> None:
         self.alive = False
@@ -193,8 +206,8 @@ class RemoteNodeHandle(NodeHandle):
     async def _call(
         self, send: Callable[[ReproServeClient], Awaitable[Dict[str, Any]]]
     ) -> Dict[str, Any]:
-        """Run one request on the connection; a transport failure marks
-        the node down."""
+        """Run one request on the connection; a transport failure or a
+        failed WAL marks the node down."""
         if not self.alive:
             raise self.down("marked down")
         try:
@@ -203,6 +216,11 @@ class RemoteNodeHandle(NodeHandle):
         except (ConnectionError, OSError, asyncio.TimeoutError, EOFError) as exc:
             await self._drop_client()
             raise self.down(f"{type(exc).__name__}: {exc}") from exc
+        except ServiceError as exc:
+            if exc.code != WAL_IO:
+                raise
+            await self._drop_client()
+            raise self.down(f"WAL write failed: {exc}") from exc
 
     async def request(self, op: str, **fields: Any) -> Dict[str, Any]:
         return await self._call(lambda client: client.request(op, **fields))

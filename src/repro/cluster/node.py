@@ -178,8 +178,9 @@ class WalService(ReproService):
         if seq is not None:
             # Claim before the first await so a concurrent duplicate
             # cannot interleave past the check. If the WAL append then
-            # fails, the node is considered failed — the coordinator's
-            # failover path owns the cleanup.
+            # fails, the writer stays failed and every node handle reads
+            # its ``wal-io`` reply as the node being down — the
+            # coordinator's failover path owns the cleanup.
             self._applied[stream] = seq
         if record is not None:
             await self._wal.append(record)

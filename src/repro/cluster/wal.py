@@ -13,33 +13,45 @@ Tail semantics follow the classic WAL contract:
 
 * a *torn tail* — the file ends mid-record because the process died
   inside a write — is expected and tolerated: replay stops at the last
-  complete record and reports ``truncated=True``;
+  complete record and reports ``truncated=True``. A header whose
+  record would run past the end of the file is a torn tail too; the
+  reader never allocates for bytes the file does not hold;
 * corruption *before* the tail (CRC mismatch, bad magic, nonsense
   lengths with more bytes following) is not a crash artifact and
   raises :class:`~repro.errors.CodecError`.
 
-:class:`WalWriter` is the async façade used by the node service: an
-owner task drains a queue of encoded records, writes them in one
-group-commit batch via ``asyncio.to_thread`` (the CC004 discipline —
-the event loop never touches the file), fsyncs, then resolves the
-waiters. Batching amortizes the fsync, which is the entire cost of a
-WAL at cluster scale.
+:class:`WalWriter` is the async façade used by the node service. One
+writer thread per WAL owns the log's open file descriptor: it takes
+every record queued since its last fsync, writes them as one blob,
+fsyncs, and resolves the whole batch's waiters with one
+``loop.call_soon_threadsafe``. The event loop only creates a future
+and appends to a lock-guarded list, so it never touches the file (the
+CC004 discipline). Batching amortizes the fsync, which is the entire
+cost of a WAL at cluster scale. The first failed write or fsync
+poisons the writer: no record is ever acknowledged behind a torn one.
 """
 
 from __future__ import annotations
 
 import asyncio
 import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Any, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro import codec
 from repro.errors import ServiceError
 
-__all__ = ["WalRecord", "WriteAheadLog", "WalWriter", "read_wal", "iter_wal"]
+__all__ = [
+    "WAL_IO", "WalRecord", "WriteAheadLog", "WalWriter", "read_wal", "iter_wal"
+]
+
+#: error code of a failed WAL write or fsync; node handles treat a
+#: response carrying it as the node being down
+WAL_IO = "wal-io"
 
 
 @dataclass(frozen=True)
@@ -77,29 +89,32 @@ def iter_wal(path: Union[str, Path]) -> Iterator[Union[WalRecord, bool]]:
 
     The trailing flag (always the final yield) is ``True`` when the
     file ended mid-record — the signature of a crash during append.
+    The file's size is taken once, when it is opened; a header whose
+    record runs past it counts as that torn tail, so a garbage length
+    never turns into a giant read.
 
     Raises:
         CodecError: corruption before the tail (CRC/magic/lengths).
         OSError: unreadable file.
     """
     with open(Path(path), "rb") as fh:
-        while True:
+        left = os.fstat(fh.fileno()).st_size
+        while left:
+            if left < codec.WAL_HEADER_SIZE:
+                yield True
+                return
             header = fh.read(codec.WAL_HEADER_SIZE)
-            if not header:
-                yield False
-                return
-            if len(header) < codec.WAL_HEADER_SIZE:
-                yield True
-                return
             total = codec.wal_record_size(header)
-            body = fh.read(total - codec.WAL_HEADER_SIZE)
-            if len(body) < total - codec.WAL_HEADER_SIZE:
+            if total > left:
                 yield True
                 return
+            body = fh.read(total - codec.WAL_HEADER_SIZE)
+            left -= total
             seq, stream, op, values, values2 = codec.decode_wal_record(header + body)
             yield WalRecord(
                 seq=seq, stream=stream, values=values, op=op, values2=values2
             )
+        yield False
 
 
 def read_wal(path: Union[str, Path]) -> Tuple[List[WalRecord], bool]:
@@ -118,15 +133,44 @@ def read_wal(path: Union[str, Path]) -> Tuple[List[WalRecord], bool]:
 
 
 class WriteAheadLog:
-    """Synchronous append-only WAL file (the writer task's core).
+    """Synchronous append-only WAL file over one open descriptor.
 
-    All methods block; the async service reaches them only through
-    :class:`WalWriter`'s ``asyncio.to_thread`` hop. Useful directly in
-    synchronous tools (benchmarks, forensics, tests).
+    All methods block; the async service reaches them only from
+    :class:`WalWriter`'s thread. Useful directly in synchronous tools
+    (benchmarks, forensics, tests), as a context manager that closes
+    the descriptor.
+
+    The descriptor opens on the first append and stays open until
+    :meth:`close`. When that first append creates the file, the parent
+    directory is fsynced once as well, so the new directory entry is
+    as durable as the records behind it.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
+        self._fd: Optional[int] = None
+
+    def __enter__(self) -> "WriteAheadLog":
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        self.close()
+
+    def _open(self) -> int:
+        if self._fd is None:
+            flags = os.O_WRONLY | os.O_CREAT | os.O_APPEND
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            try:
+                self._fd = os.open(self.path, flags | os.O_EXCL, 0o644)
+            except FileExistsError:
+                self._fd = os.open(self.path, flags, 0o644)
+            else:
+                dir_fd = os.open(self.path.parent, os.O_RDONLY)
+                try:
+                    os.fsync(dir_fd)
+                finally:
+                    os.close(dir_fd)
+        return self._fd
 
     def append(
         self,
@@ -151,11 +195,16 @@ class WriteAheadLog:
 
     def append_blob(self, blob: bytes) -> None:
         """Append pre-encoded record bytes and fsync (group commit)."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "ab") as fh:
-            fh.write(blob)
-            fh.flush()
-            os.fsync(fh.fileno())
+        fd = self._open()
+        view = memoryview(blob)
+        while view:
+            view = view[os.write(fd, view):]
+        os.fsync(fd)
+
+    def close(self) -> None:
+        fd, self._fd = self._fd, None
+        if fd is not None:
+            os.close(fd)
 
     def replay(self) -> Tuple[List[WalRecord], bool]:
         """(records, truncated) — see :func:`read_wal`."""
@@ -165,6 +214,12 @@ class WriteAheadLog:
         return self.path.stat().st_size if self.path.exists() else 0
 
 
+def _wal_io_error(message: str) -> ServiceError:
+    err = ServiceError(message)
+    err.code = WAL_IO
+    return err
+
+
 class WalWriter:
     """Async group-commit writer around :class:`WriteAheadLog`.
 
@@ -172,20 +227,31 @@ class WalWriter:
     :func:`repro.codec.encode_wal_record` — so a record that cannot be
     encoded fails its caller before anything is claimed or queued — and
     resolves only after the record is on disk (fsync'd), so a node acks
-    an ingest only once replay is guaranteed to recover it.
-    Concurrent appends that arrive while a batch is being synced are
-    coalesced into the next batch — one fsync covers them all.
+    an ingest only once replay is guaranteed to recover it. Appends
+    that arrive while a batch is being synced all go into the next
+    batch — one fsync covers them all.
+
+    ``start`` binds the writer to the running loop; the writer thread
+    itself starts on the first ``append``, so a node that never ingests
+    (a cold replay, say) never starts one. ``stop`` lets the thread
+    flush everything queued, close the file and exit.
+
+    The first ``OSError`` from a write or fsync fails that batch and
+    every later ``append`` with ``ServiceError(code="wal-io")``. The
+    fsync is never retried: after a failed one the kernel may have
+    dropped the dirty pages, and a torn write may have left a partial
+    record that a later record must not land behind.
     """
 
-    _STOP = object()
-
-    def __init__(self, path: Union[str, Path], *, max_batch: int = 256) -> None:
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
+    def __init__(self, path: Union[str, Path]) -> None:
         self.log = WriteAheadLog(path)
-        self._max_batch = max_batch
-        self._queue: Optional[asyncio.Queue] = None
-        self._task: Optional["asyncio.Task[None]"] = None
+        self._wake = threading.Condition(threading.Lock())
+        #: (record, waiter) pairs queued since the thread's last take
+        self._pending: List[Tuple[bytes, "asyncio.Future[None]"]] = []
+        self._thread: Optional[threading.Thread] = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        #: why the writer is poisoned (None while healthy)
+        self._failure: Optional[str] = None
         self.records_written = 0
         self.batches_written = 0
 
@@ -194,59 +260,85 @@ class WalWriter:
         return self.log.path
 
     def start(self) -> None:
-        if self._task is not None:
-            return
-        self._queue = asyncio.Queue()
-        self._task = asyncio.get_running_loop().create_task(self._run())
+        self._loop = asyncio.get_running_loop()
 
     async def stop(self) -> None:
-        if self._task is None or self._queue is None:
-            return
-        await self._queue.put(self._STOP)
-        await self._task
-        self._task = None
-        self._queue = None
+        """Flush and fsync everything queued, then join the thread."""
+        thread = self._thread
+        with self._wake:
+            self._thread = None
+            self._wake.notify()
+        self._loop = None
+        if thread is not None:
+            await asyncio.to_thread(thread.join)
 
     async def append(self, record: bytes) -> None:
         """Durably log one encoded record; resolves after fsync."""
-        if self._queue is None:
+        loop = self._loop
+        if loop is None:
             raise RuntimeError("WalWriter is not started")
-        done: "asyncio.Future[None]" = asyncio.get_running_loop().create_future()
-        await self._queue.put((record, done))
+        if self._failure is not None:
+            raise _wal_io_error(self._failure)
+        done: "asyncio.Future[None]" = loop.create_future()
+        with self._wake:
+            self._pending.append((record, done))
+            if self._thread is None:
+                self._thread = threading.Thread(
+                    target=self._run,
+                    args=(loop,),
+                    name=f"wal-writer {self.log.path.name}",
+                    daemon=True,
+                )
+                self._thread.start()
+            else:
+                self._wake.notify()
         await done
 
-    async def _run(self) -> None:
-        assert self._queue is not None
-        while True:
-            item = await self._queue.get()
-            if item is self._STOP:
-                return
-            batch = [item]
-            while len(batch) < self._max_batch:
-                try:
-                    extra = self._queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                if extra is self._STOP:
-                    # Flush what we have, then honor the stop.
-                    await self._commit(batch)
-                    return
-                batch.append(extra)
-            await self._commit(batch)
-
-    async def _commit(self, batch: List[Tuple[bytes, "asyncio.Future[None]"]]) -> None:
-        blob = b"".join(item[0] for item in batch)
+    def _run(self, loop: asyncio.AbstractEventLoop) -> None:
+        """Writer thread: take, write, fsync, resolve, until stopped."""
+        me = threading.current_thread()
         try:
-            await asyncio.to_thread(self.log.append_blob, blob)
-        except OSError as exc:
-            err = ServiceError(f"WAL append failed: {exc}")
-            err.code = "wal-io"
-            for _, done in batch:
-                if not done.done():
-                    done.set_exception(err)
-            return
-        self.records_written += len(batch)
-        self.batches_written += 1
+            while True:
+                with self._wake:
+                    while not self._pending and self._thread is me:
+                        self._wake.wait()
+                    batch, self._pending = self._pending, []
+                if not batch:
+                    return  # stopped, and everything queued is flushed
+                if self._failure is None:
+                    try:
+                        self.log.append_blob(b"".join(r for r, _ in batch))
+                    except BaseException as exc:
+                        # Any failure poisons the log. Only an OSError
+                        # is expected; anything else still fails the
+                        # batch's waiters, then kills the thread loudly.
+                        self._failure = f"WAL append failed: {exc}"
+                        if not isinstance(exc, OSError):
+                            loop.call_soon_threadsafe(
+                                self._resolve, batch, self._failure
+                            )
+                            raise
+                try:
+                    loop.call_soon_threadsafe(self._resolve, batch, self._failure)
+                except RuntimeError:
+                    return  # the loop is closed: nobody is waiting
+        finally:
+            self.log.close()
+
+    def _resolve(
+        self,
+        batch: List[Tuple[bytes, "asyncio.Future[None]"]],
+        failure: Optional[str],
+    ) -> None:
+        """Loop side of one commit: count it and wake its waiters."""
+        if failure is None:
+            self.records_written += len(batch)
+            self.batches_written += 1
+        err = None if failure is None else _wal_io_error(failure)
         for _, done in batch:
-            if not done.done():
+            if done.done():
+                continue
+            if err is None:
                 done.set_result(None)
+            else:
+                done.set_exception(err)

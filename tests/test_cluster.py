@@ -10,7 +10,12 @@ machinery that is supposed to inherit it.
 from __future__ import annotations
 
 import asyncio
+import errno
 import json
+import os
+import stat
+import struct
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +27,7 @@ from repro.cluster import (
     HashRing,
     LocalCluster,
     LocalNodeHandle,
+    RemoteNodeHandle,
     ReplicationManager,
     WalService,
     WalWriter,
@@ -200,7 +206,7 @@ class TestWal:
 
     def test_wal_writer_group_commit(self, tmp_path):
         async def run():
-            writer = WalWriter(tmp_path / "node.wal", max_batch=64)
+            writer = WalWriter(tmp_path / "node.wal")
             writer.start()
             await asyncio.gather(
                 *(
@@ -220,6 +226,110 @@ class TestWal:
         records, truncated = read_wal(tmp_path / "node.wal")
         assert not truncated
         assert sorted(r.seq for r in records) == list(range(32))
+
+    def test_torn_write_poisons_the_writer(self, tmp_path):
+        """A write that stops halfway fails its batch and every later
+        append: nothing is ever acked behind the torn bytes."""
+        path = tmp_path / "node.wal"
+        records = [
+            codec.encode_wal_record(i, "s", "sum", np.array([float(i), 0.5]))
+            for i in range(3)
+        ]
+
+        def torn(blob):
+            with open(path, "ab") as fh:
+                fh.write(blob[: len(blob) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        async def run():
+            writer = WalWriter(path)
+            writer.start()
+            await writer.append(records[0])
+            writer.log.append_blob = torn
+            with pytest.raises(ServiceError) as first:
+                await writer.append(records[1])
+            del writer.log.append_blob  # the disk has room again...
+            with pytest.raises(ServiceError) as later:
+                await writer.append(records[2])  # ...but the log stays failed
+            await writer.stop()
+            return writer, first.value, later.value
+
+        writer, first, later = asyncio.run(run())
+        assert first.code == later.code == "wal-io"
+        assert writer.records_written == 1
+        replayed, truncated = read_wal(path)
+        assert truncated is True
+        assert [r.seq for r in replayed] == [0]
+
+    def test_length_past_eof_is_a_torn_tail(self, tmp_path):
+        path = tmp_path / "node.wal"
+        with WriteAheadLog(path) as wal:
+            wal.append(0, "s", "sum", np.array([1.0]))
+        bogus = bytearray(codec.encode_wal_record(1, "s", "sum", np.array([2.0])))
+        # the header's x count: int64 after magic, seq, CRC, op, name length
+        struct.pack_into("<q", bogus, 20, 2**60)
+        path.write_bytes(path.read_bytes() + bytes(bogus))
+        records, truncated = read_wal(path)
+        assert truncated is True
+        assert [r.seq for r in records] == [0]
+
+    def test_new_file_fsyncs_its_directory_once(self, tmp_path, monkeypatch):
+        real_fsync = os.fsync
+        dir_syncs = []
+
+        def counting_fsync(fd):
+            if stat.S_ISDIR(os.fstat(fd).st_mode):
+                dir_syncs.append(fd)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting_fsync)
+        record = codec.encode_wal_record(0, "s", "sum", np.array([1.0]))
+
+        async def run(path):
+            writer = WalWriter(path)
+            writer.start()
+            for _ in range(3):
+                await writer.append(record)
+            await writer.stop()
+
+        asyncio.run(run(tmp_path / "a.wal"))
+        assert len(dir_syncs) == 1
+        asyncio.run(run(tmp_path / "a.wal"))  # reopen: the entry is durable
+        assert len(dir_syncs) == 1
+        with WriteAheadLog(tmp_path / "b.wal") as wal:
+            wal.append(0, "s", "sum", np.array([1.0]))
+            wal.append(1, "s", "sum", np.array([2.0]))
+        assert len(dir_syncs) == 2
+
+    def test_append_acks_only_after_fsync(self, tmp_path, monkeypatch):
+        release = threading.Event()
+        real_fsync = os.fsync
+
+        def gated_fsync(fd):
+            release.wait(10)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", gated_fsync)
+        record = codec.encode_wal_record(0, "s", "sum", np.array([1.0]))
+        path = tmp_path / "node.wal"
+        path.touch()  # no directory fsync: only the record's is gated
+
+        async def run():
+            writer = WalWriter(path)
+            writer.start()
+            ack = asyncio.ensure_future(writer.append(record))
+            try:
+                await asyncio.sleep(0.2)
+                acked_early = ack.done()
+            finally:
+                release.set()
+            await ack
+            await writer.stop()
+            return acked_early, writer.records_written
+
+        acked_early, written = asyncio.run(run())
+        assert acked_early is False
+        assert written == 1
 
 
 # ----------------------------------------------------------------------
@@ -656,6 +766,108 @@ class TestCoordinator:
 
         epoch0, epoch1 = asyncio.run(run())
         assert epoch1 > epoch0
+
+    def test_wal_io_failure_fails_the_node_over(self, tmp_path):
+        """A member whose WAL write fails leaves the group: the append
+        is retried under the same seq and every live member agrees."""
+        batches = _batches(_panel(1000, seed=29))
+
+        def eio(blob):
+            raise OSError(errno.EIO, "Input/output error")
+
+        async def run():
+            async with LocalCluster(
+                nodes=3, replication=2, base_dir=tmp_path
+            ) as lc:
+                co = lc.coordinator
+                await co.append("orders", batches[0])
+                victim = co._placement("orders").members[1]
+                lc.nodes[victim].service._wal.log.append_blob = eio
+                for batch in batches[1:]:
+                    await co.append("orders", batch)
+                members = co._placement("orders").members
+                reads = [
+                    await co._handle(m).request("value", stream="orders")
+                    for m in members
+                ]
+                return victim, members, reads, co.failovers
+
+        victim, members, reads, failovers = asyncio.run(run())
+        assert failovers == 1
+        assert victim not in members and len(members) == 2
+        want = exact_sum(np.concatenate(batches))
+        for read in reads:
+            assert same_float(read["value"], want)
+            assert read["count"] == sum(b.size for b in batches)
+
+    def test_remote_handle_reads_wal_io_as_node_down(self):
+        class StubClient:
+            def __init__(self, code):
+                self.code = code
+
+            async def request(self, op, **fields):
+                err = ServiceError("node said no")
+                err.code = self.code
+                raise err
+
+            async def close(self):
+                pass
+
+        async def run():
+            failed = RemoteNodeHandle("failed", "127.0.0.1", 1)
+            failed._client = StubClient("wal-io")
+            with pytest.raises(NodeDownError):
+                await failed.request("value", stream="s")
+            refused = RemoteNodeHandle("refused", "127.0.0.1", 1)
+            refused._client = StubClient("unknown-op")
+            with pytest.raises(ServiceError) as other:
+                await refused.request("value", stream="s")
+            return failed, refused, other.value
+
+        failed, refused, other = asyncio.run(run())
+        assert failed.alive is False and failed._client is None
+        assert refused.alive is True and not isinstance(other, NodeDownError)
+
+    @pytest.mark.skipif(
+        not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd"
+    )
+    def test_close_leaves_no_writer_thread_or_open_wal(self, tmp_path):
+        before = set(threading.enumerate())
+
+        def writers():
+            return [
+                t for t in threading.enumerate()
+                if t not in before and t.name.startswith("wal-writer")
+            ]
+
+        def open_wals():
+            targets = []
+            for entry in Path("/proc/self/fd").iterdir():
+                try:
+                    targets.append(os.readlink(entry))
+                except OSError:
+                    continue
+            return [t for t in targets if t.startswith(str(tmp_path))]
+
+        async def run():
+            async with LocalCluster(
+                nodes=3, replication=2, base_dir=tmp_path
+            ) as lc:
+                idle = len(writers())  # threads start on the first append
+                for i in range(6):
+                    await lc.coordinator.append(f"s{i}", [1.0, 2.0])
+                busy = len(writers()), len(open_wals())
+            cold = ClusterNode("node-0", wal_path=lc.wal_path("node-0"))
+            replay = await cold.start(recover=True)
+            recovering = len(writers())
+            await cold.close()
+            return idle, busy, replay, recovering
+
+        idle, (threads, fds), replay, recovering = asyncio.run(run())
+        assert idle == 0
+        assert threads == fds >= 2
+        assert replay["records"] > 0 and recovering == 0
+        assert writers() == [] and open_wals() == []
 
 
 # ----------------------------------------------------------------------
