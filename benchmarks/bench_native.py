@@ -3,8 +3,7 @@
 Sweeps the standard input distributions against input size and times
 the vectorized binned superaccumulator fold (PR 6 tentpole) next to
 every pre-existing exact fold (``sparse``, ``small``, ``dense``).
-When numba is importable the thread-parallel ``binned_jit`` backend is
-measured in the same cells. Every cell asserts the candidate answer is
+Every cell asserts the candidate answer is
 bit-identical to the serial sparse superaccumulator's — a native-speed
 kernel may only ever trade *work*, never a bit of the result.
 
@@ -47,7 +46,6 @@ except ImportError:  # run as a plain script from benchmarks/
 
 from repro.core import exact_sum
 from repro.data import generate
-from repro.util.capabilities import has_numba
 
 #: Pre-existing exact folds the binned kernel must beat.
 BASELINES = ["sparse", "small", "dense"]
@@ -59,10 +57,6 @@ CASES = [
     ("anderson", 300),
     ("sumzero", 1200),
 ]
-
-
-def _candidates() -> List[str]:
-    return ["binned"] + (["binned_jit"] if has_numba() else [])
 
 
 def _best(fn, reps: int) -> float:
@@ -79,7 +73,7 @@ def run_cell(dist: str, delta: int, n: int, reps: int) -> Dict[str, Any]:
     x = generate(dist, n, delta=delta, seed=42)
     expected = exact_sum(x, method="sparse")
     seconds: Dict[str, float] = {}
-    for method in _candidates() + BASELINES:
+    for method in ["binned"] + BASELINES:
         got = exact_sum(x, method=method)
         if got != expected or repr(got) != repr(expected):
             raise AssertionError(
@@ -109,14 +103,9 @@ def sweep(sizes: Sequence[int], reps: int) -> List[Dict[str, Any]]:
             row = run_cell(dist, delta, n, reps)
             rows.append(row)
             s = row["seconds"]
-            jit = (
-                f"  jit={s['binned_jit'] * 1e3:8.1f}ms"
-                if "binned_jit" in s
-                else ""
-            )
             print(
                 f"  {dist:<9s} delta={delta:<5d} n=2^{int(np.log2(n)):<3d} "
-                f"binned={s['binned'] * 1e3:8.1f}ms{jit}  "
+                f"binned={s['binned'] * 1e3:8.1f}ms  "
                 f"{row['best_baseline']}={s[row['best_baseline']] * 1e3:8.1f}ms  "
                 f"{row['binned_speedup']:6.2f}x",
                 flush=True,
@@ -154,7 +143,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     print(
         f"native kernel sweep: sizes={[f'2^{int(np.log2(n))}' for n in sizes]}, "
-        f"candidates={_candidates()}, baselines={BASELINES}"
+        f"baselines={BASELINES}"
     )
     rows = sweep(sizes, reps)
 
@@ -187,7 +176,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "sizes": [int(n) for n in sizes],
             "repeats": reps,
             "seed": 42,
-            "candidates": _candidates(),
+            "candidates": ["binned"],
             "baselines": BASELINES,
         },
         "rows": rows,

@@ -50,15 +50,12 @@ BLOCK_ITEMS = 1 << 14
 def bench_stamp() -> Dict[str, object]:
     """Provenance stamp every ``BENCH_*.json`` record embeds.
 
-    Records the git commit, platform, CPU count, numpy version and the
-    optional-accelerator state (numba availability/version and thread
-    count) so a stored benchmark JSON can always be traced back to the
-    code, host, and backend mix that produced it. Degrades to
+    Records the git commit, platform, Python, CPU count and numpy
+    version so a stored benchmark JSON can always be traced back to the
+    code and host that produced it. Degrades to
     ``"unknown"`` when the tree is not a git checkout (tarball
     installs, CI artifact stages).
     """
-    from repro.util.capabilities import capability_report
-
     try:
         sha = subprocess.run(
             ["git", "rev-parse", "HEAD"],
@@ -70,15 +67,13 @@ def bench_stamp() -> Dict[str, object]:
         ).stdout.strip()
     except (OSError, subprocess.SubprocessError):
         sha = "unknown"
-    stamp: Dict[str, object] = {
+    return {
         "git_sha": sha,
         "platform": platform.platform(),
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
         "numpy": np.__version__,
     }
-    stamp.update(capability_report())
-    return stamp
 
 
 def _timeit(fn: Callable[[], object]) -> float:

@@ -298,8 +298,9 @@ def _tier2_cold(
     if workers > 1 and arr.size >= config.parallel_threshold:
         return _tier2_threaded(arr, radix, workers, mode)
     if radix.supports_vectorized:
-        # The exponent-bin fold is the fastest exact path (~5x the
-        # sparse bulk fold); exact partials, so the bits cannot differ.
+        # The exponent-bin fold is the fastest exact path (an order of
+        # magnitude above the sparse bulk fold); exact partials, so the
+        # bits cannot differ.
         from repro.kernels.binned import BinnedPartial
 
         acc = BinnedPartial(radix)

@@ -28,7 +28,6 @@ from repro.kernels.accumulators import (
     SparseKernel,
 )
 from repro.kernels.binned import BinnedKernel, BinnedPartial
-from repro.kernels.binned_jit import BinnedJitKernel  # registers iff numba present
 from repro.kernels.speculative import (
     AdaptiveCascadeKernel,
     AdaptivePartial,
@@ -49,7 +48,6 @@ __all__ = [
     "RunningSumKernel",
     "BinnedKernel",
     "BinnedPartial",
-    "BinnedJitKernel",
     "AdaptiveCascadeKernel",
     "AdaptivePartial",
     "TruncatedKernel",

@@ -9,23 +9,40 @@ digit split at all — and defer every carry until one bounded
 resolution pass. detfp's ``if64Sum`` uses the same shape with
 per-thread bins merged carry-free at the end.
 
-This module is the fully vectorized form of that fold:
+This module is the fully vectorized form of that fold. A deposit keys
+each float by its top 12 bits — sign and biased exponent, one key per
+(sign, exponent) pair as in Neal's *large* superaccumulator — and makes
+three ``np.bincount`` passes over a chunk:
 
-* the biased 11-bit exponent field and 52-bit mantissa are extracted
-  with int64 view/bit ops (no frexp, no per-element Python);
-* the mantissa (hidden bit restored for normals) is split into a low
-  32-bit and a high 21-bit half, and both halves are scatter-added
-  into int64 bins with ``np.bincount`` — float64 weights, which stay
-  exact because each half's per-chunk per-bin sum is below ``2**53``
-  (chunks of ``2**20`` elements: low sums < ``2**52``, high sums <
-  ``2**41``);
-* carries are *deferred*: bins absorb up to :data:`RESOLVE_CHUNKS`
-  chunk deposits (``|bin| <= RESOLVE_CHUNKS * 2**52 = 2**62``, inside
-  int64) before one vectorized resolution converts them into a sparse
-  superaccumulator spill via
-  :func:`~repro.core.digits.split_scaled_ints_vec`;
-* rounding reuses the existing exact carry-propagate round of
-  :class:`~repro.core.sparse.SparseSuperaccumulator`.
+* an unweighted count per key;
+* the low 32-bit word per key;
+* the high word's 20 mantissa bits per key.
+
+Only the 4096-entry per-key results then see any arithmetic: the hidden
+bits join the high half as ``count << 20`` for keys whose exponent is
+not 0, the negative half of the keys is subtracted from the positive
+half, and exponent 0 (subnormals and zeros) folds into bin 1. The
+weighted bincounts sum in float64 and stay exact because every per-key
+chunk sum is an integer below ``2**53`` (see :data:`DEPOSIT_CHUNK`):
+
+* a low word is below ``2**32``, so a chunk's low sum per key is below
+  ``2**20 * 2**32 = 2**52``;
+* the high 20 mantissa bits are below ``2**20``, so a chunk's high sum
+  per key is below ``2**40``;
+* ``count << 20`` is at most ``2**40``.
+
+The folded bins therefore gain less than ``2**52`` (low) and ``2**41``
+(high) per chunk — the same per-chunk bounds
+:func:`repro.codec.decode_binned` checks (``chunks << 52`` /
+``chunks << 41``).
+
+Carries are *deferred*: bins absorb up to :data:`RESOLVE_CHUNKS` chunk
+deposits (``|bin| <= RESOLVE_CHUNKS * 2**52 = 2**62``, inside int64)
+before one vectorized resolution converts them into a sparse
+superaccumulator spill via
+:func:`~repro.core.digits.split_scaled_ints_vec`; rounding reuses the
+exact carry-propagate round of
+:class:`~repro.core.sparse.SparseSuperaccumulator`.
 
 Bin ``b`` (the biased exponent, with subnormals and zeros sharing bin
 1 — no hidden bit there) holds integer mantissa units worth
@@ -40,13 +57,12 @@ any other registered kernel. It is also the state of every
 :class:`~repro.streaming.ExactRunningSum` (and so of every serve
 stream): a write deposits into the stream's bins and nothing else, and
 carries resolve only on a read or an export (``to_sparse``) or when
-the chunk budget runs out. The optional numba backend
-(:mod:`repro.kernels.binned_jit`) shares this partial and wire frame
-and replaces only the deposit loop.
+the chunk budget runs out.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import Optional, Tuple
 
@@ -84,43 +100,58 @@ BIN_EXP_OFFSET = -1075
 #: spill (one vectorized pass) and restarts the budget.
 RESOLVE_CHUNKS = 1 << 10
 
-#: Elements per deposit chunk. Bounds the per-bin float64 bincount
-#: sums: low halves < ``2**20 * 2**32 = 2**52``, high halves <
-#: ``2**20 * 2**21 = 2**41`` — both exactly representable in float64.
+#: Elements per deposit chunk. Bounds the per-key float64 bincount
+#: sums: low words < ``2**20 * 2**32 = 2**52``, high 20 mantissa bits
+#: < ``2**20 * 2**20 = 2**40`` — both exactly representable in float64
+#: — and the hidden-bit term ``count << 20 <= 2**40``. After the sign
+#: subtraction a chunk moves a low bin by < ``2**52`` and a high bin by
+#: < ``2**41``, the bounds ``codec.decode_binned`` checks per chunk.
 DEPOSIT_CHUNK = 1 << 20
 
+#: Deposit keys: the top 12 bits of a float (sign, biased exponent).
+_KEYS = 1 << 12
+_SIGN_KEY = 1 << 11
 _EXP_MASK = np.int64(0x7FF)
-_MANT_MASK = np.int64((1 << 52) - 1)
-_HIDDEN_BIT = np.int64(1 << 52)
-_LOW32_MASK = np.int64((1 << 32) - 1)
+_MANT_HI_MASK = np.uint32((1 << 20) - 1)
+#: Hidden bit per key, in high-half units: set unless the exponent is 0.
+_HIDDEN_UNITS = np.full(_KEYS, 1 << 20, dtype=np.int64)
+_HIDDEN_UNITS[[0, _SIGN_KEY]] = 0
+#: Index of the high 32-bit word of each float in a uint32 view.
+_HIGH_WORD = 1 if sys.byteorder == "little" else 0
 
 
 def _deposit_chunk(
     bits: np.ndarray, bins_lo: np.ndarray, bins_hi: np.ndarray
 ) -> None:
-    """Scatter-add one chunk of float64 bit patterns into the bins.
+    """Scatter-add one contiguous chunk of float64 bit patterns.
 
     Rejects non-finite values *before* touching the bins, so a raising
     call leaves them unchanged (earlier chunks of the same fold may
     already be deposited; callers discard the partial on error).
     """
-    eb = (bits >> np.int64(52)) & _EXP_MASK
-    nonfinite = eb == _EXP_MASK
-    if nonfinite.any():
-        bad = int(np.flatnonzero(nonfinite)[0])
+    key = (bits.view(np.uint64) >> np.uint64(52)).view(np.int64)
+    count = np.bincount(key, minlength=_KEYS)
+    if count[_EXP_MASK] or count[_KEYS - 1]:
+        bad = int(np.flatnonzero((key & _EXP_MASK) == _EXP_MASK)[0])
         value = float(bits.view(np.float64)[bad])
         raise NonFiniteInputError(
             f"input contains a non-finite value at chunk offset {bad}: {value!r}"
         )
-    m = (bits & _MANT_MASK) | np.where(eb != 0, _HIDDEN_BIT, np.int64(0))
-    sign = np.where(bits < 0, -1.0, 1.0)
-    b = np.maximum(eb, np.int64(1))
-    lo = (m & _LOW32_MASK).astype(np.float64) * sign
-    hi = (m >> np.int64(32)).astype(np.float64) * sign
-    # Float64 bincount weights are exact here: per-bin chunk sums stay
-    # below 2**53 by the DEPOSIT_CHUNK bound, so the astype is lossless.
-    bins_lo += np.bincount(b, weights=lo, minlength=BIN_COUNT).astype(np.int64)
-    bins_hi += np.bincount(b, weights=hi, minlength=BIN_COUNT).astype(np.int64)
+    words = bits.view(np.uint32)
+    lo_w = words[1 - _HIGH_WORD :: 2]
+    hi_w = words[_HIGH_WORD :: 2] & _MANT_HI_MASK
+    # Float64 bincount sums are exact integers below 2**53 by the
+    # DEPOSIT_CHUNK bound, so the astype is lossless.
+    lo = np.bincount(key, weights=lo_w, minlength=_KEYS).astype(np.int64)
+    hi = np.bincount(key, weights=hi_w, minlength=_KEYS).astype(np.int64)
+    hi += count * _HIDDEN_UNITS
+    lo = lo[:_SIGN_KEY] - lo[_SIGN_KEY:]
+    hi = hi[:_SIGN_KEY] - hi[_SIGN_KEY:]
+    # Exponent 0 (subnormals, zeros) shares bin 1: same unit, no hidden bit.
+    lo[1] += lo[0]
+    hi[1] += hi[0]
+    bins_lo[1:] += lo[1:BIN_COUNT]
+    bins_hi[1:] += hi[1:BIN_COUNT]
 
 
 class BinnedPartial:
@@ -272,8 +303,8 @@ class BinnedKernel(SumKernel):
     """Vectorized exponent-bin kernel (exact; Neal-style deferred carry).
 
     Partial type: :class:`BinnedPartial`. The fold is the fastest pure
-    numpy exact path in the package (~5x the sparse bulk fold at
-    ``n = 2**20`` on the reference host — see ``BENCH_native.json``);
+    numpy exact path in the package (an order of magnitude above the
+    sparse bulk fold at ``n >= 2**20`` — see ``BENCH_native.json``);
     merges stay carry-free, so the kernel serves every plane.
 
     Radices too wide for the vectorized integer paths (``w > 31``)

@@ -62,7 +62,6 @@ __all__ = [
     "run_reduction",
     "PLANES",
     "KERNEL_RATES",
-    "OPTIONAL_KERNEL_REQUIREMENTS",
 ]
 
 #: Default items per block, shared with the MapReduce driver.
@@ -73,23 +72,20 @@ DEFAULT_BLOCK_ITEMS = 1 << 17
 SMALL_INPUT_ITEMS = 1 << 16
 
 #: Measured single-thread bulk-fold rates in Melem/s on the reference
-#: host (``benchmarks/bench_native.py`` → ``BENCH_native.json``,
-#: ``kernel_rates_melem_per_s``: the median over the largest cells,
-#: n = 2**22; ``adaptive`` from ``BENCH_adaptive.json``, the tier-0
+#: host. ``binned``, ``dense``, ``small`` and ``sparse`` are
+#: ``BENCH_native.json``'s ``kernel_rates_melem_per_s`` row
+#: (``benchmarks/bench_native.py``: the median over the n = 2**22
+#: cells); ``adaptive`` is from ``BENCH_adaptive.json``, the tier-0
 #: certified pass on the well-conditioned n = 2**20 cell — its worst
-#: case is one exact escalation on top). Only the relative order
+#: case is one exact escalation on top. Only the relative order
 #: matters to the planner — it ranks candidate kernels by these and
-#: picks the fastest one that is actually available — so a different
-#: host changes the margins, not the decisions. ``binned_jit`` is
-#: credited slightly above ``binned`` because its deposit is the same
-#: fold run thread-parallel (it cannot be measured on the reference
-#: host, which has no numba — the CI optional-deps job covers it);
-#: ``running`` and ``truncated`` are unbenched estimates kept below the
-#: measured folds they wrap.
+#: picks the fastest one the mode and op accept — so a different host
+#: changes the margins, not the decisions. ``running`` and
+#: ``truncated`` are unbenched estimates kept below the measured folds
+#: they wrap.
 KERNEL_RATES: Dict[str, float] = {
     "adaptive": 70.0,
-    "binned_jit": 26.0,
-    "binned": 24.7,
+    "binned": 88.8,
     "dense": 3.8,
     "small": 3.7,
     "sparse": 3.4,
@@ -97,18 +93,10 @@ KERNEL_RATES: Dict[str, float] = {
     "truncated": 1.8,
 }
 
-#: Kernels that exist only when an optional capability is importable,
-#: mapped to the capability name :mod:`repro.util.capabilities` probes.
-#: The planner lists them in every candidate table (with the rejection
-#: reason when absent) but never selects one that is not registered.
-OPTIONAL_KERNEL_REQUIREMENTS: Dict[str, str] = {
-    "binned_jit": "numba",
-}
-
 #: Kernels whose fast fold needs the vectorized int64 digit paths
 #: (``w <= 31``); outside that they degrade to sparse-spill speed, so
 #: the planner stops preferring them.
-_VECTOR_FOLD_KERNELS = frozenset({"binned", "binned_jit"})
+_VECTOR_FOLD_KERNELS = frozenset({"binned"})
 
 
 @dataclass(frozen=True)
@@ -116,10 +104,10 @@ class KernelCandidate:
     """One row of the planner's kernel table: accepted or rejected, why.
 
     Attributes:
-        name: registry (or optional-backend) kernel name.
+        name: registry kernel name.
         accepted: whether the planner may auto-select this kernel for
             the requested mode/radix. Rejected candidates stay in the
-            table so ``repro plan --explain`` shows *why* (missing
+            table so ``repro plan --explain`` shows *why* (op
             capability, directed-mode certification, digit width).
         reason: one line of rationale.
         rate: measured reference rate in Melem/s (None if unbenched).
@@ -136,14 +124,11 @@ def kernel_candidates(
     radix: RadixConfig = DEFAULT_RADIX,
     op: str = "sum",
 ) -> List[KernelCandidate]:
-    """Rank every kernel (registered or optional) for a reduction task.
+    """Rank every registered kernel for a reduction task.
 
     Returns candidates sorted fastest-first by :data:`KERNEL_RATES`;
     the first accepted row is what :func:`plan_sum` picks when the
-    caller does not force a kernel. Unavailable backends are present
-    but rejected — the capability probe is
-    :func:`repro.util.capabilities.has_numba`-cheap, so planning never
-    imports an optional dependency.
+    caller does not force a kernel.
 
     ``op`` names a registered reduction (``sum``, ``dot``, ``norm2``,
     ``mean``, ``var``). Ops that finish from the exact accumulated
@@ -154,26 +139,10 @@ def kernel_candidates(
     from repro.reduce.ops import get_op, kernel_supports
 
     reduction = get_op(op)
-    available = set(kernel_names())
-    names = sorted(
-        available | set(OPTIONAL_KERNEL_REQUIREMENTS),
-        key=lambda n: (-KERNEL_RATES.get(n, 0.0), n),
-    )
+    names = sorted(kernel_names(), key=lambda n: (-KERNEL_RATES.get(n, 0.0), n))
     out: List[KernelCandidate] = []
     for name in names:
         rate = KERNEL_RATES.get(name)
-        if name not in available:
-            capability = OPTIONAL_KERNEL_REQUIREMENTS[name]
-            out.append(
-                KernelCandidate(
-                    name,
-                    False,
-                    f"requires {capability}, which is not installed "
-                    f"(pip install 'repro[native]')",
-                    rate,
-                )
-            )
-            continue
         k = get_kernel(name, radix=radix)
         if not kernel_supports(reduction, k):
             out.append(
@@ -639,9 +608,7 @@ def plan_sum(
       :func:`kernel_candidates` — the condition-adaptive cascade for
       nearest rounding (certified fast paths, exact escalation), the
       binned exponent fold for directed modes (which the certifying
-      tiers cannot prove); optional backends like ``binned_jit`` are
-      selected only when their capability is installed, never by
-      assumption.
+      tiers cannot prove).
     """
     from repro.reduce.ops import get_op, kernel_supports
 
@@ -651,13 +618,6 @@ def plan_sum(
     if kernel is None:
         kernel = next(c.name for c in candidates if c.accepted)
     elif kernel not in kernel_names():
-        if kernel in OPTIONAL_KERNEL_REQUIREMENTS:
-            capability = OPTIONAL_KERNEL_REQUIREMENTS[kernel]
-            raise ValueError(
-                f"kernel {kernel!r} requires {capability}, which is not "
-                f"installed; install the [native] extra or pick one of "
-                f"{list(kernel_names())}"
-            )
         raise ValueError(
             f"unknown kernel {kernel!r}; expected one of {list(kernel_names())}"
         )

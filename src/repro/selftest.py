@@ -161,20 +161,15 @@ def _check_kernels() -> None:
 def _check_binned() -> None:
     from repro.core import exact_sum
     from repro.kernels import get_kernel
-    from repro.util.capabilities import capability_report, has_numba
 
     rng = np.random.default_rng(11)
     x = (rng.random(3000) - 0.5) * 10.0 ** rng.integers(-250, 250, 3000)
     x = np.concatenate([x, [5e-324, -5e-324, 3e-310, -0.0, 1e308, -1e308]])
     want = exact_sum(x, method="sparse")
     assert exact_sum(x, method="binned") == want
-    report = capability_report()
-    assert set(report) >= {"numba", "numba_version", "numba_threads"}
     kernel = get_kernel("binned")
     part = kernel.combine(kernel.fold(x[:1000]), kernel.fold(x[1000:]))
     assert kernel.round(part) == want
-    if has_numba():
-        assert exact_sum(x, method="binned_jit") == want
 
 
 def _check_plan() -> None:

@@ -47,8 +47,8 @@ _STREAM_METHODS = ("exact", "adaptive")
 
 #: Smallest write deposited straight from the caller's array. Smaller
 #: writes are staged and deposited together once this many values are
-#: staged: below it, a deposit's fixed cost (two full-width bin
-#: scatter-adds) outweighs the vectorized per-value work.
+#: staged: below it, a deposit's fixed cost (three 4096-key bincounts)
+#: outweighs the vectorized per-value work.
 DEPOSIT_MIN = 2048
 
 

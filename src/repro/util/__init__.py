@@ -6,7 +6,6 @@ from repro.util.bits import (
     floor_mod,
     trailing_zeros,
 )
-from repro.util.capabilities import capability_report, has_numba, load_numba
 from repro.util.timing import Timer
 from repro.util.validation import (
     check_finite_array,
@@ -20,9 +19,6 @@ __all__ = [
     "floor_mod",
     "trailing_zeros",
     "Timer",
-    "capability_report",
-    "has_numba",
-    "load_numba",
     "check_finite_array",
     "check_positive_int",
     "ensure_float64_array",

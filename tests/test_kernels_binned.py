@@ -8,15 +8,13 @@ against each other on the inputs where bit-field extraction goes wrong
 first: subnormals (no hidden bit), signed zeros, values at the
 overflow boundary, and folds engineered to exercise the deferred
 bin-carry resolution. ±inf/NaN must be rejected with the same typed
-error the rest of the package raises.
-
-``binned_jit`` runs the identical battery when numba is importable and
-is skipped cleanly otherwise (the CI optional-deps matrix covers both
-sides).
+error the rest of the package raises. The deposit's bins themselves are
+checked against a pure-Python reference built from raw bit patterns.
 """
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -27,16 +25,18 @@ from repro.core import exact_sum
 from repro.core.digits import DEFAULT_RADIX, RadixConfig, split_scaled_ints_vec
 from repro.core.sparse import SparseSuperaccumulator
 from repro.errors import CodecError, NonFiniteInputError
-from repro.kernels import get_kernel, kernel_names, kernel_sum
+from repro.kernels import get_kernel, kernel_sum
 from repro.kernels.binned import (
     BIN_COUNT,
     BIN_EXP_OFFSET,
+    DEPOSIT_CHUNK,
     RESOLVE_CHUNKS,
     BinnedPartial,
 )
-from repro.util.capabilities import has_numba
+from repro.streaming import ExactRunningSum
+from tests.test_streaming import FIXTURE_KSTR, _fixture_values
 
-KERNELS = ["binned"] + (["binned_jit"] if has_numba() else [])
+KERNELS = ["binned"]
 
 finite_floats = st.floats(
     allow_nan=False, allow_infinity=False, allow_subnormal=True, width=64
@@ -310,30 +310,128 @@ def test_decode_rejects_unsorted_or_out_of_range_bins():
 
 
 # ---------------------------------------------------------------------------
-# jit-specific plumbing
+# the sign x exponent deposit, bin by bin
+
+MANT_BITS = (1 << 52) - 1
+LARGEST = 0x7FEFFFFFFFFFFFFF  # largest finite magnitude
+SIGN = 1 << 63
 
 
-def test_binned_jit_registration_tracks_capability():
-    assert ("binned_jit" in kernel_names()) == has_numba()
+def _pattern(sign: int, eb: int, mant: int) -> int:
+    return (sign << 63) | (eb << 52) | mant
 
 
-@pytest.mark.skipif(not has_numba(), reason="numba not installed")
-def test_binned_jit_matches_binned_bitwise():
-    rng = np.random.default_rng(9)
-    arr = (rng.random(200_000) - 0.5) * 10.0 ** rng.integers(-250, 250, 200_000)
-    kj = get_kernel("binned_jit")
-    kb = get_kernel("binned")
-    assert kj.round(kj.fold(arr)) == kb.round(kb.fold(arr))
-    assert kj.exact_fraction(kj.fold(arr)) == _ref(arr)
+def _edge_patterns():
+    """Both signs at every finite exponent, plus ±0, subnormals and ±max.
+
+    The two signs get complementary mantissas so no exponent cancels.
+    """
+    out = []
+    for eb in range(2047):
+        mant = (eb * 0x9E3779B97F4A7) & MANT_BITS
+        out += [_pattern(0, eb, mant), _pattern(1, eb, MANT_BITS ^ mant)]
+    out += [0, SIGN, 1, SIGN | 3, MANT_BITS, SIGN | (MANT_BITS >> 1)]
+    return out + [LARGEST, LARGEST, SIGN | LARGEST]
 
 
-def test_binned_jit_without_numba_falls_back_to_numpy_fold():
-    """Direct instantiation with no numba still sums exactly."""
-    if has_numba():
-        pytest.skip("numba installed: the fallback path is not reachable")
-    from repro.kernels.binned_jit import BinnedJitKernel
+def _reference_bins(patterns):
+    """Per-biased-exponent (lo, hi) sums from the bit fields, in Python ints."""
+    lo = [0] * BIN_COUNT
+    hi = [0] * BIN_COUNT
+    for p in patterns:
+        eb = (p >> 52) & 0x7FF
+        m = (p & MANT_BITS) | ((1 << 52) if eb else 0)
+        sign = -1 if p >> 63 else 1
+        b = max(eb, 1)
+        lo[b] += sign * (m & 0xFFFFFFFF)
+        hi[b] += sign * (m >> 32)
+    return lo, hi
 
-    k = BinnedJitKernel()
-    rng = np.random.default_rng(10)
-    arr = (rng.random(5000) - 0.5) * 10.0 ** rng.integers(-100, 100, 5000)
-    assert k.round(k.fold(arr)) == exact_sum(arr, method="sparse")
+
+def _as_floats(patterns) -> np.ndarray:
+    return np.array(patterns, dtype=np.uint64).view(np.float64)
+
+
+finite_patterns = st.builds(
+    _pattern,
+    st.integers(0, 1),
+    st.integers(0, 2046),
+    st.integers(0, MANT_BITS),
+)
+
+
+@given(drawn=st.lists(finite_patterns, max_size=200))
+@settings(max_examples=40, deadline=None)
+def test_deposit_bins_match_bit_field_reference(drawn):
+    patterns = _edge_patterns() + drawn
+    arr = _as_floats(patterns)
+    part = BinnedPartial(DEFAULT_RADIX)
+    part.deposit(arr)
+    lo, hi = _reference_bins(patterns)
+    assert part.bins_lo.tolist() == lo
+    assert part.bins_hi.tolist() == hi
+    assert part.to_fraction() == _ref(arr)
+
+
+NONFINITE_PATTERNS = [
+    0x7FF0000000000000,  # +inf
+    0xFFF0000000000000,  # -inf
+    0x7FF8000000000000,  # quiet NaN
+    0xFFF8000000000000,  # negative NaN
+    0x7FF0000000000001,  # signalling NaN payload
+]
+
+
+@pytest.mark.parametrize("bad", NONFINITE_PATTERNS)
+@given(pos=st.integers(0, 299))
+@settings(max_examples=20, deadline=None)
+def test_nonfinite_anywhere_raises_and_leaves_bins_unchanged(bad, pos):
+    rng = np.random.default_rng(pos)
+    part = BinnedPartial(DEFAULT_RADIX)
+    part.deposit((rng.random(100) - 0.5) * 10.0 ** rng.integers(-30, 30, 100))
+    before = (part.bins_lo.copy(), part.bins_hi.copy(), part.chunks)
+    arr = (rng.random(300) - 0.5) * 2.0 ** rng.integers(-1074, 1023, 300)
+    arr[pos] = _as_floats([bad])[0]
+    with pytest.raises(NonFiniteInputError, match=f"offset {pos}:"):
+        part.deposit(arr)
+    assert (part.bins_lo == before[0]).all()
+    assert (part.bins_hi == before[1]).all()
+    assert part.chunks == before[2]
+
+
+@pytest.mark.parametrize("sign", [0, 1])
+@pytest.mark.parametrize("eb", [1, 1023, 2046])
+def test_worst_case_chunk_at_one_key_is_exact(sign, eb):
+    """A full chunk of all-ones mantissas at one key: the per-chunk bound."""
+    x = _as_floats([_pattern(sign, eb, MANT_BITS)])[0]
+    part = BinnedPartial(DEFAULT_RADIX)
+    part.deposit(np.full(DEPOSIT_CHUNK, x))
+    s = -1 if sign else 1
+    assert part.chunks == 1
+    assert int(part.bins_lo[eb]) == s * DEPOSIT_CHUNK * (2**32 - 1)
+    assert int(part.bins_hi[eb]) == s * DEPOSIT_CHUNK * (2**21 - 1)
+    assert np.count_nonzero(part.bins_lo) == np.count_nonzero(part.bins_hi) == 1
+    assert abs(int(part.bins_lo[eb])) < 2**52 and abs(int(part.bins_hi[eb])) < 2**41
+    assert part.to_fraction() == Fraction(x) * DEPOSIT_CHUNK
+
+
+#: SHA-256 of the ``BSUP`` frame of the fixture values plus
+#: :func:`_edge_patterns`, produced by the per-exponent deposit before
+#: the sign x exponent keys: the bins (and so every frame built from
+#: them) must not change.
+PINNED_BSUP_SHA256 = "890bd47815d48da30a11ea5d4e46d2227002639dff7219d4f52f177492554b7c"
+
+
+def test_bsup_frame_is_unchanged():
+    k = get_kernel("binned")
+    arr = np.concatenate([np.array(_fixture_values()), _as_floats(_edge_patterns())])
+    frame = k.to_wire(k.fold(arr))
+    assert hashlib.sha256(frame).hexdigest() == PINNED_BSUP_SHA256
+
+
+def test_kstr_fixture_value_matches_the_deposit():
+    rs = ExactRunningSum.from_bytes(FIXTURE_KSTR.read_bytes())
+    part = BinnedPartial(DEFAULT_RADIX)
+    part.deposit(np.array(_fixture_values()))
+    assert part.to_fraction() == rs.exact_fraction()
+    assert part.to_float() == rs.value()
