@@ -1,11 +1,11 @@
-"""NATIVE — binned exponent-fold kernels vs the classic exact folds.
+"""NATIVE — the binned exponent-fold kernel vs the classic exact folds.
 
 Sweeps the standard input distributions against input size and times
 the vectorized binned superaccumulator fold (PR 6 tentpole) next to
 every pre-existing exact fold (``sparse``, ``small``, ``dense``).
-Every cell asserts the candidate answer is
-bit-identical to the serial sparse superaccumulator's — a native-speed
-kernel may only ever trade *work*, never a bit of the result.
+Every cell asserts each answer is bit-identical to the serial sparse
+superaccumulator's — a native-speed kernel may only ever trade *work*,
+never a bit of the result.
 
 Usage::
 

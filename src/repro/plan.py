@@ -85,10 +85,10 @@ SMALL_INPUT_ITEMS = 1 << 16
 #: they wrap.
 KERNEL_RATES: Dict[str, float] = {
     "adaptive": 70.0,
-    "binned": 88.8,
-    "dense": 3.8,
-    "small": 3.7,
-    "sparse": 3.4,
+    "binned": 84.8,
+    "dense": 5.3,
+    "small": 5.3,
+    "sparse": 5.0,
     "running": 2.7,
     "truncated": 1.8,
 }
@@ -604,11 +604,10 @@ def plan_sum(
       otherwise);
     * file-backed data with one worker streams: one pass over the
       mapped dataset, O(1) memory;
-    * the kernel is the fastest *available* candidate from
-      :func:`kernel_candidates` — the condition-adaptive cascade for
-      nearest rounding (certified fast paths, exact escalation), the
-      binned exponent fold for directed modes (which the certifying
-      tiers cannot prove).
+    * the kernel is the fastest accepted candidate from
+      :func:`kernel_candidates` — by the measured rates, the binned
+      exponent fold in every rounding mode (the certifying tiers
+      prove nearest rounding only).
     """
     from repro.reduce.ops import get_op, kernel_supports
 
