@@ -72,19 +72,18 @@ DEFAULT_BLOCK_ITEMS = 1 << 17
 SMALL_INPUT_ITEMS = 1 << 16
 
 #: Measured single-thread bulk-fold rates in Melem/s on the reference
-#: host. ``binned``, ``dense``, ``small`` and ``sparse`` are
-#: ``BENCH_native.json``'s ``kernel_rates_melem_per_s`` row
-#: (``benchmarks/bench_native.py``: the median over the n = 2**22
-#: cells); ``adaptive`` is from ``BENCH_adaptive.json``, the tier-0
-#: certified pass on the well-conditioned n = 2**20 cell — its worst
-#: case is one exact escalation on top. Only the relative order
-#: matters to the planner — it ranks candidate kernels by these and
-#: picks the fastest one the mode and op accept — so a different host
-#: changes the margins, not the decisions. ``running`` and
-#: ``truncated`` are unbenched estimates kept below the measured folds
-#: they wrap.
+#: host, all medians over the n = 2**22 cells. ``binned``, ``dense``,
+#: ``small`` and ``sparse`` are ``BENCH_native.json``'s
+#: ``kernel_rates_melem_per_s`` row (``benchmarks/bench_native.py``);
+#: ``adaptive`` is ``BENCH_adaptive.json``'s median over the cells the
+#: tier-0 certificate serves — its worst case is one exact escalation
+#: on top. Only the relative order matters to the planner — it ranks
+#: candidate kernels by these and picks the fastest one the mode and op
+#: accept — so a different host changes the margins, not the decisions.
+#: ``running`` and ``truncated`` are unbenched estimates kept below the
+#: measured folds they wrap.
 KERNEL_RATES: Dict[str, float] = {
-    "adaptive": 70.0,
+    "adaptive": 29.3,
     "binned": 84.8,
     "dense": 5.3,
     "small": 5.3,

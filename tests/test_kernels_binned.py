@@ -33,8 +33,7 @@ from repro.kernels.binned import (
     RESOLVE_CHUNKS,
     BinnedPartial,
 )
-from repro.streaming import ExactRunningSum
-from tests.test_streaming import FIXTURE_KSTR, _fixture_values
+from tests.test_streaming import _fixture_values
 
 KERNELS = ["binned"]
 
@@ -427,11 +426,3 @@ def test_bsup_frame_is_unchanged():
     arr = np.concatenate([np.array(_fixture_values()), _as_floats(_edge_patterns())])
     frame = k.to_wire(k.fold(arr))
     assert hashlib.sha256(frame).hexdigest() == PINNED_BSUP_SHA256
-
-
-def test_kstr_fixture_value_matches_the_deposit():
-    rs = ExactRunningSum.from_bytes(FIXTURE_KSTR.read_bytes())
-    part = BinnedPartial(DEFAULT_RADIX)
-    part.deposit(np.array(_fixture_values()))
-    assert part.to_fraction() == rs.exact_fraction()
-    assert part.to_float() == rs.value()
