@@ -1,19 +1,19 @@
-"""Condition-adaptive tiered summation (Theorem 4 as a wall-clock win).
+"""Condition-adaptive summation (Theorem 4 as a wall-clock win).
 
 Public surface:
 
 * :func:`adaptive_sum` / :func:`adaptive_sum_detail` — one-shot sums
-  through the tier ladder, bit-identical to ``exact_sum``.
-* :class:`AdaptiveFolder` — stateful front-end with tier telemetry,
-  used by the serving plane and the MapReduce driver.
+  that try the Tier-0 certificate and otherwise make one binned
+  deposit; bit-identical to ``exact_sum``.
+* :class:`TierCounters` — tier telemetry, shared by the serving plane's
+  ``sum`` op and its shards' folds.
 * :func:`certified_cascade_sum` — the Tier-0 primitive, exposed for
-  callers (e.g. MapReduce combiners) that want the certificate itself.
+  callers (e.g. the ``adaptive`` kernel's per-block folds) that want
+  the certificate itself.
 """
 
 from repro.adaptive.cascade import CascadeCertificate, certified_cascade_sum
 from repro.adaptive.engine import (
-    AdaptiveConfig,
-    AdaptiveFolder,
     AdaptiveResult,
     TierCounters,
     adaptive_sum,
@@ -21,8 +21,6 @@ from repro.adaptive.engine import (
 )
 
 __all__ = [
-    "AdaptiveConfig",
-    "AdaptiveFolder",
     "AdaptiveResult",
     "CascadeCertificate",
     "TierCounters",

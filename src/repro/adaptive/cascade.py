@@ -37,8 +37,8 @@ Work scales with conditioning exactly as Theorem 4 promises: ``beta``
 is second-order (``~u^2 * sum|x|``), so the certificate's margin is
 roughly ``log2(1/(C(X) * u^2 * polylog n))`` bits — inputs with
 condition numbers up to ~``1/u`` certify here and never touch a
-superaccumulator, while heavy cancellation fails fast (the tree is a
-few percent of the exact path's cost) and escalates to Tier 1/2.
+superaccumulator, while heavy cancellation fails fast and escalates
+to one exact binned deposit (:mod:`repro.adaptive.engine`).
 
 Intermediate overflow needs no special-casing: non-finite partials
 poison ``res``/``beta`` and the certificate fails closed.

@@ -30,7 +30,7 @@ _METHODS = ("sparse", "small", "dense", "adaptive", "auto")
 def _build(values: np.ndarray, method: str, radix: RadixConfig):
     # "adaptive"/"auto" land here only from the scaled/fraction paths
     # (which need the exact accumulator, not a rounded float) or for
-    # non-nearest modes the certifying tiers cannot prove; the sparse
+    # non-nearest modes the certificate cannot prove; the sparse
     # kernel is the exact workhorse in both cases. Construction goes
     # through the kernel registry so this module holds no
     # representation-specific build code of its own.
@@ -53,10 +53,10 @@ def exact_sum(
 
     Args:
         values: any array-like of finite float64 values.
-        method: representation — ``"adaptive"`` (condition-adaptive
-            tier ladder, also what ``"auto"`` now selects: certified
-            fast paths for well-conditioned inputs, bit-identical
-            escalation otherwise), ``"sparse"`` (the paper's sparse
+        method: representation — ``"adaptive"`` (also what
+            ``"auto"`` selects: the Tier-0 certificate for
+            well-conditioned inputs, else one exact binned deposit;
+            see :mod:`repro.adaptive`), ``"sparse"`` (the paper's sparse
             superaccumulator), ``"small"`` (Neal-style dense
             fixed-size), or ``"dense"`` (full fixed-point array).
         mode: rounding direction; ``"nearest"`` (default) is correct

@@ -13,16 +13,16 @@ the exact sparse reference.
   ``(value, remainder, bound)`` certificate; escalated blocks carry the
   full sparse accumulator. The MapReduce adaptive job is one thin
   subclass of the generic kernel job over this kernel.
-* :class:`TruncatedKernel` — Tier 1: gamma-truncated sparse partials
-  (§4 of the paper) with O(gamma) combines and the exact
-  truncation-mass stopping proof at round time.
+* :class:`TruncatedKernel` — gamma-truncated sparse partials (§4 of
+  the paper) with O(gamma) combines and the exact truncation-mass
+  stopping proof (:func:`certify_rounding`) at round time.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Any, Optional, Sequence, Tuple
+from typing import Any, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -58,10 +58,12 @@ def sum_bounds_upper(bounds: Sequence[float]) -> float:
 
 
 def certify_rounding(
-    acc: SparseSuperaccumulator, y: float, bound_total: float
+    acc: SparseSuperaccumulator, y: float, bound_total: Union[float, Fraction]
 ) -> float:
     """Global certificate: prove ``y`` is the correctly rounded sum.
 
+    The exact sum lies within ``bound_total`` (a float, or an exact
+    ``Fraction`` such as a truncation-mass bound) of ``acc``'s value.
     Returns the margin (doublings the bound could survive), raising
     :class:`CertificationError` when the proof fails. ``bound_total ==
     0`` means every contribution was exact — nothing to prove.
@@ -225,7 +227,7 @@ class AdaptiveCascadeKernel(SumKernel):
 
 @register_kernel
 class TruncatedKernel(SumKernel):
-    """Tier-1 kernel: gamma-truncated sparse partials with a mass proof.
+    """The paper's §4 kernel: gamma-truncated sparse partials with a mass proof.
 
     Combines cost O(gamma) regardless of exponent spread; everything
     ever dropped is accounted by the exact truncation-mass bound, and
@@ -275,13 +277,8 @@ class TruncatedKernel(SumKernel):
             raise CertificationError(
                 "truncation certificates only prove nearest rounding; rerun exactly"
             )
-        from repro.adaptive.engine import _tier1_certify
-
-        y = _tier1_certify(partial)
-        if y is None:
-            raise CertificationError(
-                "truncated mass reaches a rounding-cell boundary; rerun exactly"
-            )
+        y = partial.to_float("nearest")
+        certify_rounding(partial.acc, y, partial.truncation_mass_bound())
         return y
 
     def to_wire(self, partial: TruncatedSparseSuperaccumulator) -> bytes:

@@ -83,7 +83,7 @@ SMALL_INPUT_ITEMS = 1 << 16
 #: ``running`` and ``truncated`` are unbenched estimates kept below the
 #: measured folds they wrap.
 KERNEL_RATES: Dict[str, float] = {
-    "adaptive": 29.3,
+    "adaptive": 31.0,
     "binned": 84.8,
     "dense": 5.3,
     "small": 5.3,

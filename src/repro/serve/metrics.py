@@ -72,7 +72,7 @@ class ServiceMetrics:
         self.wire_values: Counter = Counter()
         self.latency = LatencyReservoir(reservoir_size)
         #: Adaptive-engine tier decisions (tier0 hits, escalations,
-        #: certificate margins). The service's AdaptiveFolder and every
+        #: certificate margins). The service's ``sum`` op and every
         #: shard's fold path write into this shared tally.
         self.tiering = TierCounters()
 

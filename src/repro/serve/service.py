@@ -63,7 +63,7 @@ from repro.errors import (
     ReproError,
     ServiceError,
 )
-from repro.adaptive import AdaptiveFolder
+from repro.adaptive import adaptive_sum_detail
 from repro.kernels import get_kernel, kernel_names
 # reprolint: disable-next-line=ARCH004 -- dataplane is the shared zero-copy layer, not a plane entry point
 from repro.mapreduce.dataplane import BlockRef, resolve_block
@@ -226,10 +226,6 @@ class ReproService:
             AccumulatorShard(i, metrics=self.metrics, radix=radix, kernel=self._kernel)
             for i in range(self.config.shards)
         ]
-        # Stateless one-shot sums (`sum` op) run the full tier ladder;
-        # tier decisions land in the shared metrics tally alongside the
-        # shards' fold accounting.
-        self._folder = AdaptiveFolder(radix=radix, counters=self.metrics.tiering)
         self._rr = 0
         self._ops: Dict[str, Callable[[Dict[str, Any]], Awaitable[Dict[str, Any]]]] = {
             "ping": self._op_ping,
@@ -360,19 +356,21 @@ class ReproService:
         return arr
 
     async def _op_sum(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        """Stateless one-shot exact sum through the adaptive tier ladder.
+        """Stateless one-shot exact sum through the adaptive ladder.
 
         No stream is touched: the request's values are summed with
-        :meth:`AdaptiveFolder.sum` and the correctly rounded result is
-        returned along with the tier that proved it. This is the
-        request-scoped fast path — well-conditioned payloads are served
-        by the Tier-0 certificate at a fraction of a fold's cost.
+        :func:`~repro.adaptive.adaptive_sum_detail`, the decision is
+        recorded in the shared ``tiering`` tally alongside the shards'
+        fold accounting, and the correctly rounded result is returned
+        with the tier that produced it. Well-conditioned payloads are
+        served by the Tier-0 certificate at a fraction of a fold's cost.
         """
         if "values" not in request:
             raise ServiceError("sum needs a 'values' field")
         mode = check_mode(request.get("mode", "nearest"))
         arr = self._validated_array(request["values"])
-        result = self._folder.sum(arr, mode=mode)
+        result = adaptive_sum_detail(arr, mode=mode, radix=self.radix)
+        self.metrics.tiering.record(result)
         return {
             "value": result.value,
             "hex": result.value.hex(),

@@ -14,13 +14,6 @@ mantissas into the bins and does nothing else. Carries are resolved
 only when the state is read or exported (``value``, ``exact_fraction``,
 ``exact_state``, ``to_bytes``) or when the bins' carry budget runs out
 — the deferred-carry shape of Neal's small superaccumulator.
-
-Streams accept ``method="adaptive"`` to route reads through the
-condition-adaptive tier ladder (:mod:`repro.adaptive`): folds stay
-exact — a stateful stream can never un-fold a speculated value — but
-queries on still-staged data take the certified Tier-0/1 fast path,
-and every tier decision lands in the stream's
-:attr:`~ExactRunningSum.tier_counters` telemetry.
 """
 
 from __future__ import annotations
@@ -41,23 +34,11 @@ from repro.util.validation import check_finite_array, ensure_float64_array
 
 __all__ = ["ExactRunningSum", "SlidingWindowSum", "RunningStats", "exact_cumsum"]
 
-#: Accepted fold-routing methods for streaming state.
-_STREAM_METHODS = ("exact", "adaptive")
-
-
 #: Smallest write deposited straight from the caller's array. Smaller
 #: writes are staged and deposited together once this many values are
 #: staged: below it, a deposit's fixed cost (three 4096-key bincounts)
 #: outweighs the vectorized per-value work.
 DEPOSIT_MIN = 2048
-
-
-def _check_stream_method(method: str) -> str:
-    if method not in _STREAM_METHODS:
-        raise ValueError(
-            f"unknown method {method!r}; expected one of {_STREAM_METHODS}"
-        )
-    return method
 
 
 class ExactRunningSum:
@@ -77,32 +58,14 @@ class ExactRunningSum:
     Exactness is unaffected: the bins hold the exact total, so deposit
     and resolution timing can never change a single bit. No bins are
     allocated until the first deposit.
-
-    With ``method="adaptive"``, reads over purely staged data go
-    through the certified tier ladder (bit-identical, often much
-    cheaper), deposits are tallied, and :attr:`tier_counters` exposes
-    the decisions.
     """
 
-    def __init__(
-        self, radix: RadixConfig = DEFAULT_RADIX, *, method: str = "exact"
-    ) -> None:
-        self.method = _check_stream_method(method)
+    def __init__(self, radix: RadixConfig = DEFAULT_RADIX) -> None:
         self._part = BinnedPartial(radix)
         self.count = 0
         self._pending_scalars: list = []
         self._pending_arrays: list = []
         self._pending_items = 0
-        self._counters: Optional[object] = None
-        if self.method == "adaptive":
-            from repro.adaptive import TierCounters
-
-            self._counters = TierCounters()
-
-    @property
-    def tier_counters(self):
-        """Tier telemetry (``None`` unless ``method="adaptive"``)."""
-        return self._counters
 
     def add(self, x: float) -> None:
         """Fold one value in exactly."""
@@ -120,7 +83,7 @@ class ExactRunningSum:
         arr = ensure_float64_array(values)
         check_finite_array(arr)
         if arr.size >= DEPOSIT_MIN:
-            self._deposit(arr)
+            self._part.deposit(arr)
         elif arr.size:
             if arr is values:
                 # The stage holds a reference until the next deposit; a
@@ -141,11 +104,6 @@ class ExactRunningSum:
             parts.append(np.array(self._pending_scalars, dtype=np.float64))
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-    def _deposit(self, arr: np.ndarray) -> None:
-        self._part.deposit(arr)
-        if self._counters is not None:
-            self._counters.record_bulk_fold()
-
     def _flush(self) -> None:
         merged = self._pending_merged()
         if merged is None:
@@ -153,7 +111,7 @@ class ExactRunningSum:
         self._pending_scalars = []
         self._pending_arrays = []
         self._pending_items = 0
-        self._deposit(merged)
+        self._part.deposit(merged)
 
     def merge(self, other: "ExactRunningSum") -> None:
         """Absorb another stream's exact state (``other`` keeps its value)."""
@@ -188,22 +146,6 @@ class ExactRunningSum:
 
     def value(self, mode: str = "nearest") -> float:
         """Correctly rounded current total (0.0 for an empty stream)."""
-        if (
-            self._counters is not None
-            and mode == "nearest"
-            and self._part.width == 0
-        ):
-            merged = self._pending_merged()
-            if merged is not None:
-                # Certified read over still-staged data: bit-identical
-                # to deposit-then-round (the ladder proves it), usually
-                # a single cascade pass instead of a carry resolution.
-                # The stage stays staged so later adds keep batching.
-                from repro.adaptive import adaptive_sum_detail
-
-                result = adaptive_sum_detail(merged, radix=self._part.radix)
-                self._counters.record(result)
-                return result.value
         return self._resolved().to_float(mode)
 
     def _resolved(self) -> SparseSuperaccumulator:
@@ -247,8 +189,6 @@ class ExactRunningSum:
         cls,
         payload: bytes,
         radix: RadixConfig = DEFAULT_RADIX,
-        *,
-        method: str = "exact",
     ) -> "ExactRunningSum":
         """Inverse of :meth:`to_bytes`.
 
@@ -262,7 +202,7 @@ class ExactRunningSum:
         from repro import codec
 
         count, inner = codec.decode_stream(payload)
-        out = cls(radix, method=method)
+        out = cls(radix)
         out.absorb_exact(codec.decode_sparse(inner), int(count))
         return out
 
@@ -319,25 +259,13 @@ class RunningStats:
     integer squaring, absorbed as one sparse partial. Both routes land
     the identical exact rational, so the rounded reads cannot tell
     them apart.
-
-    The value sum is held as an :class:`ExactRunningSum`, so
-    ``method="adaptive"`` gives ``sum()`` the same certified read fast
-    path and exposes :attr:`tier_counters`.
     """
 
-    def __init__(
-        self, radix: RadixConfig = DEFAULT_RADIX, *, method: str = "exact"
-    ) -> None:
+    def __init__(self, radix: RadixConfig = DEFAULT_RADIX) -> None:
         self._radix = radix
-        self.method = _check_stream_method(method)
         self._n = 0
-        self._sum = ExactRunningSum(radix, method=method)
+        self._sum = ExactRunningSum(radix)
         self._sum_sq = ExactRunningSum(radix)
-
-    @property
-    def tier_counters(self):
-        """Tier telemetry (``None`` unless ``method="adaptive"``)."""
-        return self._sum.tier_counters
 
     def add_array(self, values: Iterable[float]) -> None:
         """Fold a batch in exactly."""

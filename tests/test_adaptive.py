@@ -6,14 +6,17 @@ rounded sum. These tests attack that contract from every angle —
 property-based soundness of the Tier-0 certificate (a certified value
 must match the exact Fraction reference, including inputs parked one
 quantum either side of a rounding-cell midpoint), tier-decision
-behaviour across the experimental distributions, the Tier-1 truncated
-path, escalation, counters, and the MapReduce certificate shipping with
-its certification-failure fallback.
+behaviour across the experimental distributions, escalation to one
+binned deposit, the truncated kernel's rounding-cell proof, counters,
+and the MapReduce certificate shipping with its certification-failure
+fallback.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -21,8 +24,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.adaptive import (
-    AdaptiveConfig,
-    AdaptiveFolder,
     TierCounters,
     adaptive_sum,
     adaptive_sum_detail,
@@ -30,9 +31,12 @@ from repro.adaptive import (
 )
 from repro.adaptive.cascade import _cascade
 from repro.core import exact_sum
+from repro.core.sparse import SparseSuperaccumulator
 from repro.core.truncated import TruncatedSparseSuperaccumulator
 from repro.data.generators import generate
 from repro.errors import CertificationError, NonFiniteInputError
+from repro.kernels import get_kernel, kernel_sum
+from repro.kernels.binned import BinnedPartial
 from tests.conftest import exact_fraction, ref_sum
 
 finite_floats = st.floats(
@@ -156,29 +160,39 @@ class TestTierDecisions:
     def test_massive_cancellation_escalates(self):
         x = generate("cancel", 8192, delta=900, seed=3)
         detail = adaptive_sum_detail(x)
-        assert detail.tier > 0
+        assert detail.tier == 2 and detail.escalations == 1
         assert _bits_equal(detail.value, exact_sum(x, method="sparse"))
 
-    def test_tier0_disabled_skips_certificate(self):
-        x = generate("well", 1024, delta=100, seed=4)
-        cfg = AdaptiveConfig(enable_tier0=False)
-        detail = adaptive_sum_detail(x, config=cfg)
-        assert detail.tier > 0
-        assert detail.value == exact_sum(x, method="sparse")
+    @pytest.mark.parametrize("n, mode", [(4097, "nearest"), (1 << 21, "up")])
+    def test_escalation_is_one_deposit_on_the_calling_thread(
+        self, monkeypatch, n, mode
+    ):
+        # Past a failed certificate (or for a directed mode) the ladder
+        # makes exactly one binned deposit of the whole array: no sparse
+        # block build, no truncated fold, no worker threads — whatever
+        # the host's core count.
+        x = generate("cancel", n, delta=1000, seed=42)
+        expected = exact_sum(x, method="sparse", mode=mode)
 
-    def test_tier1_multiblock_truncated_path(self):
-        cfg = AdaptiveConfig(block_items=1 << 10, enable_tier0=False)
-        x = generate("well", 5000, delta=300, seed=5)
-        detail = adaptive_sum_detail(x, config=cfg)
-        assert detail.tier == 1 and detail.r_used is not None
-        assert detail.value == exact_sum(x, method="sparse")
+        def refuse(*args, **kwargs):
+            raise AssertionError("the ladder built a sparse or truncated block")
 
-    def test_tier1_disabled_by_negative_doublings(self):
-        cfg = AdaptiveConfig(block_items=1 << 10, enable_tier0=False, r_doublings=-1)
-        x = generate("well", 5000, delta=300, seed=5)
-        detail = adaptive_sum_detail(x, config=cfg)
+        monkeypatch.setattr(SparseSuperaccumulator, "from_floats", refuse)
+        monkeypatch.setattr(TruncatedSparseSuperaccumulator, "__init__", refuse)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        threads = []
+        deposit = BinnedPartial.deposit
+
+        def counted(self, arr):
+            threads.append(threading.get_ident())
+            return deposit(self, arr)
+
+        monkeypatch.setattr(BinnedPartial, "deposit", counted)
+        detail = adaptive_sum_detail(x, mode=mode)
+        assert threads == [threading.get_ident()]
         assert detail.tier == 2
-        assert detail.value == exact_sum(x, method="sparse")
+        assert detail.escalations == (1 if mode == "nearest" else 0)
+        assert _bits_equal(detail.value, expected)
 
     def test_non_nearest_goes_exact(self):
         x = generate("well", 4096, delta=100, seed=6)
@@ -219,31 +233,17 @@ class TestExactSumWiring:
 class TestCounters:
     def test_counters_record_tiers_and_margins(self):
         tc = TierCounters()
-        folder = AdaptiveFolder(counters=tc)
-        folder.sum(generate("well", 2048, delta=100, seed=0))
-        folder.sum(generate("cancel", 2048, delta=800, seed=1))
+        adaptive_sum(generate("well", 2048, delta=100, seed=0), counters=tc)
+        adaptive_sum(generate("cancel", 2048, delta=800, seed=1), counters=tc)
         snap = tc.as_dict()
         assert snap["tier0_hits"] == 1
-        assert snap["tier0_hits"] + snap["tier1_hits"] + snap["escalations"] >= 2 or (
-            snap["escalations"] >= 1
-        )
+        assert snap["tier2_folds"] == 1 and snap["escalations"] == 1
         assert snap["certificate_margin_last_bits"] is not None
 
     def test_counters_unseen_margin_is_none(self):
         snap = TierCounters().as_dict()
         assert snap["certificate_margin_min_bits"] is None
         assert snap["certificate_margin_last_bits"] is None
-
-    def test_folder_fold_into_counts_bulk_folds(self):
-        from repro.streaming import ExactRunningSum
-
-        tc = TierCounters()
-        folder = AdaptiveFolder(counters=tc)
-        rs = ExactRunningSum()
-        x = generate("random", 1000, delta=200, seed=3)
-        folder.fold_into(rs, x)
-        assert rs.value() == exact_sum(x, method="sparse")
-        assert tc.as_dict()["tier2_folds"] == 1
 
 
 class TestTruncatedDropAccounting:
@@ -261,6 +261,29 @@ class TestTruncatedDropAccounting:
         t = TruncatedSparseSuperaccumulator.from_floats([1.0, 2.0, 4.0], 64)
         assert not t.truncated
         assert t.truncation_mass_bound() == 0
+
+    @pytest.mark.parametrize(
+        "values, certifies",
+        [
+            # 2^-200 is dropped, far below half an ulp of 1.0.
+            ([1.0, 2.0**-100, 2.0**-200], True),
+            # The retained 1 + 2^-53 is a rounding-cell midpoint, so any
+            # dropped mass reaches the boundary.
+            ([1.0, 2.0**-53, 2.0**-200], False),
+        ],
+    )
+    def test_truncated_kernel_round_certifies_cell(self, values, certifies):
+        kernel = get_kernel("truncated", gamma=2)
+        x = np.array(values)
+        partial = kernel.fold(x)
+        assert partial.truncated
+        expected = exact_sum(x, method="sparse")
+        if certifies:
+            assert _bits_equal(kernel.round(partial), expected)
+        else:
+            with pytest.raises(CertificationError):
+                kernel.round(partial)
+        assert _bits_equal(kernel_sum(kernel, [x]), expected)
 
 
 class TestMapReduceAdaptive:
