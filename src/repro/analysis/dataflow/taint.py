@@ -121,7 +121,6 @@ SANITIZER_CALLS = frozenset(
     {
         "fold",
         "fold_into",
-        "fold_exact",
         "fold_scalar",
         "fold_stream",
         "add",

@@ -26,8 +26,7 @@ import numpy as np
 
 from repro.bsp.simulator import BSPMachine, Rank
 from repro.core.digits import DEFAULT_RADIX, RadixConfig
-from repro.errors import CertificationError
-from repro.kernels import SumKernel, get_kernel
+from repro.kernels import SumKernel, get_kernel, run_certified
 
 __all__ = ["exact_allreduce_sum", "AllreduceResult"]
 
@@ -83,33 +82,21 @@ def exact_allreduce_sum(
         raise ValueError("need at least one rank")
     if kernel is None:
         kernel = get_kernel("sparse", radix=radix)
-    if mode != "nearest" and not kernel.exact:
-        kernel = kernel.exact_variant()
 
     # With non-power-of-two P the plain butterfly double-counts: route
     # through a power-of-two-folded schedule instead — ranks beyond the
     # fold first send their accumulator to `r - fold`, the butterfly
-    # runs on the folded power of two, then results fan back out.
+    # runs on the folded power of two, then results fan back out. A
+    # failed certificate reruns the whole collective exactly, and the
+    # result reports the rerun's schedule.
     fold = 1 << (p.bit_length() - 1)  # largest power of two <= p
     if p > 1 and fold != p:
-        return _run_certified(
-            lambda k: _allreduce_folded(blocks, p, fold, mode, k), kernel
+        return run_certified(
+            kernel, mode, lambda k: _allreduce_folded(blocks, p, fold, mode, k)
         )
-    return _run_certified(
-        lambda k: _allreduce_butterfly(blocks, p, mode, k), kernel
+    return run_certified(
+        kernel, mode, lambda k: _allreduce_butterfly(blocks, p, mode, k)
     )
-
-
-def _run_certified(collective, kernel: SumKernel) -> AllreduceResult:
-    """Run the collective; on a failed certificate, rerun exactly.
-
-    Speculation can cost a second collective, never a wrong bit; the
-    result reports the (exact) rerun's schedule.
-    """
-    try:
-        return collective(kernel)
-    except CertificationError:
-        return collective(kernel.exact_variant())
 
 
 def _allreduce_butterfly(

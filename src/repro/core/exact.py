@@ -28,18 +28,17 @@ _METHODS = ("sparse", "small", "dense", "adaptive", "auto")
 
 
 def _build(values: np.ndarray, method: str, radix: RadixConfig):
-    # "adaptive"/"auto" land here only from the scaled/fraction paths
-    # (which need the exact accumulator, not a rounded float) or for
-    # non-nearest modes the certificate cannot prove; the sparse
-    # kernel is the exact workhorse in both cases. Construction goes
-    # through the kernel registry so this module holds no
+    # "adaptive"/"auto" land here only from the scaled/fraction paths,
+    # which need the exact accumulator, not a rounded float; the sparse
+    # kernel is the exact workhorse there. Construction goes through
+    # the kernel registry so this module holds no
     # representation-specific build code of its own.
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {_METHODS}")
     from repro.kernels import get_kernel
 
     name = "sparse" if method in ("auto", "adaptive") else method
-    return get_kernel(name, radix=radix).exact_variant().fold_exact(values)
+    return get_kernel(name, radix=radix).exact_variant().fold(values)
 
 
 def exact_sum(
@@ -70,10 +69,10 @@ def exact_sum(
     """
     arr = ensure_float64_array(values)
     check_finite_array(arr)
-    if method in ("auto", "adaptive") and mode == "nearest":
+    if method in ("auto", "adaptive"):
         from repro.adaptive import adaptive_sum
 
-        return adaptive_sum(arr, radix=radix)
+        return adaptive_sum(arr, mode=mode, radix=radix)
     if method in _METHODS:
         return _build(arr, method, radix).to_float(mode)
     # Any registered kernel name works as a method: one fold + round

@@ -17,14 +17,13 @@ time triggers one exact re-scan — extra I/Os, never a wrong bit.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Optional, Tuple
 
 from repro.core.digits import DEFAULT_RADIX, RadixConfig
-from repro.errors import CertificationError
 from repro.extmem.device import BlockDevice, IOStats
 from repro.extmem.ext_array import ExtArray
 from repro.extmem.sum_sort import ExtMemSumResult
-from repro.kernels import SumKernel, get_kernel
+from repro.kernels import SumKernel, get_kernel, run_certified
 
 __all__ = ["extmem_sum_scan"]
 
@@ -48,34 +47,28 @@ def extmem_sum_scan(
     """
     if kernel is None:
         kernel = get_kernel("sparse", radix=radix)
-    if mode != "nearest" and not kernel.exact:
-        kernel = kernel.exact_variant()
     start_reads = device.stats.reads
     start_writes = device.stats.writes
     B = device.block_size
 
-    attempt = kernel
-    while True:
-        acc = attempt.zero()
+    def scan(k: SumKernel) -> Tuple[float, SumKernel, Any]:
+        acc = k.zero()
         for block in source.scan():
             # The resident footprint during a block's processing: the
             # input block, the partial before, and the (at most B*3
             # component) batch being folded in.
-            batch = attempt.fold(block)
+            batch = k.fold(block)
             with device.allocate(
-                B + attempt.width(acc) + attempt.width(batch),
+                B + k.width(acc) + k.width(batch),
                 what="in-memory superaccumulator (Theorem 6 requires sigma <= M)",
             ):
-                acc = attempt.combine(acc, batch)
-        try:
-            with device.allocate(attempt.width(acc), what="rounding"):
-                value = attempt.round(acc, mode)
-            break
-        except CertificationError:
-            # Speculation failed the proof: re-scan with the exact
-            # kernel. The I/O totals below keep both scans' cost.
-            attempt = attempt.exact_variant()
+                acc = k.combine(acc, batch)
+        with device.allocate(k.width(acc), what="rounding"):
+            return k.round(acc, mode), k, acc
 
+    # A failed proof re-scans with the exact kernel; the I/O totals
+    # below keep both scans' cost.
+    value, kernel, acc = run_certified(kernel, mode, scan)
     io = IOStats(
         reads=device.stats.reads - start_reads,
         writes=device.stats.writes - start_writes,
@@ -83,6 +76,6 @@ def extmem_sum_scan(
     return ExtMemSumResult(
         value=value,
         io=io,
-        components=attempt.width(acc),
-        partial=attempt.to_wire(acc),
+        components=kernel.width(acc),
+        partial=kernel.to_wire(acc),
     )

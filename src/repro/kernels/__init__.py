@@ -20,6 +20,7 @@ from repro.kernels.base import (
     kernel_names,
     kernel_sum,
     register_kernel,
+    run_certified,
 )
 from repro.kernels.accumulators import (
     DenseKernel,
@@ -42,6 +43,7 @@ __all__ = [
     "kernel_names",
     "kernel_sum",
     "kernel_fold",
+    "run_certified",
     "SparseKernel",
     "DenseKernel",
     "SmallKernel",

@@ -16,10 +16,11 @@ Two kinds of kernel exist:
   certified fast path whose partial carries an error *bound* instead of
   full exactness; ``round`` performs the certification and raises
   :class:`~repro.errors.CertificationError` when the proof fails.
-  Callers escalate to :attr:`SumKernel.escalates_to` (the paper's
-  "retry, never a wrong bit" discipline — see :func:`kernel_sum`), and
-  *stateful* planes use :meth:`SumKernel.exact_variant`, which returns
-  a kernel whose folds never speculate.
+  Every plane runs its schedule through :func:`run_certified`, which
+  reruns it once with :meth:`SumKernel.exact_variant` — a kernel whose
+  folds never speculate — after a failed proof (the paper's "retry,
+  never a wrong bit" discipline), and *stateful* planes fold through
+  ``exact_variant()`` from the start.
 
 Partials may be combined **in place**: ``combine(a, b)`` may mutate and
 return ``a`` (it must never corrupt ``b``'s value). Callers that need
@@ -60,6 +61,7 @@ __all__ = [
     "kernel_names",
     "kernel_sum",
     "kernel_fold",
+    "run_certified",
 ]
 
 
@@ -69,8 +71,9 @@ class SumKernel(ABC):
     Attributes:
         name: registry key (``get_kernel(name)``).
         exact: whether every partial is exact (see module docstring).
-        escalates_to: kernel name callers fall back to after a
-            :class:`~repro.errors.CertificationError`.
+        escalates_to: name of the kernel :meth:`exact_variant` returns
+            for a speculative kernel — what :func:`run_certified` reruns
+            with after a :class:`~repro.errors.CertificationError`.
         radix: digit-width configuration shared by all partials.
         counters: optional :class:`~repro.adaptive.engine.TierCounters`
             receiving fold telemetry (shared with service metrics).
@@ -97,12 +100,6 @@ class SumKernel(ABC):
     @abstractmethod
     def fold(self, block: np.ndarray) -> Any:
         """One block of float64 values -> one partial (may speculate)."""
-
-    def fold_exact(self, block: np.ndarray) -> Any:
-        """Like :meth:`fold` but never speculative; partials from this
-        path are exact regardless of :attr:`exact`. Default: ``fold``.
-        """
-        return self.fold(block)
 
     def fold_scalar(self, x: float) -> Any:
         """One value -> one partial (PRAM leaves). Default: 1-fold.
@@ -193,7 +190,7 @@ class SumKernel(ABC):
 
 
 class KernelStream:
-    """Counted stateful stream over any kernel (ExactRunningSum-shaped).
+    """Counted stateful stream over an exact kernel (ExactRunningSum-shaped).
 
     Provides the interface the serving plane holds per stream name —
     ``add_array`` / ``merge`` / ``value`` / ``mean`` / ``count`` /
@@ -215,9 +212,7 @@ class KernelStream:
         arr = ensure_float64_array(values)
         check_finite_array(arr)
         if arr.size:
-            self.partial = self.kernel.combine(
-                self.partial, self.kernel.fold_exact(arr)
-            )
+            self.partial = self.kernel.combine(self.partial, self.kernel.fold(arr))
             self.count += int(arr.size)
 
     def merge(self, other: "KernelStream") -> None:
@@ -253,6 +248,7 @@ class KernelStream:
 _REGISTRY: Dict[str, Callable[..., SumKernel]] = {}
 
 _KernelClass = TypeVar("_KernelClass", bound=Callable[..., SumKernel])
+_T = TypeVar("_T")
 
 
 def register_kernel(cls: _KernelClass) -> _KernelClass:
@@ -286,6 +282,27 @@ def get_kernel(
     return cls(radix=radix, counters=counters, **options)
 
 
+def run_certified(
+    kernel: SumKernel, mode: str, attempt: Callable[[SumKernel], _T]
+) -> _T:
+    """Run one plane's schedule; after a failed certificate, rerun exactly.
+
+    ``attempt(k)`` runs the whole schedule — fold, combine, round — with
+    kernel ``k``. Certifying fast paths only prove nearest rounding, so
+    a directed ``mode`` runs ``kernel.exact_variant()`` from the start.
+    Otherwise ``kernel`` runs, and a
+    :class:`~repro.errors.CertificationError` from it costs one rerun
+    with ``kernel.exact_variant()`` — a retry, never a wrong bit. The
+    plane's own accounting (I/Os, PRAM charges) keeps both attempts.
+    """
+    if mode != "nearest":
+        return attempt(kernel.exact_variant())
+    try:
+        return attempt(kernel)
+    except CertificationError:
+        return attempt(kernel.exact_variant())
+
+
 def kernel_sum(
     kernel: SumKernel,
     blocks: Sequence[np.ndarray],
@@ -296,10 +313,10 @@ def kernel_sum(
 
     The generic batch schedule every plane's serial path reduces to: a
     left fold of per-block partials, one round. A speculative kernel
-    whose certification fails is transparently re-run through its
-    :attr:`~SumKernel.escalates_to` kernel over the *same* blocks — a
-    retry, never a wrong bit — so this function is bit-identical to the
-    exact sparse reference for every registered kernel.
+    whose certification fails is transparently re-run exactly over the
+    *same* blocks (:func:`run_certified`), so this function is
+    bit-identical to the exact sparse reference for every registered
+    kernel.
     """
     return kernel_fold(kernel, blocks, mode=mode)[0]
 
@@ -312,26 +329,21 @@ def kernel_fold(
 ) -> Tuple[float, Any]:
     """:func:`kernel_sum` that also returns the merged partial it rounded.
 
-    After a failed certificate the partial is the escalation kernel's,
-    so only an exact kernel's caller may read it as its own.
+    After a failed certificate the partial is the exact rerun's, so
+    only an exact kernel's caller may read it as its own.
     """
-    if mode != "nearest" and not kernel.exact:
-        # Certifying fast paths only prove nearest rounding.
-        kernel = kernel.exact_variant()
     if not kernel.exact:
-        # Escalation replays the same blocks; a one-shot iterator would
+        # The rerun replays the same blocks; a one-shot iterator would
         # come back empty on the retry.
         blocks = [np.asarray(block, dtype=np.float64) for block in blocks]
-    total: Any = None
-    for block in blocks:
-        part = kernel.fold(np.asarray(block, dtype=np.float64))
-        total = part if total is None else kernel.combine(total, part)
-    if total is None:
-        total = kernel.zero()
-    try:
-        return kernel.round(total, mode), total
-    except CertificationError:
-        fallback = get_kernel(
-            kernel.escalates_to, radix=kernel.radix, counters=kernel.counters
-        )
-        return kernel_fold(fallback, blocks, mode=mode)
+
+    def attempt(k: SumKernel) -> Tuple[float, Any]:
+        total: Any = None
+        for block in blocks:
+            part = k.fold(np.asarray(block, dtype=np.float64))
+            total = part if total is None else k.combine(total, part)
+        if total is None:
+            total = k.zero()
+        return k.round(total, mode), total
+
+    return run_certified(kernel, mode, attempt)

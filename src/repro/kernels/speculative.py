@@ -3,16 +3,16 @@
 Both kernels here trade full exactness in ``fold`` for speed, carry a
 rigorous error *bound* through ``combine``, and prove correctness in
 ``round`` — raising :class:`~repro.errors.CertificationError` when the
-proof fails so the caller escalates (see
-:func:`~repro.kernels.base.kernel_sum`). Speculation can cost a retry,
+proof fails so the caller reruns exactly (see
+:func:`~repro.kernels.base.run_certified`). Speculation can cost a retry,
 never a wrong bit: any value these kernels return is bit-identical to
 the exact sparse reference.
 
 * :class:`AdaptiveCascadeKernel` — Tier 0 per block: the certified
   TwoSum cascade. A certified block's partial is a 24-byte
-  ``(value, remainder, bound)`` certificate; escalated blocks carry the
-  full sparse accumulator. The MapReduce adaptive job is one thin
-  subclass of the generic kernel job over this kernel.
+  ``(value, remainder, bound)`` certificate; escalated blocks are
+  deposited into exponent bins and carry the exact sparse accumulator
+  those resolve to.
 * :class:`TruncatedKernel` — gamma-truncated sparse partials (§4 of
   the paper) with O(gamma) combines and the exact truncation-mass
   stopping proof (:func:`certify_rounding`) at round time.
@@ -32,7 +32,7 @@ from repro.core.sparse import SparseSuperaccumulator
 from repro.core.truncated import TruncatedSparseSuperaccumulator
 from repro.errors import CertificationError
 from repro.kernels.base import SumKernel, register_kernel
-from repro.util.validation import check_finite_array, ensure_float64_array
+from repro.kernels.binned import BinnedPartial
 
 __all__ = [
     "AdaptiveCascadeKernel",
@@ -123,13 +123,14 @@ class AdaptiveCascadeKernel(SumKernel):
     """Tier-0 speculation per block with one global proof at round time.
 
     ``fold`` runs the certified cascade; certified blocks become
-    certificates, the rest full sparse accumulators. ``combine`` folds
-    certificate values/remainders *exactly* into a sparse accumulator
-    (floats fold exactly; only the bounds carry uncertainty) and adds
-    the bounds rigorously. ``round`` stands only if the total
-    certificate mass provably cannot move the result across a
-    rounding-cell boundary — else :class:`CertificationError` and the
-    caller reruns with the exact sparse kernel.
+    certificates, the rest exact binned deposits resolved to sparse
+    accumulators. ``combine`` folds certificate values/remainders
+    *exactly* into a sparse accumulator (floats fold exactly; only the
+    bounds carry uncertainty) and adds the bounds rigorously. ``round``
+    stands only if the total certificate mass provably cannot move the
+    result across a rounding-cell boundary — else
+    :class:`CertificationError` and the caller reruns with the exact
+    sparse kernel.
     """
 
     name = "adaptive"
@@ -149,16 +150,11 @@ class AdaptiveCascadeKernel(SumKernel):
                 bound=cert.residual_bound,
                 certs=1,
             )
-        return AdaptivePartial(
-            acc=SparseSuperaccumulator.from_floats(arr, self.radix), fulls=1
-        )
-
-    def fold_exact(self, block: np.ndarray) -> AdaptivePartial:
-        arr = ensure_float64_array(block)
-        check_finite_array(arr)
-        return AdaptivePartial(
-            acc=SparseSuperaccumulator.from_floats(arr, self.radix), fulls=1
-        )
+        # An escalated block takes the binned deposit, the fastest
+        # exact fold, and ships as the sparse accumulator it resolves to.
+        binned = BinnedPartial(self.radix)
+        binned.deposit(arr)
+        return AdaptivePartial(acc=binned.to_sparse(), fulls=1)
 
     def _materialize(self, partial: AdaptivePartial) -> SparseSuperaccumulator:
         if partial.acc is not None:
@@ -254,11 +250,6 @@ class TruncatedKernel(SumKernel):
     def fold(self, block: np.ndarray) -> TruncatedSparseSuperaccumulator:
         return TruncatedSparseSuperaccumulator.from_floats(
             block, self.gamma, self.radix
-        )
-
-    def fold_exact(self, block: np.ndarray) -> TruncatedSparseSuperaccumulator:
-        raise NotImplementedError(
-            "a truncated fold cannot be exact; use exact_variant()"
         )
 
     def combine(

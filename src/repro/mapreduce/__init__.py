@@ -4,10 +4,12 @@
 * :func:`run_job` + executors — the single-round engine;
 * :class:`BlockRef` / :class:`ShmDataPlane` — the zero-copy
   shared-memory data plane blocks travel on;
-* :class:`SparseSuperaccumulatorJob` / :class:`SmallSuperaccumulatorJob`
-  — the two exact jobs of Figures 1-3 (:class:`NaiveSumJob` is the
-  inexact control);
-* :func:`parallel_sum` — the one-call driver.
+* :class:`KernelSumJob` — the one exact job, over any registered
+  kernel; :class:`SparseSuperaccumulatorJob` /
+  :class:`SmallSuperaccumulatorJob` name it for the two kernels of
+  Figures 1-3 (:class:`NaiveSumJob` is the inexact control);
+* :func:`parallel_sum` — the one-call driver, which reruns a failed
+  certificate exactly through :func:`~repro.kernels.run_certified`.
 """
 
 from repro.mapreduce.dataplane import BlockRef, ShmDataPlane, resolve_block
@@ -30,7 +32,7 @@ from repro.mapreduce.runtime import (
     shutdown_shared_executors,
 )
 from repro.mapreduce.sum_job import (
-    AdaptiveSumJob,
+    KernelSumJob,
     NaiveSumJob,
     NoCombinerSumJob,
     SmallSuperaccumulatorJob,
@@ -56,7 +58,7 @@ __all__ = [
     "MultiprocessExecutor",
     "SerialExecutor",
     "run_job",
-    "AdaptiveSumJob",
+    "KernelSumJob",
     "NaiveSumJob",
     "NoCombinerSumJob",
     "SmallSuperaccumulatorJob",

@@ -37,25 +37,11 @@ from repro.mapreduce.runtime import (
     run_job,
     shared_process_executor,
 )
-from repro.errors import CertificationError
-from repro.kernels import kernel_names
-from repro.mapreduce.sum_job import (
-    AdaptiveSumJob,
-    KernelSumJob,
-    NaiveSumJob,
-    SmallSuperaccumulatorJob,
-    SparseSuperaccumulatorJob,
-)
+from repro.kernels import SumKernel, kernel_names, run_certified
+from repro.mapreduce.sum_job import KernelSumJob, NaiveSumJob
 from repro.util.validation import check_finite_array, ensure_float64_array
 
 __all__ = ["parallel_sum"]
-
-_JOBS = {
-    "adaptive": AdaptiveSumJob,
-    "sparse": SparseSuperaccumulatorJob,
-    "small": SmallSuperaccumulatorJob,
-    "naive": NaiveSumJob,
-}
 
 #: Default items per simulated HDFS block for laptop-scale runs. Small
 #: enough to give every worker several blocks at bench sizes, large
@@ -101,14 +87,14 @@ def parallel_sum(
     Args:
         values: finite float64 array-like.
         workers: worker count; ``None`` or 1 runs serially in-process.
-        method: ``"adaptive"`` (certificate-shipping combine with an
-            exact fallback on certification failure), ``"sparse"``
-            (paper), ``"small"`` (Neal comparator), ``"naive"``
-            (inexact control — for demonstrations only), or any other
-            registered kernel name (``repro.kernels.kernel_names()``),
-            which runs the generic
+        method: any registered kernel name
+            (``repro.kernels.kernel_names()``: ``"sparse"`` is the
+            paper's, ``"small"`` the Neal comparator, ``"adaptive"``
+            ships certificates), run as the
             :class:`~repro.mapreduce.sum_job.KernelSumJob` over that
-            kernel.
+            kernel; a speculative kernel whose certificate fails reruns
+            exactly over the same placed blocks. ``"naive"`` is the
+            inexact control — for demonstrations only.
         block_items: simulated HDFS block size in items.
         reducers: the ``p`` of §6.1; defaults to the worker count.
         radix: superaccumulator digit configuration.
@@ -129,12 +115,12 @@ def parallel_sum(
             :func:`~repro.mapreduce.runtime.shutdown_shared_executors`.
         job: a pre-built job instance to run instead of constructing
             one from ``method`` — how the reduction engine schedules a
-            :class:`~repro.mapreduce.sum_job.KernelReduceJob` whose
+            :class:`~repro.mapreduce.sum_job.KernelSumJob` whose
             driver-side state (the merged partial) it reads afterwards.
     """
-    if job is None and method not in _JOBS and method not in kernel_names():
+    if job is None and method != "naive" and method not in kernel_names():
         raise ValueError(
-            f"method must be one of {sorted(set(_JOBS) | set(kernel_names()))}"
+            f"method must be one of {sorted({'naive', *kernel_names()})}"
         )
     if executor not in ("auto", "process", "simulated", "serial"):
         raise ValueError(f"unknown executor {executor!r}")
@@ -142,15 +128,12 @@ def parallel_sum(
     if method != "naive":
         check_finite_array(arr)
 
-    if job is not None:
-        pass
-    elif method == "naive":
-        job = NaiveSumJob()  # type: ignore[assignment]
-    elif method in _JOBS:
-        job = _JOBS[method](radix=radix, mode=mode)
-    else:
-        # Any registered kernel runs through the generic kernel job.
-        job = KernelSumJob(radix=radix, mode=mode, kernel_name=method)
+    if job is None:
+        job = (
+            NaiveSumJob()  # type: ignore[assignment]
+            if method == "naive"
+            else KernelSumJob(radix=radix, mode=mode, kernel_name=method)
+        )
 
     nodes = max(1, workers or 1)
     w = workers or 1
@@ -158,23 +141,30 @@ def parallel_sum(
     p = reducers if reducers is not None else nodes
 
     def execute(items, exe) -> JobResult:
-        try:
-            return run_job(job, items, reducers=p, executor=exe, partitioner=partitioner)
-        except CertificationError:
-            # The adaptive job's global certificate failed: the blocks
-            # are still placed, so transparently redo the run with the
-            # fully exact job — a retry, never a wrong bit.
-            fallback = SparseSuperaccumulatorJob(radix=radix, mode=mode)
-            result = run_job(
-                fallback, items, reducers=p, executor=exe, partitioner=partitioner
-            )
+        def run(j) -> JobResult:
+            return run_job(j, items, reducers=p, executor=exe, partitioner=partitioner)
+
+        if not isinstance(job, KernelSumJob):
+            return run(job)
+        attempts = []
+
+        def attempt(kernel: SumKernel) -> JobResult:
+            # The blocks stay placed: the exact rerun, or a directed
+            # mode's exact variant, runs over the same items.
+            attempts.append(kernel)
+            if kernel is job.kernel:
+                return run(job)
+            return run(KernelSumJob(kernel.radix, job.mode, kernel_name=kernel.name))
+
+        result = run_certified(job.kernel, job.mode, attempt)
+        if len(attempts) > 1:
             result.tier_counts = {
                 "tier0_hits": 0,
                 "escalations": result.blocks,
                 "tier2_folds": 1,
                 "certification_fallback": 1,
             }
-            return result
+        return result
 
     if kind == "process" and w > 1:
         pool = shared_process_executor(w) if reuse_pool else MultiprocessExecutor(w)

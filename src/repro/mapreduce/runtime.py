@@ -110,9 +110,11 @@ class JobResult:
             memory (0 when no boundary exists or nothing was saved).
         executor_kind: "serial", "process" or "simulated".
         zero_copy: whether combine consumed block descriptors.
-        tier_counts: adaptive-engine tier telemetry (certified vs
-            escalated block counts, final certificate margin) when the
-            job reports it (``AdaptiveSumJob``); ``None`` otherwise.
+        tier_counts: tier telemetry (certified vs escalated block
+            counts, final certificate margin) when the job's kernel
+            reports it (a ``KernelSumJob`` over ``"adaptive"``); after
+            ``parallel_sum`` reran a failed certificate exactly, it
+            reads ``certification_fallback: 1``. ``None`` otherwise.
     """
 
     value: float

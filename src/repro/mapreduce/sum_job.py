@@ -3,7 +3,10 @@
 Every exact job here is the *same* job — :class:`KernelSumJob`, a
 generic schedule of :class:`~repro.kernels.base.SumKernel` calls
 (``combine`` = fold + to_wire, ``reduce`` = from_wire + combine,
-``postprocess`` = combine + round) — parameterized by kernel name:
+``postprocess`` = combine + round) — parameterized by kernel name.
+Every registered kernel runs through it, including the speculative
+``"adaptive"`` kernel, whose certified blocks ship as certificates.
+Two one-line subclasses name the paper's Figure 1-3 jobs:
 
 * :class:`SparseSuperaccumulatorJob` — the paper's algorithm over the
   ``"sparse"`` kernel: per-block (alpha, beta)-regularized
@@ -13,10 +16,6 @@ generic schedule of :class:`~repro.kernels.base.SumKernel` calls
 * :class:`SmallSuperaccumulatorJob` — the Neal-style comparator over
   the ``"small"`` kernel: dense fixed-size accumulators,
   delta-independent cost.
-* :class:`AdaptiveSumJob` — the ``"adaptive"`` kernel: certified
-  Tier-0 cascade per block, certificates on the shuffle, one global
-  certification at round time (speculation can cost a retry, never a
-  wrong bit).
 
 Plus two controls that intentionally bypass kernels:
 :class:`NaiveSumJob` (plain ``np.sum`` everywhere, inexact by design)
@@ -26,7 +25,7 @@ what the combine step saves).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -38,8 +37,6 @@ from repro.mapreduce.runtime import MapReduceJob
 
 __all__ = [
     "KernelSumJob",
-    "KernelReduceJob",
-    "AdaptiveSumJob",
     "SparseSuperaccumulatorJob",
     "SmallSuperaccumulatorJob",
     "NaiveSumJob",
@@ -61,15 +58,17 @@ class KernelSumJob(MapReduceJob):
     * ``postprocess``: one more fold over the reducer outputs, then a
       single ``round``. Speculative kernels certify here and raise
       :class:`~repro.errors.CertificationError` when the proof fails;
-      the driver (``parallel_sum``) transparently reruns exactly.
+      ``parallel_sum`` runs the job through
+      :func:`~repro.kernels.base.run_certified`, which then reruns it
+      with the exact variant (and, since certificates prove nearest
+      rounding only, runs the exact variant alone in a directed mode).
 
-    Any rounding mode other than ``"nearest"`` swaps in the kernel's
-    exact variant up front, since certified fast paths only prove
-    nearest rounding.
-
-    After a successful run, :attr:`tier_counts` holds the kernel's tier
-    telemetry (when it produces any) for
-    :func:`~repro.mapreduce.runtime.run_job` to copy onto the
+    ``postprocess`` runs driver-side (see
+    :func:`~repro.mapreduce.runtime.run_job`), so what it leaves on the
+    job survives any executor: :attr:`partial` is the merged partial it
+    rounded (the reduction engine reads an exact kernel's exact term
+    sum from it), and :attr:`tier_counts` the kernel's tier telemetry,
+    when it produces any, which ``run_job`` copies onto the
     :class:`~repro.mapreduce.runtime.JobResult`.
     """
 
@@ -87,24 +86,24 @@ class KernelSumJob(MapReduceJob):
         if kernel_name is not None:
             self.kernel_name = kernel_name
         self.tier_counts: Optional[Dict[str, float]] = None
+        self.partial: Any = None
         self._kernel: Optional[SumKernel] = None
 
     @property
     def kernel(self) -> SumKernel:
         """The kernel instance (built lazily; never pickled)."""
         if self._kernel is None:
-            kernel = get_kernel(self.kernel_name, radix=self.radix)
-            if self.mode != "nearest":
-                kernel = kernel.exact_variant()
-            self._kernel = kernel
+            self._kernel = get_kernel(self.kernel_name, radix=self.radix)
         return self._kernel
 
     def __getstate__(self) -> dict:
         # Jobs are pickled per worker dispatch and the multiprocess
         # executor caches installs by payload bytes — the lazily built
-        # kernel must not make two pickles of the same job differ.
+        # kernel and the driver-side partial must not make two pickles
+        # of the same job differ.
         state = dict(self.__dict__)
         state["_kernel"] = None
+        state["partial"] = None
         return state
 
     def _fold_payloads(self, values: Sequence[bytes]):
@@ -126,33 +125,7 @@ class KernelSumJob(MapReduceJob):
 
     def postprocess(self, values: Sequence[bytes]) -> float:
         """Driver: merge the p reducer outputs, then round once."""
-        total = self._fold_payloads(values)
-        round_detail = getattr(self.kernel, "round_detail", None)
-        if round_detail is not None:
-            y, self.tier_counts = round_detail(total, self.mode)
-            return y
-        return self.kernel.round(total, self.mode)
-
-
-class KernelReduceJob(KernelSumJob):
-    """Kernel sum job that also publishes the merged partial's wire frame.
-
-    The reduction engine (:mod:`repro.reduce`) folds EFT term streams
-    through this job and needs the *exact* term sum back — not just the
-    rounded float — for exact-fraction finishes (norm, moments).
-    ``postprocess`` runs driver-side (see
-    :func:`~repro.mapreduce.runtime.run_job`), so stashing the final
-    accumulator's wire bytes on the job instance survives any executor,
-    including process pools: workers only ever see the pickled job,
-    the driver keeps this one.
-    """
-
-    #: wire frame of the merged final accumulator (set by postprocess)
-    partial_wire: Optional[bytes] = None
-
-    def postprocess(self, values: Sequence[bytes]) -> float:
-        total = self._fold_payloads(values)
-        self.partial_wire = self.kernel.to_wire(total)
+        self.partial = total = self._fold_payloads(values)
         round_detail = getattr(self.kernel, "round_detail", None)
         if round_detail is not None:
             y, self.tier_counts = round_detail(total, self.mode)
@@ -170,51 +143,6 @@ class SmallSuperaccumulatorJob(KernelSumJob):
     """Exact sum via Neal-style dense small superaccumulators."""
 
     kernel_name = "small"
-
-
-class AdaptiveSumJob(KernelSumJob):
-    """Exact sum whose combine phase ships *certificates* when it can.
-
-    The ``"adaptive"`` kernel's fold runs the Tier-0 certified cascade
-    on each block. A certified block ships a 28-byte ``(value,
-    remainder, bound)`` payload — ``value + remainder`` within
-    ``bound`` of the exact block sum, both floats known exactly —
-    instead of a serialized superaccumulator; escalated blocks ship the
-    full exact accumulator as usual. Reducers fold certificate values
-    and remainders *exactly* into a sparse accumulator (floats fold
-    exactly; only the second-order bounds carry uncertainty) and add up
-    the bounds rigorously.
-
-    The driver-side postprocess then performs one **global**
-    certification: the final rounded value stands only if the total
-    certificate mass provably cannot move it across a rounding-cell
-    boundary. If that proof fails,
-    :class:`~repro.errors.CertificationError` is raised and the caller
-    (``parallel_sum``) transparently reruns the fully exact job —
-    speculation can cost a retry, never a wrong bit.
-
-    Only ``mode="nearest"`` speculates; any other rounding mode makes
-    this job behave exactly like :class:`SparseSuperaccumulatorJob`.
-
-    After a successful run, :attr:`tier_counts` holds the tiering
-    telemetry (certified vs escalated block counts, final margin) that
-    :func:`~repro.mapreduce.runtime.run_job` copies onto the
-    :class:`~repro.mapreduce.runtime.JobResult`.
-    """
-
-    kernel_name = "adaptive"
-
-    @staticmethod
-    def _certify(acc, y: float, bound_total: float) -> float:
-        """Margin (in bits) by which the global certificate holds.
-
-        The proof itself lives with the adaptive kernel
-        (:func:`repro.kernels.speculative.certify_rounding`); kept here
-        because it is this job's postprocess contract.
-        """
-        from repro.kernels.speculative import certify_rounding
-
-        return certify_rounding(acc, y, bound_total)
 
 
 class NoCombinerSumJob(MapReduceJob):

@@ -228,13 +228,10 @@ def _fold_streaming(kernel, terms, *, mode, workers, block_items):
 
 def _fold_mapreduce(kernel, terms, *, mode, workers, block_items):
     from repro.mapreduce import parallel_sum
-    from repro.mapreduce.sum_job import KernelReduceJob
+    from repro.mapreduce.sum_job import KernelSumJob
 
-    # An exact kernel runs the job that keeps its merged partial; a
-    # speculative one runs its own job (adaptive ships certificates).
-    job = None
-    if kernel.exact:
-        job = KernelReduceJob(radix=kernel.radix, mode=mode, kernel_name=kernel.name)
+    # The job keeps the merged partial its driver-side postprocess rounded.
+    job = KernelSumJob(radix=kernel.radix, mode=mode, kernel_name=kernel.name)
     value = parallel_sum(
         terms,
         workers=workers,
@@ -244,7 +241,7 @@ def _fold_mapreduce(kernel, terms, *, mode, workers, block_items):
         mode=mode,
         job=job,
     )
-    return value, _partial(kernel, job.partial_wire if job else None)
+    return value, job.partial if kernel.exact else None
 
 
 def _fold_extmem(kernel, terms, *, mode, workers, block_items):
@@ -626,12 +623,9 @@ def plan_sum(
             f"from the exact fraction, which a speculative kernel does "
             f"not keep"
         )
+    # Directed rounding cannot ride a certificate: every plane runs the
+    # kernel's exact variant (kernels.run_certified), so report that.
     tier = "speculative" if (not k.exact and mode == "nearest") else "exact"
-    if not k.exact and mode != "nearest":
-        # Directed rounding cannot ride a certificate; the plan runs
-        # the kernel's exact variant implicitly (every plane swaps it
-        # in), so report the truth.
-        tier = "exact"
 
     n = descriptor.n
     workers = descriptor.workers

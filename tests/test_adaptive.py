@@ -229,6 +229,26 @@ class TestExactSumWiring:
                 x, method="sparse", mode=mode
             )
 
+    @pytest.mark.parametrize("dataset", ["anderson", "cancel", "tie"])
+    @pytest.mark.parametrize("method", ["auto", "adaptive"])
+    def test_every_mode_runs_the_ladder(self, method, dataset, monkeypatch):
+        # The kernel matrix's panels, in all four modes: the ladder's
+        # answer, never the sparse build, equals the sparse reference.
+        import repro.core.exact as exact_module
+
+        x = generate(dataset, 400, delta=300, seed=13)
+        expected = {
+            mode: exact_sum(x, method="sparse", mode=mode)
+            for mode in ("nearest", "up", "down", "zero")
+        }
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("exact_sum built a sparse accumulator")
+
+        monkeypatch.setattr(exact_module, "_build", no_build)
+        for mode, value in expected.items():
+            assert _bits_equal(exact_sum(x, method=method, mode=mode), value)
+
 
 class TestCounters:
     def test_counters_record_tiers_and_margins(self):
@@ -286,6 +306,18 @@ class TestTruncatedDropAccounting:
         assert _bits_equal(kernel_sum(kernel, [x]), expected)
 
 
+class TestAdaptiveKernelEscalation:
+    def test_escalated_block_is_exact(self):
+        from repro.adaptive import certified_cascade_sum
+
+        x = generate("cancel", 1 << 12, delta=900, seed=1)
+        assert not certified_cascade_sum(x).certified
+        partial = get_kernel("adaptive").fold(x)
+        assert partial.cert is None and partial.fulls == 1
+        sparse = get_kernel("sparse")
+        assert partial.acc.to_fraction() == sparse.exact_fraction(sparse.fold(x))
+
+
 class TestMapReduceAdaptive:
     def test_parallel_sum_adaptive_bitwise(self):
         from repro.mapreduce import parallel_sum
@@ -307,13 +339,13 @@ class TestMapReduceAdaptive:
         assert r.tier_counts["escalations"] >= 1
 
     def test_certification_failure_falls_back_to_exact(self, monkeypatch):
+        from repro.kernels import AdaptiveCascadeKernel
         from repro.mapreduce import parallel_sum
-        from repro.mapreduce.sum_job import AdaptiveSumJob
 
-        def boom(self, values):
+        def boom(self, partial, mode="nearest"):
             raise CertificationError("forced for the fallback test")
 
-        monkeypatch.setattr(AdaptiveSumJob, "postprocess", boom)
+        monkeypatch.setattr(AdaptiveCascadeKernel, "round_detail", boom)
         x = generate("random", 1 << 13, delta=400, seed=13)
         r = parallel_sum(x, workers=2, method="adaptive", executor="simulated",
                         report=True)
@@ -322,17 +354,17 @@ class TestMapReduceAdaptive:
 
     def test_global_certify_raises_on_straddle(self):
         from repro.core.sparse import SparseSuperaccumulator
-        from repro.mapreduce.sum_job import AdaptiveSumJob
+        from repro.kernels.speculative import certify_rounding
 
         # retained sum exactly 1.0, but a bound of a full ulp straddles
         # both midpoints: the proof must refuse.
         acc = SparseSuperaccumulator.from_floats(np.array([1.0]))
         with pytest.raises(CertificationError):
-            AdaptiveSumJob._certify(acc, 1.0, math.ulp(1.0))
+            certify_rounding(acc, 1.0, math.ulp(1.0))
 
     def test_global_certify_zero_bound_is_exact(self):
         from repro.core.sparse import SparseSuperaccumulator
-        from repro.mapreduce.sum_job import AdaptiveSumJob
+        from repro.kernels.speculative import certify_rounding
 
         acc = SparseSuperaccumulator.from_floats(np.array([1.0]))
-        assert AdaptiveSumJob._certify(acc, 1.0, 0.0) == math.inf
+        assert certify_rounding(acc, 1.0, 0.0) == math.inf

@@ -31,7 +31,7 @@ def _sparse(values):
 def _valid_frames():
     """One representative valid frame per registered format."""
     acc = _sparse([1.0, 1e-30, -3e200])
-    from repro.kernels import get_kernel
+    from repro.kernels import AdaptivePartial, get_kernel
 
     dense = get_kernel("dense").fold(np.array([2.0, -1e16, 5e-9]))
 
@@ -50,7 +50,10 @@ def _valid_frames():
         codec.MAGIC_BINNED: binned.to_wire(binned_part),
         codec.MAGIC_CERT: codec.encode_cert(64.0, 0.0, 1e-12),
         codec.MAGIC_COMPOSITE: adaptive.to_wire(
-            adaptive.combine(cert_part, adaptive.fold_exact(np.array([1e-30])))
+            # An escalated block's partial: the exact accumulator.
+            adaptive.combine(
+                cert_part, AdaptivePartial(acc=_sparse([1e-30]), fulls=1)
+            )
         ),
         codec.MAGIC_RAW_BLOCK: codec.encode_raw_block(np.array([1.5, -2.5])),
         codec.MAGIC_FLOAT: codec.encode_float(3.25),

@@ -57,25 +57,22 @@ def test_every_kernel_on_every_plane_matches_serial_sparse(
 def test_kernel_matrix_under_process_executor(kernel):
     """The mapreduce plane on a real worker pool, under the start
     method CI selects via REPRO_START_METHOD."""
+    from repro.kernels import get_kernel, run_certified
     from repro.mapreduce.runtime import MultiprocessExecutor, run_job
     from repro.mapreduce.sum_job import KernelSumJob
 
     data = DATASETS["cancel"]
     blocks = [np.asarray(b) for b in np.array_split(data, 6)]
-    job = KernelSumJob(kernel_name=kernel)
     with MultiprocessExecutor(2, start_method=_start_method()) as exe:
-        try:
-            result = run_job(job, blocks, reducers=2, executor=exe)
-            value = result.value
-        except Exception as exc:
-            from repro.errors import CertificationError
-
-            if not isinstance(exc, CertificationError):
-                raise
-            # Speculative kernels may fail the global certificate on
-            # this panel; the driver's contract is an exact rerun.
-            fallback = KernelSumJob(kernel_name="sparse")
-            value = run_job(fallback, blocks, reducers=2, executor=exe).value
+        # Speculative kernels may fail the global certificate on this
+        # panel; run_certified reruns the job exactly, as the driver does.
+        value = run_certified(
+            get_kernel(kernel),
+            "nearest",
+            lambda k: run_job(
+                KernelSumJob(kernel_name=k.name), blocks, reducers=2, executor=exe
+            ).value,
+        )
     assert value == REFERENCE["cancel"]
 
 
