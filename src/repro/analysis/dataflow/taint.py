@@ -56,6 +56,7 @@ SOURCE_CALLS = frozenset(
         "decode_snapshot",
         "decode_wal_record",
         "decode_payload",
+        "decode_reply",
         "parse_payload",
         "read_frame",
         "read_wal",

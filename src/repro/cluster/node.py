@@ -28,10 +28,14 @@ import numpy as np
 from repro.core.digits import DEFAULT_RADIX, RadixConfig
 from repro import codec
 from repro.errors import ServiceError
+from repro.serve.protocol import KIND_OF_OP
 from repro.serve.service import ReproService, ServeConfig, _require_stream
 from repro.cluster.wal import WalWriter, read_wal
 
 __all__ = ["WalService", "ClusterNode"]
+
+#: Ops whose handler awaits a WAL append when the node has a WAL.
+_LOGGED_OPS = frozenset({"add", "add_block", *KIND_OF_OP})
 
 
 def _seq_of(request: Dict[str, Any]) -> Optional[int]:
@@ -75,6 +79,10 @@ class WalService(ReproService):
         #: per-stream high-water mark of applied sequence numbers
         self._applied: Dict[str, int] = {}
         self._ops["cluster_info"] = self._op_cluster_info
+
+    def may_suspend(self, request: Dict[str, Any]) -> bool:
+        """Ingest awaits its WAL append; every other op runs inline."""
+        return self._wal is not None and request.get("op") in _LOGGED_OPS
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -34,6 +34,9 @@ magic     payload                                            producer
 ``RBAT``  binary batch ingest op: request id, seq, op tag    serve wire
           (sum/pairs/squares/observations), name + one or    (binary)
           two embedded ``RAWB`` input blocks
+``RACK``  binary ingest ack: request id, values added,      serve wire
+          seq, duplicate flag — replaces the JSON reply of   (binary)
+          a successful ``RBAT`` request, and nothing else
 ``WALO``  write-ahead-log ingest record: seq, CRC-32, op     cluster
           tag, name + raw pre-expansion float64 input(s) —   WAL
           replay re-expands deterministically
@@ -77,6 +80,7 @@ __all__ = [
     "MAGIC_DATASET",
     "MAGIC_WAL",
     "MAGIC_REDUCE_BATCH",
+    "MAGIC_INGEST_ACK",
     "REDUCE_OP_CODES",
     "REDUCE_OP_NAMES",
     "LENGTH_PREFIX",
@@ -114,6 +118,8 @@ __all__ = [
     "encode_reduce_batch",
     "decode_reduce_batch",
     "reduce_batch_wire_bodies",
+    "encode_ingest_ack",
+    "decode_ingest_ack",
 ]
 
 MAGIC_SPARSE = b"SSUP"
@@ -128,6 +134,7 @@ MAGIC_FLOAT = b"NF64"
 MAGIC_DATASET = b"F64D"
 MAGIC_WAL = b"WALO"
 MAGIC_REDUCE_BATCH = b"RBAT"
+MAGIC_INGEST_ACK = b"RACK"
 
 _SPARSE_HEADER = struct.Struct("<4sBq")  # magic, w, ncomponents
 _DENSE_HEADER = struct.Struct("<4sBqqq")  # magic, w, base_index, nlimbs, count
@@ -141,6 +148,9 @@ _FLOAT_FRAME = struct.Struct("<4sd")  # magic, value
 _WAL_HEADER = struct.Struct("<4sqIHHq4x")
 # magic, request id, seq, op code, stream_len, nx, ny
 _REDUCE_BATCH_HEADER = struct.Struct("<4sqqqqqq")
+# magic, request id, values added, seq, flags — 32 bytes
+_INGEST_ACK_FRAME = struct.Struct("<4sqqqI")
+_ACK_DUPLICATE = 1
 
 #: Ingest kinds carried by ``RBAT``/``WALO`` frames: the op tag names
 #: the *expansion* the receiver applies before folding (``sum``'s is the
@@ -903,6 +913,67 @@ def reduce_batch_wire_bodies(payload: bytes) -> Tuple[bytes, "bytes | None"]:
 
 
 # ----------------------------------------------------------------------
+# RACK — binary ingest ack (serve wire)
+# ----------------------------------------------------------------------
+
+
+def encode_ingest_ack(
+    request_id: int, added: int, seq: int = WAL_UNSEQUENCED, duplicate: bool = False
+) -> bytes:
+    """``RACK`` frame: the fixed-size reply to one successful ``RBAT`` op.
+
+    Layout (32 bytes, little-endian): magic, int64 request id, int64
+    values added, int64 ``seq`` (:data:`WAL_UNSEQUENCED` when the reply
+    carries none), uint32 flags (bit 0: ``duplicate``).
+
+    Raises:
+        CodecError: a field that is not a plain ``int`` or does not
+            fit an int64, a negative request id or count, or
+            ``seq < WAL_UNSEQUENCED``.
+    """
+    fields = (request_id, added, seq)
+    if any(type(field) is not int for field in fields):
+        raise CodecError(f"ingest ack fields must be ints, got {fields!r}")
+    if request_id < 0 or added < 0 or seq < WAL_UNSEQUENCED:
+        raise CodecError(
+            f"ingest ack fields out of range: id={request_id} added={added} seq={seq}"
+        )
+    try:
+        return _INGEST_ACK_FRAME.pack(
+            MAGIC_INGEST_ACK, request_id, added, seq,
+            _ACK_DUPLICATE if duplicate else 0,
+        )
+    except struct.error as exc:
+        raise CodecError(f"ingest ack field out of range: {exc}") from exc
+
+
+def decode_ingest_ack(payload: bytes) -> Tuple[int, int, int, bool]:
+    """Inverse of :func:`encode_ingest_ack`: ``(request_id, added, seq,
+    duplicate)``, ``seq`` being :data:`WAL_UNSEQUENCED` when absent.
+
+    Raises:
+        CodecError: wrong length or magic, a negative id or count,
+            ``seq < WAL_UNSEQUENCED``, or unknown flag bits.
+    """
+    _check_header(payload, _INGEST_ACK_FRAME, "ingest ack")
+    magic, request_id, added, seq, flags = _INGEST_ACK_FRAME.unpack_from(payload, 0)
+    if magic != MAGIC_INGEST_ACK:
+        raise CodecError("not an ingest ack payload")
+    if len(payload) != _INGEST_ACK_FRAME.size:
+        raise CodecError(
+            f"ingest ack length mismatch: expected {_INGEST_ACK_FRAME.size} "
+            f"bytes, got {len(payload)}"
+        )
+    if request_id < 0 or added < 0 or seq < WAL_UNSEQUENCED:
+        raise CodecError(
+            f"corrupt ingest ack: id={request_id} added={added} seq={seq}"
+        )
+    if flags & ~_ACK_DUPLICATE:
+        raise CodecError(f"corrupt ingest ack: unknown flag bits {flags:#x}")
+    return int(request_id), int(added), int(seq), bool(flags)
+
+
+# ----------------------------------------------------------------------
 # the registry
 # ----------------------------------------------------------------------
 
@@ -918,6 +989,7 @@ _DECODERS: Dict[bytes, Tuple[str, Callable[[bytes], Any]]] = {
     MAGIC_FLOAT: ("naive-float", decode_float),
     MAGIC_DATASET: ("dataset-header", decode_dataset_header),
     MAGIC_REDUCE_BATCH: ("binary-batch", decode_reduce_batch),
+    MAGIC_INGEST_ACK: ("ingest-ack", decode_ingest_ack),
     MAGIC_WAL: ("wal-record", decode_wal_record),
 }
 

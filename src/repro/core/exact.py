@@ -29,16 +29,22 @@ _METHODS = ("sparse", "small", "dense", "adaptive", "auto")
 
 def _build(values: np.ndarray, method: str, radix: RadixConfig):
     # "adaptive"/"auto" land here only from the scaled/fraction paths,
-    # which need the exact accumulator, not a rounded float; the sparse
-    # kernel is the exact workhorse there. Construction goes through
-    # the kernel registry so this module holds no
-    # representation-specific build code of its own.
+    # which need the exact accumulator, not a rounded float: they take
+    # the adaptive ladder's exact rung, one binned deposit resolved to
+    # a sparse accumulator. The other methods fold through the kernel
+    # registry, so this module holds no representation-specific build
+    # code of its own.
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {_METHODS}")
+    if method in ("auto", "adaptive"):
+        from repro.kernels.binned import BinnedPartial
+
+        partial = BinnedPartial(radix)
+        partial.deposit(values)
+        return partial.to_sparse()
     from repro.kernels import get_kernel
 
-    name = "sparse" if method in ("auto", "adaptive") else method
-    return get_kernel(name, radix=radix).exact_variant().fold(values)
+    return get_kernel(method, radix=radix).exact_variant().fold(values)
 
 
 def exact_sum(
@@ -97,10 +103,16 @@ def exact_sum_scaled(
     method: str = "auto",
     radix: RadixConfig = DEFAULT_RADIX,
 ) -> Tuple[int, int]:
-    """Exact sum as ``(V, shift)`` with value ``V * 2**shift``."""
+    """Exact sum as ``(V, shift)`` with value ``V * 2**shift``.
+
+    Only the value ``V * 2**shift`` is promised: two methods may return
+    different pairs for the same non-zero sum. A zero sum is always
+    ``(0, 0)``.
+    """
     arr = ensure_float64_array(values)
     check_finite_array(arr)
-    return _build(arr, method, radix).to_scaled_int()
+    v, shift = _build(arr, method, radix).to_scaled_int()
+    return (v, shift) if v else (0, 0)
 
 
 def exact_sum_fraction(

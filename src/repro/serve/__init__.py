@@ -31,7 +31,6 @@ from repro.serve.protocol import (
     decode_payload,
     encode_frame,
     read_frame,
-    write_frame,
 )
 from repro.serve.server import ReproServer
 from repro.serve.service import ReproService, ServeConfig
@@ -51,5 +50,4 @@ __all__ = [
     "decode_payload",
     "encode_frame",
     "read_frame",
-    "write_frame",
 ]

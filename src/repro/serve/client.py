@@ -1,20 +1,26 @@
 """Clients for the exact-aggregation service.
 
-:class:`ReproServeClient` speaks the TCP protocol with pipelining: a
-background reader task matches responses to requests by ``id``, so
-many requests may be in flight on one connection, and the server
-answers a pipelined burst with one socket write. :class:`InProcessClient` has the
-identical surface but calls :meth:`ReproService.handle` directly,
-still round-tripping every message through the wire codec so tests
-exercise the real encoding without sockets.
+:class:`ReproServeClient` speaks the TCP protocol with pipelining. Its
+connection is an :class:`asyncio.Protocol` that matches replies to
+waiting requests by ``id``, so many requests may be in flight on one
+connection, and the request frames queued during one loop tick go out
+in one ``transport.write``. There is no write lock and no per-request
+``drain``: while the transport is paused (its write buffer is above
+the high-water mark), callers wait before they queue.
+:class:`InProcessClient` has the identical surface but calls
+:meth:`ReproService.handle` directly, still round-tripping every
+request and reply through the wire codec so tests exercise the real
+encoding without sockets.
 
 Both clients can negotiate the **binary wire** (``wire="binary"``):
 after a successful ``hello`` the :meth:`~_ClientBase.request_batch`
 bulk path ships each batch of any ingest kind as one codec ``RBAT``
 frame — raw little-endian float64 bytes, no per-value boxing, no JSON
-text. If the
-server rejects the hello (old build, unknown wire) the client raises
-nothing and **falls back to JSON-lines automatically**; the typed
+text — and a successful batch is answered with a fixed-size ``RACK``
+ack, which :func:`~repro.serve.protocol.decode_reply` turns back into
+the same reply dict the JSON wire carries. If the server rejects the
+hello (old build, unknown wire) the client raises nothing and **falls
+back to JSON-lines automatically**; the typed
 :class:`ProtocolVersionError` is surfaced by :meth:`hello` for callers
 that negotiate explicitly. Either wire produces bit-identical sums —
 the negotiation is purely about speed.
@@ -30,9 +36,8 @@ Error responses are raised as the exception they encode:
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import itertools
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import (
     BadRequestError,
@@ -48,15 +53,16 @@ from repro.serve.protocol import (
     READ_OPS,
     WIRE_BINARY,
     WIRE_JSON,
+    FrameDecoder,
     decode_bytes_field,
     decode_payload,
+    decode_reply,
     encode_batch_frame,
     encode_bytes_field,
     encode_frame,
+    encode_reply,
     json_batch_request,
     parse_payload,
-    read_frame,
-    write_frame,
 )
 
 __all__ = ["ReproServeClient", "InProcessClient", "raise_for_response"]
@@ -258,24 +264,120 @@ class _ClientBase:
         )
 
 
+class _ClientConnection(asyncio.Protocol):
+    """The TCP client's end of one connection.
+
+    Replies are cut by a :class:`FrameDecoder`, decoded with
+    :func:`decode_reply` and matched to their callers' futures by
+    ``id``. Request frames queued during one loop tick go out in one
+    ``transport.write``, flushed by ``loop.call_soon``.
+    """
+
+    def __init__(self, max_frame: int) -> None:
+        self._decoder = FrameDecoder(max_frame=max_frame)
+        self._transport: Optional[asyncio.Transport] = None
+        self._pending: Dict[int, "asyncio.Future[Dict[str, Any]]"] = {}
+        self._out: List[bytes] = []
+        self._flush_scheduled = False
+        #: set while the transport accepts writes (cleared by pause_writing)
+        self._writable = asyncio.Event()
+        self._writable.set()
+        #: why the connection can no longer carry requests, once it can't
+        self._lost: Optional[Exception] = None
+        self._closed = asyncio.get_running_loop().create_future()
+
+    # -- asyncio.Protocol ------------------------------------------------
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        assert isinstance(transport, asyncio.Transport)
+        self._transport = transport
+
+    def data_received(self, data: bytes) -> None:
+        try:
+            for payload in self._decoder.payloads(data):
+                response = decode_reply(payload)
+                rid = response.get("id")
+                fut = self._pending.pop(rid, None) if rid is not None else None
+                if fut is not None and not fut.done():
+                    fut.set_result(response)
+                # unmatched frames (e.g. fatal protocol notices) are
+                # surfaced when the connection then drops
+        except ProtocolError as exc:
+            self.fail(exc)
+            if self._transport is not None:
+                self._transport.close()
+
+    def eof_received(self) -> bool:
+        self.fail(ConnectionError("server closed connection"))
+        return False
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.fail(exc if exc is not None else ConnectionError("connection closed"))
+        self._writable.set()  # wake callers waiting to queue; they fail fast
+        if not self._closed.done():
+            self._closed.set_result(None)
+
+    def pause_writing(self) -> None:
+        self._writable.clear()
+
+    def resume_writing(self) -> None:
+        self._writable.set()
+
+    # -- requests ----------------------------------------------------------
+
+    async def round_trip(self, rid: int, frame: bytes) -> Dict[str, Any]:
+        """Queue one encoded request frame and await its matched reply."""
+        if not self._writable.is_set():
+            await self._writable.wait()
+        if self._lost is not None:
+            raise ConnectionError(f"connection is down: {self._lost}")
+        fut: "asyncio.Future[Dict[str, Any]]" = (
+            asyncio.get_running_loop().create_future()
+        )
+        self._pending[rid] = fut
+        self._out.append(frame)
+        if not self._flush_scheduled:
+            self._flush_scheduled = True
+            asyncio.get_running_loop().call_soon(self._flush)
+        return await fut
+
+    def _flush(self) -> None:
+        """Write every queued request frame in one ``transport.write``."""
+        self._flush_scheduled = False
+        if not self._out or self._transport is None:
+            return
+        frames, self._out = self._out, []
+        if not self._transport.is_closing():
+            self._transport.write(b"".join(frames))
+
+    def fail(self, exc: Exception) -> None:
+        """Fail every unanswered request with ``exc``; refuse new ones."""
+        if self._lost is None:
+            self._lost = exc
+        self._out.clear()
+        for fut in self._pending.values():
+            if not fut.done():
+                fut.set_exception(exc)
+        self._pending.clear()
+
+    async def close(self) -> None:
+        """Send what is queued, close, and wait for the connection to end."""
+        self._flush()
+        if self._transport is not None:
+            self._transport.close()
+        await self._closed
+
+
 class ReproServeClient(_ClientBase):
     """Pipelined TCP client; create via :meth:`connect`."""
 
     def __init__(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        *,
-        max_frame: int = DEFAULT_MAX_FRAME,
+        self, conn: _ClientConnection, *, max_frame: int = DEFAULT_MAX_FRAME
     ) -> None:
-        self._reader = reader
-        self._writer = writer
+        self._conn = conn
         self._max_frame = max_frame
         self._ids = itertools.count(1)
-        self._pending: Dict[int, "asyncio.Future[Dict[str, Any]]"] = {}
-        self._write_lock = asyncio.Lock()
         self.wire = WIRE_JSON
-        self._reader_task = asyncio.get_running_loop().create_task(self._read_loop())
 
     @classmethod
     async def connect(
@@ -294,8 +396,10 @@ class ReproServeClient(_ClientBase):
         :meth:`hello` directly to get the typed
         :class:`ProtocolVersionError` instead of the fallback.
         """
-        reader, writer = await asyncio.open_connection(host, port)
-        client = cls(reader, writer, max_frame=max_frame)
+        _, conn = await asyncio.get_running_loop().create_connection(
+            lambda: _ClientConnection(max_frame), host, port
+        )
+        client = cls(conn, max_frame=max_frame)
         if wire != WIRE_JSON:
             try:
                 await client.hello(wire=wire)
@@ -321,13 +425,7 @@ class ReproServeClient(_ClientBase):
         return resp
 
     async def close(self) -> None:
-        self._reader_task.cancel()
-        with contextlib.suppress(asyncio.CancelledError):
-            await self._reader_task
-        with contextlib.suppress(ConnectionError):
-            self._writer.close()
-            await self._writer.wait_closed()
-        self._fail_pending(ConnectionError("client closed"))
+        await self._conn.close()
 
     async def __aenter__(self) -> "ReproServeClient":
         return self
@@ -340,9 +438,8 @@ class ReproServeClient(_ClientBase):
     async def request(self, op: str, **fields: Any) -> Dict[str, Any]:
         rid = next(self._ids)
         message = {"op": op, "id": rid, **fields}
-        return await self._round_trip(
-            rid, encode_frame(message, max_frame=self._max_frame)
-        )
+        frame = encode_frame(message, max_frame=self._max_frame)
+        return raise_for_response(await self._conn.round_trip(rid, frame))
 
     async def request_batch(
         self,
@@ -359,72 +456,24 @@ class ReproServeClient(_ClientBase):
         frame = encode_batch_frame(
             rid, stream, x, op=op, y=y, seq=seq, max_frame=self._max_frame
         )
-        return await self._round_trip(rid, frame)
-
-    async def _round_trip(self, rid: int, frame: bytes) -> Dict[str, Any]:
-        """Send one encoded request frame and await its matched response."""
-        fut: "asyncio.Future[Dict[str, Any]]" = (
-            asyncio.get_running_loop().create_future()
-        )
-        self._pending[rid] = fut
-        try:
-            async with self._write_lock:
-                self._writer.write(frame)
-                await self._writer.drain()
-        except Exception:
-            self._pending.pop(rid, None)
-            raise
-        return raise_for_response(await fut)
-
-    async def send_raw(self, message: Dict[str, Any]) -> None:
-        """Fire one frame without registering for a response (tests)."""
-        async with self._write_lock:
-            await write_frame(self._writer, message, max_frame=self._max_frame)
-
-    async def send_raw_bytes(self, frame: bytes) -> None:
-        """Fire pre-encoded frame bytes without response matching (tests)."""
-        async with self._write_lock:
-            self._writer.write(frame)
-            await self._writer.drain()
+        return raise_for_response(await self._conn.round_trip(rid, frame))
 
     async def shutdown(self) -> Dict[str, Any]:
         """Ask the server to stop; returns its final response."""
         return await self.request("shutdown")
 
-    async def _read_loop(self) -> None:
-        try:
-            while True:
-                response = await read_frame(self._reader, max_frame=self._max_frame)
-                if response is None:
-                    self._fail_pending(ConnectionError("server closed connection"))
-                    return
-                rid = response.get("id")
-                fut = self._pending.pop(rid, None) if rid is not None else None
-                if fut is not None and not fut.done():
-                    fut.set_result(response)
-                # unmatched frames (e.g. fatal protocol notices) are
-                # surfaced when the connection then drops
-        except ProtocolError as exc:
-            self._fail_pending(exc)
-        except (ConnectionError, asyncio.IncompleteReadError) as exc:
-            self._fail_pending(exc)
-
-    def _fail_pending(self, exc: Exception) -> None:
-        for fut in self._pending.values():
-            if not fut.done():
-                fut.set_exception(exc)
-        self._pending.clear()
-
 
 class InProcessClient(_ClientBase):
     """Same surface, no sockets: requests go straight to the service.
 
-    Every message still passes through ``encode_frame``/``decode`` so
-    the JSON codec (including bit-exact float round-tripping) is on the
-    path, making this a faithful stand-in for the TCP client in tests
-    and benchmarks. With ``wire="binary"``, :meth:`request_batch`
-    likewise round-trips through the real ``RBAT`` encode/parse pair, so
-    the zero-copy binary path is exercised without sockets too.
+    Every request still passes through ``encode_frame``/``decode`` and
+    every reply through ``encode_reply``/``decode_reply``, so the JSON
+    codec (including bit-exact float round-tripping) is on the path,
+    making this a faithful stand-in for the TCP client in tests and
+    benchmarks. With ``wire="binary"``, :meth:`request_batch` likewise
+    round-trips through the real ``RBAT`` encode/parse pair and its
+    reply through the ``RACK`` ack, so the binary path is exercised
+    without sockets too.
     """
 
     def __init__(self, service: Any, *, wire: str = WIRE_JSON) -> None:
@@ -469,10 +518,12 @@ class InProcessClient(_ClientBase):
         """
         self.service.record_wire(request, payload_bytes)
         response = await self.service.handle(request)
-        back = decode_payload(
-            encode_frame(response, max_frame=self.service.config.max_frame)[4:]
+        frame = encode_reply(
+            response,
+            ack=request.get("wire") == WIRE_BINARY,
+            max_frame=self.service.config.max_frame,
         )
-        return raise_for_response(back)
+        return raise_for_response(decode_reply(frame[4:]))
 
     async def close(self) -> None:  # symmetry with the TCP client
         return None

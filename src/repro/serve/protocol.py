@@ -13,8 +13,11 @@ codec-registered ``RBAT`` frames carrying an ingest kind and raw
 little-endian float64 inputs (:func:`repro.codec.encode_reduce_batch`)
 — no per-value text encoding, no Python boxing. The first payload byte
 discriminates: ``{`` is a JSON object, a codec magic is a binary op.
-Responses stay JSON in both modes; only value-bearing ingest is worth
-the binary treatment.
+Replies discriminate the same way: a successful ``RBAT`` request whose
+reply holds nothing but ``added`` (and ``seq``/``duplicate``) is
+answered with a fixed-size codec ``RACK`` ack
+(:func:`encode_reply`/:func:`decode_reply`); every other reply,
+errors included, is JSON on both wires.
 
 Every ingest is "expand, then fold": its *kind* (``sum``, ``pairs``,
 ``squares``, ``observations``) names the :mod:`repro.reduce` op whose
@@ -45,7 +48,7 @@ from __future__ import annotations
 import asyncio
 import base64
 import json
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -71,11 +74,11 @@ __all__ = [
     "json_batch_request",
     "encode_frame",
     "encode_batch_frame",
+    "encode_reply",
     "decode_payload",
+    "decode_reply",
     "parse_payload",
     "read_frame",
-    "read_frame_bytes",
-    "write_frame",
     "encode_bytes_field",
     "decode_bytes_field",
     "FrameDecoder",
@@ -367,6 +370,70 @@ def parse_payload(payload: bytes, *, binary: bool = False) -> Dict[str, Any]:
     return decode_payload(payload)
 
 
+#: The only fields a reply answered with a ``RACK`` ack may hold.
+_ACK_FIELDS = frozenset({"ok", "id", "added", "seq", "duplicate"})
+
+
+def encode_reply(
+    response: Dict[str, Any], *, ack: bool = False, max_frame: int = DEFAULT_MAX_FRAME
+) -> bytes:
+    """Serialize one reply to a wire frame.
+
+    With ``ack`` (the request came as a binary ``RBAT`` frame), a
+    successful reply holding only ``id``, ``added`` and optionally
+    ``seq`` or ``duplicate: true`` goes out as a 32-byte codec ``RACK``
+    frame; :func:`decode_reply` turns it back into the identical dict.
+    Any other reply is a JSON frame (:func:`encode_frame`).
+
+    Raises:
+        ProtocolError: if a JSON payload exceeds ``max_frame``.
+    """
+    if (
+        ack
+        and response.get("ok") is True
+        and response.get("duplicate", True) is True
+        and response.get("seq") != codec.WAL_UNSEQUENCED
+        and _ACK_FIELDS.issuperset(response)
+    ):
+        try:
+            payload = codec.encode_ingest_ack(
+                response["id"],
+                response["added"],
+                response.get("seq", codec.WAL_UNSEQUENCED),
+                "duplicate" in response,
+            )
+        except (KeyError, CodecError):
+            pass  # not representable as an ack: answer in JSON
+        else:
+            return LENGTH_PREFIX.pack(len(payload)) + payload
+    return encode_frame(response, max_frame=max_frame)
+
+
+def decode_reply(payload: bytes) -> Dict[str, Any]:
+    """Parse a reply payload: a ``RACK`` ack or a JSON object.
+
+    The first byte discriminates, as on the request side: an ack comes
+    back as ``{"ok": True, "id", "added"}`` plus ``seq`` and
+    ``duplicate: True`` when its frame carries them.
+
+    Raises:
+        ProtocolError: (recoverable) on a corrupt ack or a payload that
+            is not a JSON object.
+    """
+    if not payload.startswith(codec.MAGIC_INGEST_ACK):
+        return decode_payload(payload)
+    try:
+        request_id, added, seq, duplicate = codec.decode_ingest_ack(payload)
+    except CodecError as exc:
+        raise _recoverable(f"corrupt ingest ack: {exc}") from exc
+    reply: Dict[str, Any] = {"ok": True, "id": request_id, "added": added}
+    if seq != codec.WAL_UNSEQUENCED:
+        reply["seq"] = seq
+    if duplicate:
+        reply["duplicate"] = True
+    return reply
+
+
 def encode_bytes_field(raw: bytes) -> str:
     """Binary payload -> JSON-safe base64 string."""
     return base64.b64encode(raw).decode("ascii")
@@ -386,19 +453,19 @@ def decode_bytes_field(text: Any) -> bytes:
         raise _recoverable(f"invalid base64 payload: {exc}") from exc
 
 
-async def read_frame_bytes(
+async def read_frame(
     reader: asyncio.StreamReader, *, max_frame: int = DEFAULT_MAX_FRAME
-) -> Optional[bytes]:
-    """Read one raw frame payload from a stream (no parsing).
+) -> Optional[Dict[str, Any]]:
+    """Read one reply frame from a stream and decode it with
+    :func:`decode_reply` (raw-socket consumers; the clients use
+    :class:`FrameDecoder`).
 
     Returns ``None`` on clean EOF (no bytes after the last frame).
-    Callers that need the payload size (ingest byte metrics) or a
-    per-connection wire mode read bytes here and parse with
-    :func:`parse_payload`.
 
     Raises:
         ProtocolError: fatal on truncated length prefix / truncated
-            payload / oversized length.
+            payload / oversized length; recoverable on a payload that is
+            neither a JSON object nor an ingest ack.
     """
     try:
         header = await reader.readexactly(LENGTH_PREFIX.size)
@@ -414,58 +481,34 @@ async def read_frame_bytes(
     if length == 0:
         raise _fatal("zero-length frame")
     try:
-        return await reader.readexactly(length)
+        payload = await reader.readexactly(length)
     except asyncio.IncompleteReadError as exc:
         raise _fatal(
             f"truncated frame: got {len(exc.partial)}/{length} payload bytes"
         ) from exc
-
-
-async def read_frame(
-    reader: asyncio.StreamReader, *, max_frame: int = DEFAULT_MAX_FRAME
-) -> Optional[Dict[str, Any]]:
-    """Read one JSON message from a stream.
-
-    Returns ``None`` on clean EOF (no bytes after the last frame).
-
-    Raises:
-        ProtocolError: fatal on truncated length prefix / truncated
-            payload / oversized length; recoverable on invalid JSON
-            inside a well-delimited frame.
-    """
-    payload = await read_frame_bytes(reader, max_frame=max_frame)
-    if payload is None:
-        return None
-    return decode_payload(payload)
-
-
-async def write_frame(
-    writer: asyncio.StreamWriter,
-    obj: Dict[str, Any],
-    *,
-    max_frame: int = DEFAULT_MAX_FRAME,
-) -> None:
-    """Encode and send one message; drains the transport."""
-    writer.write(encode_frame(obj, max_frame=max_frame))
-    await writer.drain()
+    return decode_reply(payload)
 
 
 class FrameDecoder:
-    """Incremental sans-IO frame decoder (fuzzing and sync consumers).
+    """Incremental sans-IO frame decoder: the server's and the TCP
+    client's reader, and the fuzz tests' target.
 
-    Feed arbitrary byte chunks; :meth:`feed` returns the complete
-    messages they finished. Framing violations raise fatal
-    :class:`ProtocolError` and poison the decoder; payload-level
-    errors (invalid JSON, corrupt or non-finite batch frames) raise
-    recoverable ones and the decoder stays usable for the next frame —
-    mirroring the server's connection semantics. ``binary=True`` mirrors
-    a connection that negotiated the binary wire via ``hello``.
+    :meth:`payloads` cuts complete frames out of the bytes fed so far
+    and yields their raw payloads; the server parses each one with the
+    connection's current wire mode, so a ``hello`` takes effect for the
+    very next frame of the same chunk. Framing violations raise fatal
+    :class:`ProtocolError` and poison the decoder.
 
-    A bad frame never costs the good frames before it: :meth:`feed`
-    returns the messages decoded ahead of it, and the *next* call
-    raises the bad frame's error (buffering that call's bytes first).
-    Frames after a bad one come out of later calls; ``feed(b"")``
-    drains them.
+    :meth:`feed` parses too: it returns the messages a chunk finished.
+    Payload-level errors (invalid JSON, corrupt or non-finite batch
+    frames) raise recoverable ones and the decoder stays usable for the
+    next frame — mirroring the server's connection semantics.
+    ``binary=True`` mirrors a connection that negotiated the binary
+    wire via ``hello``. A bad frame never costs the good frames before
+    it: :meth:`feed` returns the messages decoded ahead of it, and the
+    *next* call raises the bad frame's error (buffering that call's
+    bytes first). Frames after a bad one come out of later calls;
+    ``feed(b"")`` drains them.
     """
 
     def __init__(
@@ -477,35 +520,48 @@ class FrameDecoder:
         self._dead = False
         self._error: Optional[ProtocolError] = None
 
-    def feed(self, data: bytes) -> List[Dict[str, Any]]:
-        self._buf.extend(data)
-        if self._error is not None:
-            err, self._error = self._error, None
-            raise err
+    def payloads(self, data: bytes) -> Iterator[bytes]:
+        """Buffer ``data``, then yield each complete frame's payload.
+
+        A caller may stop iterating early: frames not yet yielded stay
+        buffered for the next call (``payloads(b"")`` resumes them).
+        A framing violation (zero or oversized length) is raised once
+        every good frame ahead of it has been yielded.
+        """
+        buf = self._buf
+        buf += data
         if self._dead:
             raise _fatal("decoder poisoned by an earlier framing error")
-        out: List[Dict[str, Any]] = []
-        while len(self._buf) >= LENGTH_PREFIX.size:
-            (length,) = LENGTH_PREFIX.unpack_from(self._buf, 0)
-            try:
-                if length > self.max_frame or length == 0:
-                    self._dead = True
-                    raise _fatal(
-                        f"length prefix {length} outside "
-                        f"(0, max_frame={self.max_frame}]"
-                    )
-                if len(self._buf) < LENGTH_PREFIX.size + length:
-                    break
-                payload = bytes(
-                    self._buf[LENGTH_PREFIX.size : LENGTH_PREFIX.size + length]
+        prefix = LENGTH_PREFIX.size
+        while len(buf) >= prefix:
+            (length,) = LENGTH_PREFIX.unpack_from(buf, 0)
+            if length > self.max_frame or length == 0:
+                self._dead = True
+                raise _fatal(
+                    f"length prefix {length} outside "
+                    f"(0, max_frame={self.max_frame}]"
                 )
-                del self._buf[: LENGTH_PREFIX.size + length]
+            end = prefix + length
+            if len(buf) < end:
+                return
+            with memoryview(buf) as view:
+                payload = bytes(view[prefix:end])
+            del buf[:end]
+            yield payload
+
+    def feed(self, data: bytes) -> List[Dict[str, Any]]:
+        if self._error is not None:
+            self._buf += data
+            err, self._error = self._error, None
+            raise err
+        out: List[Dict[str, Any]] = []
+        try:
+            for payload in self.payloads(data):
                 out.append(parse_payload(payload, binary=self.binary))
-            except ProtocolError as exc:
-                if not out:
-                    raise
-                self._error = exc
-                break
+        except ProtocolError as exc:
+            if not out:
+                raise
+            self._error = exc
         return out
 
     @property

@@ -298,6 +298,16 @@ class ReproService:
         )
         return response
 
+    def may_suspend(self, request: Dict[str, Any]) -> bool:
+        """Whether :meth:`handle` may await before answering ``request``.
+
+        The TCP server runs every other request to completion inline,
+        with no task, and raises if one suspends; a subclass whose op
+        handler awaits must name that op here. No handler of this
+        service awaits: folds and reads run synchronously on the loop.
+        """
+        return False
+
     def record_wire(self, request: Dict[str, Any], payload_bytes: int) -> None:
         """Per-wire ingest accounting of one parsed request frame.
 

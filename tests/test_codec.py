@@ -65,6 +65,7 @@ def _valid_frames():
         codec.MAGIC_WAL: codec.encode_wal_record(
             7, "orders", "squares", np.array([1.5, -2.25, 3e7])
         ),
+        codec.MAGIC_INGEST_ACK: codec.encode_ingest_ack(5, 64, 11, True),
     }
 
 
@@ -73,7 +74,7 @@ FRAMES = _valid_frames()
 
 def test_every_registered_format_has_a_fixture_frame():
     assert set(FRAMES) == set(codec.registered_formats())
-    assert len(FRAMES) == 12
+    assert len(FRAMES) == 13
 
 
 @pytest.mark.parametrize("magic", sorted(FRAMES))
@@ -117,6 +118,7 @@ def test_wrong_magic_raises_codec_error(magic):
         codec.MAGIC_DATASET: codec.decode_dataset_header,
         codec.MAGIC_REDUCE_BATCH: codec.decode_reduce_batch,
         codec.MAGIC_WAL: codec.decode_wal_record,
+        codec.MAGIC_INGEST_ACK: codec.decode_ingest_ack,
     }[magic]
     with pytest.raises(CodecError):
         decoder(swapped)
@@ -354,3 +356,40 @@ def test_op_tagged_frames_truncation_at_every_cut(op, encode):
     for cut in range(len(frame)):
         with pytest.raises(CodecError):
             codec.decode(frame[:cut])
+
+
+@pytest.mark.parametrize("seq", [codec.WAL_UNSEQUENCED, 0, 2**40])
+@pytest.mark.parametrize("duplicate", [False, True])
+def test_ingest_ack_roundtrip(seq, duplicate):
+    frame = codec.encode_ingest_ack(2**33, 4096, seq, duplicate)
+    assert len(frame) == 32 and codec.peek_magic(frame) == codec.MAGIC_INGEST_ACK
+    assert codec.decode_ingest_ack(frame) == (2**33, 4096, seq, duplicate)
+    assert codec.decode(frame) == (2**33, 4096, seq, duplicate)
+
+
+def test_ingest_ack_rejects_bad_fields():
+    for args in [(-1, 0), (0, -1), (0, 0, -2), (True, 0), (0, 1.0), (2**63, 0)]:
+        with pytest.raises(CodecError):
+            codec.encode_ingest_ack(*args)
+
+
+def test_ingest_ack_corrupt_or_short_frames_raise_codec_error():
+    frame = bytearray(codec.encode_ingest_ack(3, 8, 5, False))
+    for cut in range(len(frame)):
+        with pytest.raises(CodecError):
+            codec.decode_ingest_ack(bytes(frame[:cut]))
+    with pytest.raises(CodecError, match="length mismatch"):
+        codec.decode_ingest_ack(bytes(frame) + b"\x00")
+    flags = bytearray(frame)
+    flags[28] = 0x02  # an undefined flag bit
+    with pytest.raises(CodecError, match="flag"):
+        codec.decode_ingest_ack(bytes(flags))
+    for offset in (4, 12):  # request id, added
+        negative = bytearray(frame)
+        negative[offset : offset + 8] = (-4).to_bytes(8, "little", signed=True)
+        with pytest.raises(CodecError, match="corrupt ingest ack"):
+            codec.decode_ingest_ack(bytes(negative))
+    low_seq = bytearray(frame)
+    low_seq[20:28] = (-2).to_bytes(8, "little", signed=True)
+    with pytest.raises(CodecError, match="corrupt ingest ack"):
+        codec.decode_ingest_ack(bytes(low_seq))

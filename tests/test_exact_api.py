@@ -44,6 +44,35 @@ class TestExactSum:
         assert Fraction(v) * Fraction(2) ** s == exact_sum_fraction(x)
         assert exact_sum_fraction(x) == exact_fraction(x)
 
+    @pytest.mark.parametrize(
+        "panel", ["cancel", "tie", "anderson", "sumzero", "subnormals", "max", "empty"]
+    )
+    def test_binned_scaled_sum_equals_sparse(self, panel):
+        from repro.data import generate
+
+        big = np.finfo(np.float64).max
+        x = {
+            "cancel": generate("cancel", 4096, delta=600, seed=5),
+            "tie": generate("tie", 4096, delta=600, seed=5),
+            "anderson": generate("anderson", 4096, delta=300, seed=6),
+            "sumzero": generate("sumzero", 4096, delta=600, seed=7),
+            "subnormals": np.array([5e-324, 2.0**-1022, -3e-320] * 700),
+            "max": np.array([big, big, -big, big, -big, -big, 1.0]),
+            "empty": np.array([]),
+        }[panel]
+        got = exact_sum_scaled(x)
+        want = exact_sum_scaled(x, method="sparse")
+        to_fraction = lambda vs: Fraction(vs[0]) * Fraction(2) ** vs[1]
+        assert to_fraction(got) == to_fraction(want) == exact_fraction(x)
+        assert exact_sum_fraction(x) == exact_fraction(x)
+        if to_fraction(want) == 0:
+            assert got == want == (0, 0)
+
+    def test_zero_sum_is_one_scaled_pair(self):
+        for method in ("auto", "sparse", "small", "dense"):
+            assert exact_sum_scaled([1.5, -0.5, -1.0], method=method) == (0, 0)
+            assert exact_sum_scaled([], method=method) == (0, 0)
+
     def test_where_numpy_fails(self):
         x = np.array([1e16, 1.0, -1e16])
         assert float(np.sum(x)) != 1.0  # the motivating failure

@@ -26,8 +26,10 @@ from repro.serve.protocol import (
     decode_bytes_field,
     decode_payload,
     encode_bytes_field,
+    decode_reply,
     encode_batch_frame,
     encode_frame,
+    encode_reply,
     parse_payload,
     read_frame,
 )
@@ -234,6 +236,102 @@ class TestFuzz:
                 continue
             for m in msgs:
                 assert isinstance(m, dict)
+
+
+class TestReplies:
+    """encode_reply/decode_reply: the RACK ack and its JSON fallback."""
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            {"ok": True, "id": 4, "added": 64},
+            {"ok": True, "id": 5, "added": 0, "seq": 0},
+            {"ok": True, "id": 6, "added": 256, "seq": 12},
+            {"ok": True, "id": 7, "added": 0, "seq": 3, "duplicate": True},
+            {"ok": True, "id": 8, "added": 0, "duplicate": True},
+        ],
+    )
+    def test_ack_round_trips_to_the_same_dict(self, reply):
+        frame = encode_reply(reply, ack=True)
+        assert frame[4:8] == codec.MAGIC_INGEST_ACK and len(frame) == 4 + 32
+        assert decode_reply(frame[4:]) == reply
+        # the JSON form decodes to the identical dict
+        assert decode_reply(encode_reply(reply)[4:]) == reply
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            {"ok": False, "id": 4, "code": "non-finite", "error": "x"},
+            {"ok": True, "id": 4, "added": 64, "block": "shm:seg[0:64]"},
+            {"ok": True, "id": 4, "added": 1, "duplicate": False},
+            {"ok": True, "id": 4, "added": 1, "seq": -1},
+            {"ok": True, "id": 4, "added": 1, "seq": None},
+            {"ok": True, "added": 1},
+            {"ok": True, "id": "x", "added": 1},
+            {"ok": True, "id": 4, "added": 2**63},
+        ],
+    )
+    def test_other_replies_stay_json(self, reply):
+        frame = encode_reply(reply, ack=True)
+        assert frame[4:5] == b"{"
+        assert decode_reply(frame[4:]) == reply
+
+    def test_without_ack_every_reply_is_json(self):
+        reply = {"ok": True, "id": 4, "added": 64}
+        assert encode_reply(reply) == encode_frame(reply)
+
+    def test_corrupt_ack_is_recoverable(self):
+        payload = bytearray(encode_reply({"ok": True, "id": 1, "added": 2}, ack=True)[4:])
+        for bad in (bytes(payload[:20]), bytes(payload) + b"\x00"):
+            with pytest.raises(ProtocolError) as exc:
+                decode_reply(bad)
+            assert not exc.value.fatal
+        with pytest.raises(ProtocolError):
+            decode_reply(b"garbage")
+
+    def test_read_frame_decodes_acks(self):
+        frames = encode_reply({"ok": True, "id": 1, "added": 2}, ack=True) + encode_frame(
+            {"ok": True, "id": 2, "pong": True}
+        )
+
+        async def main():
+            reader = asyncio.StreamReader()
+            reader.feed_data(frames)
+            reader.feed_eof()
+            return [await read_frame(reader) for _ in range(3)]
+
+        assert asyncio.run(main()) == [
+            {"ok": True, "id": 1, "added": 2},
+            {"ok": True, "id": 2, "pong": True},
+            None,
+        ]
+
+
+class TestDecoderPayloads:
+    def test_early_stop_keeps_the_rest_buffered(self):
+        msgs = [{"op": "ping", "id": i} for i in range(4)]
+        data = b"".join(encode_frame(m) for m in msgs)
+        dec = FrameDecoder()
+        got = []
+        for payload in dec.payloads(data):
+            got.append(decode_payload(payload))
+            if len(got) == 2:
+                break
+        assert got == msgs[:2]
+        assert dec.pending_bytes == len(encode_frame(msgs[2])) * 2
+        assert [decode_payload(p) for p in dec.payloads(b"")] == msgs[2:]
+        assert dec.pending_bytes == 0
+
+    def test_framing_error_after_good_frames(self):
+        good = encode_frame({"op": "ping", "id": 1})
+        dec = FrameDecoder(max_frame=1 << 10)
+        it = dec.payloads(good + struct.pack("!I", 1 << 20) + b"x")
+        assert decode_payload(next(it)) == {"op": "ping", "id": 1}
+        with pytest.raises(ProtocolError) as exc:
+            next(it)
+        assert exc.value.fatal
+        with pytest.raises(ProtocolError):
+            list(dec.payloads(good))  # poisoned
 
 
 class TestBinaryWire:

@@ -15,6 +15,8 @@ import struct
 import numpy as np
 import pytest
 
+import repro.serve.server as server_mod
+from repro import codec
 from repro.core import exact_sum
 from repro.data import generate
 from repro.errors import ProtocolError, ServiceError
@@ -24,7 +26,13 @@ from repro.serve import (
     ReproService,
     ServeConfig,
 )
-from repro.serve.protocol import encode_frame, read_frame
+from repro.serve.protocol import (
+    FrameDecoder,
+    decode_reply,
+    encode_batch_frame,
+    encode_frame,
+    read_frame,
+)
 from tests.conftest import random_hard_array, ref_sum
 
 
@@ -260,6 +268,9 @@ class TestWireAbuse:
 class _SlowPingService(ReproService):
     """A service whose ``ping`` awaits, so requests overlap in handle."""
 
+    def may_suspend(self, request):
+        return request.get("op") == "ping"
+
     async def _op_ping(self, request):
         await asyncio.sleep(0.002)
         return await super()._op_ping(request)
@@ -284,16 +295,98 @@ class TestBackpressure:
         run(main())
 
 
+def _count_server_writes(monkeypatch):
+    """Record the size of every server-side ``transport.write``."""
+    writes = []
+    original = server_mod._Connection.connection_made
+
+    def connection_made(self, transport):
+        write = transport.write
+
+        def counted(data):
+            writes.append(len(data))
+            return write(data)
+
+        transport.write = counted
+        original(self, transport)
+
+    monkeypatch.setattr(server_mod._Connection, "connection_made", connection_made)
+    return writes
+
+
+async def _read_payload(reader):
+    """One raw reply payload off a raw socket."""
+    (length,) = struct.unpack("!I", await reader.readexactly(4))
+    return await reader.readexactly(length)
+
+
+class _FakeTransport(asyncio.Transport):
+    """Records reading-state changes; accepts and discards writes."""
+
+    def __init__(self):
+        super().__init__()
+        self.reading = True
+        self.written = []
+
+    def is_closing(self):
+        return False
+
+    def pause_reading(self):
+        self.reading = False
+
+    def resume_reading(self):
+        self.reading = True
+
+    def write(self, data):
+        self.written.append(data)
+
+
+class TestWriteBackpressure:
+    def test_full_write_buffer_pauses_reading(self):
+        async def main():
+            service = ReproService(ServeConfig(shards=1))
+            server = ReproServer(service, port=0)
+            conn = server_mod._Connection(server)
+            transport = _FakeTransport()
+            conn.connection_made(transport)
+            conn.pause_writing()
+            assert transport.reading is False
+            conn.resume_writing()
+            assert transport.reading is True
+            # reading resumed: the next frame is answered in one write
+            conn.data_received(encode_frame({"op": "ping", "id": 1}))
+            (frame,) = transport.written
+            assert decode_reply(frame[4:])["pong"] is True
+
+        run(main())
+
+    def test_paused_client_transport_makes_callers_wait(self):
+        from repro.serve.client import _ClientConnection
+
+        async def main():
+            conn = _ClientConnection(max_frame=1 << 20)
+            transport = _FakeTransport()
+            conn.connection_made(transport)
+            conn.pause_writing()
+            call = asyncio.ensure_future(
+                conn.round_trip(1, encode_frame({"op": "ping", "id": 1}))
+            )
+            for _ in range(3):
+                await asyncio.sleep(0)
+            assert transport.written == [] and not conn._out  # not queued
+            conn.resume_writing()
+            for _ in range(3):
+                await asyncio.sleep(0)
+            assert len(transport.written) == 1
+            conn.data_received(encode_frame({"ok": True, "id": 1, "pong": True}))
+            assert (await call)["pong"] is True
+
+        run(main())
+
+
 class TestReplyCoalescing:
     def test_pipelined_burst_answered_in_fewer_writes(self, monkeypatch):
-        writes = []
-        original = asyncio.StreamWriter.write
-
-        def counting_write(self, data):
-            writes.append(self)
-            return original(self, data)
-
-        monkeypatch.setattr(asyncio.StreamWriter, "write", counting_write)
+        writes = _count_server_writes(monkeypatch)
         n = 32
 
         async def main():
@@ -308,8 +401,8 @@ class TestReplyCoalescing:
             replies = [await read_frame(reader) for _ in range(n)]
             assert sorted(r["id"] for r in replies) == list(range(n))
             assert all(r["ok"] and r["added"] == 1 for r in replies)
-            server_writes = sum(1 for w in writes if w is not writer)
-            assert 1 <= server_writes < n
+            assert 1 <= len(writes) < n
+            assert sum(writes) == sum(len(encode_frame(r)) for r in replies)
             writer.close()
             await writer.wait_closed()
             resp = await service.handle({"op": "value", "stream": "b"})
@@ -317,6 +410,134 @@ class TestReplyCoalescing:
             await stop_stack(service, server)
 
         run(main())
+
+    def test_binary_ingest_burst_creates_no_task(self, rng):
+        n = 16
+        x = random_hard_array(rng, 64)
+
+        async def main():
+            service, server = await start_stack(shards=2)
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            writer.write(encode_frame({"op": "hello", "id": 0, "version": 2, "wire": "binary"}))
+            assert (await read_frame(reader))["wire"] == "binary"
+            loop = asyncio.get_running_loop()
+            created = []
+            original = loop.create_task
+
+            def counting(*args, **kwargs):
+                created.append(args)
+                return original(*args, **kwargs)
+
+            loop.create_task = counting
+            try:
+                writer.write(b"".join(encode_batch_frame(i, "s", x) for i in range(1, n + 1)))
+                payloads = [await _read_payload(reader) for _ in range(n)]
+            finally:
+                del loop.create_task
+            assert created == []
+            # every reply is a 32-byte binary ack, not JSON
+            assert all(p[:4] == codec.MAGIC_INGEST_ACK and len(p) == 32 for p in payloads)
+            acks = [decode_reply(p) for p in payloads]
+            assert sorted(a["id"] for a in acks) == list(range(1, n + 1))
+            assert all(a == {"ok": True, "id": a["id"], "added": 64} for a in acks)
+            resp = await service.handle({"op": "value", "stream": "s"})
+            assert resp["value"] == ref_sum(np.tile(x, n))
+            writer.close()
+            await writer.wait_closed()
+            await stop_stack(service, server)
+
+        run(main())
+
+    def test_client_sends_one_tick_of_requests_in_one_write(self):
+        n = 24
+
+        async def main():
+            service, server = await start_stack(shards=1)
+            client = await ReproServeClient.connect(port=server.port)
+            transport = client._conn._transport
+            writes = []
+            write = transport.write
+
+            def counted(data):
+                writes.append(data)
+                return write(data)
+
+            transport.write = counted
+            pongs = await asyncio.gather(*(client.ping() for _ in range(n)))
+            assert all(p["pong"] is True for p in pongs)
+            assert len(writes) == 1
+            decoder = FrameDecoder()
+            assert [m["op"] for m in decoder.feed(writes[0])] == ["ping"] * n
+            await client.close()
+            await stop_stack(service, server)
+
+        run(main())
+
+    def test_hello_and_batch_in_one_write_fold_as_binary(self, rng):
+        x = random_hard_array(rng, 100)
+
+        async def main():
+            service, server = await start_stack(shards=2)
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            writer.write(
+                encode_frame({"op": "hello", "id": 1, "version": 2, "wire": "binary"})
+                + encode_batch_frame(2, "s", x)
+            )
+            hello = await read_frame(reader)
+            assert hello["ok"] and hello["id"] == 1 and hello["wire"] == "binary"
+            assert await read_frame(reader) == {"ok": True, "id": 2, "added": 100}
+            wire = service.metrics.snapshot()["wire"]
+            assert wire["binary"]["frames"] == 1 and wire["binary"]["values"] == 100
+            resp = await service.handle({"op": "value", "stream": "s"})
+            assert resp["value"] == ref_sum(x)
+            writer.close()
+            await writer.wait_closed()
+            await stop_stack(service, server)
+
+        run(main())
+
+    def test_corrupt_frame_between_good_ones_in_one_chunk(self):
+        async def main():
+            service, server = await start_stack(shards=1)
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            bad = b"not json\n"
+            writer.write(
+                encode_frame({"op": "ping", "id": 1})
+                + struct.pack("!I", len(bad)) + bad
+                + encode_frame({"op": "ping", "id": 3})
+            )
+            replies = [await read_frame(reader) for _ in range(3)]
+            good = [r for r in replies if r["ok"]]
+            assert sorted(r["id"] for r in good) == [1, 3]
+            assert all(r["pong"] is True for r in good)
+            (err,) = [r for r in replies if not r["ok"]]
+            assert err["code"] == "protocol" and err["fatal"] is False
+            writer.close()
+            await writer.wait_closed()
+            await stop_stack(service, server)
+
+        run(main())
+
+
+class TestInlineDispatch:
+    def test_run_inline_returns_the_value(self):
+        async def answer():
+            return 42
+
+        assert server_mod.run_inline(answer()) == 42
+
+    def test_suspension_raises_and_closes_the_coroutine(self):
+        finished = []
+
+        async def suspends():
+            try:
+                await asyncio.sleep(0)
+            finally:
+                finished.append(True)
+
+        with pytest.raises(RuntimeError, match="may_suspend"):
+            server_mod.run_inline(suspends())
+        assert finished == [True]  # closed, never resumed
 
 
 class TestShutdown:
@@ -436,14 +657,8 @@ class TestBinaryNegotiation:
 
         async def main():
             service, server = await start_stack(shards=2)
-            from repro.serve.protocol import (
-                encode_batch_frame,
-                read_frame,
-                write_frame,
-            )
-
             reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
-            await write_frame(writer, {"op": "hello", "id": 1, "version": 2, "wire": "binary"})
+            writer.write(encode_frame({"op": "hello", "id": 1, "version": 2, "wire": "binary"}))
             hello = await read_frame(reader)
             assert hello["ok"] and hello["wire"] == "binary"
             x = random_hard_array(rng, 64)
@@ -463,7 +678,7 @@ class TestBinaryNegotiation:
             writer.write(encode_batch_frame(4, "s", x))
             await writer.drain()
             assert (await read_frame(reader))["added"] == 64
-            await write_frame(writer, {"op": "value", "id": 5, "stream": "s"})
+            writer.write(encode_frame({"op": "value", "id": 5, "stream": "s"}))
             resp = await read_frame(reader)
             assert resp["value"] == ref_sum(np.concatenate([x, x]))
             assert resp["count"] == 128
