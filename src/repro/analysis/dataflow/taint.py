@@ -63,7 +63,6 @@ SOURCE_CALLS = frozenset(
         "iter_wal",
         "frombuffer",
         "decode_bytes_field",
-        "reduce_batch_wire_bodies",
         "stream_from_bytes",
         "from_bytes",
         "from_wire",
@@ -178,8 +177,6 @@ PAYLOAD_KEYS = frozenset(
         "values2",
         "value",
         "payload",
-        "payload_f64",
-        "payload_f64_y",
         "state",
         "blob",
         "snapshot",

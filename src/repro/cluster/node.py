@@ -21,7 +21,7 @@ no cross-node dedup identity.
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Union
 
 import numpy as np
 
@@ -46,20 +46,6 @@ def _seq_of(request: Dict[str, Any]) -> Optional[int]:
     if isinstance(seq, bool) or not isinstance(seq, int) or seq < 0:
         raise ServiceError("'seq' must be a non-negative integer")
     return seq
-
-
-def _logged_inputs(
-    request: Dict[str, Any], x: np.ndarray, y: Optional[np.ndarray]
-) -> Tuple[codec.F64Input, Optional[codec.F64Input]]:
-    """The inputs a WAL record logs: the binary-wire frame bodies
-    verbatim when the request carries them (the durable record's bytes
-    ARE the wire bytes), else the parsed arrays, which the codec
-    serializes to the identical little-endian layout."""
-    raw = (bytes, bytearray, memoryview)
-    raw_x, raw_y = request.get("payload_f64"), request.get("payload_f64_y")
-    if isinstance(raw_x, raw) and (y is None or isinstance(raw_y, raw)):
-        return raw_x, None if y is None else raw_y
-    return x, y
 
 
 class WalService(ReproService):
@@ -155,11 +141,12 @@ class WalService(ReproService):
     ) -> Dict[str, Any]:
         """WAL-fronted ingest of any kind: dedup, log raw inputs, expand.
 
-        The durable record carries the *pre-expansion* inputs (binary
-        ``RBAT`` frame bodies pass through verbatim; an ``add_block``'s
-        resolved values are copied in, so replay never needs its
-        segment); replay re-expands deterministically, so recovery
-        reconstructs the identical term multiset.
+        The durable record carries the *pre-expansion* inputs (a binary
+        ``RBAT`` frame's values are views of its body, so the record
+        holds the wire bytes; an ``add_block``'s resolved values are
+        copied in, so replay never needs its segment); replay re-expands
+        deterministically, so recovery reconstructs the identical term
+        multiset.
         """
         seq = _seq_of(request)
         if x.size == 0:
@@ -178,10 +165,7 @@ class WalService(ReproService):
             # batch the log cannot hold must fail without leaving a
             # claim behind that would ack its retry as a duplicate.
             record = codec.encode_wal_record(
-                codec.WAL_UNSEQUENCED if seq is None else seq,
-                stream,
-                kind,
-                *_logged_inputs(request, x, y),
+                codec.WAL_UNSEQUENCED if seq is None else seq, stream, kind, x, y
             )
         if seq is not None:
             # Claim before the first await so a concurrent duplicate

@@ -117,7 +117,6 @@ __all__ = [
     "wal_record_size",
     "encode_reduce_batch",
     "decode_reduce_batch",
-    "reduce_batch_wire_bodies",
     "encode_ingest_ack",
     "decode_ingest_ack",
 ]
@@ -882,34 +881,18 @@ def decode_reduce_batch(
     except UnicodeDecodeError as exc:
         raise CodecError(f"corrupt batch frame: bad stream name: {exc}") from exc
     off += stream_len
-    x = decode_raw_block(payload[off : off + 4 + 8 * nx])
+    x = _embedded_raw_block(payload, off, nx)
     y = None
     if op == "pairs":
-        y = decode_raw_block(payload[off + 4 + 8 * nx :])
+        y = _embedded_raw_block(payload, off + 4 + 8 * nx, ny)
     return int(request_id), int(seq), stream, op, x, y
 
 
-def reduce_batch_wire_bodies(payload: bytes) -> Tuple[bytes, "bytes | None"]:
-    """The embedded ``RAWB`` float64 body bytes of an ``RBAT`` frame.
-
-    Returns ``(x_bytes, y_bytes)`` (``y_bytes`` is ``None`` for
-    single-input ops) — exactly the slices :func:`encode_wal_record`
-    logs verbatim on the binary durability path.
-    """
-    _check_header(payload, _REDUCE_BATCH_HEADER, "reduce batch frame")
-    magic, _rid, _seq, code, stream_len, nx, _ny = (
-        _REDUCE_BATCH_HEADER.unpack_from(payload, 0)
-    )
-    if magic != MAGIC_REDUCE_BATCH:
-        raise CodecError("not a reduce batch frame payload")
-    op = REDUCE_OP_NAMES.get(code)
-    if op is None:
-        raise CodecError(f"corrupt reduce batch frame: unknown op code {code}")
-    off = _REDUCE_BATCH_HEADER.size + stream_len
-    xb = payload[off + 4 : off + 4 + 8 * nx]
-    if op != "pairs":
-        return xb, None
-    return xb, payload[off + 4 + 8 * nx + 4 :]
+def _embedded_raw_block(payload: bytes, off: int, count: int) -> np.ndarray:
+    """View of the ``count``-value ``RAWB`` block at ``off``, no copy."""
+    if bytes(payload[off : off + 4]) != MAGIC_RAW_BLOCK:
+        raise CodecError("not a raw block payload")
+    return np.frombuffer(payload, dtype="<f8", count=count, offset=off + 4)
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,7 @@ from repro import codec
 from repro.core.sparse import SparseSuperaccumulator
 from repro.core.superaccumulator import DenseSuperaccumulator, SmallSuperaccumulator
 from repro.kernels.base import SumKernel, register_kernel
-from repro.util.validation import check_finite_array, ensure_float64_array
+from repro.util.validation import ensure_float64_array
 
 __all__ = ["SparseKernel", "DenseKernel", "SmallKernel", "RunningSumKernel"]
 
@@ -152,10 +152,7 @@ class RunningSumKernel(SumKernel):
 
     def fold(self, block: np.ndarray) -> Any:
         rs = self.zero()
-        arr = ensure_float64_array(block)
-        check_finite_array(arr)
-        if arr.size:
-            rs.add_array(arr)
+        rs.add_array(block)
         return rs
 
     def combine(self, a: Any, b: Any) -> Any:
@@ -191,10 +188,17 @@ class RunningSumKernel(SumKernel):
     def fold_into(self, stream: Any, values: Any) -> int:
         """Exact bulk fold into a running sum: a deposit, no carries.
 
-        Serve shards land each request's validated array here. The stream deposits it into its own exponent
-        bins (:class:`~repro.kernels.binned.BinnedPartial`), staging it
+        Serve shards land each request's validated array here, so the
+        stream skips the finiteness scan the service already made
+        (:meth:`~repro.streaming.ExactRunningSum.add_finite`). It
+        deposits the array into its own exponent bins
+        (:class:`~repro.kernels.binned.BinnedPartial`), staging it
         first when it is smaller than
         :data:`~repro.streaming.DEPOSIT_MIN`; carries resolve only when
         the stream is read or exported.
         """
-        return super().fold_into(stream, values)
+        arr = ensure_float64_array(values)
+        stream.add_finite(arr)
+        if self.counters is not None:
+            self.counters.record_bulk_fold()
+        return int(arr.size)

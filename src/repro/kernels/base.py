@@ -51,7 +51,7 @@ import numpy as np
 
 from repro.core.digits import DEFAULT_RADIX, RadixConfig
 from repro.errors import CertificationError
-from repro.util.validation import check_finite_array, ensure_float64_array
+from repro.util.validation import ensure_float64_array
 
 __all__ = [
     "SumKernel",
@@ -209,8 +209,9 @@ class KernelStream:
         self.count = int(count)
 
     def add_array(self, values: Iterable[float]) -> None:
+        # The kernel's fold rejects non-finite values before the stream
+        # changes.
         arr = ensure_float64_array(values)
-        check_finite_array(arr)
         if arr.size:
             self.partial = self.kernel.combine(self.partial, self.kernel.fold(arr))
             self.count += int(arr.size)

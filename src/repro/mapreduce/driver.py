@@ -24,6 +24,7 @@ from __future__ import annotations
 from typing import Optional, Union
 
 from repro.core.digits import DEFAULT_RADIX, RadixConfig
+from repro.errors import NonFiniteInputError
 from repro.mapreduce.dataplane import ShmDataPlane
 from repro.mapreduce.hdfs import BlockStore
 from repro.mapreduce.partitioner import Partitioner
@@ -125,8 +126,6 @@ def parallel_sum(
     if executor not in ("auto", "process", "simulated", "serial"):
         raise ValueError(f"unknown executor {executor!r}")
     arr = ensure_float64_array(values)
-    if method != "naive":
-        check_finite_array(arr)
 
     if job is None:
         job = (
@@ -142,7 +141,11 @@ def parallel_sum(
 
     def execute(items, exe) -> JobResult:
         def run(j) -> JobResult:
-            return run_job(j, items, reducers=p, executor=exe, partitioner=partitioner)
+            try:
+                return run_job(j, items, reducers=p, executor=exe, partitioner=partitioner)
+            except NonFiniteInputError:
+                check_finite_array(arr)  # a fold found one: name its input index
+                raise
 
         if not isinstance(job, KernelSumJob):
             return run(job)

@@ -214,14 +214,18 @@ class MultiprocessExecutor:
 
     Two dispatch protocols:
 
-    * legacy ``map(fn, items)`` — pickles ``(fn, item)`` per task;
+    * legacy ``map(fn, items)`` — pickles ``(fn, item)`` per item;
       kept for arbitrary callables and as the retry fallback;
     * installed-job ``run_phase(phase, items)`` — the job is pickled
       **once per worker** by the pool initializer
-      (:func:`~repro.mapreduce.dataplane.worker_initializer`); tasks
-      carry only a phase name and an item, which for combine is a
+      (:func:`~repro.mapreduce.dataplane.worker_initializer`); each
+      item travels with only a phase name, and a combine item is a
       ~100-byte :class:`~repro.mapreduce.dataplane.BlockRef` resolved
       in-worker to a zero-copy view.
+
+    Either way a phase is at most ``workers`` tasks, one contiguous run
+    of ``ceil(len(items) / workers)`` items each: one pool round trip
+    per worker, not per item. Results still come one per item, in order.
 
     Installing a job (re)builds the pool only when the job's pickled
     form differs from the currently installed one, so repeated runs of
@@ -235,22 +239,14 @@ class MultiprocessExecutor:
 
     Args:
         workers: pool size; plays the role of cluster cores in Fig. 3.
-        chunksize: items per task handed to a worker.
         start_method: ``"fork"`` / ``"spawn"`` / ``"forkserver"``;
             default picks fork when available, spawn otherwise.
     """
 
     supports_job_install = True
 
-    def __init__(
-        self,
-        workers: int,
-        *,
-        chunksize: int = 1,
-        start_method: Optional[str] = None,
-    ) -> None:
+    def __init__(self, workers: int, *, start_method: Optional[str] = None) -> None:
         self.workers = check_positive_int(workers, name="workers")
-        self._chunksize = check_positive_int(chunksize, name="chunksize")
         self.start_method = pick_start_method(start_method)
         self._ctx = get_context(self.start_method)
         self._pool = None  # created lazily: plain for map(), with the
@@ -312,10 +308,7 @@ class MultiprocessExecutor:
         """Map one job phase over ``items`` via the installed job."""
         if self._job_token is None:
             raise RuntimeError("run_phase requires install_job first")
-        if not items:
-            return []
-        tasks = [(self._job_token, phase, item) for item in items]
-        return self._pool.map(run_phase_task, tasks, chunksize=self._chunksize)
+        return self._spread(run_phase_task, [(self._job_token, phase, i) for i in items])
 
     def map(self, fn: Callable[[Any], bytes], items: Sequence[Any]) -> List[bytes]:
         self._check_open()
@@ -324,9 +317,12 @@ class MultiprocessExecutor:
         if self._pool is None:
             _ensure_resource_tracker()
             self._pool = self._ctx.Pool(self.workers)
-        return self._pool.map(
-            _invoke, [(fn, item) for item in items], chunksize=self._chunksize
-        )
+        return self._spread(_invoke, [(fn, item) for item in items])
+
+    def _spread(self, task: Callable[[Any], bytes], args: List[Any]) -> List[bytes]:
+        if not args:
+            return []
+        return self._pool.map(task, args, chunksize=-(-len(args) // self.workers))
 
     def close(self) -> None:
         """Shut the pool down and unlink its input segment (idempotent)."""

@@ -305,9 +305,8 @@ def _parse_binary_payload(payload: bytes) -> Dict[str, Any]:
     (``add_array`` for ``sum``, ``add_pairs``/``add_squares``/
     ``add_observations`` otherwise), except that ``values`` (and
     ``values2`` for two-input kinds) are read-only zero-copy float64
-    views instead of lists, ``seq`` appears only when the frame carries
-    a cluster sequence, and ``payload_f64``/``payload_f64_y`` carry the
-    raw float64 body bytes so the WAL can log them verbatim. Downstream
+    views over the frame's own bytes instead of lists, and ``seq``
+    appears only when the frame carries a cluster sequence. Downstream
     service code is wire-agnostic.
 
     Raises:
@@ -323,7 +322,6 @@ def _parse_binary_payload(payload: bytes) -> Dict[str, Any]:
         )
     try:
         request_id, seq, stream, kind, x, y = codec.decode_reduce_batch(payload)
-        x_body, y_body = codec.reduce_batch_wire_bodies(payload)
     except CodecError as exc:
         raise _recoverable(f"corrupt batch frame: {exc}") from exc
     for arr in (x,) if y is None else (x, y):
@@ -343,11 +341,9 @@ def _parse_binary_payload(payload: bytes) -> Dict[str, Any]:
         "stream": stream,
         "values": x,
         "wire": WIRE_BINARY,
-        "payload_f64": x_body,
     }
     if y is not None:
         request["values2"] = y
-        request["payload_f64_y"] = y_body
     if seq != codec.WAL_UNSEQUENCED:
         request["seq"] = seq
     return request

@@ -82,15 +82,21 @@ class ExactRunningSum:
         """Fold a batch in exactly (vectorized)."""
         arr = ensure_float64_array(values)
         check_finite_array(arr)
+        self.add_finite(arr)
+
+    def add_finite(self, arr: np.ndarray) -> None:
+        """:meth:`add_array` for a float64 array the caller has already
+        checked finite: the same fold without a second scan. A
+        non-finite value here may corrupt the stream, so only validated
+        arrays belong here (serve shards fold what the service checked).
+        """
         if arr.size >= DEPOSIT_MIN:
             self._part.deposit(arr)
         elif arr.size:
-            if arr is values:
-                # The stage holds a reference until the next deposit; a
-                # caller-owned buffer must be snapshotted so later
-                # mutation cannot corrupt the deferred fold.
-                arr = arr.copy()
-            self._pending_arrays.append(arr)
+            # The stage holds the array until the next deposit; a
+            # snapshot keeps later mutation of the caller's buffer from
+            # corrupting the deferred fold.
+            self._pending_arrays.append(arr.copy())
             self._pending_items += int(arr.size)
             if self._pending_items >= DEPOSIT_MIN:
                 self._flush()
@@ -274,14 +280,14 @@ class RunningStats:
         if arr.size == 0:
             return
         self._n += int(arr.size)
-        self._sum.add_array(arr)
+        self._sum.add_finite(arr)
         safe = square_domain_mask(arr)
         in_band = arr if safe.all() else arr[safe]
         if in_band.size:
             # Error-free squares: x^2 = p + e exactly. The terms are
             # plain floats, so they fold through the ordinary deposit —
             # no rational arithmetic on the hot path.
-            self._sum_sq.add_array(np.concatenate(two_square_vec(in_band)))
+            self._sum_sq.add_finite(np.concatenate(two_square_vec(in_band)))
         if not safe.all():
             # Out-of-band magnitudes (square would under/overflow):
             # exact integer squaring, folded as one dyadic rational.

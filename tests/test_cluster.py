@@ -498,6 +498,35 @@ class TestWalService:
         records, _ = read_wal(tmp_path / "n.wal")
         assert [(r.stream, r.op, r.seq) for r in records] == [("s", kind, 0)]
 
+    def test_non_finite_batch_never_reaches_the_wal(self, tmp_path):
+        """A non-finite batch is refused before the node logs it, on
+        either wire and for every ingest kind; the log holds only the
+        good batch, so replay never meets a value it must refuse."""
+        good = np.array([1.5, -2.0, 3.25])
+        bad = np.array([1.0, np.nan, 2.0])
+
+        async def run():
+            path = tmp_path / "n.wal"
+            async with WalService(ServeConfig(shards=2), wal_path=path) as service:
+                binary = InProcessClient(service, wire="binary")
+                for kind in KINDS:
+                    pairs = kind == "pairs"
+                    with pytest.raises(ServiceError, match="non-finite"):
+                        await binary.request_batch(
+                            "s", good if pairs else bad, op=kind, y=bad if pairs else None
+                        )
+                with pytest.raises(ServiceError, match="non-finite"):
+                    await InProcessClient(service).request(
+                        "add_array", stream="s", values=bad.tolist()
+                    )
+                await binary.request_batch("s", good, seq=0)
+            return read_wal(path)
+
+        records, truncated = asyncio.run(run())
+        assert not truncated
+        assert [(r.stream, r.op, r.seq) for r in records] == [("s", "sum", 0)]
+        assert np.array_equal(records[0].values, good)
+
     def test_mixed_kind_wal_replays_bit_identically(self, tmp_path):
         """One WAL holding every ingest kind recovers the same bits on a
         fresh node (``recover``) and through a coordinator

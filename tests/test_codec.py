@@ -313,7 +313,8 @@ def test_batch_wire_body_is_the_wal_payload():
     """The frame's raw f8 bodies reproduce the WAL record byte-for-byte."""
     for op, (x, y) in KIND_INPUTS.items():
         frame = codec.encode_reduce_batch(2, 9, "orders", op, x, y)
-        bx, by = codec.reduce_batch_wire_bodies(frame)
+        *_, gx, gy = codec.decode_reduce_batch(frame)
+        bx, by = _f8(gx), _f8(gy)
         assert (bx, by) == (_f8(x), _f8(y))
         assert codec.encode_wal_record(9, "orders", op, bx, by) == (
             codec.encode_wal_record(9, "orders", op, x, y)

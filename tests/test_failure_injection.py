@@ -8,10 +8,12 @@ the advertised exception (never a wrong float) comes out.
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 import pytest
 
+import repro.mapreduce.driver as mr_driver
 from repro.core.sparse import SparseSuperaccumulator
 from repro.core.superaccumulator import DenseSuperaccumulator
 from repro.errors import (
@@ -19,6 +21,19 @@ from repro.errors import (
     NonFiniteInputError,
     RepresentationError,
 )
+from repro.kernels import get_kernel, kernel_names
+from repro.mapreduce import (
+    parallel_sum,
+    shared_process_executor,
+    shutdown_shared_executors,
+)
+from tests.conftest import random_hard_array, ref_sum
+
+#: Non-finite values every exact entry point must reject.
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+#: Block size of the ``parallel_sum`` tests: 4 blocks over 4096 values.
+BLOCK = 1 << 10
 
 
 class TestCorruptedSerialization:
@@ -108,6 +123,90 @@ class TestNonFinitePropagation:
 
         with pytest.raises(NonFiniteInputError, match="index 2"):
             exact_sum([0.0, 1.0, math.nan])
+
+    @pytest.mark.parametrize("executor", ["process", "simulated", "serial"])
+    @pytest.mark.parametrize("where", [0, BLOCK - 1, 2 * BLOCK + 5, 4 * BLOCK - 1])
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_parallel_sum_names_input_index(self, pool, rng, executor, where, bad):
+        """A fold rejects the value inside its block; the error names
+        the value's index in the whole input, not in the block."""
+        x = random_hard_array(rng, 4 * BLOCK)
+        x[where] = bad
+        workers = 1 if executor == "serial" else 2
+        with pytest.raises(NonFiniteInputError, match=f"at index {where}:"):
+            parallel_sum(x, workers=workers, executor=executor, block_items=BLOCK)
+
+    @pytest.mark.parametrize("executor", ["process", "simulated", "serial"])
+    def test_parallel_sum_names_the_first_of_several(self, pool, rng, executor):
+        # The two bad values sit in different workers' runs of blocks.
+        x = random_hard_array(rng, 4 * BLOCK)
+        x[[BLOCK + 3, 3 * BLOCK + 7]] = [math.inf, math.nan]
+        workers = 1 if executor == "serial" else 2
+        with pytest.raises(NonFiniteInputError, match=f"at index {BLOCK + 3}:"):
+            parallel_sum(x, workers=workers, executor=executor, block_items=BLOCK)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_process_pool_recovers_after_rejection(self, pool, rng, bad):
+        """A rejected input costs the pool its segment, not its health:
+        the segment is unlinked, no other is left behind, and the next
+        job on the same pool sums exactly."""
+        x = random_hard_array(rng, 4 * BLOCK)
+        assert _pool_sum(x) == ref_sum(x)
+        (segment,) = pool._plane._segments
+        before = _own_segments()
+        assert segment in before
+        y = x.copy()
+        y[3 * BLOCK] = bad
+        with pytest.raises(NonFiniteInputError, match=f"at index {3 * BLOCK}:"):
+            _pool_sum(y)
+        assert not pool._plane._segments
+        assert _own_segments() == before - {segment}
+        assert _pool_sum(x) == ref_sum(x)
+        assert _own_segments() - before == set(pool._plane._segments)
+
+
+class TestFoldPrecondition:
+    """``parallel_sum`` leaves finiteness to the folds, so every
+    registered kernel's ``fold`` must reject a non-finite value wherever
+    it sits in the block."""
+
+    @pytest.mark.parametrize("kernel", sorted(kernel_names()))
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_fold_rejects_non_finite(self, rng, kernel, where, bad):
+        block = random_hard_array(rng, 3001)
+        block[{"first": 0, "middle": 1500, "last": 3000}[where]] = bad
+        with pytest.raises(NonFiniteInputError):
+            get_kernel(kernel).fold(block)
+
+
+def _start_method():
+    """The pool start method CI selects (``fork``/``spawn``), if any."""
+    return os.environ.get("REPRO_START_METHOD") or None
+
+
+@pytest.fixture
+def pool(monkeypatch):
+    """The shared 2-worker pool ``parallel_sum`` runs on, built with
+    ``REPRO_START_METHOD``; shut down after the test."""
+    method = _start_method()
+    monkeypatch.setattr(
+        mr_driver,
+        "shared_process_executor",
+        lambda workers: shared_process_executor(workers, start_method=method),
+    )
+    yield shared_process_executor(2, start_method=method)
+    shutdown_shared_executors()
+
+
+def _pool_sum(x):
+    return parallel_sum(x, workers=2, executor="process", block_items=BLOCK)
+
+
+def _own_segments():
+    """Names of this process's shared-memory segments in /dev/shm."""
+    prefix = f"repro-{os.getpid():x}-"
+    return {n for n in os.listdir("/dev/shm") if n.startswith(prefix)}
 
 
 class TestModelMisuse:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -29,6 +30,24 @@ class CountJob(MapReduceJob):
 
     def postprocess(self, values) -> float:
         return float(sum(struct.unpack("<q", v)[0] for v in values))
+
+
+def _size_and_pid(block: np.ndarray) -> bytes:
+    return struct.pack("<qq", block.size, os.getpid())
+
+
+class PidCountJob(CountJob):
+    """Counts elements; each combine also says which process ran it."""
+
+    def combine(self, block: np.ndarray) -> bytes:
+        return _size_and_pid(block)
+
+
+def _pool(workers: int = 2) -> MultiprocessExecutor:
+    """A private pool under the start method CI selects via
+    ``REPRO_START_METHOD`` (the platform default when unset)."""
+    method = os.environ.get("REPRO_START_METHOD") or None
+    return MultiprocessExecutor(workers, start_method=method)
 
 
 class TestBlockStore:
@@ -173,13 +192,44 @@ class TestExecutors:
     def test_multiprocess_matches_serial(self, rng):
         blocks = [rng.random(50) for _ in range(6)]
         serial = run_job(CountJob(), blocks, reducers=2)
-        with MultiprocessExecutor(2) as exe:
+        with _pool() as exe:
             parallel = run_job(CountJob(), blocks, reducers=2, executor=exe)
         assert serial.value == parallel.value
 
     def test_multiprocess_empty(self):
-        with MultiprocessExecutor(2) as exe:
+        with _pool() as exe:
             assert exe.map(lambda x: x, []) == []
+
+    def test_phase_is_one_contiguous_run_per_worker(self, monkeypatch):
+        """7 items on 2 workers are 2 tasks, items 0-3 and 4-6: each run
+        executes in one process, and results come back per item, in
+        order."""
+        from multiprocessing.pool import Pool
+
+        runs = []
+        pool_map = Pool.map
+
+        def spy(pool, func, iterable, chunksize=None):
+            runs.append((len(iterable), chunksize))
+            return pool_map(pool, func, iterable, chunksize)
+
+        monkeypatch.setattr(Pool, "map", spy)
+        blocks = [np.zeros(n) for n in range(1, 8)]
+        with _pool() as exe:
+            exe.install_job(PidCountJob())
+            phase = exe.run_phase("combine", blocks)
+            mapped = exe.map(_size_and_pid, blocks)
+        assert runs == [(7, 4), (7, 4)]
+        for out in (phase, mapped):
+            sizes, pids = zip(*(struct.unpack("<qq", v) for v in out))
+            assert sizes == tuple(range(1, 8))
+            assert len(set(pids[:4])) == 1 and len(set(pids[4:])) == 1
+
+    def test_more_workers_than_items(self, rng):
+        blocks = [rng.random(10) for _ in range(3)]
+        with _pool(4) as exe:
+            res = run_job(CountJob(), blocks, reducers=2, executor=exe)
+        assert res.value == 30.0 and res.blocks == 3
 
     def test_simulated_cluster_makespan_shrinks(self, rng):
         blocks = [rng.random(5000) for _ in range(8)]

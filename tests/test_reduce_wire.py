@@ -57,8 +57,8 @@ class TestReduceBatchFrame:
     def test_wire_bodies_are_input_bytes(self):
         x, y = _panel(20, seed=4), _panel(20, seed=5)
         frame = codec.encode_reduce_batch(2, -1, "s", "pairs", x, y)
-        bx, by = codec.reduce_batch_wire_bodies(frame)
-        assert bx == x.tobytes() and by == y.tobytes()
+        *_, gx, gy = codec.decode_reduce_batch(frame)
+        assert gx.tobytes() == x.tobytes() and gy.tobytes() == y.tobytes()
 
     def test_unknown_op_and_pair_rules(self):
         x = _panel(4, seed=6)

@@ -350,7 +350,8 @@ class TestBinaryWire:
 
     def test_parse_yields_add_array_request_shape(self):
         frame = self.batch_frame([1.5, -2.5, 5e-324], rid=9, stream="temp")
-        req = parse_payload(frame[4:], binary=True)
+        payload = frame[4:]
+        req = parse_payload(payload, binary=True)
         assert req["op"] == "add_array"
         assert req["id"] == 9
         assert req["stream"] == "temp"
@@ -359,7 +360,8 @@ class TestBinaryWire:
         assert isinstance(req["values"], np.ndarray)
         assert not req["values"].flags.writeable  # zero-copy read-only view
         assert req["values"].tobytes() == np.array([1.5, -2.5, 5e-324]).tobytes()
-        assert req["payload_f64"] == req["values"].tobytes()
+        # a view of the frame's own bytes: the body is never copied
+        assert np.shares_memory(req["values"], np.frombuffer(payload, np.uint8))
 
     def test_sequenced_frame_carries_seq(self):
         frame = self.batch_frame([1.0], seq=42)

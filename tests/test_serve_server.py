@@ -753,3 +753,68 @@ class TestBinaryNegotiation:
         over_tcp, in_process = run(main())
         assert over_tcp == in_process
         assert over_tcp[wire][:2] == (4, 64 + 128 + 64 + 64)
+
+
+class TestNonFiniteIngest:
+    """The parser's finiteness scan is the only one a binary write gets:
+    the shards fold what it passed without scanning again."""
+
+    def test_error_reply_carries_request_id(self, rng):
+        """A non-finite frame pipelined between good ones is answered by
+        an error matched to its id; the good frames still fold."""
+
+        async def main():
+            service, server = await start_stack(shards=2)
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            writer.write(encode_frame({"op": "hello", "id": 1, "version": 2, "wire": "binary"}))
+            assert (await read_frame(reader))["wire"] == "binary"
+            x, y = random_hard_array(rng, 64), random_hard_array(rng, 64)
+            bad_y = y.copy()
+            bad_y[-1] = np.nan
+            writer.write(
+                encode_batch_frame(10, "s", x)
+                + encode_batch_frame(11, "d", x, op="pairs", y=bad_y)
+                + encode_batch_frame(12, "s", x)
+            )
+            replies = [await read_frame(reader) for _ in range(3)]
+            writer.write(encode_frame({"op": "value", "id": 13, "stream": "s"}))
+            value = await read_frame(reader)
+            writer.close()
+            await stop_stack(service, server)
+            return replies, value
+
+        replies, value = run(main())
+        assert [r["id"] for r in replies] == [10, 11, 12]
+        assert replies[0]["added"] == replies[2]["added"] == 64
+        err = replies[1]
+        assert err["ok"] is False and err["fatal"] is False
+        assert "non-finite" in err["error"]
+        assert value["count"] == 128
+
+    @pytest.mark.parametrize("size", [64, 4096])  # staged, deposited
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejected_write_leaves_stream_unchanged(self, rng, size, bad):
+        """A rejected write leaves value and count as they were, and no
+        stray value surfaces when later writes push the stage into the
+        bins."""
+
+        async def main():
+            service, server = await start_stack(shards=1)
+            client = await ReproServeClient.connect(port=server.port, wire="binary")
+            x = random_hard_array(rng, 100)
+            await client.add_batch("s", x)
+            rejected = random_hard_array(rng, size)
+            rejected[size // 2] = bad
+            with pytest.raises(ProtocolError, match="non-finite"):
+                await client.add_batch("s", rejected)
+            before = (await client.value("s"), await client.count("s"))
+            more = random_hard_array(rng, 5000)  # flushes the stage
+            await client.add_batch("s", more)
+            after = (await client.value("s"), await client.count("s"))
+            await client.close()
+            await stop_stack(service, server)
+            return x, more, before, after
+
+        x, more, before, after = run(main())
+        assert before == (ref_sum(x), 100)
+        assert after == (ref_sum(np.concatenate([x, more])), 5100)

@@ -141,6 +141,21 @@ class TestBinnedStreamState:
         assert stream.value() == math.fsum(np.concatenate(batches))
         assert resolves[0] == 1 and builds[0] == 0
 
+    @pytest.mark.parametrize("size", [64, 4096])  # staged, deposited
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejected_write_leaves_stream_unchanged(self, rng, size, bad):
+        rs = ExactRunningSum()
+        x = random_hard_array(rng, 100)
+        rs.add_array(x)
+        rejected = random_hard_array(rng, size)
+        rejected[-1] = bad
+        with pytest.raises(ReproError, match="non-finite"):
+            rs.add_array(rejected)
+        assert (rs.value(), rs.count) == (ref_sum(x), 100)
+        more = random_hard_array(rng, 5000)  # flushes the stage
+        rs.add_array(more)
+        assert (rs.value(), rs.count) == (ref_sum(np.concatenate([x, more])), 5100)
+
     def test_no_bins_before_the_first_deposit(self):
         rs = ExactRunningSum()
         assert rs._part.bins_lo is None
