@@ -5,7 +5,9 @@ the vectorized binned superaccumulator fold (PR 6 tentpole) next to
 every pre-existing exact fold (``sparse``, ``small``, ``dense``).
 Every cell asserts each answer is bit-identical to the serial sparse
 superaccumulator's — a native-speed kernel may only ever trade *work*,
-never a bit of the result.
+never a bit of the result. The sweep starts at ``2**12`` and ``2**13``
+values, the sizes of a serve write, so the quick sweep checks
+bit-identity there too.
 
 Usage::
 
@@ -69,7 +71,12 @@ def _best(fn, reps: int) -> float:
 
 
 def run_cell(dist: str, delta: int, n: int, reps: int) -> Dict[str, Any]:
-    """One (distribution, delta, n) measurement with exactness asserts."""
+    """One (distribution, delta, n) measurement with exactness asserts.
+
+    Cells below ``2**16`` values repeat more, so the best of the
+    repeats covers about as many values as one ``2**16`` fold.
+    """
+    reps = max(reps, (1 << 16) // n)
     x = generate(dist, n, delta=delta, seed=42)
     expected = exact_sum(x, method="sparse")
     seconds: Dict[str, float] = {}
@@ -137,9 +144,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.quick:
-        sizes, reps = [1 << 16, 1 << 20], 2
+        sizes, reps = [1 << 12, 1 << 13, 1 << 16, 1 << 20], 2
     else:
-        sizes, reps = [1 << 16, 1 << 18, 1 << 20, 1 << 22], 3
+        sizes, reps = [1 << 12, 1 << 13, 1 << 16, 1 << 18, 1 << 20, 1 << 22], 3
 
     print(
         f"native kernel sweep: sizes={[f'2^{int(np.log2(n))}' for n in sizes]}, "

@@ -11,30 +11,36 @@ per-thread bins merged carry-free at the end.
 
 This module is the fully vectorized form of that fold. A deposit keys
 each float by its top 12 bits — sign and biased exponent, one key per
-(sign, exponent) pair as in Neal's *large* superaccumulator — and makes
-three ``np.bincount`` passes over a chunk:
+(sign, exponent) pair as in Neal's *large* superaccumulator — splits
+it into two float parts and makes two float64-weighted
+``np.bincount`` passes over a chunk:
 
-* an unweighted count per key;
-* the low 32-bit word per key;
-* the high word's 20 mantissa bits per key.
+* ``x_hi`` is ``x`` with its low 32 mantissa bits cleared; its per-key
+  sum is taken of ``x_hi * 2**-32``;
+* ``x_lo = x - x_hi`` is the cleared bits themselves.
 
-Only the 4096-entry per-key results then see any arithmetic: the hidden
-bits join the high half as ``count << 20`` for keys whose exponent is
-not 0, the negative half of the keys is subtracted from the positive
-half, and exponent 0 (subnormals and zeros) folds into bin 1. The
-weighted bincounts sum in float64 and stay exact because every per-key
-chunk sum is an integer below ``2**53`` (see :data:`DEPOSIT_CHUNK`):
+Both parts, the subtraction and the ``2**-32`` scaling are exact for
+every finite ``x`` (``x_hi * 2**-32`` is still a multiple of
+``2**-1074``). Within one key every addend has the same sign and is an
+integer multiple of the key's unit ``2**e``, ``e = max(eb, 1) - 1075``:
+the multiplier is below ``2**32`` for the low part and below ``2**21``
+for the scaled high part (hidden bit included — it is part of the
+float's value, so subnormals simply lack it). A chunk holds at most
+:data:`DEPOSIT_CHUNK` ``= 2**20`` values, so every running per-key
+sum is an integer below ``2**53`` times ``2**e``: exactly representable,
+and below ``2**1023`` even at the top exponent, so nothing overflows.
 
-* a low word is below ``2**32``, so a chunk's low sum per key is below
-  ``2**20 * 2**32 = 2**52``;
-* the high 20 mantissa bits are below ``2**20``, so a chunk's high sum
-  per key is below ``2**40``;
-* ``count << 20`` is at most ``2**40``.
-
-The folded bins therefore gain less than ``2**52`` (low) and ``2**41``
-(high) per chunk — the same per-chunk bounds
+Only the 4096-entry per-key sums then see any arithmetic: the two sign
+halves of each exponent add (exact, same unit), two power-of-two
+multiplies scale each sum by ``2**-e`` (exact), and the result casts to
+int64 — the integer sums of the low 32 mantissa bits and of the high
+20 plus the hidden bit. Exponent 0 (subnormals and zeros) folds into
+bin 1, which has the same unit. A chunk moves a low bin by less than
+``2**52`` and a high bin by less than ``2**41`` — the per-chunk bounds
 :func:`repro.codec.decode_binned` checks (``chunks << 52`` /
-``chunks << 41``).
+``chunks << 41``). ±inf and NaN are the only values keyed at exponent
+``0x7FF``; they leave a non-zero sum there, and the chunk raises
+before any bin changes.
 
 Carries are *deferred*: bins absorb up to :data:`RESOLVE_CHUNKS` chunk
 deposits (``|bin| <= RESOLVE_CHUNKS * 2**52 = 2**62``, inside int64)
@@ -62,7 +68,6 @@ the chunk budget runs out.
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 from typing import Optional, Tuple
 
@@ -101,53 +106,76 @@ BIN_EXP_OFFSET = -1075
 RESOLVE_CHUNKS = 1 << 10
 
 #: Elements per deposit chunk. Bounds the per-key float64 bincount
-#: sums: low words < ``2**20 * 2**32 = 2**52``, high 20 mantissa bits
-#: < ``2**20 * 2**20 = 2**40`` — both exactly representable in float64
-#: — and the hidden-bit term ``count << 20 <= 2**40``. After the sign
-#: subtraction a chunk moves a low bin by < ``2**52`` and a high bin by
-#: < ``2**41``, the bounds ``codec.decode_binned`` checks per chunk.
+#: sums in units of the key's exponent: low parts < ``2**20 * 2**32 =
+#: 2**52``, scaled high parts < ``2**20 * 2**21 = 2**41`` — both exact
+#: in float64. After the sign halves add, a chunk moves a low bin by
+#: < ``2**52`` and a high bin by < ``2**41``, the bounds
+#: ``codec.decode_binned`` checks per chunk.
 DEPOSIT_CHUNK = 1 << 20
 
 #: Deposit keys: the top 12 bits of a float (sign, biased exponent).
 _KEYS = 1 << 12
 _SIGN_KEY = 1 << 11
-_EXP_MASK = np.int64(0x7FF)
-_MANT_HI_MASK = np.uint32((1 << 20) - 1)
-#: Hidden bit per key, in high-half units: set unless the exponent is 0.
-_HIDDEN_UNITS = np.full(_KEYS, 1 << 20, dtype=np.int64)
-_HIDDEN_UNITS[[0, _SIGN_KEY]] = 0
-#: Index of the high 32-bit word of each float in a uint32 view.
-_HIGH_WORD = 1 if sys.byteorder == "little" else 0
+_EXP_MASK = 0x7FF
+#: Clears a float's low 32 mantissa bits, leaving its high part.
+_HIGH_BITS = np.int64(~0xFFFFFFFF)
+#: Values per bincount pass inside a chunk: keeps the pass's
+#: temporaries in cache.
+_SUB_BLOCK = 1 << 16
+#: ``2**-e`` per non-negative key, e = max(eb, 1) - 1075, as two
+#: power-of-two factors (``2**1074`` is not a float): scaling a per-key
+#: sum by both turns it into an integer count of mantissa units exactly.
+_NEG_E = 1075 - np.maximum(np.arange(_SIGN_KEY), 1)
+_UNIT_SCALES = (np.ldexp(1.0, _NEG_E // 2), np.ldexp(1.0, _NEG_E - _NEG_E // 2))
+
+
+def _key_sums(bits: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-key float sums of the low and (scaled by 2**-32) high parts."""
+    key = (bits.view(np.uint64) >> np.uint64(52)).view(np.int64)
+    hi = (bits & _HIGH_BITS).view(np.float64)
+    lo = x - hi
+    hi *= 2.0**-32
+    return np.bincount(key, weights=lo, minlength=_KEYS), np.bincount(
+        key, weights=hi, minlength=_KEYS
+    )
 
 
 def _deposit_chunk(
-    bits: np.ndarray, bins_lo: np.ndarray, bins_hi: np.ndarray
+    bits: np.ndarray, start: int, bins_lo: np.ndarray, bins_hi: np.ndarray
 ) -> None:
     """Scatter-add one contiguous chunk of float64 bit patterns.
 
-    Rejects non-finite values *before* touching the bins, so a raising
-    call leaves them unchanged (earlier chunks of the same fold may
-    already be deposited; callers discard the partial on error).
+    ``start`` is the chunk's index in the deposited array, so an error
+    names the value's index there. Rejects non-finite values *before*
+    touching the bins, so a raising call leaves them unchanged (earlier
+    chunks of the same fold may already be deposited; callers discard
+    the partial on error).
     """
-    key = (bits.view(np.uint64) >> np.uint64(52)).view(np.int64)
-    count = np.bincount(key, minlength=_KEYS)
-    if count[_EXP_MASK] or count[_KEYS - 1]:
-        bad = int(np.flatnonzero((key & _EXP_MASK) == _EXP_MASK)[0])
-        value = float(bits.view(np.float64)[bad])
+    x = bits.view(np.float64)
+    # inf - inf (and any signalling NaN) sets the invalid flag inside
+    # the split; such a chunk raises below before any bin changes.
+    with np.errstate(invalid="ignore"):
+        lo, hi = _key_sums(bits[:_SUB_BLOCK], x[:_SUB_BLOCK])
+        for s in range(_SUB_BLOCK, bits.size, _SUB_BLOCK):
+            sub_lo, sub_hi = _key_sums(bits[s : s + _SUB_BLOCK], x[s : s + _SUB_BLOCK])
+            lo += sub_lo
+            hi += sub_hi
+    if hi[_EXP_MASK] or hi[_KEYS - 1]:
+        bad = int(np.flatnonzero(~np.isfinite(x))[0])
         raise NonFiniteInputError(
-            f"input contains a non-finite value at chunk offset {bad}: {value!r}"
+            f"input contains a non-finite value at index {start + bad}: "
+            f"{float(x[bad])!r}"
         )
-    words = bits.view(np.uint32)
-    lo_w = words[1 - _HIGH_WORD :: 2]
-    hi_w = words[_HIGH_WORD :: 2] & _MANT_HI_MASK
-    # Float64 bincount sums are exact integers below 2**53 by the
-    # DEPOSIT_CHUNK bound, so the astype is lossless.
-    lo = np.bincount(key, weights=lo_w, minlength=_KEYS).astype(np.int64)
-    hi = np.bincount(key, weights=hi_w, minlength=_KEYS).astype(np.int64)
-    hi += count * _HIDDEN_UNITS
-    lo = lo[:_SIGN_KEY] - lo[_SIGN_KEY:]
-    hi = hi[:_SIGN_KEY] - hi[_SIGN_KEY:]
-    # Exponent 0 (subnormals, zeros) shares bin 1: same unit, no hidden bit.
+    # Both sign halves of a key are multiples of its unit 2**e, so their
+    # sum and the power-of-two scaling are exact, as is the int64 cast.
+    lo = lo[:_SIGN_KEY] + lo[_SIGN_KEY:]
+    hi = hi[:_SIGN_KEY] + hi[_SIGN_KEY:]
+    for scale in _UNIT_SCALES:
+        lo *= scale
+        hi *= scale
+    lo = lo.astype(np.int64)
+    hi = hi.astype(np.int64)
+    # Exponent 0 (subnormals, zeros) shares bin 1: same unit.
     lo[1] += lo[0]
     hi[1] += hi[0]
     bins_lo[1:] += lo[1:BIN_COUNT]
@@ -218,7 +246,9 @@ class BinnedPartial:
         for start in range(0, bits.size, DEPOSIT_CHUNK):
             if self.chunks >= RESOLVE_CHUNKS:
                 self.resolve()
-            _deposit_chunk(bits[start : start + DEPOSIT_CHUNK], bins_lo, bins_hi)
+            _deposit_chunk(
+                bits[start : start + DEPOSIT_CHUNK], start, bins_lo, bins_hi
+            )
             self.chunks += 1
 
     def _bins_to_sparse(self) -> Optional[SparseSuperaccumulator]:

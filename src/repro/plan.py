@@ -84,7 +84,7 @@ SMALL_INPUT_ITEMS = 1 << 16
 #: measured folds they wrap.
 KERNEL_RATES: Dict[str, float] = {
     "adaptive": 31.0,
-    "binned": 84.8,
+    "binned": 125.1,
     "dense": 5.3,
     "small": 5.3,
     "sparse": 5.0,

@@ -36,8 +36,8 @@ __all__ = ["ExactRunningSum", "SlidingWindowSum", "RunningStats", "exact_cumsum"
 
 #: Smallest write deposited straight from the caller's array. Smaller
 #: writes are staged and deposited together once this many values are
-#: staged: below it, a deposit's fixed cost (three 4096-key bincounts)
-#: outweighs the vectorized per-value work.
+#: staged: below it, a deposit's fixed cost (two 4096-key bincounts and
+#: the per-key finish) outweighs the vectorized per-value work.
 DEPOSIT_MIN = 2048
 
 

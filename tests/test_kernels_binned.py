@@ -378,6 +378,7 @@ NONFINITE_PATTERNS = [
     0x7FF8000000000000,  # quiet NaN
     0xFFF8000000000000,  # negative NaN
     0x7FF0000000000001,  # signalling NaN payload
+    0x7FF4000000000000,  # signalling NaN, payload in the high word
 ]
 
 
@@ -391,7 +392,7 @@ def test_nonfinite_anywhere_raises_and_leaves_bins_unchanged(bad, pos):
     before = (part.bins_lo.copy(), part.bins_hi.copy(), part.chunks)
     arr = (rng.random(300) - 0.5) * 2.0 ** rng.integers(-1074, 1023, 300)
     arr[pos] = _as_floats([bad])[0]
-    with pytest.raises(NonFiniteInputError, match=f"offset {pos}:"):
+    with pytest.raises(NonFiniteInputError, match=f"at index {pos}:"):
         part.deposit(arr)
     assert (part.bins_lo == before[0]).all()
     assert (part.bins_hi == before[1]).all()
@@ -412,6 +413,79 @@ def test_worst_case_chunk_at_one_key_is_exact(sign, eb):
     assert np.count_nonzero(part.bins_lo) == np.count_nonzero(part.bins_hi) == 1
     assert abs(int(part.bins_lo[eb])) < 2**52 and abs(int(part.bins_hi[eb])) < 2**41
     assert part.to_fraction() == Fraction(x) * DEPOSIT_CHUNK
+
+
+def _random_patterns(rng, n: int, eb_lo: int = 0, eb_hi: int = 2046) -> list:
+    """``n`` finite bit patterns: random signs, exponents and mantissas."""
+    signs = rng.integers(0, 2, n).tolist()
+    ebs = rng.integers(eb_lo, eb_hi + 1, n).tolist()
+    mants = rng.integers(0, MANT_BITS, n, endpoint=True).tolist()
+    return [_pattern(s, e, m) for s, e, m in zip(signs, ebs, mants)]
+
+
+def _assert_bins_match_reference(patterns) -> None:
+    part = BinnedPartial(DEFAULT_RADIX)
+    part.deposit(_as_floats(patterns))
+    lo, hi = _reference_bins(patterns)
+    assert part.bins_lo.tolist() == lo
+    assert part.bins_hi.tolist() == hi
+
+
+#: Either side of the 2**16-value bincount passes and the 2**20-value
+#: deposit chunk.
+BOUNDARY_SIZES = [2**16 - 1, 2**16, 2**16 + 1, DEPOSIT_CHUNK + 1]
+
+
+@pytest.mark.parametrize("n", BOUNDARY_SIZES)
+def test_deposit_bins_match_reference_across_pass_boundaries(n):
+    _assert_bins_match_reference(_random_patterns(np.random.default_rng(n), n))
+
+
+@pytest.mark.parametrize("sign", [0, 1])
+@pytest.mark.parametrize("eb", range(2026, 2047))
+def test_full_chunk_at_the_top_exponents_matches_reference(sign, eb):
+    """A chunk's unscaled high-part sum would overflow at these keys."""
+    p = _pattern(sign, eb, MANT_BITS)
+    part = BinnedPartial(DEFAULT_RADIX)
+    part.deposit(np.full(DEPOSIT_CHUNK, _as_floats([p])[0]))
+    lo, hi = _reference_bins([p])
+    assert part.bins_lo.tolist() == [v * DEPOSIT_CHUNK for v in lo]
+    assert part.bins_hi.tolist() == [v * DEPOSIT_CHUNK for v in hi]
+
+
+def test_subnormals_and_signed_zeros_match_reference():
+    rng = np.random.default_rng(11)
+    patterns = _random_patterns(rng, 2**16 + 7, eb_lo=0, eb_hi=0)
+    patterns += [0, SIGN] * 500
+    _assert_bins_match_reference(patterns)
+
+
+@pytest.mark.parametrize("eb", [0, 1, 1023, 2046])
+def test_both_signs_at_one_exponent_match_reference(eb):
+    rng = np.random.default_rng(eb)
+    _assert_bins_match_reference(_random_patterns(rng, 3000, eb_lo=eb, eb_hi=eb))
+
+
+@pytest.mark.parametrize("pos", [DEPOSIT_CHUNK + 5, 2**16 + 3])
+def test_nonfinite_error_names_the_index_in_the_array(pos):
+    arr = np.ones(pos + 10)
+    arr[pos] = np.nan
+    with pytest.raises(NonFiniteInputError, match=f"at index {pos}:"):
+        get_kernel("binned").fold(arr)
+
+
+def test_nan_in_a_later_pass_leaves_bins_unchanged():
+    rng = np.random.default_rng(12)
+    part = BinnedPartial(DEFAULT_RADIX)
+    part.deposit(_as_floats(_random_patterns(rng, 1000)))
+    before = (part.bins_lo.copy(), part.bins_hi.copy(), part.chunks)
+    arr = _as_floats(_random_patterns(rng, 3 * 2**16))
+    arr[2 * 2**16 + 9] = np.nan
+    with pytest.raises(NonFiniteInputError, match=f"at index {2 * 2**16 + 9}:"):
+        part.deposit(arr)
+    assert (part.bins_lo == before[0]).all()
+    assert (part.bins_hi == before[1]).all()
+    assert part.chunks == before[2]
 
 
 #: SHA-256 of the ``BSUP`` frame of the fixture values plus
