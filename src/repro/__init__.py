@@ -21,7 +21,7 @@ memory, BSP, PRAM) consumes the same kernel protocol::
     from repro.kernels import get_kernel, kernel_sum
     from repro.plan import DataDescriptor, plan_sum
 
-    total = kernel_sum(get_kernel("adaptive"), [x])   # fold/combine/round
+    total = kernel_sum(get_kernel("binned"), [x])     # fold/combine/round
     plan = plan_sum(DataDescriptor.describe_array(x)) # plane x kernel x tier
     assert plan.execute() == total == 1.0
 """

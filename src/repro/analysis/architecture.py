@@ -286,8 +286,7 @@ class CrossPlaneImport(Rule):
     plane into another couples two schedules the planner believes are
     independent (and breaks the "any plane can be deleted" property
     the matrix test relies on). Shared layers — ``core``, ``kernels``,
-    ``codec``, ``data``, ``util``, ``adaptive`` — are importable from
-    anywhere.
+    ``codec``, ``data``, ``util`` — are importable from anywhere.
     """
 
     id = "ARCH004"

@@ -19,9 +19,9 @@ Model (classic taint with three label sets):
   definitions across statements);
 * **sanitizers** — the certified exact seams: ``fold*`` / ``add_*`` /
   ``merge`` / the EFT expansion vectors / WAL ``append*`` / codec
-  ``encode*``. A call into any trusted layer (kernels, core,
-  adaptive, codec, util, ...) is also never a finding: those layers
-  carry their own certificates.
+  ``encode*``. A call into any trusted layer (kernels, core, codec,
+  util, ...) is also never a finding: those layers carry their own
+  certificates.
 
 A finding is a *rounding sink* reached by tainted data: a ``+ - * /``
 ``BinOp``, an ``np.*``/``math.fsum`` reduction, or a call whose

@@ -43,7 +43,6 @@ from repro.util.bits import same_float
 __all__ = ["main"]
 
 _METHODS: Dict[str, Callable[[np.ndarray, argparse.Namespace], float]] = {
-    "adaptive": lambda x, a: exact_sum(x, method="adaptive"),
     "binned": lambda x, a: exact_sum(x, method="binned"),
     "sparse": lambda x, a: exact_sum(x, method="sparse"),
     "small": lambda x, a: exact_sum(x, method="small"),

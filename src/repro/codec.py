@@ -24,9 +24,6 @@ magic     payload                                            producer
 ``BSUP``  binned superaccumulator: chunk budget, non-zero    binned
           exponent bins (index/lo/hi) + embedded ``SSUP``    kernels
           spill
-``ACRT``  adaptive certificate: (value, remainder, bound)    adaptive
-``ACMP``  adaptive composite: (bound, certs, fulls) +        adaptive
-          embedded ``SSUP``
 ``RAWB``  raw float64 block (no-combiner ablation,           mapreduce /
           binary-wire value payload)                         serve wire
 ``NF64``  one naive float (inexact control job)              mapreduce
@@ -73,8 +70,6 @@ __all__ = [
     "MAGIC_STREAM",
     "MAGIC_TRUNCATED",
     "MAGIC_BINNED",
-    "MAGIC_CERT",
-    "MAGIC_COMPOSITE",
     "MAGIC_RAW_BLOCK",
     "MAGIC_FLOAT",
     "MAGIC_DATASET",
@@ -102,10 +97,6 @@ __all__ = [
     "decode_truncated",
     "encode_binned",
     "decode_binned",
-    "encode_cert",
-    "decode_cert",
-    "encode_composite",
-    "decode_composite",
     "encode_raw_block",
     "decode_raw_block",
     "encode_float",
@@ -126,8 +117,6 @@ MAGIC_DENSE = b"DSUP"
 MAGIC_STREAM = b"KSTR"
 MAGIC_TRUNCATED = b"TSUP"
 MAGIC_BINNED = b"BSUP"
-MAGIC_CERT = b"ACRT"
-MAGIC_COMPOSITE = b"ACMP"
 MAGIC_RAW_BLOCK = b"RAWB"
 MAGIC_FLOAT = b"NF64"
 MAGIC_DATASET = b"F64D"
@@ -140,8 +129,6 @@ _DENSE_HEADER = struct.Struct("<4sBqqq")  # magic, w, base_index, nlimbs, count
 _COUNT_HEADER = struct.Struct("<4sq")  # magic, count (KSTR / F64D)
 _TRUNC_HEADER = struct.Struct("<4sqq?q")  # magic, gamma, drops, flag, max_idx
 _BINNED_HEADER = struct.Struct("<4sqq")  # magic, chunk budget used, nbins
-_CERT_FRAME = struct.Struct("<4sddd")  # magic, value, remainder, bound
-_COMPOSITE_HEADER = struct.Struct("<4sdqq")  # magic, bound, certs, fulls
 _FLOAT_FRAME = struct.Struct("<4sd")  # magic, value
 # magic, seq, crc32, op code, stream_len, n inputs, pad — 32 bytes
 _WAL_HEADER = struct.Struct("<4sqIHHq4x")
@@ -474,63 +461,6 @@ def decode_binned(
         bins_hi.astype(np.int64),
         spill,
     )
-
-
-# ----------------------------------------------------------------------
-# ACRT / ACMP — adaptive certificates and composites
-# ----------------------------------------------------------------------
-
-
-def encode_cert(value: float, remainder: float, bound: float) -> bytes:
-    """``ACRT`` frame: one Tier-0-certified block, 32 bytes.
-
-    ``value + remainder`` is within ``bound`` of the exact block sum;
-    value and remainder are exact floats the reducer folds losslessly,
-    only ``bound`` carries uncertainty.
-    """
-    return _CERT_FRAME.pack(MAGIC_CERT, value, remainder, bound)
-
-
-def decode_cert(payload: bytes) -> Tuple[float, float, float]:
-    """Inverse of :func:`encode_cert`: ``(value, remainder, bound)``."""
-    _check_header(payload, _CERT_FRAME, "adaptive certificate")
-    magic, value, remainder, bound = _CERT_FRAME.unpack_from(payload, 0)
-    if magic != MAGIC_CERT:
-        raise CodecError("not an adaptive certificate payload")
-    if len(payload) != _CERT_FRAME.size:
-        raise CodecError(
-            f"adaptive certificate payload length mismatch: "
-            f"expected {_CERT_FRAME.size} bytes, got {len(payload)}"
-        )
-    if not bound >= 0.0:  # also rejects NaN
-        raise CodecError(f"corrupt certificate: negative or NaN bound {bound!r}")
-    return float(value), float(remainder), float(bound)
-
-
-def encode_composite(
-    bound: float, certs: int, fulls: int, acc: "SparseSuperaccumulator"
-) -> bytes:
-    """``ACMP`` frame: (bound, cert/full block counts) + embedded ``SSUP``."""
-    header = _COMPOSITE_HEADER.pack(MAGIC_COMPOSITE, bound, certs, fulls)
-    return header + encode_sparse(acc)
-
-
-def decode_composite(
-    payload: bytes,
-) -> Tuple[float, int, int, "SparseSuperaccumulator"]:
-    """Inverse of :func:`encode_composite`: ``(bound, certs, fulls, acc)``."""
-    _check_header(payload, _COMPOSITE_HEADER, "adaptive composite")
-    magic, bound, certs, fulls = _COMPOSITE_HEADER.unpack_from(payload, 0)
-    if magic != MAGIC_COMPOSITE:
-        raise CodecError("not an adaptive composite payload")
-    if certs < 0 or fulls < 0:
-        raise CodecError(
-            f"corrupt header: negative block counts ({certs}, {fulls})"
-        )
-    if not bound >= 0.0:
-        raise CodecError(f"corrupt composite: negative or NaN bound {bound!r}")
-    acc = decode_sparse(payload[_COMPOSITE_HEADER.size :])
-    return float(bound), int(certs), int(fulls), acc
 
 
 # ----------------------------------------------------------------------
@@ -966,8 +896,6 @@ _DECODERS: Dict[bytes, Tuple[str, Callable[[bytes], Any]]] = {
     MAGIC_STREAM: ("kernel-stream", decode_stream),
     MAGIC_TRUNCATED: ("truncated-superaccumulator", decode_truncated),
     MAGIC_BINNED: ("binned-superaccumulator", decode_binned),
-    MAGIC_CERT: ("adaptive-certificate", decode_cert),
-    MAGIC_COMPOSITE: ("adaptive-composite", decode_composite),
     MAGIC_RAW_BLOCK: ("raw-block", decode_raw_block),
     MAGIC_FLOAT: ("naive-float", decode_float),
     MAGIC_DATASET: ("dataset-header", decode_dataset_header),

@@ -24,19 +24,17 @@ __all__ = [
     "exact_dot",
 ]
 
-_METHODS = ("sparse", "small", "dense", "adaptive", "auto")
+_METHODS = ("sparse", "small", "dense", "auto")
 
 
 def _build(values: np.ndarray, method: str, radix: RadixConfig):
-    # "adaptive"/"auto" land here only from the scaled/fraction paths,
-    # which need the exact accumulator, not a rounded float: they take
-    # the adaptive ladder's exact rung, one binned deposit resolved to
+    # "auto" is one binned deposit, the fastest exact fold, resolved to
     # a sparse accumulator. The other methods fold through the kernel
     # registry, so this module holds no representation-specific build
     # code of its own.
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {_METHODS}")
-    if method in ("auto", "adaptive"):
+    if method == "auto":
         from repro.kernels.binned import BinnedPartial
 
         partial = BinnedPartial(radix)
@@ -58,12 +56,11 @@ def exact_sum(
 
     Args:
         values: any array-like of finite float64 values.
-        method: representation — ``"adaptive"`` (also what
-            ``"auto"`` selects: the Tier-0 certificate for
-            well-conditioned inputs, else one exact binned deposit;
-            see :mod:`repro.adaptive`), ``"sparse"`` (the paper's sparse
-            superaccumulator), ``"small"`` (Neal-style dense
-            fixed-size), or ``"dense"`` (full fixed-point array).
+        method: representation — ``"auto"`` (one deposit into exponent
+            bins, :class:`~repro.kernels.binned.BinnedPartial`),
+            ``"sparse"`` (the paper's sparse superaccumulator),
+            ``"small"`` (Neal-style dense fixed-size), ``"dense"``
+            (full fixed-point array), or any registered kernel name.
         mode: rounding direction; ``"nearest"`` (default) is correct
             rounding, which implies faithful rounding.
         radix: digit-width configuration.
@@ -75,10 +72,6 @@ def exact_sum(
     """
     arr = ensure_float64_array(values)
     check_finite_array(arr)
-    if method in ("auto", "adaptive"):
-        from repro.adaptive import adaptive_sum
-
-        return adaptive_sum(arr, mode=mode, radix=radix)
     if method in _METHODS:
         return _build(arr, method, radix).to_float(mode)
     # Any registered kernel name works as a method: one fold + round

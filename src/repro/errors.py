@@ -50,11 +50,12 @@ class ModelViolationError(ReproError, RuntimeError):
 class CertificationError(ReproError, ArithmeticError):
     """A speculative fast-path result could not be proven correct.
 
-    Raised where the adaptive engine has no in-band escalation path —
-    e.g. a MapReduce job whose certified combine payloads turn out, at
-    the final global check, not to pin down the correctly rounded sum.
-    Callers fall back to a fully exact job; the error therefore signals
-    "redo exactly", never a wrong published result.
+    Raised by a speculative kernel's ``round`` (the §4 ``truncated``
+    kernel) when the dropped mass could move the result across a
+    rounding-cell boundary, or when a directed mode asks for a rounding
+    the certificate cannot prove. Callers rerun exactly
+    (:func:`~repro.kernels.base.run_certified`); the error therefore
+    signals "redo exactly", never a wrong published result.
     """
 
 

@@ -29,11 +29,7 @@ from repro.kernels.accumulators import (
     SparseKernel,
 )
 from repro.kernels.binned import BinnedKernel, BinnedPartial
-from repro.kernels.speculative import (
-    AdaptiveCascadeKernel,
-    AdaptivePartial,
-    TruncatedKernel,
-)
+from repro.kernels.speculative import TruncatedKernel
 
 __all__ = [
     "SumKernel",
@@ -50,7 +46,5 @@ __all__ = [
     "RunningSumKernel",
     "BinnedKernel",
     "BinnedPartial",
-    "AdaptiveCascadeKernel",
-    "AdaptivePartial",
     "TruncatedKernel",
 ]

@@ -199,6 +199,4 @@ class RunningSumKernel(SumKernel):
         """
         arr = ensure_float64_array(values)
         stream.add_finite(arr)
-        if self.counters is not None:
-            self.counters.record_bulk_fold()
         return int(arr.size)

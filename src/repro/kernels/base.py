@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from fractions import Fraction
-from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple, TypeVar
+from typing import Any, Callable, Dict, Iterable, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -75,21 +75,14 @@ class SumKernel(ABC):
             for a speculative kernel — what :func:`run_certified` reruns
             with after a :class:`~repro.errors.CertificationError`.
         radix: digit-width configuration shared by all partials.
-        counters: optional :class:`~repro.adaptive.engine.TierCounters`
-            receiving fold telemetry (shared with service metrics).
     """
 
     name: str = "?"
     exact: bool = True
     escalates_to: str = "sparse"
 
-    def __init__(
-        self,
-        radix: RadixConfig = DEFAULT_RADIX,
-        counters: Optional[Any] = None,
-    ) -> None:
+    def __init__(self, radix: RadixConfig = DEFAULT_RADIX) -> None:
         self.radix = radix
-        self.counters = counters
 
     # -- the protocol ---------------------------------------------------
 
@@ -154,7 +147,7 @@ class SumKernel(ABC):
         """
         if self.exact:
             return self
-        return get_kernel(self.escalates_to, radix=self.radix, counters=self.counters)
+        return get_kernel(self.escalates_to, radix=self.radix)
 
     def new_stream(self) -> "KernelStream":
         """A stateful counted stream over this kernel (exact folds)."""
@@ -173,15 +166,12 @@ class SumKernel(ABC):
 
         Stateful streams must stay exact — a certified *rounded* float
         cannot be folded into an exact accumulator without breaking the
-        bit-exactness guarantee — so this path is always an exact bulk
-        add, counted as a Tier-2 fold in the shared telemetry.
+        bit-exactness guarantee — so this path is always an exact add.
 
         Returns the number of elements folded.
         """
         arr = ensure_float64_array(values)
         stream.add_array(arr)
-        if self.counters is not None:
-            self.counters.record_bulk_fold()
         return int(arr.size)
 
     def describe(self) -> Dict[str, Any]:
@@ -270,7 +260,6 @@ def get_kernel(
     name: str,
     *,
     radix: RadixConfig = DEFAULT_RADIX,
-    counters: Optional[Any] = None,
     **options: Any,
 ) -> SumKernel:
     """Instantiate a registered kernel by name."""
@@ -280,7 +269,7 @@ def get_kernel(
         raise ValueError(
             f"unknown kernel {name!r}; expected one of {list(kernel_names())}"
         ) from None
-    return cls(radix=radix, counters=counters, **options)
+    return cls(radix=radix, **options)
 
 
 def run_certified(

@@ -90,8 +90,8 @@ def parallel_sum(
         workers: worker count; ``None`` or 1 runs serially in-process.
         method: any registered kernel name
             (``repro.kernels.kernel_names()``: ``"sparse"`` is the
-            paper's, ``"small"`` the Neal comparator, ``"adaptive"``
-            ships certificates), run as the
+            paper's, ``"small"`` the Neal comparator, ``"truncated"``
+            the §4 gamma-truncated kernel), run as the
             :class:`~repro.mapreduce.sum_job.KernelSumJob` over that
             kernel; a speculative kernel whose certificate fails reruns
             exactly over the same placed blocks. ``"naive"`` is the
@@ -149,25 +149,15 @@ def parallel_sum(
 
         if not isinstance(job, KernelSumJob):
             return run(job)
-        attempts = []
 
         def attempt(kernel: SumKernel) -> JobResult:
             # The blocks stay placed: the exact rerun, or a directed
             # mode's exact variant, runs over the same items.
-            attempts.append(kernel)
             if kernel is job.kernel:
                 return run(job)
             return run(KernelSumJob(kernel.radix, job.mode, kernel_name=kernel.name))
 
-        result = run_certified(job.kernel, job.mode, attempt)
-        if len(attempts) > 1:
-            result.tier_counts = {
-                "tier0_hits": 0,
-                "escalations": result.blocks,
-                "tier2_folds": 1,
-                "certification_fallback": 1,
-            }
-        return result
+        return run_certified(job.kernel, job.mode, attempt)
 
     if kind == "process" and w > 1:
         pool = shared_process_executor(w) if reuse_pool else MultiprocessExecutor(w)

@@ -110,11 +110,6 @@ class JobResult:
             memory (0 when no boundary exists or nothing was saved).
         executor_kind: "serial", "process" or "simulated".
         zero_copy: whether combine consumed block descriptors.
-        tier_counts: tier telemetry (certified vs escalated block
-            counts, final certificate margin) when the job's kernel
-            reports it (a ``KernelSumJob`` over ``"adaptive"``); after
-            ``parallel_sum`` reran a failed certificate exactly, it
-            reads ``certification_fallback: 1``. ``None`` otherwise.
     """
 
     value: float
@@ -128,7 +123,6 @@ class JobResult:
     copies_avoided_bytes: int = 0
     executor_kind: str = "serial"
     zero_copy: bool = False
-    tier_counts: Optional[Dict[str, float]] = None
 
     @property
     def total_seconds(self) -> float:
@@ -595,10 +589,4 @@ def run_job(
 
     result.value = job.postprocess(reduced)
     result.phase_seconds["postprocess"] = time.perf_counter() - t3
-    # Postprocess runs driver-side, so tier telemetry survives even
-    # when combine/reduce executed in worker processes: the shuffle
-    # payloads themselves carry the tier decisions.
-    counts = getattr(job, "tier_counts", None)
-    if counts is not None:
-        result.tier_counts = dict(counts)
     return result

@@ -5,7 +5,7 @@ generic schedule of :class:`~repro.kernels.base.SumKernel` calls
 (``combine`` = fold + to_wire, ``reduce`` = from_wire + combine,
 ``postprocess`` = combine + round) — parameterized by kernel name.
 Every registered kernel runs through it, including the speculative
-``"adaptive"`` kernel, whose certified blocks ship as certificates.
+``"truncated"`` kernel (§4), whose partials ship gamma-truncated.
 Two one-line subclasses name the paper's Figure 1-3 jobs:
 
 * :class:`SparseSuperaccumulatorJob` — the paper's algorithm over the
@@ -25,7 +25,7 @@ what the combine step saves).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
@@ -51,8 +51,8 @@ class KernelSumJob(MapReduceJob):
     so adding a kernel to the registry *is* adding a MapReduce job:
 
     * ``combine``: block -> ``to_wire(fold(block))`` (the §6.2 combine
-      step; kernels decide what crosses the shuffle — accumulators,
-      certificates, ...).
+      step; kernels decide what crosses the shuffle — sparse, dense,
+      binned or truncated accumulators).
     * ``reduce``: left-fold of ``from_wire`` payloads through the
       kernel's associative ``combine``.
     * ``postprocess``: one more fold over the reducer outputs, then a
@@ -67,9 +67,7 @@ class KernelSumJob(MapReduceJob):
     :func:`~repro.mapreduce.runtime.run_job`), so what it leaves on the
     job survives any executor: :attr:`partial` is the merged partial it
     rounded (the reduction engine reads an exact kernel's exact term
-    sum from it), and :attr:`tier_counts` the kernel's tier telemetry,
-    when it produces any, which ``run_job`` copies onto the
-    :class:`~repro.mapreduce.runtime.JobResult`.
+    sum from it).
     """
 
     #: registry name of the kernel this job schedules
@@ -85,7 +83,6 @@ class KernelSumJob(MapReduceJob):
         self.mode = mode
         if kernel_name is not None:
             self.kernel_name = kernel_name
-        self.tier_counts: Optional[Dict[str, float]] = None
         self.partial: Any = None
         self._kernel: Optional[SumKernel] = None
 
@@ -126,10 +123,6 @@ class KernelSumJob(MapReduceJob):
     def postprocess(self, values: Sequence[bytes]) -> float:
         """Driver: merge the p reducer outputs, then round once."""
         self.partial = total = self._fold_payloads(values)
-        round_detail = getattr(self.kernel, "round_detail", None)
-        if round_detail is not None:
-            y, self.tier_counts = round_detail(total, self.mode)
-            return y
         return self.kernel.round(total, self.mode)
 
 

@@ -74,16 +74,13 @@ SMALL_INPUT_ITEMS = 1 << 16
 #: Measured single-thread bulk-fold rates in Melem/s on the reference
 #: host, all medians over the n = 2**22 cells. ``binned``, ``dense``,
 #: ``small`` and ``sparse`` are ``BENCH_native.json``'s
-#: ``kernel_rates_melem_per_s`` row (``benchmarks/bench_native.py``);
-#: ``adaptive`` is ``BENCH_adaptive.json``'s median over the cells the
-#: tier-0 certificate serves — its worst case is one exact escalation
-#: on top. Only the relative order matters to the planner — it ranks
-#: candidate kernels by these and picks the fastest one the mode and op
-#: accept — so a different host changes the margins, not the decisions.
+#: ``kernel_rates_melem_per_s`` row (``benchmarks/bench_native.py``).
+#: Only the relative order matters to the planner — it ranks candidate
+#: kernels by these and picks the fastest one the mode and op accept —
+#: so a different host changes the margins, not the decisions.
 #: ``running`` and ``truncated`` are unbenched estimates kept below the
 #: measured folds they wrap.
 KERNEL_RATES: Dict[str, float] = {
-    "adaptive": 31.0,
     "binned": 125.1,
     "dense": 5.3,
     "small": 5.3,
@@ -92,10 +89,11 @@ KERNEL_RATES: Dict[str, float] = {
     "truncated": 1.8,
 }
 
-#: Kernels whose fast fold needs the vectorized int64 digit paths
-#: (``w <= 31``); outside that they degrade to sparse-spill speed, so
-#: the planner stops preferring them.
-_VECTOR_FOLD_KERNELS = frozenset({"binned"})
+#: Kernels whose fold needs the vectorized int64 digit paths
+#: (``w <= 31``). Outside that the binned fold degrades to sparse-spill
+#: speed and the dense and small folds raise, so the planner rules
+#: them out.
+_VECTOR_FOLD_KERNELS = frozenset({"binned", "dense", "small"})
 
 
 @dataclass(frozen=True)
@@ -171,8 +169,8 @@ def kernel_candidates(
                 KernelCandidate(
                     name,
                     False,
-                    f"w={radix.w} exceeds the vectorized bin-fold limit "
-                    f"(31); the fold would degrade to sparse-spill speed",
+                    f"w={radix.w} exceeds the vectorized digit-split "
+                    f"limit (31) this fold needs",
                     rate,
                 )
             )
@@ -602,8 +600,8 @@ def plan_sum(
       mapped dataset, O(1) memory;
     * the kernel is the fastest accepted candidate from
       :func:`kernel_candidates` — by the measured rates, the binned
-      exponent fold in every rounding mode (the certifying tiers
-      prove nearest rounding only).
+      exponent fold in every rounding mode, and the sparse fold when a
+      digit width above 31 bits rules out the vectorized folds.
     """
     from repro.reduce.ops import get_op, kernel_supports
 

@@ -53,28 +53,6 @@ def _check_core() -> None:
         assert exact_sum(x, method=method) == want, method
 
 
-def _check_adaptive() -> None:
-    from repro.adaptive import adaptive_sum_detail
-    from repro.core import exact_sum
-
-    # Tier 0 must certify a benign input and agree with the reference.
-    rng = np.random.default_rng(7)
-    x = rng.random(4096) + 1.0
-    detail = adaptive_sum_detail(x)
-    assert detail.value == _ref(x)
-    assert detail.tier == 0, f"certificate failed on benign input (tier {detail.tier})"
-    # Massive cancellation must escalate yet stay bit-identical.
-    y = np.concatenate([x * 2.0**90, -(x * 2.0**90), rng.random(64)])
-    rng.shuffle(y)
-    detail = adaptive_sum_detail(y)
-    assert detail.value == _ref(y)
-    assert detail.tier > 0, "certificate accepted a massive cancellation"
-    # An exact rounding tie: hardware and superaccumulator must agree.
-    t = np.array([1.0, 2.0**-53])
-    assert same_float(adaptive_sum_detail(t).value, 1.0)
-    assert same_float(exact_sum(t, method="sparse"), 1.0)
-
-
 def _check_baselines() -> None:
     from repro.baselines import hybrid_sum, ifastsum
 
@@ -292,7 +270,6 @@ def _check_analysis() -> None:
 _CHECKS: List[Tuple[str, Callable[[], None]]] = [
     ("float environment", _check_environment),
     ("core superaccumulators", _check_core),
-    ("adaptive tiered engine", _check_adaptive),
     ("sequential baselines", _check_baselines),
     ("PRAM algorithms", _check_pram),
     ("external memory", _check_extmem),

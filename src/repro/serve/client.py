@@ -173,11 +173,10 @@ class _ClientBase:
     async def sum_values(
         self, values: Iterable[float], mode: str = "nearest"
     ) -> Dict[str, Any]:
-        """Stateless one-shot exact sum (adaptive tier ladder).
+        """Stateless one-shot exact sum (one binned deposit, no stream).
 
-        Returns the full response dict — ``value``, ``hex``, ``count``,
-        plus the tier telemetry (``tier``, ``escalations``,
-        ``margin_bits``) for callers that want the decision trail.
+        Returns the full response dict: ``value``, ``hex`` and
+        ``count``.
         """
         return await self.request(
             "sum",

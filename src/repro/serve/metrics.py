@@ -17,8 +17,6 @@ import time
 from collections import Counter
 from typing import Any, Dict, List
 
-from repro.adaptive import TierCounters
-
 __all__ = ["LatencyReservoir", "ServiceMetrics"]
 
 
@@ -71,10 +69,6 @@ class ServiceMetrics:
         self.wire_bytes: Counter = Counter()
         self.wire_values: Counter = Counter()
         self.latency = LatencyReservoir(reservoir_size)
-        #: Adaptive-engine tier decisions (tier0 hits, escalations,
-        #: certificate margins). The service's ``sum`` op and every
-        #: shard's fold path write into this shared tally.
-        self.tiering = TierCounters()
 
     # -- recording hooks -------------------------------------------------
 
@@ -145,5 +139,4 @@ class ServiceMetrics:
             "wire": wire,
             "latency_p50_ms": self.latency.percentile(50) * 1e3,
             "latency_p99_ms": self.latency.percentile(99) * 1e3,
-            "tiering": self.tiering.as_dict(),
         }

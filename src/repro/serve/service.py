@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import math
 import os
 import time
 from dataclasses import dataclass
@@ -54,6 +53,7 @@ from typing import Any, Awaitable, Callable, Dict, List, Optional, Union
 import numpy as np
 
 from repro.core.digits import DEFAULT_RADIX, RadixConfig
+from repro.core.exact import exact_sum
 from repro.core.rounding import check_mode
 from repro.errors import (
     EmptyStreamError,
@@ -63,7 +63,6 @@ from repro.errors import (
     ReproError,
     ServiceError,
 )
-from repro.adaptive import adaptive_sum_detail
 from repro.kernels import get_kernel, kernel_names
 # reprolint: disable-next-line=ARCH004 -- dataplane is the shared zero-copy layer, not a plane entry point
 from repro.mapreduce.dataplane import BlockRef, resolve_block
@@ -219,9 +218,7 @@ class ReproService:
         # through it, reads recombine through it, and snapshots
         # use its wire format. exact_variant() pins stateful streams to
         # the exact fold path.
-        self._kernel = get_kernel(
-            self.config.kernel, radix=radix, counters=self.metrics.tiering
-        ).exact_variant()
+        self._kernel = get_kernel(self.config.kernel, radix=radix).exact_variant()
         self.shards: List[AccumulatorShard] = [
             AccumulatorShard(i, metrics=self.metrics, radix=radix, kernel=self._kernel)
             for i in range(self.config.shards)
@@ -366,31 +363,18 @@ class ReproService:
         return arr
 
     async def _op_sum(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        """Stateless one-shot exact sum through the adaptive ladder.
+        """Stateless one-shot exact sum; no stream is touched.
 
-        No stream is touched: the request's values are summed with
-        :func:`~repro.adaptive.adaptive_sum_detail`, the decision is
-        recorded in the shared ``tiering`` tally alongside the shards'
-        fold accounting, and the correctly rounded result is returned
-        with the tier that produced it. Well-conditioned payloads are
-        served by the Tier-0 certificate at a fraction of a fold's cost.
+        The request's values go through the default
+        :func:`~repro.core.exact.exact_sum`: one binned deposit, rounded
+        once in the request's mode.
         """
         if "values" not in request:
             raise ServiceError("sum needs a 'values' field")
         mode = check_mode(request.get("mode", "nearest"))
         arr = self._validated_array(request["values"])
-        result = adaptive_sum_detail(arr, mode=mode, radix=self.radix)
-        self.metrics.tiering.record(result)
-        return {
-            "value": result.value,
-            "hex": result.value.hex(),
-            "count": result.n,
-            "tier": result.tier,
-            "escalations": result.escalations,
-            "margin_bits": (
-                result.margin_bits if math.isfinite(result.margin_bits) else None
-            ),
-        }
+        value = exact_sum(arr, mode=mode, radix=self.radix)
+        return {"value": value, "hex": value.hex(), "count": int(arr.size)}
 
     # -- ingest: every kind is "expand, then fold" ----------------------
 

@@ -54,14 +54,10 @@ class AccumulatorShard:
         self.radix = radix
         self.metrics = metrics if metrics is not None else ServiceMetrics()
         self._streams: Dict[str, Any] = {}
-        # Folds route through the kernel so tier telemetry lands in the
-        # shared ServiceMetrics tally; stateful streams always take the
-        # exact bulk path (exact_variant, counted as Tier-2 folds) —
-        # the certifying tiers serve the stateless `sum` op.
+        # Stateful streams always take the exact bulk path
+        # (exact_variant): a certified rounded float cannot be folded on.
         if kernel is None:
-            kernel = get_kernel(
-                "running", radix=radix, counters=self.metrics.tiering
-            )
+            kernel = get_kernel("running", radix=radix)
         self._kernel = kernel.exact_variant()
 
     def fold(self, stream: str, array: np.ndarray) -> int:

@@ -31,13 +31,11 @@ def _sparse(values):
 def _valid_frames():
     """One representative valid frame per registered format."""
     acc = _sparse([1.0, 1e-30, -3e200])
-    from repro.kernels import AdaptivePartial, get_kernel
+    from repro.kernels import get_kernel
 
     dense = get_kernel("dense").fold(np.array([2.0, -1e16, 5e-9]))
 
     truncated_kernel = get_kernel("truncated")
-    adaptive = get_kernel("adaptive")
-    cert_part = adaptive.fold(np.ones(64))
     binned = get_kernel("binned")
     binned_part = binned.fold(np.array([1.0, 3e-290, -7e154, 5e-324]))
     return {
@@ -48,13 +46,6 @@ def _valid_frames():
             truncated_kernel.fold(np.array([1.0, 2.0, -4.0]))
         ),
         codec.MAGIC_BINNED: binned.to_wire(binned_part),
-        codec.MAGIC_CERT: codec.encode_cert(64.0, 0.0, 1e-12),
-        codec.MAGIC_COMPOSITE: adaptive.to_wire(
-            # An escalated block's partial: the exact accumulator.
-            adaptive.combine(
-                cert_part, AdaptivePartial(acc=_sparse([1e-30]), fulls=1)
-            )
-        ),
         codec.MAGIC_RAW_BLOCK: codec.encode_raw_block(np.array([1.5, -2.5])),
         codec.MAGIC_FLOAT: codec.encode_float(3.25),
         codec.MAGIC_DATASET: codec.encode_dataset_header(12345),
@@ -74,7 +65,7 @@ FRAMES = _valid_frames()
 
 def test_every_registered_format_has_a_fixture_frame():
     assert set(FRAMES) == set(codec.registered_formats())
-    assert len(FRAMES) == 13
+    assert len(FRAMES) == 11
 
 
 @pytest.mark.parametrize("magic", sorted(FRAMES))
@@ -111,8 +102,6 @@ def test_wrong_magic_raises_codec_error(magic):
         codec.MAGIC_STREAM: codec.decode_stream,
         codec.MAGIC_TRUNCATED: codec.decode_truncated,
         codec.MAGIC_BINNED: codec.decode_binned,
-        codec.MAGIC_CERT: codec.decode_cert,
-        codec.MAGIC_COMPOSITE: codec.decode_composite,
         codec.MAGIC_RAW_BLOCK: codec.decode_raw_block,
         codec.MAGIC_FLOAT: codec.decode_float,
         codec.MAGIC_DATASET: codec.decode_dataset_header,

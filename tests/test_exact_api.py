@@ -4,6 +4,8 @@ condition numbers."""
 from __future__ import annotations
 
 import math
+import os
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -11,15 +13,68 @@ import pytest
 
 from repro.core.condition import condition_number, condition_number_exact
 from repro.core.exact import exact_dot, exact_sum, exact_sum_fraction, exact_sum_scaled
+from repro.core.sparse import SparseSuperaccumulator
+from repro.core.truncated import TruncatedSparseSuperaccumulator
+from repro.data import generate
 from repro.errors import NonFiniteInputError
+from repro.kernels.binned import BinnedPartial
+from repro.util.bits import same_float
 from tests.conftest import ADVERSARIAL_CASES, exact_fraction, random_hard_array, ref_sum
+
+MODES = ("nearest", "up", "down", "zero")
+
+# The adversarial panel, then: signed zeros, a finite pair whose sum
+# overflows, one quantum either side of 1.0's rounding-cell midpoint
+# down into (and past) the subnormal-precision tail, and the
+# conditioning generators.
+CASES = ADVERSARIAL_CASES + [
+    [-0.0, -0.0],
+    [1e308, 1e308],
+    *(
+        [1.0, 2.0**-53, sign * 2.0**-offset]
+        for offset in (54, 55, 60, 80, 105, 106, 107)
+        for sign in (1.0, -1.0)
+    ),
+    generate("well", 4097, delta=700, seed=1),
+    generate("anderson", 4097, delta=300, seed=2),
+    generate("cancel", 4097, delta=900, seed=3),
+    generate("tie", 257, delta=45, seed=4),
+]
 
 
 class TestExactSum:
     @pytest.mark.parametrize("method", ["sparse", "small", "dense", "auto"])
-    @pytest.mark.parametrize("case", ADVERSARIAL_CASES)
+    @pytest.mark.parametrize("case", CASES)
     def test_all_methods_agree(self, method, case):
         assert exact_sum(case, method=method) == ref_sum(case)
+        for mode in MODES:
+            want = exact_sum(case, method="sparse", mode=mode)
+            assert same_float(exact_sum(case, method=method, mode=mode), want), mode
+
+    @pytest.mark.parametrize("n, mode", [(4097, "nearest"), (1 << 21, "up")])
+    def test_auto_is_one_deposit_on_the_calling_thread(self, monkeypatch, n, mode):
+        # The default method makes exactly one binned deposit of the
+        # whole array: no sparse block build, no truncated fold, no
+        # worker threads — whatever the host's core count.
+        x = generate("cancel", n, delta=1000, seed=42)
+        expected = exact_sum(x, method="sparse", mode=mode)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("exact_sum built a sparse or truncated block")
+
+        monkeypatch.setattr(SparseSuperaccumulator, "from_floats", refuse)
+        monkeypatch.setattr(TruncatedSparseSuperaccumulator, "__init__", refuse)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        threads = []
+        deposit = BinnedPartial.deposit
+
+        def counted(self, arr):
+            threads.append(threading.get_ident())
+            return deposit(self, arr)
+
+        monkeypatch.setattr(BinnedPartial, "deposit", counted)
+        assert same_float(exact_sum(x, mode=mode), expected)
+        assert threads == [threading.get_ident()]
 
     def test_methods_agree_random(self, rng):
         x = random_hard_array(rng, 1000)

@@ -57,8 +57,7 @@ class TestPlannerDecisions:
     def test_small_memory_input_stays_serial(self):
         plan = plan_sum(DataDescriptor(n=1000, layout="memory", workers=1))
         assert plan.plane == "serial"
-        # The binned fold's measured rate outranks the adaptive cascade's
-        # tier-0 pass, so the fastest kernel is exact for nearest too.
+        # The binned fold's measured rate outranks every other kernel's.
         assert plan.kernel == "binned"
         assert plan.tier == "exact"
 
@@ -93,7 +92,7 @@ class TestPlannerDecisions:
         assert plan.kernel == "binned"
         assert plan.tier == "exact"
         forced = plan_sum(
-            DataDescriptor(n=1000, layout="memory"), kernel="adaptive", mode="up"
+            DataDescriptor(n=1000, layout="memory"), kernel="truncated", mode="up"
         )
         assert forced.tier == "exact"  # certificates only prove nearest
 
@@ -139,6 +138,22 @@ class TestKernelCandidates:
             DataDescriptor(n=100, layout="memory"), mode="down", radix=wide
         )
         assert plan.kernel != "binned"
+
+    @pytest.mark.parametrize("mode", ["nearest", "up"])
+    @pytest.mark.parametrize("w, kernel", [(30, "binned"), (32, "sparse")])
+    def test_digit_width_picks_the_fold(self, data, w, kernel, mode):
+        # Above 31 bits the vectorized folds (binned, dense, small) are
+        # ruled out and the sparse fold takes over, in every mode.
+        from repro.core.digits import RadixConfig
+        from repro.plan import kernel_candidates
+
+        radix = RadixConfig(w=w)
+        cands = {c.name: c for c in kernel_candidates(mode=mode, radix=radix)}
+        for name in ("binned", "dense", "small"):
+            assert cands[name].accepted == (w <= 31)
+        plan = plan_sum(DataDescriptor.describe_array(data), mode=mode, radix=radix)
+        assert (plan.kernel, plan.tier) == (kernel, "exact")
+        assert plan.execute() == exact_sum(data, method="sparse", mode=mode)
 
     def test_plan_carries_its_candidate_table(self):
         plan = plan_sum(DataDescriptor(n=100, layout="memory"))

@@ -8,12 +8,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from repro.core import exact_sum
+from repro.core.sparse import SparseSuperaccumulator
 from repro.core.truncated import (
     TruncatedSparseSuperaccumulator,
     stopping_condition_addtwo,
     stopping_condition_exponent,
 )
+from repro.data.generators import generate
+from repro.errors import CertificationError
+from repro.kernels import get_kernel, kernel_sum
+from repro.kernels.speculative import certify_rounding
 from repro.pram.condition_sensitive import condition_sensitive_sum
+from repro.util.bits import same_float
 from tests.conftest import exact_fraction, random_hard_array, ref_sum
 
 
@@ -59,6 +66,57 @@ class TestTruncatedAccumulator:
     def test_least_retained_exponent(self):
         t = TruncatedSparseSuperaccumulator.from_float(1.0, gamma=4)
         assert t.least_retained_exponent <= 0
+
+
+class TestTruncatedCertificate:
+    """The truncated kernel's proof: drop accounting and the rounding cell."""
+
+    def test_drop_accounting_bounds_mass(self):
+        x = generate("well", 3000, delta=600, seed=7)
+        full = SparseSuperaccumulator.from_floats(x)
+        t = TruncatedSparseSuperaccumulator(4, acc=full)
+        if t.truncated:
+            dropped = full.to_fraction() - t.acc.to_fraction()
+            assert abs(dropped) <= t.truncation_mass_bound()
+
+    def test_untruncated_bound_is_zero(self):
+        t = TruncatedSparseSuperaccumulator.from_floats([1.0, 2.0, 4.0], 64)
+        assert not t.truncated
+        assert t.truncation_mass_bound() == 0
+
+    @pytest.mark.parametrize(
+        "values, certifies",
+        [
+            # 2^-200 is dropped, far below half an ulp of 1.0.
+            ([1.0, 2.0**-100, 2.0**-200], True),
+            # The retained 1 + 2^-53 is a rounding-cell midpoint, so any
+            # dropped mass reaches the boundary.
+            ([1.0, 2.0**-53, 2.0**-200], False),
+        ],
+    )
+    def test_truncated_kernel_round_certifies_cell(self, values, certifies):
+        kernel = get_kernel("truncated", gamma=2)
+        x = np.array(values)
+        partial = kernel.fold(x)
+        assert partial.truncated
+        expected = exact_sum(x, method="sparse")
+        if certifies:
+            assert same_float(kernel.round(partial), expected)
+        else:
+            with pytest.raises(CertificationError):
+                kernel.round(partial)
+        assert same_float(kernel_sum(kernel, [x]), expected)
+
+    def test_global_certify_raises_on_straddle(self):
+        # retained sum exactly 1.0, but a bound of a full ulp straddles
+        # both midpoints: the proof must refuse.
+        acc = SparseSuperaccumulator.from_floats(np.array([1.0]))
+        with pytest.raises(CertificationError):
+            certify_rounding(acc, 1.0, math.ulp(1.0))
+
+    def test_global_certify_zero_bound_is_exact(self):
+        acc = SparseSuperaccumulator.from_floats(np.array([1.0]))
+        assert certify_rounding(acc, 1.0, 0.0) == math.inf
 
 
 class TestStoppingConditions:

@@ -62,7 +62,6 @@ class TestRegistry:
                 assert kernel_supports(get_op(name), get_kernel(kernel))
         for name in ("norm2", "mean", "var"):
             assert kernel_supports(get_op(name), exact)
-            assert not kernel_supports(get_op(name), get_kernel("adaptive"))
             assert not kernel_supports(get_op(name), get_kernel("truncated"))
 
 
@@ -205,7 +204,7 @@ class TestEngineValidation:
 
     def test_speculative_kernel_refused_for_exact_finish(self):
         with pytest.raises(ValueError, match="cannot host"):
-            run_reduction("serial", "adaptive", "norm2", [1.0, 2.0])
+            run_reduction("serial", "truncated", "norm2", [1.0, 2.0])
 
     def test_dot_shape_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
@@ -225,12 +224,11 @@ class TestOpAwarePlanner:
         from repro.plan import kernel_candidates
 
         rows = {c.name: c for c in kernel_candidates(op="var")}
-        assert not rows["adaptive"].accepted
         assert not rows["truncated"].accepted
         assert rows["sparse"].accepted
-        # rounded-sum ops keep the speculative cascade available
+        # rounded-sum ops keep the speculative kernel available
         rows = {c.name: c for c in kernel_candidates(op="dot")}
-        assert rows["adaptive"].accepted
+        assert rows["truncated"].accepted
 
     def test_descriptor_validates_op(self):
         from repro.plan import DataDescriptor
@@ -246,7 +244,7 @@ class TestOpAwarePlanner:
         assert plan.describe()["op"] == "dot"
         assert plan.execute() == round_fraction(exact_dot_fraction(x, y))
         plan = plan_sum(DataDescriptor.describe_array(x, op="norm2"))
-        assert plan.kernel not in ("adaptive", "truncated")
+        assert plan.kernel != "truncated"
         assert plan.tier == "exact"
         assert plan.execute() == exact_norm2(x)
 
@@ -256,7 +254,7 @@ class TestOpAwarePlanner:
         with pytest.raises(ValueError, match="cannot host"):
             plan_sum(
                 DataDescriptor.describe_array([1.0], op="mean"),
-                kernel="adaptive",
+                kernel="truncated",
             )
 
 

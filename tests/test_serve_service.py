@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core import exact_sum
+from repro.data import generate
 from repro.errors import EmptyStreamError
 from repro.serve import (
     AccumulatorShard,
@@ -21,6 +22,7 @@ from repro.serve import (
     ServeConfig,
 )
 from repro.stats import exact_mean
+from repro.util.bits import same_float
 from tests.conftest import random_hard_array, ref_sum
 
 
@@ -402,51 +404,36 @@ def test_exact_sum_agrees_with_core(rng):
     assert ref_sum(x) == exact_sum(x)
 
 
-class TestTieringTelemetry:
-    """The adaptive tier ladder's counters must move with real traffic."""
+class TestStatelessSumAndStats:
+    """The one-shot ``sum`` op and the stats keys load generators read."""
 
-    def test_stateless_sum_bumps_tier0(self, rng):
+    @pytest.mark.parametrize("dataset", ["random", "sumzero", "cancel"])
+    @pytest.mark.parametrize("mode", ["nearest", "up"])
+    def test_sum_returns_the_bits_of_exact_sum(self, dataset, mode):
         async def main():
             service = await make_service(shards=2)
             client = InProcessClient(service)
-            before = (await client.stats())["tiering"]["tier0_hits"]
-            x = rng.random(4096) + 1.0
-            resp = await client.sum_values(x)
-            assert resp["value"] == ref_sum(x)
-            assert resp["tier"] == 0
-            # None encodes an infinite margin (exact capture, beta == 0)
-            assert resp["margin_bits"] is None or resp["margin_bits"] > 0
-            after = (await client.stats())["tiering"]["tier0_hits"]
-            assert after == before + 1
+            x = generate(dataset, 4096, delta=500, seed=9)
+            resp = await client.sum_values(x, mode=mode)
+            want = exact_sum(x, method="sparse", mode=mode)
+            assert same_float(resp["value"], want)
+            assert resp == {
+                "value": resp["value"], "hex": want.hex(), "count": 4096,
+                "ok": True, "id": resp["id"],
+            }
             await service.close()
 
         run(main())
 
-    def test_adversarial_sum_counts_escalation(self, rng):
+    def test_stats_reports_folds_and_queue_depth_peak(self, rng):
+        # benchmarks/suite/workload_serve.py reads both keys.
         async def main():
             service = await make_service(shards=2)
             client = InProcessClient(service)
-            x = rng.random(2048)
-            y = np.concatenate([x * 2.0**90, -(x * 2.0**90), rng.random(64)])
-            rng.shuffle(y)
-            resp = await client.sum_values(y)
-            assert resp["value"] == ref_sum(y)
-            assert resp["tier"] > 0
-            snap = (await client.stats())["tiering"]
-            assert snap["escalations"] >= 1
-            await service.close()
-
-        run(main())
-
-    def test_stream_folds_count_tier2(self, rng):
-        async def main():
-            service = await make_service(shards=2)
-            client = InProcessClient(service)
-            x = random_hard_array(rng, 3000)
-            await client.add_array("t", x)
-            assert await client.value("t") == ref_sum(x)
-            snap = (await client.stats())["tiering"]
-            assert snap["tier2_folds"] >= 1
+            await client.add_array("s", random_hard_array(rng, 300))
+            stats = await client.stats()
+            assert stats["batches_folded"] >= 1
+            assert stats["queue_depth_peak"] >= 1
             await service.close()
 
         run(main())
