@@ -94,7 +94,7 @@ class TestTruncatedCertificate:
             ([1.0, 2.0**-53, 2.0**-200], False),
         ],
     )
-    def test_truncated_kernel_round_certifies_cell(self, values, certifies):
+    def test_round_certifies(self, values, certifies):
         kernel = get_kernel("truncated", gamma=2)
         x = np.array(values)
         partial = kernel.fold(x)
