@@ -13,8 +13,8 @@ import pytest
 
 from benchmarks.conftest import dataset, scaled
 from repro.baselines.binned import binned_sum
+from repro import reduce
 from repro.core import exact_sum
-from repro.stats import exact_mean, exact_norm2, exact_variance
 
 N = scaled(100_000)
 
@@ -23,7 +23,7 @@ N = scaled(100_000)
     "name,fn",
     [
         ("np.mean", lambda x: float(np.mean(x))),
-        ("exact_mean", exact_mean),
+        ("reduce.mean", reduce.mean),
     ],
     ids=["np-mean", "exact-mean"],
 )
@@ -37,7 +37,7 @@ def test_mean(benchmark, name, fn):
     "name,fn",
     [
         ("np.var", lambda x: float(np.var(x))),
-        ("exact_variance", exact_variance),
+        ("reduce.var", reduce.var),
     ],
     ids=["np-var", "exact-var"],
 )
@@ -51,7 +51,7 @@ def test_variance(benchmark, name, fn):
     "name,fn",
     [
         ("np.linalg.norm", lambda x: float(np.linalg.norm(x))),
-        ("exact_norm2", exact_norm2),
+        ("reduce.norm2", reduce.norm2),
     ],
     ids=["np-norm", "exact-norm"],
 )

@@ -3,8 +3,8 @@
 
 The paper's abstract names computational geometry as a core application
 of exact summation. This example builds two classic predicates on top
-of :func:`repro.exact_dot` / :func:`repro.exact_sum` and shows plain
-float arithmetic getting both of them wrong:
+of :func:`repro.exact_sum` and shows plain float arithmetic getting
+both of them wrong:
 
 1. **orientation** — which side of the line AB is point C on? Wrong
    signs here break convex hulls and Delaunay triangulations.

@@ -4,7 +4,7 @@
 The one-pass variance formula ``E[x^2] - E[x]^2`` is the textbook
 example of catastrophic cancellation: for data with a large common
 offset the two terms agree in almost every bit and float subtraction
-returns noise (often *negative* "variance"). `repro.stats` computes the
+returns noise (often *negative* "variance"). `repro.reduce` computes the
 same algebra over exact sums and rounds once, so the result is the
 correctly rounded true value — and reductions are reproducible across
 any data partitioning, which matters for distributed aggregation.
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.stats import exact_mean, exact_norm2, exact_variance
+from repro import reduce
 
 
 def naive_one_pass_variance(x: np.ndarray) -> float:
@@ -33,7 +33,7 @@ def main() -> None:
     for offset in (0.0, 1e6, 1e8, 1e9):
         x = noise + offset
         naive = naive_one_pass_variance(x)
-        exact = exact_variance(x)
+        exact = reduce.var(x)
         print(f"{offset:>10.0e} {naive:>18.10f} {exact:>12.10f}")
     print("  (the naive column degrades to garbage; the exact one cannot)\n")
 
@@ -43,13 +43,17 @@ def main() -> None:
     rng.shuffle(x)
     print("mean of {1e16 x1000, 1.0 x1000, -1e16 x1000} (true: 1/3):")
     print(f"  np.mean    : {float(np.mean(x))!r}")
-    print(f"  exact_mean : {exact_mean(x)!r}\n")
+    print(f"  reduce.mean: {reduce.mean(x)!r}\n")
 
     # --- norms near the overflow edge ------------------------------------
     y = np.array([1.2e154, 0.9e154, -1.1e154])
     print("Euclidean norm with squares near the float ceiling:")
     print(f"  naive sqrt(sum(x^2)) : {float(np.sqrt(np.sum(y * y)))!r}")
-    print(f"  exact_norm2          : {exact_norm2(y)!r}\n")
+    print(f"  reduce.norm2         : {reduce.norm2(y)!r}")
+    # squares past the float range are exact scaled integers, not inf
+    z = np.ldexp([3.0, 4.0], 700)
+    print(f"  reduce.norm2(ldexp([3, 4], 700)) == 5 * 2**700 : "
+          f"{reduce.norm2(z) == np.ldexp(5.0, 700)}\n")
 
     # --- reproducibility across partitionings -----------------------------
     data = (rng.random(500_000) - 0.5) * 10.0 ** rng.integers(-30, 30, 500_000)

@@ -34,7 +34,6 @@ from repro.core import (
     SmallSuperaccumulator,
     TruncatedSparseSuperaccumulator,
     condition_number,
-    exact_dot,
     exact_sum,
     exact_sum_fraction,
     exact_sum_scaled,
@@ -51,7 +50,6 @@ __all__ = [
     "SmallSuperaccumulator",
     "TruncatedSparseSuperaccumulator",
     "condition_number",
-    "exact_dot",
     "exact_sum",
     "exact_sum_fraction",
     "exact_sum_scaled",

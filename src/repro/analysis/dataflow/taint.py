@@ -130,6 +130,7 @@ SANITIZER_CALLS = frozenset(
         "exact_sum",
         "run_reduction",
         "expand",
+        "expand_exact",
         "check_domain",
         "merge",
         "merge_into",

@@ -307,8 +307,8 @@ class KernelBypassInnerProduct(_ScopedRule):
         "correctly rounded"
     )
     fixit = (
-        "route through repro.reduce (dot / norm2), or the serial "
-        "references repro.stats.exact_dot_fraction / exact_norm2"
+        "route through repro.reduce (dot / norm2), exact over the "
+        "whole float range"
     )
 
     _NP_NAMES = {"np", "numpy"}
@@ -354,9 +354,8 @@ class UnguardedFractionNarrowing(_ScopedRule):
 
     ``float()`` on an exact rational rounds *somehow* (nearest-even,
     no mode control, silent overflow to inf). Exact values must narrow
-    through :func:`repro.stats.round_fraction` /
-    ``repro.core.rounding`` so the rounding step is explicit and
-    mode-correct.
+    through :func:`repro.core.rounding.round_fraction` so the rounding
+    step is explicit and mode-correct.
     """
 
     id = "FP004"
@@ -365,7 +364,7 @@ class UnguardedFractionNarrowing(_ScopedRule):
         "float(Fraction) hides the one rounding step the whole "
         "pipeline exists to control"
     )
-    fixit = "narrow through repro.stats.round_fraction (mode-aware, overflow-checked)"
+    fixit = "narrow through repro.core.rounding.round_fraction (mode-aware, overflow-checked)"
 
     def check_node(
         self, unit: ModuleUnit, node: ast.AST, evidence: _Evidence

@@ -7,8 +7,7 @@ Public surface:
   :class:`SmallSuperaccumulator` / :class:`DenseSuperaccumulator`
   (dense comparators), :class:`TruncatedSparseSuperaccumulator` (§4);
 * primitives — error-free transforms, radix digit machinery, rounding;
-* high-level API — :func:`exact_sum`, :func:`exact_dot`,
-  :func:`condition_number`.
+* high-level API — :func:`exact_sum`, :func:`condition_number`.
 """
 
 from repro.core.apfloat import (
@@ -25,7 +24,6 @@ from repro.core.decimal_acc import (
 from repro.core.digits import DEFAULT_RADIX, RadixConfig
 from repro.core.eft import fast_two_sum, split, two_product, two_sum
 from repro.core.exact import (
-    exact_dot,
     exact_sum,
     exact_sum_fraction,
     exact_sum_scaled,
@@ -57,7 +55,6 @@ __all__ = [
     "split",
     "two_product",
     "two_sum",
-    "exact_dot",
     "exact_sum",
     "exact_sum_fraction",
     "exact_sum_scaled",

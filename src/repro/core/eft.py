@@ -139,8 +139,8 @@ def two_product_vec(
     FMA-free: uses the Dekker split exactly like the scalar routine, so
     the returned ``(p, e)`` pairs are bit-identical to looping
     :func:`two_product` over the elements. Exactness requires the
-    products to stay inside the overflow/underflow-safe domain policed
-    by :mod:`repro.reduce` (see ``ReduceOp.check_domain``).
+    products to stay inside :func:`product_domain_mask`'s band;
+    :mod:`repro.reduce` sends only in-band elements here.
     """
     p = a * b
     a_hi, a_lo = split_vec(a)

@@ -21,7 +21,6 @@ __all__ = [
     "exact_sum_scaled",
     "exact_sum_fraction",
     "exact_sum_to_format",
-    "exact_dot",
 ]
 
 _METHODS = ("sparse", "small", "dense", "auto")
@@ -142,22 +141,3 @@ def exact_sum_to_format(
     v, s = exact_sum_scaled(values, radix=radix)
     return round_scaled_int_to_format(v, s, fmt, mode)
 
-
-def exact_dot(
-    x: Iterable[float],
-    y: Iterable[float],
-    *,
-    mode: str = "nearest",
-    radix: RadixConfig = DEFAULT_RADIX,
-) -> float:
-    """Correctly rounded dot product via TwoProduct + exact summation.
-
-    Each elementwise product is expanded error-free (Dekker/Veltkamp
-    TwoProduct for normal-range products; exact integer decomposition
-    where a float product would under- or overflow), and the expansion
-    is summed exactly. A true dot product beyond the float range
-    returns the correctly rounded ``±inf``/``±MAX_FINITE`` per mode.
-    """
-    from repro.stats import exact_dot_fraction, round_fraction
-
-    return round_fraction(exact_dot_fraction(x, y), mode)

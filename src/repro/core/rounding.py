@@ -14,6 +14,9 @@ value ``V * 2**shift`` (``V`` an arbitrary-precision int) to binary64 in
 a choice of rounding directions. It is both the reference everything
 else is tested against and the workhorse the accumulators use when a
 full big-integer view of the value is already at hand.
+:func:`round_fraction` and :func:`sqrt_round_fraction` extend it to the
+finishes of the reductions in :mod:`repro.reduce`: any rational (a mean,
+a variance) and the square root of one (a norm), each rounded once.
 
 Rounding-mode vocabulary:
 
@@ -27,6 +30,7 @@ Rounding-mode vocabulary:
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -37,6 +41,8 @@ from repro.errors import RepresentationError
 __all__ = [
     "round_scaled_int",
     "round_scaled_int_to_format",
+    "round_fraction",
+    "sqrt_round_fraction",
     "to_nonoverlapping",
     "canonicalize_sign",
     "round_digits",
@@ -134,6 +140,87 @@ def round_scaled_int(value: int, shift: int, mode: str = "nearest") -> float:
     if result_msb > 1023:
         return _overflow_result(sign, mode)
     return math.ldexp(float(sign * keep), lsb)
+
+
+def round_fraction(value: Fraction, mode: str = "nearest") -> float:
+    """Correctly rounded binary64 value of any Fraction.
+
+    Handles non-dyadic rationals (from divisions) by scaling the
+    quotient to 55 significant bits plus a sticky bit, then reusing the
+    exact dyadic rounding machinery.
+    """
+    if value == 0:
+        return 0.0
+    num, den = value.numerator, value.denominator
+    if den & (den - 1) == 0:
+        return round_scaled_int(num, -(den.bit_length() - 1), mode)
+    # Scale so the integer quotient carries >= 55 significant bits.
+    sign = -1 if num < 0 else 1
+    a, b = abs(num), den
+    shift = 55 - (a.bit_length() - b.bit_length())
+    if shift > 0:
+        a <<= shift
+    else:
+        b <<= -shift
+    q, r = divmod(a, b)
+    # Fold the remainder into two sticky bits (cannot hit a rounding
+    # boundary: q has >= 54 bits, the cut sits >= 2 bits above them).
+    encoded = (q << 2) | (1 if r else 0)
+    return round_scaled_int(sign * encoded, -(shift + 2), mode)
+
+
+def sqrt_round_fraction(ss: Fraction) -> float:
+    """Correctly rounded (to nearest) ``sqrt`` of a nonnegative Fraction.
+
+    The finish of the ``norm2`` reduction: candidate floats' exact
+    squares are compared against ``ss`` in integer arithmetic, so the
+    root is rounded once, with no double rounding.
+    """
+    if ss == 0:
+        return 0.0
+    # Float estimate via even-power-of-two scaling so neither ss nor
+    # sqrt(ss) under/overflows the float range prematurely.
+    e = ss.numerator.bit_length() - ss.denominator.bit_length()
+    k = (e - 100) // 2 if abs(e) > 600 else 0
+    try:
+        est = math.ldexp(math.sqrt(round_fraction(ss / Fraction(4) ** k)), k)
+    except OverflowError:
+        est = math.inf
+    # reprolint: disable-next-line=FP002 -- infinity compare is exact by definition
+    if est == math.inf or est >= MAX_FINITE:
+        # overflow region: nearest rounds to inf iff sqrt(ss) reaches
+        # the overflow midpoint 2**1024 - 2**970
+        mid = Fraction(2) ** 1024 - Fraction(2) ** 970
+        return math.inf if ss >= mid * mid else MAX_FINITE
+    if est == 0.0:  # reprolint: disable=FP002 -- exact-zero seeds the subnormal walk
+        est = 2.0**-1074
+    lo = est
+    # walk (at most a few ulps) until lo^2 <= ss < nextafter(lo)^2
+    while Fraction(lo) * Fraction(lo) > ss:
+        lo = math.nextafter(lo, 0.0)
+    while True:
+        hi = math.nextafter(lo, math.inf)
+        # reprolint: disable-next-line=FP002 -- infinity compare is exact by definition
+        if hi == math.inf or Fraction(hi) * Fraction(hi) > ss:
+            break
+        lo = hi
+    hi = math.nextafter(lo, math.inf)
+    if hi == math.inf:  # reprolint: disable=FP002 -- infinity compare is exact by definition
+        mid = Fraction(2) ** 1024 - Fraction(2) ** 970
+        return math.inf if ss >= mid * mid else lo
+    # decide nearest by comparing ss against the midpoint's square
+    mid = Fraction(lo) + Fraction(hi - lo) / 2  # exact dyadic midpoint
+    if ss < mid * mid:
+        return lo
+    if ss > mid * mid:
+        return hi
+    # exact tie on the midpoint: even mantissa wins
+    return lo if _mantissa_even(lo) else hi
+
+
+def _mantissa_even(x: float) -> bool:
+    m, _ = math.frexp(x)
+    return int(m * 2**53) % 2 == 0
 
 
 def round_scaled_int_to_format(

@@ -83,12 +83,14 @@ class EmptyStreamError(ReproError, ValueError):
 class ReductionRangeError(ReproError, ValueError):
     """An input left the error-free expansion domain of a reduction op.
 
-    The vectorized EFT expansions (:func:`repro.core.eft.two_product_vec`
-    and friends) are exact only while the products they form neither
-    overflow nor lose bits to underflow. :mod:`repro.reduce` checks that
-    domain up front and raises this instead of silently folding an
-    inexact term stream. The full-range (but slower) serial references in
-    :mod:`repro.stats` remain available for out-of-band magnitudes.
+    The EFT expansions (TwoProduct/TwoSquare) are exact only while the
+    products they form neither overflow nor lose bits to underflow.
+    :mod:`repro.reduce` reduces such elements exactly on every local
+    plane, so only serve and cluster ingest raise this: their stream
+    state is a kernel partial spanning the binary64 range, and the
+    batch is refused before it is folded or logged. The geometry
+    predicates' product expansion raises it too, and falls back to
+    exact rationals.
     """
 
 

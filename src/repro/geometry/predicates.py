@@ -24,8 +24,8 @@ import numpy as np
 
 from repro.core.eft import product_domain_mask, two_product, two_sum
 from repro.core.exact import exact_sum
+from repro.core.rounding import round_fraction
 from repro.errors import ReductionRangeError
-from repro.stats import round_fraction
 
 __all__ = [
     "product_expansion",

@@ -217,7 +217,7 @@ class KernelStream:
 
     def mean(self) -> float:
         from repro.errors import EmptyStreamError
-        from repro.stats import round_fraction
+        from repro.core.rounding import round_fraction
 
         if self.count == 0:
             raise EmptyStreamError("mean of empty stream")

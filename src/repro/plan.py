@@ -278,18 +278,26 @@ def _local(fold: Callable[..., Tuple[float, Any]]) -> Callable[..., float]:
     one on the plane, returning the rounded term sum (escalation
     included) and, for exact kernels, the merged partial. A rounded-sum
     op's answer is that rounded sum; an exact-fraction op finishes from
-    the partials' exact fractions.
+    the partials' exact fractions. Elements outside the op's expansion
+    band come back as an exact rest, added to those fractions: then
+    even a rounded-sum op finishes from them, on the kernel's exact
+    variant.
     """
 
     def run(kernel_name, op, x, y, *, radix, mode, workers, block_items):
         kernel = get_kernel(kernel_name, radix=radix)
+        streams, rest = op.expand_exact(x, y)
+        if rest is not None:
+            kernel = kernel.exact_variant()
         folds = [
             fold(kernel, terms, mode=mode, workers=workers, block_items=block_items)
-            for terms in op.expand(x, y)
+            for terms in streams
         ]
-        if not op.needs_exact:
+        if rest is None and not op.needs_exact:
             return op.finish_rounded(folds[0][0], int(x.size), mode)
         fracs = [kernel.exact_fraction(partial) for _, partial in folds]
+        if rest is not None:
+            fracs = [f + r for f, r in zip(fracs, rest)]
         return op.finish_exact(fracs, int(x.size), mode)
 
     return run
@@ -400,8 +408,9 @@ def run_reduction(
         ValueError: unknown plane/kernel/op/rounding mode, a mode the
             op's finish does not define, or a kernel that cannot host
             the op (exact-fraction finishes need ``exact`` kernels).
-        ReductionRangeError: inputs outside the op's error-free
-            expansion domain.
+        ReductionRangeError: on the serve and cluster planes only,
+            inputs outside the op's error-free expansion band (their
+            stream partials span only the binary64 range).
         EmptyStreamError: ``mean``/``var`` finishes on too few
             observations (sums and norms of nothing are simply 0.0).
     """
@@ -423,7 +432,6 @@ def run_reduction(
             f"are speculative/lossy (exact=False)"
         )
     xa, ya = op.validate(x, y)
-    op.check_domain(xa, ya)
     return PLANES[plane](
         kernel_name, op, xa, ya, radix=radix, mode=mode,
         workers=workers, block_items=block_items,

@@ -13,13 +13,19 @@ execution planes of :data:`repro.plan.PLANES`. Convenience one-liners::
     v = reduce.var(x, ddof=1)       # exact variance, rounded once
 
 Each accepts ``plane=``/``kernel=``/``workers=`` to pick where the
-terms fold; the bits never change with the choice.
+terms fold; the bits never change with the choice. Without a
+``kernel=``, the planner's fastest kernel that can host the op runs
+(:func:`repro.plan.kernel_candidates`). Every finite input has a
+value: elements whose products leave the error-free expansion band
+are reduced exactly through :func:`~repro.reduce.ops.exact_products`.
 """
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.core.digits import DEFAULT_RADIX, RadixConfig
-from repro.plan import DEFAULT_BLOCK_ITEMS, run_reduction
+from repro.plan import DEFAULT_BLOCK_ITEMS, kernel_candidates, run_reduction
 from repro.reduce.ops import (
     DotOp,
     MeanOp,
@@ -53,11 +59,18 @@ __all__ = [
 ]
 
 
+def _kernel(kernel: Optional[str], op: str, mode: str, radix: RadixConfig) -> str:
+    """The caller's kernel, else the planner's first accepted candidate."""
+    if kernel is not None:
+        return kernel
+    return next(c.name for c in kernel_candidates(mode, radix, op) if c.accepted)
+
+
 def sum(  # noqa: A001 - deliberate: ``reduce.sum`` mirrors the op name
     values,
     *,
     plane: str = "serial",
-    kernel: str = "sparse",
+    kernel: Optional[str] = None,
     radix: RadixConfig = DEFAULT_RADIX,
     mode: str = "nearest",
     workers: int = 1,
@@ -65,7 +78,7 @@ def sum(  # noqa: A001 - deliberate: ``reduce.sum`` mirrors the op name
 ) -> float:
     """Correctly rounded sum (the identity op, for API symmetry)."""
     return run_reduction(
-        plane, kernel, "sum", values,
+        plane, _kernel(kernel, "sum", mode, radix), "sum", values,
         radix=radix, mode=mode, workers=workers, block_items=block_items,
     )
 
@@ -75,7 +88,7 @@ def dot(
     y,
     *,
     plane: str = "serial",
-    kernel: str = "sparse",
+    kernel: Optional[str] = None,
     radix: RadixConfig = DEFAULT_RADIX,
     mode: str = "nearest",
     workers: int = 1,
@@ -83,7 +96,7 @@ def dot(
 ) -> float:
     """Correctly rounded inner product ``fl(sum(x_i * y_i))``."""
     return run_reduction(
-        plane, kernel, "dot", x, y,
+        plane, _kernel(kernel, "dot", mode, radix), "dot", x, y,
         radix=radix, mode=mode, workers=workers, block_items=block_items,
     )
 
@@ -92,14 +105,14 @@ def norm2(
     values,
     *,
     plane: str = "serial",
-    kernel: str = "sparse",
+    kernel: Optional[str] = None,
     radix: RadixConfig = DEFAULT_RADIX,
     workers: int = 1,
     block_items: int = DEFAULT_BLOCK_ITEMS,
 ) -> float:
     """Correctly rounded Euclidean norm ``fl(sqrt(sum(x_i^2)))``."""
     return run_reduction(
-        plane, kernel, "norm2", values,
+        plane, _kernel(kernel, "norm2", "nearest", radix), "norm2", values,
         radix=radix, mode="nearest", workers=workers, block_items=block_items,
     )
 
@@ -108,7 +121,7 @@ def mean(
     values,
     *,
     plane: str = "serial",
-    kernel: str = "sparse",
+    kernel: Optional[str] = None,
     radix: RadixConfig = DEFAULT_RADIX,
     mode: str = "nearest",
     workers: int = 1,
@@ -116,7 +129,7 @@ def mean(
 ) -> float:
     """Correctly rounded arithmetic mean (EmptyStreamError on no data)."""
     return run_reduction(
-        plane, kernel, "mean", values,
+        plane, _kernel(kernel, "mean", mode, radix), "mean", values,
         radix=radix, mode=mode, workers=workers, block_items=block_items,
     )
 
@@ -126,7 +139,7 @@ def var(
     *,
     ddof: int = 0,
     plane: str = "serial",
-    kernel: str = "sparse",
+    kernel: Optional[str] = None,
     radix: RadixConfig = DEFAULT_RADIX,
     mode: str = "nearest",
     workers: int = 1,
@@ -134,6 +147,6 @@ def var(
 ) -> float:
     """Correctly rounded variance with the requested ``ddof``."""
     return run_reduction(
-        plane, kernel, VarOp(ddof=ddof), values,
+        plane, _kernel(kernel, "var", mode, radix), VarOp(ddof=ddof), values,
         radix=radix, mode=mode, workers=workers, block_items=block_items,
     )

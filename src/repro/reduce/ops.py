@@ -32,15 +32,18 @@ only while the products neither overflow nor lose bits to underflow
 (and Dekker's splitter itself overflows above ``2**996``).
 :func:`repro.core.eft.product_domain_mask` and
 :func:`~repro.core.eft.square_domain_mask` (re-exported here) define
-that band; ``check_domain`` polices it up front and raises
-:class:`~repro.errors.ReductionRangeError` instead of silently folding
-an inexact term stream; the full-range (slower, Fraction-based) serial
-references in :mod:`repro.stats` remain available for out-of-band
-magnitudes.
+that band. A product outside it is still an exact scaled integer, so
+:meth:`ReduceOp.expand_exact` sends the elements the mask rejects
+through :func:`exact_products`, exact over the whole float range, and
+the local planes add that part in the finish. Serve and cluster ingest
+fold into kernel partials that span only the binary64 range, so they
+call ``check_domain`` instead, which raises
+:class:`~repro.errors.ReductionRangeError` before anything is folded.
 """
 
 from __future__ import annotations
 
+import numbers
 from abc import ABC, abstractmethod
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -53,8 +56,9 @@ from repro.core.eft import (
     two_product_vec,
     two_square_vec,
 )
+from repro.core.fpinfo import decompose_vec
+from repro.core.rounding import round_fraction, sqrt_round_fraction
 from repro.errors import EmptyStreamError, ReductionRangeError
-from repro.stats import round_fraction, sqrt_round_fraction
 from repro.util.validation import check_finite_array, ensure_float64_array
 
 __all__ = [
@@ -68,9 +72,15 @@ __all__ = [
     "get_op",
     "op_names",
     "kernel_supports",
+    "exact_products",
     "square_domain_mask",
     "product_domain_mask",
 ]
+
+#: The exact part of the elements outside an op's expansion band, one
+#: Fraction per term stream, or None when that part is zero.
+Rest = Optional[Tuple[Fraction, ...]]
+
 
 def _require_domain(mask: np.ndarray, op_name: str, primitive: str) -> None:
     if bool(np.all(mask)):
@@ -79,8 +89,62 @@ def _require_domain(mask: np.ndarray, op_name: str, primitive: str) -> None:
     raise ReductionRangeError(
         f"{op_name}: {bad} input(s) outside the error-free {primitive} "
         f"domain (product magnitude must stay inside the normal range); "
-        f"use the full-range serial references in repro.stats for such data"
+        f"stream ingest keeps binary64-range partials, so reduce such "
+        f"data on a local plane (repro.reduce)"
     )
+
+
+def exact_products(x: np.ndarray, y: np.ndarray) -> Fraction:
+    """``sum(x_i * y_i)`` exactly, for finite factors of any magnitude.
+
+    The full-range route for the elements a domain mask rejects. Each
+    factor is an integer mantissa times a power of two
+    (:func:`~repro.core.fpinfo.decompose_vec`), so each product is an
+    exact scaled integer; the products are summed over their least
+    exponent in Python ints. That costs interpreter work per element,
+    so only out-of-band elements come here.
+    """
+    if x.size == 0:
+        return Fraction(0)
+    mx, ex = decompose_vec(x)
+    my, ey = decompose_vec(y)
+    shift = ex + ey
+    lo = int(shift.min())
+    total = sum(
+        (a * b) << (s - lo)
+        for a, b, s in zip(mx.tolist(), my.tolist(), shift.tolist())
+    )
+    return Fraction(total) * Fraction(2) ** lo
+
+
+def _product_terms(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # Zero-paired elements are exact but the huge partner would
+    # overflow Dekker's splitter into a nan error term: mask those
+    # term pairs to an exact 0.0 after the vectorized expansion.
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        p, e = two_product_vec(x, y)
+    # reprolint: disable-next-line=FP002 -- exact-zero mask, not a tolerance
+    zero = (x == 0.0) | (y == 0.0)
+    if zero.any():
+        p = np.where(zero, 0.0, p)
+        e = np.where(zero, 0.0, e)
+    return np.concatenate([p, e])
+
+
+def _square_terms(x: np.ndarray, y: Optional[np.ndarray] = None) -> np.ndarray:
+    return np.concatenate(two_square_vec(x))
+
+
+def _split_products(terms, mask: np.ndarray, x: np.ndarray, y: np.ndarray):
+    """``terms`` of the in-band products, and the exact sum of the rest.
+
+    The rest is None when it is zero: the op then finishes from the
+    folded terms alone, as it does for in-band data.
+    """
+    if bool(mask.all()):
+        return terms(x, y), None
+    out = ~mask
+    return terms(x[mask], y[mask]), exact_products(x[out], y[out]) or None
 
 
 class ReduceOp(ABC):
@@ -121,13 +185,25 @@ class ReduceOp(ABC):
         return xa, None
 
     def check_domain(self, x: np.ndarray, y: Optional[np.ndarray] = None) -> None:
-        """Raise :class:`ReductionRangeError` if expansion would be inexact."""
+        """Raise :class:`ReductionRangeError` if expansion would be inexact.
+
+        The stream-ingest check (serve and cluster); local planes call
+        :meth:`expand_exact`, which takes any finite input.
+        """
 
     @abstractmethod
     def expand(
         self, x: np.ndarray, y: Optional[np.ndarray] = None
     ) -> Tuple[np.ndarray, ...]:
-        """Inputs -> ``streams`` term arrays whose exact sums finish the op."""
+        """In-band inputs -> ``streams`` term arrays whose exact sums
+        finish the op (the caller has run :meth:`check_domain`)."""
+
+    def expand_exact(
+        self, x: np.ndarray, y: Optional[np.ndarray] = None
+    ) -> Tuple[Tuple[np.ndarray, ...], Rest]:
+        """Any finite inputs -> the term arrays of the in-band elements,
+        plus the exact per-stream sums of the rest (:data:`Rest`)."""
+        return self.expand(x, y), None
 
     def finish_rounded(self, value: float, count: int, mode: str) -> float:
         """Finish from the correctly rounded term sum (rounded-sum ops)."""
@@ -185,17 +261,13 @@ class DotOp(ReduceOp):
         _require_domain(product_domain_mask(x, y), self.name, "TwoProduct")
 
     def expand(self, x, y=None):
-        # Zero-paired elements are exact but the huge partner would
-        # overflow Dekker's splitter into a nan error term: mask those
-        # term pairs to an exact 0.0 after the vectorized expansion.
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            p, e = two_product_vec(x, y)
-        # reprolint: disable-next-line=FP002 -- exact-zero mask, not a tolerance
-        zero = (x == 0.0) | (y == 0.0)
-        if zero.any():
-            p = np.where(zero, 0.0, p)
-            e = np.where(zero, 0.0, e)
-        return (np.concatenate([p, e]),)
+        return (_product_terms(x, y),)
+
+    def expand_exact(self, x, y=None):
+        terms, rest = _split_products(
+            _product_terms, product_domain_mask(x, y), x, y
+        )
+        return (terms,), rest and (rest,)
 
     def finish_exact(self, fracs, count, mode):
         return round_fraction(fracs[0], mode)
@@ -206,7 +278,8 @@ class Norm2Op(ReduceOp):
 
     The square root of the exact rational sum-of-squares is rounded by
     comparing candidate floats' exact squares against it
-    (:func:`repro.stats.sqrt_round_fraction`) — no double rounding.
+    (:func:`repro.core.rounding.sqrt_round_fraction`) — no double
+    rounding.
     Only nearest rounding is defined; the norm of nothing is 0.0.
     """
 
@@ -217,8 +290,11 @@ class Norm2Op(ReduceOp):
         _require_domain(square_domain_mask(x), self.name, "TwoSquare")
 
     def expand(self, x, y=None):
-        p, e = two_square_vec(x)
-        return (np.concatenate([p, e]),)
+        return (_square_terms(x),)
+
+    def expand_exact(self, x, y=None):
+        terms, rest = _split_products(_square_terms, square_domain_mask(x), x, x)
+        return (terms,), rest and (rest,)
 
     def finish_exact(self, fracs, count, mode):
         if mode != "nearest":
@@ -256,14 +332,21 @@ class VarOp(ReduceOp):
     needs_exact = True
 
     def __init__(self, ddof: int = 0) -> None:
+        # The one ddof check: reduce.var, RunningStats.variance and the
+        # serve/cluster moments read all construct their VarOp here.
+        if isinstance(ddof, bool) or not isinstance(ddof, numbers.Integral) or ddof < 0:
+            raise ValueError("'ddof' must be a non-negative integer")
         self.ddof = int(ddof)
 
     def check_domain(self, x, y=None):
         _require_domain(square_domain_mask(x), self.name, "TwoSquare")
 
     def expand(self, x, y=None):
-        p, e = two_square_vec(x)
-        return (x, np.concatenate([p, e]))
+        return (x, _square_terms(x))
+
+    def expand_exact(self, x, y=None):
+        terms, rest = _split_products(_square_terms, square_domain_mask(x), x, x)
+        return (x, terms), rest and (Fraction(0), rest)
 
     def finish_exact(self, fracs, count, mode):
         n = count

@@ -169,10 +169,12 @@ async def read_stream(
             f"unknown read op {op!r}; expected one of {sorted(READ_OPS)}"
         )
     check_mode(mode)
-    if read.shadow and (
-        isinstance(ddof, bool) or not isinstance(ddof, int) or ddof < 0
-    ):
-        raise ServiceError("'ddof' must be a non-negative integer")
+    var = None
+    if read.shadow:
+        try:
+            var = VarOp(ddof)
+        except ValueError as exc:
+            raise ServiceError(str(exc)) from None
     names = (stream, square_shadow(stream)) if read.shadow else (stream,)
     states = await merge(*names)
     n = states[0].count
@@ -186,7 +188,7 @@ async def read_stream(
     fracs: Optional[List[Fraction]] = None
     try:
         for field, name in read.finishes:
-            reduction = VarOp(ddof) if name == "var" else get_op(name)
+            reduction = var if name == "var" else get_op(name)
             if not reduction.needs_exact:
                 out[field] = reduction.finish_rounded(states[0].value(mode), n, mode)
                 continue
@@ -484,9 +486,9 @@ class ReproService:
         The expansion is elementwise and deterministic (``sum``'s is the
         identity), so chunked ingest produces exactly the term multiset
         a serial expansion of the whole array would — which is what
-        makes reads bit-identical to the serial references, and what
-        lets the cluster WAL log pre-expansion inputs and re-expand on
-        replay. A second term stream (the ``observations`` kind's
+        makes reads bit-identical to the serial :mod:`repro.reduce` ops,
+        and what lets the cluster WAL log pre-expansion inputs and
+        re-expand on replay. A second term stream (the ``observations`` kind's
         TwoSquare terms) lands in the stream's :func:`square_shadow`.
         """
         op = self._expansion(kind)

@@ -20,16 +20,17 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from fractions import Fraction
 from typing import Deque, Iterable, Optional, Union
 
 import numpy as np
 
 from repro.core.digits import DEFAULT_RADIX, RadixConfig
-from repro.core.eft import square_domain_mask, two_square_vec
+from repro.core.rounding import round_fraction
 from repro.core.sparse import SparseSuperaccumulator
 from repro.errors import EmptyStreamError, NonFiniteInputError
 from repro.kernels.binned import BinnedPartial
-from repro.stats import round_fraction
+from repro.reduce.ops import VarOp
 from repro.util.validation import check_finite_array, ensure_float64_array
 
 __all__ = ["ExactRunningSum", "SlidingWindowSum", "RunningStats", "exact_cumsum"]
@@ -39,6 +40,9 @@ __all__ = ["ExactRunningSum", "SlidingWindowSum", "RunningStats", "exact_cumsum"
 #: staged: below it, a deposit's fixed cost (two 4096-key bincounts and
 #: the per-key finish) outweighs the vectorized per-value work.
 DEPOSIT_MIN = 2048
+
+#: The expansion and finish behind :class:`RunningStats`.
+_VAR = VarOp()
 
 
 class ExactRunningSum:
@@ -255,23 +259,20 @@ class RunningStats:
     ``merge`` combines shards exactly, so distributed statistics come
     out bit-identical to a serial pass.
 
-    The square sum is a second :class:`ExactRunningSum` fed by the same
-    expansion ingest every other plane uses: in-band magnitudes go
-    through the vectorized TwoSquare EFT
-    (:func:`repro.core.eft.two_square_vec` — the ``norm2``/``var``
-    reduction ops' expansion), whose float terms are deposited like
-    any write; only magnitudes outside the error-free band
-    (:func:`repro.core.eft.square_domain_mask`) fall back to exact
-    integer squaring, absorbed as one sparse partial. Both routes land
-    the identical exact rational, so the rounded reads cannot tell
-    them apart.
+    A write runs the ``var`` reduction op's expansion
+    (:meth:`~repro.reduce.ops.VarOp.expand_exact`), the one every local
+    plane runs: in-band squares become TwoSquare float terms, deposited
+    into a second :class:`ExactRunningSum` like any write; squares
+    outside the error-free band come back as an exact rational, kept
+    beside it. ``variance()`` adds the two in the op's own finish, so
+    it cannot tell the two routes apart.
     """
 
     def __init__(self, radix: RadixConfig = DEFAULT_RADIX) -> None:
-        self._radix = radix
         self._n = 0
         self._sum = ExactRunningSum(radix)
         self._sum_sq = ExactRunningSum(radix)
+        self._sq_rest = Fraction(0)
 
     def add_array(self, values: Iterable[float]) -> None:
         """Fold a batch in exactly."""
@@ -279,42 +280,19 @@ class RunningStats:
         check_finite_array(arr)
         if arr.size == 0:
             return
+        (_, squares), rest = _VAR.expand_exact(arr)
         self._n += int(arr.size)
         self._sum.add_finite(arr)
-        safe = square_domain_mask(arr)
-        in_band = arr if safe.all() else arr[safe]
-        if in_band.size:
-            # Error-free squares: x^2 = p + e exactly. The terms are
-            # plain floats, so they fold through the ordinary deposit —
-            # no rational arithmetic on the hot path.
-            self._sum_sq.add_finite(np.concatenate(two_square_vec(in_band)))
-        if not safe.all():
-            # Out-of-band magnitudes (square would under/overflow):
-            # exact integer squaring, folded as one dyadic rational.
-            from fractions import Fraction
-
-            from repro.core.apfloat import APFloat, split_apfloat
-            from repro.core.fpinfo import decompose
-
-            sq = Fraction(0)
-            for v in arr[~safe]:
-                m, ex = decompose(float(v))
-                sq += Fraction(m * m) * Fraction(2) ** (2 * ex)
-            num, den = sq.numerator, sq.denominator
-            shift = -(den.bit_length() - 1)
-            pairs = split_apfloat(APFloat(num, shift), self._radix)
-            if pairs:
-                idx = np.array([j for j, _ in pairs], dtype=np.int64)
-                dig = np.array([d for _, d in pairs], dtype=np.int64)
-                self._sum_sq.absorb_exact(
-                    SparseSuperaccumulator(self._radix, idx, dig, _validated=True), 0
-                )
+        self._sum_sq.add_finite(squares)
+        if rest is not None:
+            self._sq_rest += rest[1]
 
     def merge(self, other: "RunningStats") -> None:
         """Absorb another shard's exact state."""
         self._n += other._n
         self._sum.merge(other._sum)
         self._sum_sq.merge(other._sum_sq)
+        self._sq_rest += other._sq_rest
 
     @property
     def count(self) -> int:
@@ -338,13 +316,15 @@ class RunningStats:
         """Correctly rounded running variance.
 
         Raises:
+            ValueError: ``ddof`` is not a non-negative integer.
             EmptyStreamError: with fewer than ``ddof + 1`` observations.
         """
-        if self._n - ddof <= 0:
-            raise EmptyStreamError("need more observations than ddof")
-        s = self._sum.exact_fraction()
-        ss = self._sum_sq.exact_fraction()
-        return round_fraction((ss - s * s / self._n) / (self._n - ddof))
+        op = VarOp(ddof)
+        fracs = [
+            self._sum.exact_fraction(),
+            self._sum_sq.exact_fraction() + self._sq_rest,
+        ]
+        return op.finish_exact(fracs, self._n, "nearest")
 
 
 def exact_cumsum(

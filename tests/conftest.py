@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Optional
 
 import numpy as np
 import pytest
@@ -21,15 +21,67 @@ def exact_fraction(values: Iterable[float]) -> Fraction:
     return total
 
 
-def fraction_to_float(x: Fraction) -> float:
-    """Correctly rounded float of a dyadic Fraction, overflow-aware."""
+def exact_products(x: Iterable[float], y: Optional[Iterable[float]] = None) -> Fraction:
+    """Ground-truth exact ``sum(x_i * y_i)``, or ``sum(x_i**2)`` without
+    ``y``, built from exact float->Fraction conversions only."""
+    xs = [float(v) for v in x]
+    ys = xs if y is None else [float(v) for v in y]
+    total = Fraction(0)
+    for a, b in zip(xs, ys):
+        total += Fraction(a) * Fraction(b)
+    return total
+
+
+def fraction_to_float(x: Fraction, mode: str = "nearest") -> float:
+    """Correctly rounded float of a Fraction, overflow-aware.
+
+    Dyadic fractions (sums of floats and of their products) round in
+    any mode; other rationals (means, variances) round to nearest
+    through CPython's correctly rounded int division.
+    """
     if x == 0:
         return 0.0
     num, den = x.numerator, x.denominator
-    # Denominators of float-derived fractions are powers of two.
     shift = -(den.bit_length() - 1)
-    assert den == 1 << (-shift), "non-dyadic fraction in reference path"
-    return round_scaled_int(num, shift)
+    if den == 1 << (-shift):
+        return round_scaled_int(num, shift, mode)
+    assert mode == "nearest", "directed rounding of a non-dyadic fraction"
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def ref_dot(x: Iterable[float], y: Iterable[float], mode: str = "nearest") -> float:
+    """Correctly rounded reference inner product, in any mode."""
+    return fraction_to_float(exact_products(x, y), mode)
+
+
+def ref_mean(values: Iterable[float]) -> float:
+    """Correctly rounded reference mean."""
+    xs = [float(v) for v in values]
+    return fraction_to_float(exact_fraction(xs) / len(xs))
+
+
+def ref_var(values: Iterable[float], ddof: int = 0) -> float:
+    """Correctly rounded reference variance."""
+    xs = [float(v) for v in values]
+    n = len(xs)
+    s = exact_fraction(xs)
+    return fraction_to_float((exact_products(xs) - s * s / n) / (n - ddof))
+
+
+def is_rounded_sqrt(got: float, ss: Fraction) -> bool:
+    """Whether ``got`` is ``sqrt(ss)`` rounded to nearest: the exact
+    squares of the midpoints to its two neighbours bracket ``ss``."""
+    top = Fraction(2) ** 1024 - Fraction(2) ** 970  # overflow midpoint
+    if got == math.inf:
+        return ss >= top * top
+    lo = math.nextafter(got, 0.0)
+    hi = math.nextafter(got, math.inf)
+    mid_lo = (Fraction(lo) + Fraction(got)) / 2
+    mid_hi = top if hi == math.inf else (Fraction(got) + Fraction(hi)) / 2
+    return mid_lo * mid_lo <= ss <= mid_hi * mid_hi
 
 
 def ref_sum(values: Iterable[float]) -> float:

@@ -41,6 +41,7 @@ from repro.errors import CodecError, NodeDownError, ServiceError
 from repro.plan import run_reduction
 from repro.serve import InProcessClient, ReproService, ServeConfig
 from repro.util.bits import same_float
+from tests.conftest import ref_var
 
 
 def _panel(n=4000, seed=11):
@@ -926,8 +927,6 @@ class TestGatherConsistency:
         """A node reads a stream and its square shadow in one snapshot
         request, so ingest between a node's requests cannot make the
         shadow disagree with the stream."""
-        from repro.stats import exact_variance
-
         x = _panel(600, seed=5)
         extra = x[:100]
 
@@ -957,7 +956,7 @@ class TestGatherConsistency:
         # every gather after the first saw one more batch per node
         assert [r["count"] for r in reads] == [600, 800, 1000]
         total = np.concatenate([x] + [extra] * 4)
-        assert same_float(reads[-1]["variance"], exact_variance(total))
+        assert same_float(reads[-1]["variance"], ref_var(total))
 
 
 class TestClusterPlane:

@@ -1,4 +1,4 @@
-"""Unit tests for the high-level exact_sum / exact_dot API and
+"""Unit tests for the high-level exact_sum / reduce.dot API and
 condition numbers."""
 
 from __future__ import annotations
@@ -11,8 +11,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from repro import reduce
 from repro.core.condition import condition_number, condition_number_exact
-from repro.core.exact import exact_dot, exact_sum, exact_sum_fraction, exact_sum_scaled
+from repro.core.exact import exact_sum, exact_sum_fraction, exact_sum_scaled
 from repro.core.sparse import SparseSuperaccumulator
 from repro.core.truncated import TruncatedSparseSuperaccumulator
 from repro.data import generate
@@ -136,13 +137,13 @@ class TestExactSum:
 
 class TestExactDot:
     def test_simple(self):
-        assert exact_dot([1.0, 2.0], [3.0, 4.0]) == 11.0
+        assert reduce.dot([1.0, 2.0], [3.0, 4.0]) == 11.0
 
     def test_catastrophic_cancellation(self):
         # classic: naive dot is wildly wrong
         x = np.array([1e150, 1.0, -1e150])
         y = np.array([1e150, 1.0, 1e150])
-        assert exact_dot(x, y) == 1.0
+        assert reduce.dot(x, y) == 1.0
 
     def test_against_fraction(self, rng):
         for _ in range(20):
@@ -155,32 +156,33 @@ class TestExactDot:
             )
             from tests.conftest import fraction_to_float
 
-            assert exact_dot(x, y) == fraction_to_float(want)
+            assert reduce.dot(x, y) == fraction_to_float(want)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            exact_dot([1.0], [1.0, 2.0])
+            reduce.dot([1.0], [1.0, 2.0])
 
     def test_product_overflow_rounds_to_inf(self):
         # the exact dot is ~1e616: correctly rounded to binary64 = inf
-        assert exact_dot([1e308], [1e308]) == math.inf
-        assert exact_dot([1e308], [-1e308]) == -math.inf
+        assert reduce.dot([1e308], [1e308]) == math.inf
+        assert reduce.dot([1e308], [-1e308]) == -math.inf
         # but a cancelling pair of huge products is finite and exact
-        assert exact_dot([1e308, 1e308], [1e308, -1e308]) == 0.0
+        assert reduce.dot([1e308, 1e308], [1e308, -1e308]) == 0.0
 
     def test_subnormal_products_exact(self):
         # float products underflow; the exact dot does not
-        v = exact_dot([2.0**-600], [2.0**-600])
+        v = reduce.dot([2.0**-600], [2.0**-600])
         assert v == 0.0  # 2**-1200 rounds to zero in binary64 ...
-        from fractions import Fraction
+        from repro.reduce import get_op
 
-        from repro.stats import exact_dot_fraction
-
-        assert exact_dot_fraction([2.0**-600], [2.0**-600]) == Fraction(2) ** -1200
+        x = np.array([2.0**-600])
+        (terms,), rest = get_op("dot").expand_exact(x, x)
+        assert terms.size == 0 and rest == (Fraction(2) ** -1200,)
+        assert reduce.dot(x, x, mode="up") == 2.0**-1074
 
     def test_input_nonfinite_rejected(self):
         with pytest.raises(NonFiniteInputError):
-            exact_dot([math.inf], [1.0])
+            reduce.dot([math.inf], [1.0])
 
 
 class TestConditionNumber:

@@ -107,16 +107,16 @@ class TestNonFinitePropagation:
         from repro.baselines import hybrid_sum, ifastsum
         from repro.core import exact_sum
         from repro.mapreduce import parallel_sum
-        from repro.stats import exact_mean, exact_norm2
+        from repro import reduce
 
         data = [1.0, bad, 2.0]
-        for fn in (exact_sum, ifastsum, hybrid_sum, exact_norm2):
+        for fn in (exact_sum, ifastsum, hybrid_sum, reduce.norm2):
             with pytest.raises(NonFiniteInputError):
                 fn(data)
         with pytest.raises(NonFiniteInputError):
             parallel_sum(data)
         with pytest.raises(NonFiniteInputError):
-            exact_mean(data)
+            reduce.mean(data)
 
     def test_error_message_names_position(self):
         from repro.core import exact_sum

@@ -173,7 +173,7 @@ class TestPolygon:
                 want += Fraction(float(x[i])) * Fraction(float(y[j]))
                 want -= Fraction(float(x[j])) * Fraction(float(y[i]))
             want /= 2
-            from repro.stats import round_fraction
+            from repro.core.rounding import round_fraction
 
             assert signed_area(pts) == round_fraction(want)
 

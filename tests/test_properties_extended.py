@@ -18,10 +18,9 @@ from repro.baselines.binned import binned_sum
 from repro.core.apfloat import APFloat, exact_sum_apfloat, split_apfloat
 from repro.core.decimal_acc import DecimalSuperaccumulator
 from repro.core.fpinfo import BINARY32, FloatFormat
-from repro.core.rounding import round_scaled_int_to_format
+from repro.core.rounding import round_fraction, round_scaled_int_to_format
 from repro.errors import ReductionRangeError
 from repro.geometry import product_expansion
-from repro.stats import round_fraction
 from tests.conftest import exact_fraction
 
 finite_floats = st.floats(

@@ -1,21 +1,25 @@
 """Unit tests for the reduction layer: ops, engine, planner (PR 9).
 
-The tentpole contract: every reduction is an error-free expansion
-composed with a sum kernel, so its value is the correctly rounded true
-mathematical quantity — bit-identical to the serial rational references
-in :mod:`repro.stats`, on every plane, under every capable kernel.
+The contract: every reduction is an error-free expansion composed
+with a sum kernel, plus an exact rest for the elements outside the
+expansion band, so its value is the correctly rounded true mathematical
+quantity — bit-identical to exact Fraction references, on every plane,
+under every capable kernel.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from repro import reduce
+from repro.core.eft import product_domain_mask, square_domain_mask
 from repro.core.exact import exact_sum_fraction
-from repro.errors import EmptyStreamError, ReductionRangeError
+from repro.core.rounding import MAX_FINITE
+from repro.errors import EmptyStreamError
 from repro.kernels import get_kernel, kernel_names
 from repro.reduce import (
     DotOp,
@@ -26,12 +30,12 @@ from repro.reduce import (
     register_op,
     run_reduction,
 )
-from repro.stats import (
-    exact_dot_fraction,
-    exact_mean,
-    exact_norm2,
-    exact_variance,
-    round_fraction,
+from tests.conftest import (
+    exact_products,
+    is_rounded_sqrt,
+    ref_dot,
+    ref_mean,
+    ref_var,
 )
 
 
@@ -72,7 +76,7 @@ class TestExpansionExactness:
         x, y = _panel(300, seed=1), _panel(300, seed=2)
         (terms,) = get_op("dot").expand(x, y)
         assert terms.size == 2 * x.size
-        assert exact_sum_fraction(terms) == exact_dot_fraction(x, y)
+        assert exact_sum_fraction(terms) == exact_products(x, y)
 
     def test_norm2_terms_sum_to_exact_square_sum(self):
         x = _panel(300, seed=3)
@@ -102,47 +106,64 @@ class TestExpansionExactness:
 
 
 class TestDomainPolicing:
+    """Elements the expansion band rejects are reduced exactly.
+
+    Each input has an element outside the TwoProduct/TwoSquare band;
+    the band still rejects it, and the op takes its exact rest instead
+    of raising.
+    """
+
     def test_norm2_overflowing_square_rejected(self):
-        with pytest.raises(ReductionRangeError):
-            reduce.norm2([1.0, 1e200])
+        x = np.array([1.0, 1e200])
+        assert not square_domain_mask(x).all()
+        assert reduce.norm2(x) == 1e200
+        assert is_rounded_sqrt(reduce.norm2(x), exact_products(x))
 
     def test_norm2_underflowing_square_rejected(self):
-        with pytest.raises(ReductionRangeError):
-            reduce.norm2([2.0**-530, 1.0])
+        x = np.array([2.0**-530, 1.0])
+        assert not square_domain_mask(x).all()
+        assert reduce.norm2(x) == 1.0
+        assert reduce.norm2(x[:1]) == 2.0**-530
 
     def test_dot_overflowing_product_rejected(self):
-        with pytest.raises(ReductionRangeError):
-            reduce.dot([1e200], [1e200])
+        x = np.array([1e200])
+        assert not product_domain_mask(x, x).all()
+        assert reduce.dot(x, x) == math.inf
+        assert reduce.dot(x, x, mode="zero") == MAX_FINITE
+        assert reduce.dot(x, -x, mode="up") == -MAX_FINITE
 
     def test_dot_underflowing_product_rejected(self):
-        with pytest.raises(ReductionRangeError):
-            reduce.dot([1e-200], [1e-200])
+        x = np.array([1e-200])
+        assert not product_domain_mask(x, x).all()
+        assert reduce.dot(x, x) == 0.0
+        assert reduce.dot(x, x, mode="up") == 2.0**-1074
+        assert reduce.dot(x, -x, mode="down") == -(2.0**-1074)
 
     def test_band_edges_admit_only_error_free_expansions(self):
         # Just inside the old lower edges (products above 2**-1000,
         # squares of magnitudes above 2**-500) the error term's last
-        # bit falls below 2**-1074; those inputs must be refused, and
-        # the serial references must stay exact there.
-        from repro.stats import exact_dot_fraction, exact_norm2
-
+        # bit falls below 2**-1074: the band rejects those inputs, and
+        # their exact rest keeps the result exact there.
         x = (1.0 + 2.0**-52) * 2.0**-500
-        with pytest.raises(ReductionRangeError):
-            reduce.dot([x], [x])
-        with pytest.raises(ReductionRangeError):
-            reduce.norm2([x])
-        assert exact_dot_fraction([x], [x]) == Fraction(x) ** 2
+        assert not square_domain_mask(np.array([x])).all()
+        for mode in ("nearest", "down", "up", "zero"):
+            assert reduce.dot([x], [x], mode=mode) == ref_dot([x], [x], mode)
+        assert reduce.norm2([x]) == x
         y = (1.0 + 2.0**-52) * 2.0**-484
-        assert reduce.norm2([y]) == exact_norm2([y])
+        assert square_domain_mask(np.array([y])).all()
+        assert reduce.norm2([y]) == y
         assert reduce.dot([y], [y]) == float(Fraction(y) ** 2)
 
     def test_var_out_of_band_square_rejected(self):
-        with pytest.raises(ReductionRangeError):
-            reduce.var([1e260, 1.0])
+        for x in ([1e260, 1.0], [2.0**-530, 3.0], [1e200, -1e200, 3.0]):
+            assert not square_domain_mask(np.array(x)).all()
+            assert reduce.var(x) == ref_var(x)
+            assert reduce.var(x, ddof=1) == ref_var(x, ddof=1)
 
     def test_sum_and_mean_have_no_domain_limit(self):
         big = np.array([1e308, -1e308, 3.5])
         assert reduce.sum(big) == 3.5
-        assert reduce.mean(big) == exact_mean(big)
+        assert reduce.mean(big) == ref_mean(big)
 
 
 class TestEmptyEdges:
@@ -166,18 +187,17 @@ class TestEmptyEdges:
 class TestFinishSemantics:
     def test_matches_serial_references(self):
         x, y = _panel(), _panel(seed=12)
-        assert reduce.dot(x, y) == round_fraction(exact_dot_fraction(x, y))
-        assert reduce.norm2(x) == exact_norm2(x)
-        assert reduce.mean(x) == exact_mean(x)
-        assert reduce.var(x) == exact_variance(x)
-        assert reduce.var(x, ddof=3) == exact_variance(x, ddof=3)
+        assert reduce.dot(x, y) == ref_dot(x, y)
+        assert is_rounded_sqrt(reduce.norm2(x), exact_products(x))
+        assert reduce.mean(x) == ref_mean(x)
+        assert reduce.var(x) == ref_var(x)
+        assert reduce.var(x, ddof=3) == ref_var(x, ddof=3)
 
     def test_dot_honours_directed_modes(self):
         x, y = _panel(200, seed=5), _panel(200, seed=6)
-        exact = exact_dot_fraction(x, y)
         for mode in ("down", "up", "zero"):
             got = reduce.dot(x, y, plane="serial", kernel="sparse", mode=mode)
-            assert got == round_fraction(exact, mode)
+            assert got == ref_dot(x, y, mode)
 
     def test_norm2_rejects_directed_modes(self):
         with pytest.raises(ValueError):
@@ -190,7 +210,46 @@ class TestFinishSemantics:
     def test_var_ddof_carried_by_op_instance(self):
         x = _panel(100, seed=7)
         got = run_reduction("serial", "sparse", VarOp(ddof=2), x)
-        assert got == exact_variance(x, ddof=2)
+        assert got == ref_var(x, ddof=2)
+
+
+class TestDdofCheck:
+    """One ddof check (``VarOp``) behind every variance entry point."""
+
+    BAD = (-1, -2, 1.7, True)
+
+    def test_reduce_var_rejects_bad_ddof(self):
+        for ddof in self.BAD:
+            with pytest.raises(ValueError, match="ddof"):
+                reduce.var([1.0, 2.0, 4.0], ddof=ddof)
+        assert reduce.var([1.0, 2.0, 4.0], ddof=np.int64(1)) == ref_var(
+            [1.0, 2.0, 4.0], ddof=1
+        )
+
+    def test_running_stats_variance_rejects_bad_ddof(self):
+        from repro.streaming import RunningStats
+
+        rs = RunningStats()
+        rs.add_array([1.0, 2.0, 4.0])
+        for ddof in self.BAD:
+            with pytest.raises(ValueError, match="ddof"):
+                rs.variance(ddof=ddof)
+        assert rs.variance(ddof=1) == ref_var([1.0, 2.0, 4.0], ddof=1)
+
+    def test_read_stream_rejects_bad_ddof_before_merging(self):
+        import asyncio
+
+        from repro.errors import ServiceError
+        from repro.serve.service import read_stream
+
+        async def merge(*names):
+            raise AssertionError("merged before the ddof check")
+
+        for ddof in self.BAD:
+            with pytest.raises(
+                ServiceError, match="'ddof' must be a non-negative integer"
+            ):
+                asyncio.run(read_stream("moments", "s", merge, ddof=ddof))
 
 
 class TestEngineValidation:
@@ -242,11 +301,11 @@ class TestOpAwarePlanner:
         x, y = _panel(500, seed=8), _panel(500, seed=9)
         plan = plan_sum(DataDescriptor.describe_array(x, op="dot", values2=y))
         assert plan.describe()["op"] == "dot"
-        assert plan.execute() == round_fraction(exact_dot_fraction(x, y))
+        assert plan.execute() == ref_dot(x, y)
         plan = plan_sum(DataDescriptor.describe_array(x, op="norm2"))
         assert plan.kernel != "truncated"
         assert plan.tier == "exact"
-        assert plan.execute() == exact_norm2(x)
+        assert is_rounded_sqrt(plan.execute(), exact_products(x))
 
     def test_forced_incapable_kernel_raises(self):
         from repro.plan import DataDescriptor, plan_sum
@@ -270,8 +329,8 @@ class TestRunningStatsSharesExpansion:
         rs = RunningStats()
         rs.add_array(x[:100])
         rs.add_array(x[100:])
-        assert rs.mean() == exact_mean(x)
-        assert rs.variance(ddof=1) == exact_variance(x, ddof=1)
+        assert rs.mean() == ref_mean(x)
+        assert rs.variance(ddof=1) == ref_var(x, ddof=1)
 
     def test_merge_matches_serial(self):
         from repro.streaming import RunningStats
@@ -281,5 +340,5 @@ class TestRunningStatsSharesExpansion:
         a.add_array(x[:251])
         b.add_array(x[251:])
         a.merge(b)
-        assert a.variance() == exact_variance(x)
+        assert a.variance() == ref_var(x)
         assert a.count == x.size

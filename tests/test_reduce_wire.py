@@ -19,14 +19,8 @@ from repro import codec
 from repro.errors import CodecError, EmptyStreamError, ReductionRangeError, ServiceError
 from repro.plan import PLANES
 from repro.reduce import run_reduction
-from repro.stats import (
-    exact_dot_fraction,
-    exact_mean,
-    exact_norm2,
-    exact_variance,
-    round_fraction,
-)
 from repro.util.bits import same_float
+from tests.conftest import exact_products, is_rounded_sqrt, ref_dot, ref_mean, ref_var
 
 
 def _panel(n=600, seed=21, spread=40):
@@ -138,7 +132,7 @@ class TestServeReductionEndpoints:
 
         added, got = _serve(go, wire=wire)
         assert added == x.size
-        assert same_float(got, round_fraction(exact_dot_fraction(x, y)))
+        assert same_float(got, ref_dot(x, y))
 
     def test_norm2_round_trip(self, wire):
         x = _panel(seed=15)
@@ -147,7 +141,7 @@ class TestServeReductionEndpoints:
             await client.add_squares("n", x)
             return await client.norm2("n")
 
-        assert same_float(_serve(go, wire=wire), exact_norm2(x))
+        assert is_rounded_sqrt(_serve(go, wire=wire), exact_products(x))
 
     def test_moments_round_trip(self, wire):
         x = _panel(seed=16)
@@ -159,8 +153,8 @@ class TestServeReductionEndpoints:
 
         stats = _serve(go, wire=wire)
         assert stats["count"] == x.size
-        assert same_float(stats["mean"], exact_mean(x))
-        assert same_float(stats["variance"], exact_variance(x, ddof=1))
+        assert same_float(stats["mean"], ref_mean(x))
+        assert same_float(stats["variance"], ref_var(x, ddof=1))
 
     def test_reduction_range_error_code(self, wire):
         async def go(client):
@@ -186,6 +180,18 @@ class TestServeReductionValidation:
         with pytest.raises(ServiceError):
             _serve(go)
 
+    def test_moments_bad_ddof_keeps_the_service_error_reply(self):
+        async def go(client):
+            await client.add_observations("m", [1.0, 2.0, 4.0])
+            for ddof in (-1, 1.7, True):
+                with pytest.raises(ServiceError) as err:
+                    await client.moments("m", ddof=ddof)
+                assert err.value.code == "service"
+                assert "'ddof' must be a non-negative integer" in str(err.value)
+            return await client.moments("m", ddof=1)
+
+        assert same_float(_serve(go)["variance"], ref_var([1.0, 2.0, 4.0], ddof=1))
+
     def test_empty_norm2_is_zero(self):
         async def go(client):
             return await client.norm2("missing")
@@ -206,8 +212,8 @@ class TestServeReductionValidation:
             )
 
         value, mean, stats = _serve(go)
-        assert same_float(mean, exact_mean(x))
-        assert same_float(stats["variance"], exact_variance(x))
+        assert same_float(mean, ref_mean(x))
+        assert same_float(stats["variance"], ref_var(x))
 
     def test_moments_reads_never_split_an_observations_batch(self):
         # Reads interleaved with observations ingest: each read must see
@@ -231,7 +237,7 @@ class TestServeReductionValidation:
         failures, final = _serve(go)
         assert failures == []
         assert final["count"] == x.size
-        assert same_float(final["variance"], exact_variance(x))
+        assert same_float(final["variance"], ref_var(x))
 
     def test_binary_wire_records_reduce_traffic(self):
         from repro.serve import InProcessClient, ReproService, ServeConfig
@@ -275,10 +281,10 @@ class TestClusterReduction:
                 )
 
         dot, norm, moments = asyncio.run(run())
-        assert same_float(dot, round_fraction(exact_dot_fraction(x, y)))
-        assert same_float(norm, exact_norm2(x))
-        assert same_float(moments["mean"], exact_mean(x))
-        assert same_float(moments["variance"], exact_variance(x, ddof=1))
+        assert same_float(dot, ref_dot(x, y))
+        assert is_rounded_sqrt(norm, exact_products(x))
+        assert same_float(moments["mean"], ref_mean(x))
+        assert same_float(moments["variance"], ref_var(x, ddof=1))
 
     def test_domain_rejection_never_poisons_the_wal(self, tmp_path):
         """A ReductionRangeError batch must not enter the WAL: replay
@@ -306,7 +312,7 @@ class TestClusterReduction:
 
         live, recovered = asyncio.run(run())
         both = np.concatenate([x, x])
-        assert same_float(live, exact_norm2(both))
+        assert is_rounded_sqrt(live, exact_products(both))
         assert same_float(recovered, live)
 
     def test_fresh_node_recovery_replays_all_ops(self, tmp_path):
@@ -335,8 +341,8 @@ class TestClusterReduction:
         live_dot, live_var, rec_dot, rec_var = asyncio.run(run())
         assert same_float(rec_dot, live_dot)
         assert same_float(rec_var, live_var)
-        assert same_float(live_dot, round_fraction(exact_dot_fraction(x, y)))
-        assert same_float(live_var, exact_variance(x, ddof=1))
+        assert same_float(live_dot, ref_dot(x, y))
+        assert same_float(live_var, ref_var(x, ddof=1))
 
     def test_failover_replay_restores_reduction_reads(self, tmp_path):
         from repro.cluster import LocalCluster
@@ -362,11 +368,11 @@ class TestClusterReduction:
                 return before_norm, before, after_norm, after
 
         before_norm, before, after_norm, after = asyncio.run(run())
-        assert same_float(before_norm, exact_norm2(x))
+        assert is_rounded_sqrt(before_norm, exact_products(x))
         assert same_float(after_norm, before_norm)
         assert after["count"] == before["count"] == x.size
         assert same_float(after["variance"], before["variance"])
-        assert same_float(after["mean"], exact_mean(x))
+        assert same_float(after["mean"], ref_mean(x))
 
     def test_sequenced_reduce_dedup(self):
         """The same seq-stamped reduce batch applied twice folds once."""
@@ -385,7 +391,7 @@ class TestClusterReduction:
         first, second, norm = asyncio.run(run())
         assert first == x.size
         assert second == 0  # duplicate acked without re-folding
-        assert same_float(norm, exact_norm2(x))
+        assert is_rounded_sqrt(norm, exact_products(x))
 
     def test_scatter_reduce_validation(self):
         from repro.cluster import LocalCluster

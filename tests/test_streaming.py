@@ -11,7 +11,7 @@ import pytest
 
 from repro.errors import EmptyStreamError, ReproError
 from repro.kernels.binned import RESOLVE_CHUNKS
-from repro.stats import round_fraction
+from repro.core.rounding import round_fraction
 from repro.streaming import (
     DEPOSIT_MIN,
     ExactRunningSum,
@@ -19,7 +19,7 @@ from repro.streaming import (
     SlidingWindowSum,
     exact_cumsum,
 )
-from tests.conftest import exact_fraction, random_hard_array, ref_sum
+from tests.conftest import exact_fraction, random_hard_array, ref_mean, ref_sum, ref_var
 
 
 class TestExactRunningSum:
@@ -91,12 +91,10 @@ class TestExactRunningSum:
             rs.mean()
 
     def test_mean_exact(self, rng):
-        from repro.stats import exact_mean
-
         x = random_hard_array(rng, 300, emin=-30, emax=30)
         rs = ExactRunningSum()
         rs.add_array(x)
-        assert rs.mean() == exact_mean(x)
+        assert rs.mean() == ref_mean(x)
 
 
 FIXTURE_KSTR = Path(__file__).parent / "data" / "running_sum.kstr"
@@ -282,17 +280,15 @@ class TestSlidingWindow:
 
 class TestRunningStats:
     def test_matches_batch_stats(self, rng):
-        from repro.stats import exact_mean, exact_variance
-
         x = random_hard_array(rng, 300, emin=-20, emax=20)
         st = RunningStats()
         st.add_array(x[:120])
         st.add_array(x[120:])
         assert st.count == 300
         assert st.sum() == ref_sum(x)
-        assert st.mean() == exact_mean(x)
-        assert st.variance() == exact_variance(x)
-        assert st.variance(ddof=1) == exact_variance(x, ddof=1)
+        assert st.mean() == ref_mean(x)
+        assert st.variance() == ref_var(x)
+        assert st.variance(ddof=1) == ref_var(x, ddof=1)
 
     def test_merge_bit_identical_to_serial(self, rng):
         x = random_hard_array(rng, 400, emin=-20, emax=20)
