@@ -112,12 +112,10 @@ class WalService(ReproService):
                     continue
             # The log holds the raw pre-expansion inputs; re-running
             # the deterministic expansion recovers the identical terms.
-            self._apply(
-                rec.stream,
-                rec.op,
-                np.array(rec.values),
-                None if rec.values2 is None else np.array(rec.values2),
-            )
+            x = np.array(rec.values)
+            y = None if rec.values2 is None else np.array(rec.values2)
+            self._expansion(rec.op).check_domain(x, y)
+            self._apply(rec.stream, rec.op, x, y)
             if rec.sequenced:
                 marks[rec.stream] = rec.seq
             applied += 1

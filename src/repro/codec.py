@@ -378,8 +378,10 @@ def encode_binned(
 
     ``indices`` are the (strictly increasing) occupied biased-exponent
     bins; ``bins_lo``/``bins_hi`` their int64 low/high mantissa-unit
-    sums; ``chunks`` the deferred-carry budget already consumed (bounds
-    the bin magnitudes the decoder will accept).
+    sums; ``chunks`` the deferred-carry budget already consumed, as
+    whole deposit chunks: ``ceil(values / DEPOSIT_CHUNK)`` for a
+    partial whose bins absorbed ``values`` values (bounds the bin
+    magnitudes the decoder will accept).
     """
     header = _BINNED_HEADER.pack(MAGIC_BINNED, chunks, indices.size)
     return (
@@ -396,9 +398,11 @@ def decode_binned(
 ) -> Tuple[int, np.ndarray, np.ndarray, np.ndarray, "SparseSuperaccumulator"]:
     """Inverse of :func:`encode_binned`.
 
-    Returns ``(chunks, indices, bins_lo, bins_hi, spill)``. Structural
-    validation is strict because these frames cross process boundaries:
-    the chunk budget must respect the kernel's int64 safety bound, bin
+    Returns ``(chunks, indices, bins_lo, bins_hi, spill)``; the kernel
+    charges each of the ``chunks`` as a full ``DEPOSIT_CHUNK`` of
+    values. Structural validation is strict because these frames cross
+    process boundaries: the chunk budget must respect the kernel's
+    int64 safety bound, bin
     indices must be strictly increasing finite biased exponents, and
     every bin magnitude must be achievable within the declared budget.
     """
@@ -437,8 +441,9 @@ def decode_binned(
             )
         if nbins > 1 and not (np.diff(indices) > 0).all():
             raise CodecError("corrupt bins: indices must be strictly increasing")
-        # Each deposit chunk contributes < 2**52 (low) / 2**41 (high)
-        # per bin, so a magnitude beyond chunks * bound cannot be the
+        # Each value contributes < 2**32 (low) / 2**21 (high) per bin,
+        # so a chunk's worth of values < 2**52 / 2**41, and a
+        # magnitude beyond chunks * bound cannot be the
         # output of any legal fold — reject rather than resolve garbage.
         # Two-sided compares, not np.abs: abs(int64 min) wraps negative
         # and would sneak past a magnitude check.

@@ -42,10 +42,12 @@ bin 1, which has the same unit. A chunk moves a low bin by less than
 ``0x7FF``; they leave a non-zero sum there, and the chunk raises
 before any bin changes.
 
-Carries are *deferred*: bins absorb up to :data:`RESOLVE_CHUNKS` chunk
-deposits (``|bin| <= RESOLVE_CHUNKS * 2**52 = 2**62``, inside int64)
-before one vectorized resolution converts them into a sparse
-superaccumulator spill via
+Carries are *deferred*: bins absorb up to ``RESOLVE_CHUNKS *
+DEPOSIT_CHUNK = 2**30`` deposited values, however they arrive — one
+value moves a low bin by less than ``2**32`` and a high bin by less
+than ``2**21``, so ``|bins_lo| < values * 2**32 <= 2**62`` and
+``|bins_hi| < values * 2**21``, inside int64 — before one vectorized
+resolution converts them into a sparse superaccumulator spill via
 :func:`~repro.core.digits.split_scaled_ints_vec`; rounding reuses the
 exact carry-propagate round of
 :class:`~repro.core.sparse.SparseSuperaccumulator`.
@@ -56,14 +58,17 @@ Bin ``b`` (the biased exponent, with subnormals and zeros sharing bin
 ``eb`` equals ``±m * 2**(eb - 1075)`` (``m`` including the hidden
 bit), and a subnormal equals ``±m * 2**(1 - 1075)``.
 
-The partial (:class:`BinnedPartial`) = bins + chunk budget + sparse
+The partial (:class:`BinnedPartial`) = bins + value budget + sparse
 spill, merged carry-free (bins add componentwise, spills merge via the
 paper's Lemma 1 add), so the kernel serves every execution plane like
 any other registered kernel. It is also the state of every
 :class:`~repro.streaming.ExactRunningSum` (and so of every serve
 stream): a write deposits into the stream's bins and nothing else, and
 carries resolve only on a read or an export (``to_sparse``) or when
-the chunk budget runs out.
+the value budget runs out. Charging values, not deposit calls, is
+Neal's rule (carries propagate after a fixed number of added terms):
+a stream fed small writes resolves no more often than one fed full
+chunks.
 """
 
 from __future__ import annotations
@@ -98,11 +103,13 @@ BIN_COUNT = 2047
 #: a normal float is ``±m * 2**(eb - 1023 - 52)``.
 BIN_EXP_OFFSET = -1075
 
-#: Deferred-carry budget, counted in deposit chunks. One chunk adds at
-#: most ``2**20 * (2**32 - 1) < 2**52`` to a low bin, so after
-#: ``RESOLVE_CHUNKS = 2**10`` chunks ``|bin| <= 2**62`` — still inside
-#: int64. The next deposit first resolves the bins into the sparse
-#: spill (one vectorized pass) and restarts the budget.
+#: Deferred-carry budget in full deposit chunks: bins absorb up to
+#: ``RESOLVE_CHUNKS * DEPOSIT_CHUNK = 2**30`` values between
+#: resolutions. One value adds less than ``2**32`` to a low bin, so
+#: ``|bin| < 2**30 * 2**32 = 2**62`` — still inside int64. A deposit
+#: or merge that would pass the budget first resolves the bins into
+#: the sparse spill (one vectorized pass) and restarts it. The BSUP
+#: frame carries the budget used as whole chunks.
 RESOLVE_CHUNKS = 1 << 10
 
 #: Elements per deposit chunk. Bounds the per-key float64 bincount
@@ -183,7 +190,7 @@ def _deposit_chunk(
 
 
 class BinnedPartial:
-    """Exponent bins + deferred-carry budget + sparse spill.
+    """Exponent bins + deferred-carry value budget + sparse spill.
 
     Attributes:
         radix: shared digit-width configuration (used by resolution).
@@ -192,8 +199,10 @@ class BinnedPartial:
             and empty partials stay bin-free: 32 KiB per partial would
             dominate PRAM leaves otherwise).
         bins_hi: matching high-half sums (allocated together).
-        chunks: deposit chunks absorbed since the last resolution
-            (``<= RESOLVE_CHUNKS``; the overflow-safety budget).
+        values: values the bins absorbed since the last resolution
+            (``<= RESOLVE_CHUNKS * DEPOSIT_CHUNK``; the overflow-safety
+            budget: ``|bins_lo| < values * 2**32``, ``|bins_hi| <
+            values * 2**21``).
         spill: resolved remainder as a sparse superaccumulator — the
             carry-free representation merges and rounding run on.
 
@@ -201,20 +210,20 @@ class BinnedPartial:
     bins_hi[b] * 2**32) * 2**(b + BIN_EXP_OFFSET)``.
     """
 
-    __slots__ = ("radix", "bins_lo", "bins_hi", "chunks", "spill")
+    __slots__ = ("radix", "bins_lo", "bins_hi", "values", "spill")
 
     def __init__(
         self,
         radix: RadixConfig,
         bins_lo: Optional[np.ndarray] = None,
         bins_hi: Optional[np.ndarray] = None,
-        chunks: int = 0,
+        values: int = 0,
         spill: Optional[SparseSuperaccumulator] = None,
     ) -> None:
         self.radix = radix
         self.bins_lo = bins_lo
         self.bins_hi = bins_hi
-        self.chunks = int(chunks)
+        self.values = int(values)
         self.spill = spill if spill is not None else SparseSuperaccumulator(radix)
 
     def ensure_bins(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -227,7 +236,8 @@ class BinnedPartial:
     def deposit(self, arr: np.ndarray) -> None:
         """Fold a contiguous float64 array into the bins (vectorized).
 
-        No carry is touched unless the chunk budget runs out. Radices
+        An array of n values uses n of the value budget; no carry is
+        touched unless a chunk would pass the budget. Radices
         too wide for the vectorized integer paths (``w > 31``) fold the
         array into the spill instead, so exactness never depends on the
         radix.
@@ -243,13 +253,13 @@ class BinnedPartial:
             return
         bins_lo, bins_hi = self.ensure_bins()
         bits = arr.view(np.int64)
+        budget = RESOLVE_CHUNKS * DEPOSIT_CHUNK
         for start in range(0, bits.size, DEPOSIT_CHUNK):
-            if self.chunks >= RESOLVE_CHUNKS:
+            chunk = bits[start : start + DEPOSIT_CHUNK]
+            if self.values + chunk.size > budget:
                 self.resolve()
-            _deposit_chunk(
-                bits[start : start + DEPOSIT_CHUNK], start, bins_lo, bins_hi
-            )
-            self.chunks += 1
+            _deposit_chunk(chunk, start, bins_lo, bins_hi)
+            self.values += chunk.size
 
     def _bins_to_sparse(self) -> Optional[SparseSuperaccumulator]:
         """Current bin contents as a sparse accumulator (None if empty)."""
@@ -267,33 +277,33 @@ class BinnedPartial:
         return SparseSuperaccumulator.from_digit_pairs(idx, dig, self.radix)
 
     def resolve(self) -> None:
-        """Fold the bins into the spill and restart the carry budget."""
+        """Fold the bins into the spill and restart the value budget."""
         resolved = self._bins_to_sparse()
         if resolved is not None:
             self.spill = self.spill.add(resolved)
             assert self.bins_lo is not None and self.bins_hi is not None
             self.bins_lo[:] = 0
             self.bins_hi[:] = 0
-        self.chunks = 0
+        self.values = 0
 
     def merge(self, other: "BinnedPartial") -> "BinnedPartial":
         """Carry-free merge (mutates and returns self; never ``other``).
 
         Bins add componentwise — the binned analogue of the paper's
-        carry-free accumulator add — after resolving self when the
-        combined chunk budgets would exceed the int64 safety bound.
+        carry-free accumulator add — after resolving self only when
+        the two partials' values together exceed the budget.
         """
         if other.radix != self.radix:
             raise ValueError("cannot merge binned partials with different radix")
         if other.spill.active_count:
             self.spill = self.spill.add(other.spill)
         if other.bins_lo is not None and other.bins_hi is not None:
-            if self.chunks + other.chunks > RESOLVE_CHUNKS:
+            if self.values + other.values > RESOLVE_CHUNKS * DEPOSIT_CHUNK:
                 self.resolve()
             bins_lo, bins_hi = self.ensure_bins()
             bins_lo += other.bins_lo
             bins_hi += other.bins_hi
-            self.chunks += other.chunks
+            self.values += other.values
         return self
 
     def to_sparse(self) -> SparseSuperaccumulator:
@@ -324,7 +334,7 @@ class BinnedPartial:
     def __repr__(self) -> str:
         return (
             f"BinnedPartial(w={self.radix.w}, bins={self.width - self.spill.active_count}, "
-            f"chunks={self.chunks}, spill_active={self.spill.active_count})"
+            f"values={self.values}, spill_active={self.spill.active_count})"
         )
 
 
@@ -368,13 +378,18 @@ class BinnedKernel(SumKernel):
         return partial.to_float(mode)
 
     def to_wire(self, partial: BinnedPartial) -> bytes:
-        return codec.encode_binned(partial.chunks, *_wire_bins(partial),
-                                   partial.spill)
+        # The frame counts the budget in whole chunks (ceil), which
+        # keeps the decoder's per-chunk bin bounds valid.
+        chunks = -(-partial.values // DEPOSIT_CHUNK)
+        return codec.encode_binned(chunks, *_wire_bins(partial), partial.spill)
 
     def from_wire(self, payload: bytes) -> BinnedPartial:
         chunks, indices, lo, hi, spill = codec.decode_binned(payload)
-        # The wire's digit width wins (mirrors the sparse kernel).
-        part = BinnedPartial(spill.radix, chunks=chunks, spill=spill)
+        # The wire's digit width wins (mirrors the sparse kernel); each
+        # chunk is charged as full, the most values it can stand for.
+        part = BinnedPartial(
+            spill.radix, values=chunks * DEPOSIT_CHUNK, spill=spill
+        )
         if indices.size:
             bins_lo, bins_hi = part.ensure_bins()
             bins_lo[indices] = lo

@@ -467,6 +467,7 @@ class ReproService:
         """
         if x.size == 0:
             return {"added": 0}
+        self._expansion(kind).check_domain(x, y)
         return {"added": self._apply(stream, kind, x, y)}
 
     @staticmethod
@@ -481,7 +482,10 @@ class ReproService:
         x: np.ndarray,
         y: Optional[np.ndarray] = None,
     ) -> int:
-        """Domain-check, expand, and fold one batch; returns inputs folded.
+        """Expand and fold one batch; returns inputs folded.
+
+        The caller has run the expansion's ``check_domain`` on the batch
+        (once, wherever it can still refuse it cleanly).
 
         The expansion is elementwise and deterministic (``sum``'s is the
         identity), so chunked ingest produces exactly the term multiset
@@ -492,7 +496,6 @@ class ReproService:
         TwoSquare terms) lands in the stream's :func:`square_shadow`.
         """
         op = self._expansion(kind)
-        op.check_domain(x, y)
         shard = self._next_shard()
         for target, terms in zip((stream, square_shadow(stream)), op.expand(x, y)):
             shard.fold(target, terms)

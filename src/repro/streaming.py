@@ -12,8 +12,12 @@ A running sum's state is a set of exponent bins
 (:class:`~repro.kernels.binned.BinnedPartial`): a write deposits its
 mantissas into the bins and does nothing else. Carries are resolved
 only when the state is read or exported (``value``, ``exact_fraction``,
-``exact_state``, ``to_bytes``) or when the bins' carry budget runs out
-— the deferred-carry shape of Neal's small superaccumulator.
+``exact_state``, ``to_bytes``) or when the bins have absorbed their
+budget of ``2**30`` values since the last resolution — the
+deferred-carry shape of Neal's small superaccumulator, which
+propagates carries after a fixed number of added terms. The budget
+counts values, not writes, so small writes resolve no more often than
+large ones.
 """
 
 from __future__ import annotations
@@ -56,9 +60,10 @@ class ExactRunningSum:
     values go straight into the stream's
     :class:`~repro.kernels.binned.BinnedPartial`, smaller ones are
     staged and deposited together. Carries resolve when the state is
-    read or exported, or when the bins' ``RESOLVE_CHUNKS`` budget runs
-    out. Validation and ``count`` stay eager, so error behaviour and
-    observable state do not depend on when values reach the bins.
+    read or exported, or when the bins' value budget
+    (``RESOLVE_CHUNKS * DEPOSIT_CHUNK`` values) runs out. Validation
+    and ``count`` stay eager, so error behaviour and observable state
+    do not depend on when values reach the bins.
     Exactness is unaffected: the bins hold the exact total, so deposit
     and resolution timing can never change a single bit. No bins are
     allocated until the first deposit.
@@ -135,8 +140,8 @@ class ExactRunningSum:
 
         The merge seam: ``merge`` and ``from_bytes`` land exact partials
         here without a second fold. A :class:`BinnedPartial` adds its
-        bins carry-free (resolving first only if the combined carry
-        budget would overflow); a sparse accumulator adds to the bins'
+        bins carry-free (resolving first only if the two value counts
+        together would pass the budget); a sparse accumulator adds to the bins'
         spill. ``acc`` is never modified. Exactness makes this safe —
         both adds are exact, so the stream's readable state is
         bit-identical to having folded the original values directly.

@@ -399,6 +399,46 @@ class TestWalService:
         # seq high-water marks survive recovery (dedup stays correct)
         assert info["applied"]["s"] == len(_batches(data)) - 1
 
+    def test_domain_checked_once_per_batch(self, tmp_path, monkeypatch):
+        """Serve ingest, node ingest (before the WAL) and WAL replay each
+        run the expansion's domain check exactly once per batch."""
+        from repro.reduce.ops import DotOp
+
+        calls = []
+        check = DotOp.check_domain
+
+        def counting(op, x, y=None):
+            calls.append(x.size)
+            return check(op, x, y)
+
+        monkeypatch.setattr(DotOp, "check_domain", counting)
+        x = np.arange(1.0, 101.0)
+        wal = tmp_path / "n0.wal"
+
+        async def pairs(service):
+            client = InProcessClient(service, wire="binary")
+            for seq in range(3):
+                await client.add_pairs("d", x, x, seq=seq)
+            return await client.dot("d")
+
+        async def run():
+            service = ReproService(ServeConfig(shards=2))
+            async with service:
+                served = await pairs(service)
+            counts = [len(calls)]
+            async with ClusterNode("n0", wal_path=wal) as node:
+                logged = await pairs(node.service)
+            counts.append(len(calls))
+            async with ClusterNode("n0", wal_path=wal) as node:  # replay
+                replayed = await InProcessClient(node.service).dot("d")
+            counts.append(len(calls))
+            return served, logged, replayed, counts
+
+        served, logged, replayed, counts = asyncio.run(run())
+        assert counts == [3, 6, 9]
+        assert calls == [100] * 9
+        assert served == logged == replayed == 3 * float(x @ x)
+
     def test_restore_with_seq_sets_highwater(self, tmp_path):
         async def run():
             donor = WalService(ServeConfig(shards=1))

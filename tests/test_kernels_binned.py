@@ -175,14 +175,16 @@ def test_resolution_triggers_at_the_chunk_budget(monkeypatch):
     part.deposit(arr)
     # the budget forced at least one resolution into the spill
     assert part.spill.active_count > 0
-    assert part.chunks <= 3
+    assert part.values <= 3 * 16
     assert part.to_fraction() == _ref(arr)
 
 
 def test_merge_resolves_when_budgets_would_overflow(monkeypatch):
     import repro.kernels.binned as binned_mod
 
+    # a 64-value budget: each 50-value fold fits, two merged do not
     monkeypatch.setattr(binned_mod, "RESOLVE_CHUNKS", 2)
+    monkeypatch.setattr(binned_mod, "DEPOSIT_CHUNK", 32)
     rng = np.random.default_rng(6)
     k = get_kernel("binned")
     arrs = [
@@ -191,9 +193,30 @@ def test_merge_resolves_when_budgets_would_overflow(monkeypatch):
     ]
     total = k.zero()
     for a in arrs:
-        total = k.combine(total, k.fold(a))
-        assert total.chunks <= 2
+        part = k.fold(a)
+        assert part.spill.active_count == 0 and part.values == 50
+        total = k.combine(total, part)
+        assert total.values <= 64
+    # only the merges can have resolved bins into the spill
+    assert total.spill.active_count > 0
     assert k.exact_fraction(total) == _ref(np.concatenate(arrs))
+
+
+def test_deposit_on_the_value_budget_does_not_resolve(monkeypatch):
+    import repro.kernels.binned as binned_mod
+
+    monkeypatch.setattr(binned_mod, "RESOLVE_CHUNKS", 2)
+    monkeypatch.setattr(binned_mod, "DEPOSIT_CHUNK", 16)
+    rng = np.random.default_rng(13)
+    arrs = [rng.random(n) - 0.5 for n in (20, 12, 1)]
+    part = BinnedPartial(DEFAULT_RADIX)
+    part.deposit(arrs[0])
+    part.deposit(arrs[1])
+    # 32 values: exactly the budget, bins untouched by any carry
+    assert part.values == 32 and part.spill.active_count == 0
+    part.deposit(arrs[2])
+    assert part.values == 1 and part.spill.active_count > 0
+    assert part.to_fraction() == _ref(np.concatenate(arrs))
 
 
 def test_near_overflow_bins_resolve_exactly():
@@ -211,7 +234,7 @@ def test_near_overflow_bins_resolve_exactly():
         part.deposit(arr)
         assert part.to_fraction() == Fraction(x) * n
         part.resolve()
-        assert part.chunks == 0
+        assert part.values == 0
         assert part.to_fraction() == Fraction(x) * n
 
 
@@ -389,14 +412,14 @@ def test_nonfinite_anywhere_raises_and_leaves_bins_unchanged(bad, pos):
     rng = np.random.default_rng(pos)
     part = BinnedPartial(DEFAULT_RADIX)
     part.deposit((rng.random(100) - 0.5) * 10.0 ** rng.integers(-30, 30, 100))
-    before = (part.bins_lo.copy(), part.bins_hi.copy(), part.chunks)
+    before = (part.bins_lo.copy(), part.bins_hi.copy(), part.values)
     arr = (rng.random(300) - 0.5) * 2.0 ** rng.integers(-1074, 1023, 300)
     arr[pos] = _as_floats([bad])[0]
     with pytest.raises(NonFiniteInputError, match=f"at index {pos}:"):
         part.deposit(arr)
     assert (part.bins_lo == before[0]).all()
     assert (part.bins_hi == before[1]).all()
-    assert part.chunks == before[2]
+    assert part.values == before[2]
 
 
 @pytest.mark.parametrize("sign", [0, 1])
@@ -407,7 +430,7 @@ def test_worst_case_chunk_at_one_key_is_exact(sign, eb):
     part = BinnedPartial(DEFAULT_RADIX)
     part.deposit(np.full(DEPOSIT_CHUNK, x))
     s = -1 if sign else 1
-    assert part.chunks == 1
+    assert part.values == DEPOSIT_CHUNK
     assert int(part.bins_lo[eb]) == s * DEPOSIT_CHUNK * (2**32 - 1)
     assert int(part.bins_hi[eb]) == s * DEPOSIT_CHUNK * (2**21 - 1)
     assert np.count_nonzero(part.bins_lo) == np.count_nonzero(part.bins_hi) == 1
@@ -478,14 +501,14 @@ def test_nan_in_a_later_pass_leaves_bins_unchanged():
     rng = np.random.default_rng(12)
     part = BinnedPartial(DEFAULT_RADIX)
     part.deposit(_as_floats(_random_patterns(rng, 1000)))
-    before = (part.bins_lo.copy(), part.bins_hi.copy(), part.chunks)
+    before = (part.bins_lo.copy(), part.bins_hi.copy(), part.values)
     arr = _as_floats(_random_patterns(rng, 3 * 2**16))
     arr[2 * 2**16 + 9] = np.nan
     with pytest.raises(NonFiniteInputError, match=f"at index {2 * 2**16 + 9}:"):
         part.deposit(arr)
     assert (part.bins_lo == before[0]).all()
     assert (part.bins_hi == before[1]).all()
-    assert part.chunks == before[2]
+    assert part.values == before[2]
 
 
 #: SHA-256 of the ``BSUP`` frame of the fixture values plus
@@ -500,3 +523,77 @@ def test_bsup_frame_is_unchanged():
     arr = np.concatenate([np.array(_fixture_values()), _as_floats(_edge_patterns())])
     frame = k.to_wire(k.fold(arr))
     assert hashlib.sha256(frame).hexdigest() == PINNED_BSUP_SHA256
+
+
+# ---------------------------------------------------------------------------
+# the value budget under random deposit / merge / wire sequences
+
+#: A full chunk's value: any finite float, or an all-ones mantissa
+#: (the largest per-value bin increment) at any exponent.
+chunk_values = st.one_of(
+    finite_floats,
+    st.builds(
+        lambda s, eb: float(_as_floats([_pattern(s, eb, MANT_BITS)])[0]),
+        st.integers(0, 1),
+        st.integers(0, 2046),
+    ),
+)
+deposits = st.one_of(
+    st.tuples(st.just("small"), st.lists(finite_floats, min_size=1, max_size=40)),
+    st.tuples(st.just("full"), chunk_values),
+)
+budget_ops = st.lists(
+    st.one_of(
+        deposits,
+        st.tuples(st.just("merge"), st.lists(deposits, min_size=1, max_size=3)),
+        st.tuples(st.just("wire"), st.none()),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+def _apply_deposit(part: BinnedPartial, op) -> Fraction:
+    """Deposit one drawn op into ``part``; returns its exact value."""
+    kind, arg = op
+    if kind == "small":
+        part.deposit(np.array(arg, dtype=np.float64))
+        return _ref(arg)
+    part.deposit(np.full(DEPOSIT_CHUNK, arg))
+    return Fraction(arg) * DEPOSIT_CHUNK
+
+
+@given(ops=budget_ops)
+@settings(max_examples=25, deadline=None)
+def test_value_budget_bounds_bins_across_deposits_merges_and_wire(ops):
+    import unittest.mock
+
+    import repro.kernels.binned as binned_mod
+    from repro import codec
+
+    k = get_kernel("binned")
+    # a 3-chunk budget, so full chunks, merges and wire round trips
+    # (which charge whole chunks) all reach it within a few ops
+    with unittest.mock.patch.object(binned_mod, "RESOLVE_CHUNKS", 3):
+        budget = 3 * DEPOSIT_CHUNK
+        part = BinnedPartial(DEFAULT_RADIX)
+        want = Fraction(0)
+        for kind, arg in ops:
+            if kind == "merge":
+                other = BinnedPartial(DEFAULT_RADIX)
+                for sub in arg:
+                    want += _apply_deposit(other, sub)
+                part = k.combine(part, other)
+            elif kind == "wire":
+                frame = k.to_wire(part)
+                chunks = codec.decode_binned(frame)[0]
+                assert chunks == -(-part.values // DEPOSIT_CHUNK)
+                part = k.from_wire(frame)
+            else:
+                want += _apply_deposit(part, (kind, arg))
+            assert 0 <= part.values <= budget
+            if part.bins_lo is not None:
+                assert int(np.abs(part.bins_lo).max()) <= part.values * (2**32 - 1)
+                assert int(np.abs(part.bins_hi).max()) <= part.values * (2**21 - 1)
+            codec.decode_binned(k.to_wire(part))
+        assert part.to_fraction() == want

@@ -15,6 +15,8 @@ import pytest
 from repro.core import exact_sum
 from repro.data import generate
 from repro.errors import EmptyStreamError
+from repro.kernels.binned import RESOLVE_CHUNKS, BinnedPartial
+from repro.reduce import dot as reduce_dot
 from repro.serve import (
     AccumulatorShard,
     InProcessClient,
@@ -395,6 +397,45 @@ class TestAddBlock:
             await service.close()
 
         run(main())
+
+
+class TestLongStreamReads:
+    def test_reads_past_the_chunk_count_resolve_no_bins(self, monkeypatch):
+        """More writes than ``RESOLVE_CHUNKS`` reach one stream, far below
+        the bins' value budget: a read merges the shards' bins and rounds
+        without resolving any of them."""
+        rng = np.random.default_rng(32)
+        writes = RESOLVE_CHUNKS + 76
+        pool = [
+            (rng.random(2048) - 0.5) * 2.0 ** rng.integers(-40, 40, 2048)
+            for _ in range(9)
+        ]
+        resolves = []
+        resolve = BinnedPartial.resolve
+
+        def counting(part):
+            resolves.append(part.values)
+            resolve(part)
+
+        monkeypatch.setattr(BinnedPartial, "resolve", counting)
+
+        async def main():
+            service = await make_service(shards=4)
+            client = InProcessClient(service, wire="binary")
+            for i in range(writes):
+                await client.add_array("s", pool[i % 8])
+                await client.add_pairs("d", pool[i % 8], pool[i % 9])
+            resolves.clear()
+            got = await client.value("s"), await client.dot("d")
+            await service.close()
+            return got
+
+        value, dot = run(main())
+        assert resolves == []
+        xs = np.concatenate([pool[i % 8] for i in range(writes)])
+        ys = np.concatenate([pool[i % 9] for i in range(writes)])
+        assert same_float(value, exact_sum(xs))
+        assert same_float(dot, reduce_dot(xs, ys))
 
 
 def test_exact_sum_agrees_with_core(rng):

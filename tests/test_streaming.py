@@ -173,28 +173,39 @@ class TestBinnedStreamState:
         batch[::64] = np.nextafter(2.0**-1022, 0.0)
         return batch
 
-    def test_deposits_past_the_carry_budget_stay_exact(self):
+    @pytest.fixture
+    def write_sized_chunks(self, monkeypatch):
+        # The budget counts values: with one write per deposit chunk it
+        # is RESOLVE_CHUNKS writes, so these streams pass it.
+        import repro.kernels.binned as binned_mod
+
+        monkeypatch.setattr(binned_mod, "DEPOSIT_CHUNK", DEPOSIT_MIN)
+
+    def test_deposits_past_the_carry_budget_stay_exact(self, write_sized_chunks):
         batch = self._extreme_batch()
         rounds = RESOLVE_CHUNKS + 9
         rs = ExactRunningSum()
         for _ in range(rounds):
             rs.add_array(batch)
+        assert rs._part.spill.active_count > 0  # the budget resolved
         want = rounds * exact_fraction(batch)
         assert rs.exact_fraction() == want
         assert rs.value() == round_fraction(want)
         assert rs.count == rounds * batch.size
 
-    def test_merges_past_the_carry_budget_stay_exact(self):
+    def test_merges_past_the_carry_budget_stay_exact(self, write_sized_chunks):
         batch = self._extreme_batch()
         shards = []
         for _ in range(3):
             shard = ExactRunningSum()
             for _ in range(RESOLVE_CHUNKS // 2 + 5):
                 shard.add_array(batch)
+            assert shard._part.spill.active_count == 0
             shards.append(shard)
         merged = ExactRunningSum()
         for shard in shards:
             merged.merge(shard)
+        assert merged._part.spill.active_count > 0  # a merge resolved
         want = 3 * (RESOLVE_CHUNKS // 2 + 5) * exact_fraction(batch)
         assert merged.exact_fraction() == want
         assert merged.value() == round_fraction(want)
