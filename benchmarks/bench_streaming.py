@@ -70,24 +70,6 @@ def test_exact_cumsum(benchmark):
     assert out.size == x.size
 
 
-def test_decimal_accumulate(benchmark):
-    from decimal import Decimal
-
-    from repro.core.decimal_acc import DecimalSuperaccumulator
-
-    vals = [Decimal(int(v * 10**6)).scaleb(-6) for v in
-            dataset("random", scaled(2_000), 30)]
-    benchmark.group = "streaming-other-bases"
-
-    def run():
-        acc = DecimalSuperaccumulator()
-        for v in vals:
-            acc = acc.add_decimal(v)
-        return acc
-
-    benchmark(run)
-
-
 def test_apfloat_accumulate(benchmark):
     from repro.core.apfloat import APFloat, exact_sum_apfloat
 

@@ -16,11 +16,6 @@ from repro.core.apfloat import (
     round_apfloat_sum_to_float,
 )
 from repro.core.condition import condition_number, condition_number_exact
-from repro.core.decimal_acc import (
-    DecimalRadix,
-    DecimalSuperaccumulator,
-    exact_decimal_sum,
-)
 from repro.core.digits import DEFAULT_RADIX, RadixConfig
 from repro.core.eft import fast_two_sum, split, two_product, two_sum
 from repro.core.exact import (
@@ -44,9 +39,6 @@ __all__ = [
     "APFloat",
     "exact_sum_apfloat",
     "round_apfloat_sum_to_float",
-    "DecimalRadix",
-    "DecimalSuperaccumulator",
-    "exact_decimal_sum",
     "condition_number",
     "condition_number_exact",
     "DEFAULT_RADIX",

@@ -11,9 +11,9 @@ Two implementations are provided:
 * :func:`fast_two_sum` — Dekker's 3-flop algorithm, valid only when
   ``|x| >= |y|`` (or ``x == 0``).
 
-Vectorized variants (``two_sum_vec``) operate elementwise on NumPy
-arrays and are the workhorses of the distillation-based baselines
-(iFastSum, OnlineExactSum) and of Shewchuk expansion arithmetic.
+Vectorized variants (``two_sum_vec``, ``two_product_vec``, ...) operate
+elementwise on NumPy arrays; :mod:`repro.reduce` expands dot products
+and squares with them.
 
 All routines assume round-to-nearest-even, which is what CPython and
 NumPy use on every supported platform.

@@ -88,9 +88,7 @@ class ReductionRangeError(ReproError, ValueError):
     :mod:`repro.reduce` reduces such elements exactly on every local
     plane, so only serve and cluster ingest raise this: their stream
     state is a kernel partial spanning the binary64 range, and the
-    batch is refused before it is folded or logged. The geometry
-    predicates' product expansion raises it too, and falls back to
-    exact rationals.
+    batch is refused before it is folded or logged.
     """
 
 

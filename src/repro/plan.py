@@ -74,7 +74,8 @@ SMALL_INPUT_ITEMS = 1 << 16
 #: Measured single-thread bulk-fold rates in Melem/s on the reference
 #: host, all medians over the n = 2**22 cells. ``binned``, ``dense``,
 #: ``small`` and ``sparse`` are ``BENCH_native.json``'s
-#: ``kernel_rates_melem_per_s`` row (``benchmarks/bench_native.py``).
+#: ``kernel_rates_melem_per_s`` row (``benchmarks/bench_native.py``),
+#: rounded to 0.1.
 #: Only the relative order matters to the planner — it ranks candidate
 #: kernels by these and picks the fastest one the mode and op accept —
 #: so a different host changes the margins, not the decisions.
@@ -82,9 +83,9 @@ SMALL_INPUT_ITEMS = 1 << 16
 #: measured folds they wrap.
 KERNEL_RATES: Dict[str, float] = {
     "binned": 125.1,
-    "dense": 5.3,
-    "small": 5.3,
-    "sparse": 5.0,
+    "dense": 5.8,
+    "small": 5.7,
+    "sparse": 5.5,
     "running": 2.7,
     "truncated": 1.8,
 }

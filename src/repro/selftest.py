@@ -103,13 +103,6 @@ def _check_bsp() -> None:
     assert res.values == [_ref(x)] * 5
 
 
-def _check_geometry() -> None:
-    from repro.geometry import incircle, orient2d
-
-    assert orient2d(0.5 + 2.0**-53, 0.5, 12.0, 12.0, 24.0, 24.0) != 0
-    assert incircle((1, 0), (0, 1), (-1, 0), (0, -1)) == 0
-
-
 def _check_stats() -> None:
     from repro import reduce
 
@@ -275,7 +268,6 @@ _CHECKS: List[Tuple[str, Callable[[], None]]] = [
     ("external memory", _check_extmem),
     ("MapReduce", _check_mapreduce),
     ("BSP allreduce", _check_bsp),
-    ("geometry predicates", _check_geometry),
     ("exact statistics", _check_stats),
     ("kernel registry", _check_kernels),
     ("binned fold", _check_binned),

@@ -519,7 +519,9 @@ class ReproService:
         snap["shards"] = len(self.shards)
         return {"stats": snap}
 
-    async def _op_streams(self, request: Dict[str, Any]) -> Dict[str, Any]:
+    def _stream_counts(self) -> Dict[str, int]:
+        """Input count of every stream, square shadows included."""
+
         def counts(streams: Dict[str, Any]) -> Dict[str, int]:
             return {name: rs.count for name, rs in streams.items()}
 
@@ -527,13 +529,25 @@ class ReproService:
         for shard in self.shards:
             for name, count in shard.call(counts).items():
                 totals[name] = totals.get(name, 0) + count
-        return {"streams": dict(sorted(totals.items()))}
+        return totals
+
+    async def _op_streams(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        """Client streams and their input counts; square shadows are internal."""
+        totals = self._stream_counts()
+        return {
+            "streams": {
+                name: totals[name]
+                for name in sorted(totals)
+                if not name.endswith(SQUARE_SHADOW_SUFFIX)
+            }
+        }
 
     async def _op_merge(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """Fold stream ``src`` into stream ``dst`` and delete ``src``.
 
         Runs shard-locally: each shard merges its own ``src`` partial
-        into its own ``dst`` partial. Exactness of partial merges makes
+        into its own ``dst`` partial, and ``src``'s square shadow into
+        ``dst``'s in the same call. Exactness of partial merges makes
         this equivalent to any global ordering.
         """
         src = request.get("src")
@@ -544,14 +558,18 @@ class ReproService:
             raise ServiceError("merge src and dst must differ")
 
         def merge_local(streams: Dict[str, Any]) -> int:
-            partial = streams.pop(src, None)
-            if partial is None:
-                return 0
-            rs = streams.get(dst)
-            if rs is None:
-                rs = streams[dst] = self._kernel.new_stream()
-            rs.merge(partial)
-            return partial.count
+            moved = 0
+            for s, d in ((src, dst), (square_shadow(src), square_shadow(dst))):
+                partial = streams.pop(s, None)
+                if partial is None:
+                    continue
+                rs = streams.get(d)
+                if rs is None:
+                    rs = streams[d] = self._kernel.new_stream()
+                rs.merge(partial)
+                if s == src:
+                    moved = partial.count
+            return moved
 
         moved = sum(shard.call(merge_local) for shard in self.shards)
         return {"merged": moved, "src": src, "dst": dst}
@@ -600,8 +618,10 @@ class ReproService:
         return {"restored": restored.count}
 
     async def _op_drain(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        """Atomically read out and remove a stream (exact hand-off)."""
-        (merged,) = await self._merged(_require_stream(request), pop=True)
+        """Atomically read out and remove a stream and its square shadow
+        (exact hand-off)."""
+        stream = _require_stream(request)
+        merged, _ = await self._merged(stream, square_shadow(stream), pop=True)
         value = merged.value()
         return {
             "value": value,
@@ -620,12 +640,13 @@ class ReproService:
     # ------------------------------------------------------------------
 
     async def save_state(self, path: Union[str, Path]) -> int:
-        """Snapshot every stream to one JSON file; returns stream count."""
-        listing = await self._op_streams({})
-        states: Dict[str, str] = {}
-        for name in listing["streams"]:
-            snap = await self._op_snapshot({"stream": name})
-            states[name] = snap["snapshot"]
+        """Snapshot every stream, square shadows included, at one point to
+        one JSON file; returns stream count."""
+        names = sorted(self._stream_counts())
+        states = {
+            name: encode_bytes_field(merged.to_bytes())
+            for name, merged in zip(names, await self._merged(*names))
+        }
         payload = json.dumps({"format": "repro-serve-state-v1", "streams": states})
         await asyncio.to_thread(_atomic_write_text, Path(path), payload)
         return len(states)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -154,6 +157,15 @@ class TestKernelCandidates:
         plan = plan_sum(DataDescriptor.describe_array(data), mode=mode, radix=radix)
         assert (plan.kernel, plan.tier) == (kernel, "exact")
         assert plan.execute() == exact_sum(data, method="sparse", mode=mode)
+
+    def test_benched_rates_match_the_bench_file(self):
+        from repro.plan import KERNEL_RATES
+
+        bench = Path(__file__).resolve().parents[1] / "BENCH_native.json"
+        measured = json.loads(bench.read_text())["kernel_rates_melem_per_s"]
+        assert measured
+        for name, rate in measured.items():
+            assert KERNEL_RATES[name] == round(rate, 1), name
 
     def test_plan_carries_its_candidate_table(self):
         plan = plan_sum(DataDescriptor(n=100, layout="memory"))

@@ -1,26 +1,21 @@
 """Hypothesis properties for the extension modules.
 
-Covers arbitrary-precision floats, base-10 accumulators, geometry
-monomial expansion, format-parameterized rounding, the reproducible
-binned sum, and the rational rounding helper.
+Covers arbitrary-precision floats, format-parameterized rounding, the
+reproducible binned sum, and the rational rounding helper.
 """
 
 from __future__ import annotations
 
 import math
-from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.baselines.binned import binned_sum
 from repro.core.apfloat import APFloat, exact_sum_apfloat, split_apfloat
-from repro.core.decimal_acc import DecimalSuperaccumulator
 from repro.core.fpinfo import BINARY32, FloatFormat
 from repro.core.rounding import round_fraction, round_scaled_int_to_format
-from repro.errors import ReductionRangeError
-from repro.geometry import product_expansion
 from tests.conftest import exact_fraction
 
 finite_floats = st.floats(
@@ -74,47 +69,6 @@ def test_apfloat_round_faithful(a, t):
         # at most half an ulp at precision t
         ulp = Fraction(2) ** (abs(a.mantissa).bit_length() - t + a.exponent)
         assert err <= ulp / 2
-
-
-decimals = st.decimals(
-    allow_nan=False, allow_infinity=False, min_value=-(10**25), max_value=10**25,
-    places=20,
-)
-
-
-@given(vals=st.lists(decimals, min_size=0, max_size=15))
-@settings(max_examples=60)
-def test_decimal_accumulator_exact(vals):
-    acc = DecimalSuperaccumulator()
-    total = Fraction(0)
-    for v in vals:
-        acc = acc.add_decimal(Decimal(v))
-        total += Fraction(Decimal(v))
-    assert acc.to_fraction() == total
-
-
-@given(
-    factors=st.lists(
-        st.floats(
-            allow_nan=False, allow_infinity=False, width=64,
-            min_value=-1e70, max_value=1e70,
-        ).filter(lambda x: x == 0.0 or abs(x) > 1e-70),
-        min_size=1,
-        max_size=4,
-    )
-)
-@example(factors=[1.8257328485107343e-67] * 4)
-@settings(max_examples=150)
-def test_product_expansion_exact(factors):
-    # Exact, or a typed refusal when a TwoProduct leaves its band.
-    try:
-        exp = product_expansion(factors)
-    except ReductionRangeError:
-        return
-    want = Fraction(1)
-    for f in factors:
-        want *= Fraction(float(f))
-    assert sum((Fraction(t) for t in exp), Fraction(0)) == want
 
 
 @given(

@@ -21,7 +21,6 @@ PACKAGES = [
     "repro.extmem",
     "repro.mapreduce",
     "repro.bsp",
-    "repro.geometry",
     "repro.data",
     "repro.util",
 ]
@@ -66,22 +65,55 @@ def test_readme_quickstart_runs():
     assert exact_sum(x) == 1.0
 
 
-def test_readme_code_mentions_exist():
-    """Every module path mentioned in the README exists."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    for mod in re.findall(r"`repro\.([a-z_.]+)`", readme):
-        mod = mod.rstrip(".")
+ROOT = Path(__file__).resolve().parents[1]
+DOCS = ["README.md", "DESIGN.md"] + sorted(
+    str(p.relative_to(ROOT)) for p in (ROOT / "docs").glob("*.md")
+)
+
+
+def _resolves(dotted):
+    """Import the longest module prefix of ``dotted``; the rest must be attributes."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
         try:
-            importlib.import_module(f"repro.{mod}")
-        except ImportError:
-            # might be an attribute path like repro.core.sparse.Foo
-            parent, _, leaf = f"repro.{mod}".rpartition(".")
-            pmod = importlib.import_module(parent)
-            assert hasattr(pmod, leaf), f"README mentions missing repro.{mod}"
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+@pytest.mark.parametrize("doc", DOCS)
+def test_doc_code_mentions_exist(doc):
+    """Every ``repro.<dotted>`` name and backticked ``*.py`` in a doc exists."""
+    text = (ROOT / doc).read_text()
+    missing = sorted(
+        {name for name in re.findall(r"\brepro(?:\.[A-Za-z_]\w*)+", text)
+         if not _resolves(name)}
+    )
+    assert not missing, f"{doc} names missing code: {missing}"
+    sources = [p.name for p in ROOT.glob("*.py")] + [
+        str(p.relative_to(ROOT))
+        for top in ("src", "tests", "benchmarks", "examples")
+        for p in (ROOT / top).rglob("*.py")
+    ]
+    scripts = {
+        name
+        for span in re.findall(r"```.*?```|`[^`\n]+`", text, re.S)
+        for name in re.findall(r"[\w./-]*\w\.py\b", span)
+    }
+    missing = sorted(
+        name for name in scripts
+        if not any(src == name or src.endswith("/" + name) for src in sources)
+    )
+    assert not missing, f"{doc} names missing files: {missing}"
 
 
 def test_examples_referenced_in_readme_exist():
-    root = Path(__file__).resolve().parents[1]
-    readme = (root / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     for script in re.findall(r"`([a-z_]+\.py)`", readme):
-        assert (root / "examples" / script).exists(), script
+        assert (ROOT / "examples" / script).exists(), script

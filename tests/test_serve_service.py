@@ -23,8 +23,9 @@ from repro.serve import (
     ReproService,
     ServeConfig,
 )
+from repro.serve.service import square_shadow
 from repro.util.bits import same_float
-from tests.conftest import random_hard_array, ref_mean, ref_sum
+from tests.conftest import random_hard_array, ref_mean, ref_sum, ref_var
 
 
 def run(coro):
@@ -272,6 +273,66 @@ class TestStateManipulation:
             assert await fc.value("alpha") == ref_sum(x[:80])
             assert await fc.value("beta") == ref_sum(x[80:])
             assert await fc.count("alpha") == 80
+            await fresh.close()
+
+        run(main())
+
+    def test_merge_carries_the_square_shadow(self):
+        async def main():
+            service = await make_service(shards=4)
+            client = InProcessClient(service)
+            await client.add_observations("a", [1.0, 2.0, 3.0])
+            await client.add_observations("b", [4.0, 5.0])
+            assert await client.merge("a", "b") == 3
+            stats = await client.moments("b", ddof=1)
+            x = [1.0, 2.0, 3.0, 4.0, 5.0]
+            assert stats["count"] == 5
+            assert same_float(stats["mean"], ref_mean(x))
+            assert same_float(stats["variance"], ref_var(x, ddof=1))
+            assert service._stream_counts() == {"b": 5, square_shadow("b"): 10}
+            await service.close()
+
+        run(main())
+
+    def test_drain_removes_the_square_shadow(self):
+        async def main():
+            service = await make_service(shards=4)
+            client = InProcessClient(service)
+            await client.add_observations("c", [1.0, 2.0, 3.0])
+            await client.drain("c")
+            await client.add_observations("c", [7.0])
+            stats = await client.moments("c")
+            assert stats["count"] == 1 and stats["mean"] == 7.0
+            assert stats["variance"] == 0.0
+            await service.close()
+
+        run(main())
+
+    def test_streams_hides_square_shadows(self):
+        async def main():
+            service = await make_service(shards=2)
+            client = InProcessClient(service)
+            await client.add_observations("a", [1.0, 2.0, 3.0])
+            assert await client.streams() == {"a": 3}
+            await service.close()
+
+        run(main())
+
+    def test_save_load_state_keeps_observations(self, rng, tmp_path):
+        async def main():
+            path = tmp_path / "state.json"
+            x = random_hard_array(rng, 200)
+            service = await make_service(shards=4)
+            await InProcessClient(service).add_observations("obs", x)
+            assert await service.save_state(path) == 2  # the stream and its shadow
+            await service.close()
+
+            fresh = await make_service(shards=2)
+            await fresh.load_state(path)
+            stats = await InProcessClient(fresh).moments("obs", ddof=1)
+            assert stats["count"] == 200
+            assert same_float(stats["mean"], ref_mean(x))
+            assert same_float(stats["variance"], ref_var(x, ddof=1))
             await fresh.close()
 
         run(main())
