@@ -8,8 +8,9 @@ and read a final sum bit-identical to the serial exact reference.
 ``--wire json|binary`` pins the coordinator's wire mode; on the
 binary wire (the default) each batch ships as a codec ``RBAT`` frame
 whose raw float64 payload lands verbatim in the node's WAL, so the
-replay below re-folds the very bytes the clients sent. Doubles as the
-CI cluster smoke test, run once per wire mode.
+replay below re-folds the very bytes the clients sent. Every sum is
+checked bit for bit (``float.hex``) against the exact reference.
+Doubles as the CI cluster smoke test, run once per wire mode.
 """
 
 from __future__ import annotations
@@ -48,6 +49,10 @@ async def main(wire: str) -> None:
             # -- replicated ingest, first half ---------------------------
             for batch in batches[:20]:
                 await coordinator.append("ledger", batch)
+            # connect() falls back to JSON-lines against a node without
+            # the binary wire; this run must test the wire it names
+            negotiated = {h._client.wire for h in handles if h._client is not None}
+            assert negotiated == {wire}, negotiated
             placement = coordinator._placement("ledger")
             print(f"placement: primary={placement.primary} "
                   f"replicas={list(placement.replicas)} epoch={placement.epoch}")
@@ -74,14 +79,14 @@ async def main(wire: str) -> None:
             got = await coordinator.value("ledger")
             print(f"sum = {got['value']!r} from {got['node']} "
                   f"(count={got['count']:,})")
-            assert got["value"] == expected
+            # .hex(), not ==: == would accept -0.0 for 0.0
             assert got["value"].hex() == expected.hex()
             assert got["count"] == data.size
 
             # -- scatter/gather: striped ingest, exact recombination -----
             await coordinator.scatter("stripe", data, chunk=1024)
             gathered = await coordinator.gather("stripe")
-            assert gathered["value"] == expected
+            assert gathered["value"].hex() == expected.hex()
             print(f"scatter/gather across {gathered['nodes']} nodes "
                   f"recombines bit-identically")
 
@@ -97,7 +102,7 @@ async def main(wire: str) -> None:
             print(f"{victim} restarted from WAL: count={resp['count']:,}, "
                   f"applied={info['applied']}")
             assert resp["count"] == prefix.size
-            assert resp["value"] == exact_sum(prefix)
+            assert float(resp["value"]).hex() == exact_sum(prefix).hex()
 
             print("cluster quickstart OK")
         finally:

@@ -1,11 +1,10 @@
 """Zero-copy shared-memory data plane for the MapReduce engine.
 
-The original executor boundary pickled ``(fn, ndarray)`` pairs per map
-task, so shuffle-*equivalent* serialization cost scaled with ``n``
-input items instead of the ``p`` superaccumulators the combine step is
-supposed to leave — exactly the cost §6.2's combiner exists to remove.
-This module replaces the payloads crossing that boundary with
-lightweight **block descriptors**:
+Pickling each ndarray block to a pool worker makes the dispatch cost
+scale with ``n`` input items instead of the ``p`` superaccumulators the
+combine step is supposed to leave — exactly the cost §6.2's combiner
+exists to remove. This module replaces the payloads crossing that
+boundary with lightweight **block descriptors**:
 
 * the driver places the input array in a shared-memory *segment* once
   (``multiprocessing.shared_memory``) or points at an on-disk dataset
@@ -44,6 +43,7 @@ __all__ = [
     "resolve_block",
     "detach_all",
     "worker_initializer",
+    "apply_phase",
     "run_phase_task",
     "dataset_payload_offset",
 ]
@@ -147,8 +147,8 @@ def _attach_mmap(path: str) -> mmap.mmap:
 def resolve_block(item: Union[BlockRef, np.ndarray]) -> np.ndarray:
     """Materialize a task item as an ndarray **view** (no copy).
 
-    Plain ndarrays pass through untouched, so every executor accepts a
-    mix of legacy blocks and descriptors.
+    Anything else (an ndarray block, a reducer's group of payloads)
+    passes through untouched, so every phase item may go through here.
     """
     if not isinstance(item, BlockRef):
         return item
@@ -343,36 +343,24 @@ def worker_initializer(job_payload: bytes, token: str) -> None:
     _WORKER_JOB_TOKEN = token
 
 
-def run_phase_task(args: Tuple[str, str, object]) -> bytes:
-    """Trampoline for installed-job dispatch: ``(token, phase, item)``.
+def apply_phase(job: object, phase: str, item: object) -> bytes:
+    """Run one task: ``job``'s ``phase`` method on one item.
 
     ``phase`` names a :class:`~repro.mapreduce.runtime.MapReduceJob`
-    method (``"combine"`` or ``"reduce"``); combine items may be
-    :class:`BlockRef` descriptors, resolved in-worker with no copy.
+    method (``"combine"`` or ``"reduce"``); a :class:`BlockRef` item is
+    resolved to a zero-copy view first. Every executor runs its tasks
+    through here, in-process or in a pool worker.
     """
+    return getattr(job, phase)(resolve_block(item))
+
+
+def run_phase_task(args: Tuple[str, str, object]) -> bytes:
+    """Pool-worker trampoline: ``(token, phase, item)`` against the job
+    :func:`worker_initializer` installed."""
     token, phase, item = args
     if _WORKER_JOB is None or _WORKER_JOB_TOKEN != token:
         raise RuntimeError(
             "worker has no installed job for this token; "
             "MultiprocessExecutor.install_job must run first"
         )
-    fn = getattr(_WORKER_JOB, phase)
-    if phase == "combine":
-        item = resolve_block(item)
-    return fn(item)
-
-
-class ResolvingCombine:
-    """Picklable ``combine`` wrapper for executors without job install.
-
-    Resolves descriptors before delegating, so the legacy ``map(fn,
-    items)`` protocol (serial, simulated, retry fallback) transparently
-    accepts :class:`BlockRef` items. Still re-pickles the job per task
-    on a legacy process pool — but never the block payload.
-    """
-
-    def __init__(self, job: object) -> None:
-        self.job = job
-
-    def __call__(self, item: Union[BlockRef, np.ndarray]) -> bytes:
-        return self.job.combine(resolve_block(item))  # type: ignore[attr-defined]
+    return apply_phase(_WORKER_JOB, phase, item)

@@ -11,12 +11,12 @@ Returns either the float or, with ``report=True``, a
 shuffle volume and data-plane accounting (dispatch bytes, copies
 avoided) — the observables the figure harness plots.
 
-On the ``"process"`` executor the driver defaults to the zero-copy data
+On the ``"process"`` executor the driver runs on the zero-copy data
 plane: input blocks live in shared memory, workers receive ~100-byte
 descriptors, the job is installed once per worker, and the pool itself
-persists across calls (``reuse_pool=True``) so spin-up is amortized.
-The input segment belongs to the pool and lives as long as it does:
-each call costs one copy into it.
+persists across calls (:func:`~repro.mapreduce.runtime.shared_process_executor`)
+so spin-up is amortized. The input segment belongs to the pool and
+lives as long as it does: each call costs one copy into it.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import os
 
 from repro.mapreduce.runtime import (
     JobResult,
-    MultiprocessExecutor,
     SerialExecutor,
     SimulatedClusterExecutor,
     run_job,
@@ -79,8 +78,6 @@ def parallel_sum(
     partitioner: Optional[Partitioner] = None,
     executor: str = "auto",
     report: bool = False,
-    zero_copy: bool = True,
-    reuse_pool: bool = True,
     job: Optional[KernelSumJob] = None,
 ) -> Union[float, JobResult]:
     """Faithfully rounded sum via the single-round MapReduce algorithm.
@@ -101,19 +98,15 @@ def parallel_sum(
         radix: superaccumulator digit configuration.
         mode: final rounding direction.
         partitioner: reducer assignment (default round-robin).
-        executor: ``"process"`` (multiprocessing pool), ``"simulated"``
-            (serial run with a simulated p-worker makespan clock — for
-            single-core hosts or modeling cluster sizes beyond the
-            host), ``"serial"``, or ``"auto"`` (process when the host
-            has at least ``workers`` cores, simulated otherwise).
+        executor: ``"process"`` (the persistent multiprocessing pool,
+            blocks in its shared-memory segment; see
+            :func:`~repro.mapreduce.runtime.shutdown_shared_executors`),
+            ``"simulated"`` (serial run with a simulated p-worker
+            makespan clock — for single-core hosts or modeling cluster
+            sizes beyond the host), ``"serial"``, or ``"auto"`` (process
+            when the host has at least ``workers`` cores, simulated
+            otherwise).
         report: return the full :class:`JobResult` instead of the float.
-        zero_copy: on the process executor, place blocks in shared
-            memory and dispatch descriptors instead of pickled payloads
-            (no effect on in-process executors, which already share the
-            address space).
-        reuse_pool: on the process executor, run on the persistent
-            process-wide pool so repeated calls skip pool spin-up; see
-            :func:`~repro.mapreduce.runtime.shutdown_shared_executors`.
         job: a pre-built job instance to run instead of constructing
             one from ``method`` — how the reduction engine schedules a
             :class:`~repro.mapreduce.sum_job.KernelSumJob` whose
@@ -160,18 +153,11 @@ def parallel_sum(
         return run_certified(job.kernel, job.mode, attempt)
 
     if kind == "process" and w > 1:
-        pool = shared_process_executor(w) if reuse_pool else MultiprocessExecutor(w)
-        try:
-            if zero_copy:
-                # The pool's own segment takes the input: one copy into
-                # pages that stay mapped from call to call.
-                with pool.borrow_plane() as plane:
-                    result = execute(_place(arr, nodes, block_items, plane), pool)
-            else:
-                result = execute(_place(arr, nodes, block_items), pool)
-        finally:
-            if not reuse_pool:
-                pool.close()
+        pool = shared_process_executor(w)
+        # The pool's own segment takes the input: one copy into pages
+        # that stay mapped from call to call.
+        with pool.borrow_plane() as plane:
+            result = execute(_place(arr, nodes, block_items, plane), pool)
     elif kind == "simulated":
         result = execute(_place(arr, nodes, block_items), SimulatedClusterExecutor(w))
     else:

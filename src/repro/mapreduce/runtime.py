@@ -14,7 +14,9 @@ Phases, matching the paper's Spark implementation:
 4. **post-process** — the driver folds the ``p`` reducer outputs into
    the final answer.
 
-Executors: :class:`SerialExecutor` runs everything in-process (used by
+Executors share one protocol, ``run_phase(job, phase, items)``: apply
+the job method named ``phase`` to every item and return the results in
+order. :class:`SerialExecutor` runs everything in-process (used by
 tests and as the 1-worker baseline); :class:`MultiprocessExecutor` uses
 a ``multiprocessing`` pool, standing in for the paper's 32-core Spark
 workers. Values crossing the executor boundary are ``bytes`` (each
@@ -23,9 +25,9 @@ job's ``encode``/``decode``), mirroring real shuffle serialization.
 Dispatch volume is what the zero-copy data plane
 (:mod:`repro.mapreduce.dataplane`) minimizes: combine items may be
 :class:`~repro.mapreduce.dataplane.BlockRef` descriptors instead of
-ndarrays, the job is installed once per worker by the pool initializer,
-and :class:`JobResult` accounts for the bytes that did — and did not —
-cross the boundary.
+ndarrays, the pool installs the job once per worker through its
+initializer, and :class:`JobResult` accounts for the bytes that did —
+and did not — cross the boundary.
 """
 
 from __future__ import annotations
@@ -39,15 +41,14 @@ from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from multiprocessing import get_all_start_methods, get_context
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.mapreduce.dataplane import (
     BlockRef,
-    ResolvingCombine,
     ShmDataPlane,
-    resolve_block,
+    apply_phase,
     run_phase_task,
     worker_initializer,
 )
@@ -103,8 +104,8 @@ class JobResult:
         input_items: total items across all combined blocks.
         input_bytes: total payload bytes of the input blocks.
         dispatch_bytes: bytes pickled to workers to *dispatch* the
-            combine phase (descriptors under the zero-copy plane, full
-            block payloads on the legacy path, 0 in-process).
+            combine phase (descriptors for block references, full
+            payloads for ndarray items, 0 in-process).
         copies_avoided_bytes: payload bytes that would have crossed the
             process boundary per task but did not, thanks to shared
             memory (0 when no boundary exists or nothing was saved).
@@ -147,21 +148,18 @@ class JobResult:
 
 
 class SerialExecutor:
-    """In-process executor: plain ``map`` (the 1-core configuration)."""
+    """In-process executor, one item after another (the 1-core
+    configuration)."""
 
+    kind = "serial"
     workers = 1
 
-    def map(self, fn: Callable[[Any], bytes], items: Sequence[Any]) -> List[bytes]:
-        return [fn(item) for item in items]
+    def run_phase(self, job: "MapReduceJob", phase: str, items: Sequence[Any]) -> List[bytes]:
+        """Apply ``job``'s ``phase`` method to each item, in order."""
+        return [apply_phase(job, phase, item) for item in items]
 
     def close(self) -> None:  # symmetry with the pool executor
         """No resources to release."""
-
-
-def _invoke(args):
-    """Top-level trampoline so (fn, item) pairs pickle to pool workers."""
-    fn, item = args
-    return fn(item)
 
 
 def _ensure_resource_tracker() -> None:
@@ -206,20 +204,16 @@ def pick_start_method(preferred: Optional[str] = None) -> str:
 class MultiprocessExecutor:
     """``multiprocessing`` pool executor (the paper's worker cluster).
 
-    Two dispatch protocols:
+    :meth:`run_phase` installs the job first: it is pickled **once per
+    worker** by the pool initializer
+    (:func:`~repro.mapreduce.dataplane.worker_initializer`), and each
+    item then travels with only a phase name. A combine item that is a
+    ~100-byte :class:`~repro.mapreduce.dataplane.BlockRef` resolves
+    in-worker to a zero-copy view; an ndarray item is pickled whole.
 
-    * legacy ``map(fn, items)`` — pickles ``(fn, item)`` per item;
-      kept for arbitrary callables and as the retry fallback;
-    * installed-job ``run_phase(phase, items)`` — the job is pickled
-      **once per worker** by the pool initializer
-      (:func:`~repro.mapreduce.dataplane.worker_initializer`); each
-      item travels with only a phase name, and a combine item is a
-      ~100-byte :class:`~repro.mapreduce.dataplane.BlockRef` resolved
-      in-worker to a zero-copy view.
-
-    Either way a phase is at most ``workers`` tasks, one contiguous run
-    of ``ceil(len(items) / workers)`` items each: one pool round trip
-    per worker, not per item. Results still come one per item, in order.
+    A phase is at most ``workers`` tasks, one contiguous run of
+    ``ceil(len(items) / workers)`` items each: one pool round trip per
+    worker, not per item. Results still come one per item, in order.
 
     Installing a job (re)builds the pool only when the job's pickled
     form differs from the currently installed one, so repeated runs of
@@ -237,14 +231,14 @@ class MultiprocessExecutor:
             default picks fork when available, spawn otherwise.
     """
 
-    supports_job_install = True
+    kind = "process"
 
     def __init__(self, workers: int, *, start_method: Optional[str] = None) -> None:
         self.workers = check_positive_int(workers, name="workers")
         self.start_method = pick_start_method(start_method)
         self._ctx = get_context(self.start_method)
-        self._pool = None  # created lazily: plain for map(), with the
-        self._closed = False  # job initializer for run_phase()
+        self._pool = None  # created by the first install_job
+        self._closed = False
         self._job_payload: Optional[bytes] = None
         self._job_token: Optional[str] = None
         self._plane: Optional[ShmDataPlane] = None
@@ -298,25 +292,13 @@ class MultiprocessExecutor:
             initargs=(payload, self._job_token),
         )
 
-    def run_phase(self, phase: str, items: Sequence[Any]) -> List[bytes]:
-        """Map one job phase over ``items`` via the installed job."""
-        if self._job_token is None:
-            raise RuntimeError("run_phase requires install_job first")
-        return self._spread(run_phase_task, [(self._job_token, phase, i) for i in items])
-
-    def map(self, fn: Callable[[Any], bytes], items: Sequence[Any]) -> List[bytes]:
-        self._check_open()
+    def run_phase(self, job: "MapReduceJob", phase: str, items: Sequence[Any]) -> List[bytes]:
+        """Map ``job``'s ``phase`` over ``items`` in the pool workers."""
+        self.install_job(job)
         if not items:
             return []
-        if self._pool is None:
-            _ensure_resource_tracker()
-            self._pool = self._ctx.Pool(self.workers)
-        return self._spread(_invoke, [(fn, item) for item in items])
-
-    def _spread(self, task: Callable[[Any], bytes], args: List[Any]) -> List[bytes]:
-        if not args:
-            return []
-        return self._pool.map(task, args, chunksize=-(-len(args) // self.workers))
+        args = [(self._job_token, phase, item) for item in items]
+        return self._pool.map(run_phase_task, args, chunksize=-(-len(args) // self.workers))
 
     def close(self) -> None:
         """Shut the pool down and unlink its input segment (idempotent)."""
@@ -395,16 +377,19 @@ class SimulatedClusterExecutor:
     concurrency is modeled.
     """
 
+    kind = "simulated"
+
     def __init__(self, workers: int) -> None:
         self.workers = check_positive_int(workers, name="workers")
         self.last_makespan = 0.0
 
-    def map(self, fn: Callable[[Any], bytes], items: Sequence[Any]) -> List[bytes]:
+    def run_phase(self, job: "MapReduceJob", phase: str, items: Sequence[Any]) -> List[bytes]:
+        """Apply ``job``'s ``phase`` to each item, timing each as one task."""
         durations: List[float] = []
         out: List[bytes] = []
         for item in items:
             t0 = time.perf_counter()
-            out.append(fn(item))
+            out.append(apply_phase(job, phase, item))
             durations.append(time.perf_counter() - t0)
         self.last_makespan = self._makespan(durations)
         return out
@@ -426,73 +411,38 @@ class _RetryingMap:
     is always safe).
 
     Retries run in-process (the failure already consumed the executor's
-    attempt); exceeding the budget re-raises the last error. The
-    installed-job protocol is passed through; its in-process retry path
-    resolves block descriptors locally, so a worker-side failure never
-    strands data in shared memory.
+    attempt) and resolve block descriptors locally, so a worker-side
+    failure never strands data in shared memory; exceeding the budget
+    re-raises the last error.
     """
 
-    def __init__(self, exe, max_retries: int, job: Optional["MapReduceJob"] = None) -> None:
+    def __init__(self, exe, max_retries: int) -> None:
         self._exe = exe
         self._max_retries = max_retries
-        self._job = job
-
-    @property
-    def supports_job_install(self) -> bool:
-        return bool(getattr(self._exe, "supports_job_install", False))
-
-    def install_job(self, job: "MapReduceJob") -> None:
-        self._job = job
-        self._exe.install_job(job)
 
     @property
     def last_makespan(self):
         """Pass through the wrapped executor's simulated makespan."""
         return getattr(self._exe, "last_makespan", None)
 
-    def run_phase(self, phase: str, items: Sequence[Any]) -> List[bytes]:
+    def run_phase(self, job: "MapReduceJob", phase: str, items: Sequence[Any]) -> List[bytes]:
         try:
-            return self._exe.run_phase(phase, items)
+            return self._exe.run_phase(job, phase, items)
         except Exception:
             if self._max_retries <= 0:
                 raise
-        fn = getattr(self._job, phase)
-        if phase == "combine":
-            return self._retry_each(lambda item: fn(resolve_block(item)), items)
-        return self._retry_each(fn, items)
-
-    def map(self, fn: Callable[[Any], bytes], items: Sequence[Any]) -> List[bytes]:
-        try:
-            return self._exe.map(fn, items)
-        except Exception:
-            if self._max_retries <= 0:
-                raise
-        return self._retry_each(fn, items)
-
-    def _retry_each(
-        self, fn: Callable[[Any], bytes], items: Sequence[Any]
-    ) -> List[bytes]:
         out: List[bytes] = []
         for item in items:
             attempt = 0
             while True:
                 try:
-                    out.append(fn(item))
+                    out.append(apply_phase(job, phase, item))
                     break
                 except Exception:
                     attempt += 1
                     if attempt > self._max_retries:
                         raise
         return out
-
-
-def _executor_kind(exe) -> str:
-    """Classify an executor for :attr:`JobResult.executor_kind`."""
-    if isinstance(exe, MultiprocessExecutor):
-        return "process"
-    if isinstance(exe, SimulatedClusterExecutor):
-        return "simulated"
-    return "serial"
 
 
 def _item_items(item) -> int:
@@ -533,42 +483,32 @@ def run_job(
             :class:`~repro.mapreduce.dataplane.BlockRef` descriptors
             (``store.block_refs(name)`` on a shared-memory store).
         reducers: the ``p`` of the paper's analysis.
-        executor: defaults to :class:`SerialExecutor`. Executors with
-            ``supports_job_install`` receive the job once per worker
-            and dispatch phases by name; others get per-task callables.
+        executor: defaults to :class:`SerialExecutor`. Gets one
+            ``run_phase(job, phase, items)`` call per parallel phase.
         partitioner: reducer assignment; defaults to round-robin.
         max_retries: per-task retry budget for transient failures (0 =
             fail fast). Deterministic jobs make retries exactly safe.
     """
     p = check_positive_int(reducers, name="reducers")
     base_exe = executor if executor is not None else SerialExecutor()
-    exe = _RetryingMap(base_exe, max_retries, job) if max_retries else base_exe
+    exe = _RetryingMap(base_exe, max_retries) if max_retries else base_exe
     part = partitioner if partitioner is not None else RoundRobinPartitioner()
     items = list(blocks)
 
     result = JobResult(value=0.0, blocks=len(items), reducers=p)
-    result.executor_kind = _executor_kind(base_exe)
+    result.executor_kind = getattr(base_exe, "kind", "serial")
     result.zero_copy = any(isinstance(it, BlockRef) for it in items)
     result.input_items = sum(_item_items(it) for it in items)
     result.input_bytes = sum(_item_bytes(it) for it in items)
 
-    installed = bool(getattr(exe, "supports_job_install", False))
-    if installed:
-        exe.install_job(job)
-    crosses_boundary = result.executor_kind == "process"
-    if crosses_boundary:
+    if result.executor_kind == "process":
         result.dispatch_bytes = sum(_dispatch_size(it) for it in items)
         result.copies_avoided_bytes = sum(
             it.nbytes for it in items if isinstance(it, BlockRef)
         )
 
     t0 = time.perf_counter()
-    if installed:
-        combined = exe.run_phase("combine", items)
-    elif result.zero_copy:
-        combined = exe.map(ResolvingCombine(job), items)
-    else:
-        combined = exe.map(job.combine, items)
+    combined = exe.run_phase(job, "combine", items)
     t1 = time.perf_counter()
     result.phase_seconds["combine"] = getattr(exe, "last_makespan", None) or (t1 - t0)
 
@@ -580,10 +520,7 @@ def run_job(
     t2 = time.perf_counter()
     result.phase_seconds["shuffle"] = t2 - t1
 
-    if installed:
-        reduced = exe.run_phase("reduce", occupied)
-    else:
-        reduced = exe.map(job.reduce, occupied)
+    reduced = exe.run_phase(job, "reduce", occupied)
     t3 = time.perf_counter()
     result.phase_seconds["reduce"] = getattr(exe, "last_makespan", None) or (t3 - t2)
 

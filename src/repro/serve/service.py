@@ -125,16 +125,21 @@ def _atomic_write_text(path: Path, payload: str) -> None:
     os.replace(tmp, path)
 
 
-def _require_stream(request: Dict[str, Any]) -> str:
-    stream = request.get("stream")
+def _require_stream(request: Dict[str, Any], field: str = "stream") -> str:
+    """The stream name a client put in ``field``: a non-empty string
+    without NUL, so it can never name a square shadow."""
+    stream = request.get(field)
     if not isinstance(stream, str) or not stream:
-        raise ServiceError("request needs a non-empty string 'stream' field")
+        raise ServiceError(f"request needs a non-empty string {field!r} field")
+    if "\x00" in stream:
+        raise ServiceError(f"{field!r} must not contain NUL")
     return stream
 
 
 #: Suffix of the shadow stream holding a reduction stream's TwoSquare
-#: terms; the NUL keeps it out of any client-reachable stream namespace
-#: while letting snapshots/merges treat it as an ordinary stream.
+#: terms. Client stream names cannot contain NUL, so no request names a
+#: shadow directly, while snapshots and merges treat it as an ordinary
+#: stream.
 SQUARE_SHADOW_SUFFIX = "\x00sq"
 
 
@@ -550,10 +555,8 @@ class ReproService:
         ``dst``'s in the same call. Exactness of partial merges makes
         this equivalent to any global ordering.
         """
-        src = request.get("src")
-        dst = request.get("dst")
-        if not isinstance(src, str) or not isinstance(dst, str) or not src or not dst:
-            raise ServiceError("merge needs non-empty 'src' and 'dst' stream names")
+        src = _require_stream(request, "src")
+        dst = _require_stream(request, "dst")
         if src == dst:
             raise ServiceError("merge src and dst must differ")
 
@@ -600,8 +603,12 @@ class ReproService:
         }
 
     async def _op_restore(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        stream = _require_stream(request)
-        payload = decode_bytes_field(request.get("snapshot"))
+        return await self._restore(_require_stream(request), request.get("snapshot"))
+
+    async def _restore(self, stream: str, snapshot: Any) -> Dict[str, Any]:
+        """Merge a base64 kernel-stream snapshot into ``stream``, which
+        may be a square shadow (:meth:`load_state` restores those)."""
+        payload = decode_bytes_field(snapshot)
         try:
             restored = self._kernel.stream_from_bytes(payload)
         except ValueError as exc:
@@ -658,7 +665,7 @@ class ReproService:
             raise ServiceError(f"unrecognized state file format in {path}")
         streams = doc.get("streams", {})
         for name, b64 in streams.items():
-            await self._op_restore({"stream": name, "snapshot": b64})
+            await self._restore(name, b64)
         return len(streams)
 
 

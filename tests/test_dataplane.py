@@ -1,7 +1,7 @@
 """Tests for the zero-copy shared-memory data plane.
 
 Covers the descriptor machinery (segments, refs, in-process and
-in-worker resolution), the installed-job executor protocol with both
+in-worker resolution), the pool's per-worker job install with both
 fork and spawn start methods, the persistent pool, the shared
 BlockStore, the mmap descriptor path, and — non-negotiably — that every
 path produces bit-identical results to the serial superaccumulator.
@@ -28,7 +28,9 @@ from repro.mapreduce import (
     BlockRef,
     BlockStore,
     MultiprocessExecutor,
+    SerialExecutor,
     ShmDataPlane,
+    SimulatedClusterExecutor,
     parallel_sum,
     pick_start_method,
     resolve_block,
@@ -63,11 +65,6 @@ def start_method(monkeypatch):
         mr_driver,
         "shared_process_executor",
         lambda workers: shared_process_executor(workers, start_method=method),
-    )
-    monkeypatch.setattr(
-        mr_driver,
-        "MultiprocessExecutor",
-        lambda workers: MultiprocessExecutor(workers, start_method=method),
     )
     return method
 
@@ -235,7 +232,7 @@ class TestRunJobOverRefs:
         assert res.dispatch_bytes < 300 * len(refs)
         assert res.copies_avoided_bytes == x.nbytes
 
-    def test_legacy_process_path_still_exact(self, rng):
+    def test_ndarray_items_on_pool_count_payload_bytes(self, rng):
         x = random_hard_array(rng, 2000)
         with BlockStore(block_items=256) as store:
             store.put("d", x)
@@ -268,21 +265,19 @@ class TestRunJobOverRefs:
         assert res.value == ref_sum(x)
 
     def test_mixed_refs_and_arrays(self, rng):
+        # Both in-process executors resolve descriptors before combining.
         x = random_hard_array(rng, 600)
         with ShmDataPlane() as plane:
             refs = plane.share_blocks([x[:200], x[200:400]])
             items = list(refs) + [x[400:]]
-            res = run_job(SparseSuperaccumulatorJob(), items, reducers=2)
-        assert res.value == ref_sum(x)
-        assert res.zero_copy and res.input_items == 600
+            for exe in (SerialExecutor(), SimulatedClusterExecutor(2)):
+                res = run_job(SparseSuperaccumulatorJob(), items, reducers=2, executor=exe)
+                assert res.value == ref_sum(x)
+                assert res.zero_copy and res.input_items == 600
+                assert res.executor_kind == exe.kind
 
 
 class TestInstalledJobProtocol:
-    def test_run_phase_requires_install(self):
-        with MultiprocessExecutor(2) as exe:
-            with pytest.raises(RuntimeError):
-                exe.run_phase("combine", [np.zeros(1)])
-
     def test_install_same_job_reuses_pool(self):
         with MultiprocessExecutor(2) as exe:
             exe.install_job(SparseSuperaccumulatorJob())
@@ -296,7 +291,7 @@ class TestInstalledJobProtocol:
         exe = MultiprocessExecutor(2)
         exe.close()
         with pytest.raises(RuntimeError):
-            exe.map(len, [b""])
+            exe.run_phase(SparseSuperaccumulatorJob(), "combine", [np.zeros(1)])
         with pytest.raises(RuntimeError):
             exe.install_job(SparseSuperaccumulatorJob())
 
@@ -418,8 +413,6 @@ class TestSegmentLifecycle:
     def test_private_pool_leaves_no_segment(self, rng, start_method):
         before = _own_segments()
         x = random_hard_array(rng, 1 << 13)
-        assert same_float(_pool_sum(x, reuse_pool=False), exact_sum(x))
-        assert _own_segments() == before
         with MultiprocessExecutor(2, start_method=start_method) as exe:
             with exe.borrow_plane() as plane:
                 store = BlockStore(block_items=1 << 10)

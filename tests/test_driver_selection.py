@@ -73,8 +73,6 @@ class TestAutoSelection:
             {"workers": 1},
             {"workers": 2},                       # auto -> process
             {"workers": 2, "executor": "process"},
-            {"workers": 2, "executor": "process", "zero_copy": False},
-            {"workers": 2, "executor": "process", "reuse_pool": False},
             {"workers": 8, "executor": "simulated"},
             {"workers": 2, "executor": "serial"},
         ):

@@ -32,15 +32,11 @@ class CountJob(MapReduceJob):
         return float(sum(struct.unpack("<q", v)[0] for v in values))
 
 
-def _size_and_pid(block: np.ndarray) -> bytes:
-    return struct.pack("<qq", block.size, os.getpid())
-
-
 class PidCountJob(CountJob):
     """Counts elements; each combine also says which process ran it."""
 
     def combine(self, block: np.ndarray) -> bytes:
-        return _size_and_pid(block)
+        return struct.pack("<qq", block.size, os.getpid())
 
 
 def _pool(workers: int = 2) -> MultiprocessExecutor:
@@ -187,7 +183,9 @@ class TestFaultTolerance:
 
 class TestExecutors:
     def test_serial(self):
-        assert SerialExecutor().map(lambda x: x * 2, [1, 2, 3]) == [2, 4, 6]
+        blocks = [np.zeros(n) for n in (1, 2, 3)]
+        out = SerialExecutor().run_phase(CountJob(), "combine", blocks)
+        assert [struct.unpack("<q", v)[0] for v in out] == [1, 2, 3]
 
     def test_multiprocess_matches_serial(self, rng):
         blocks = [rng.random(50) for _ in range(6)]
@@ -198,7 +196,7 @@ class TestExecutors:
 
     def test_multiprocess_empty(self):
         with _pool() as exe:
-            assert exe.map(lambda x: x, []) == []
+            assert exe.run_phase(CountJob(), "combine", []) == []
 
     def test_phase_is_one_contiguous_run_per_worker(self, monkeypatch):
         """7 items on 2 workers are 2 tasks, items 0-3 and 4-6: each run
@@ -216,14 +214,11 @@ class TestExecutors:
         monkeypatch.setattr(Pool, "map", spy)
         blocks = [np.zeros(n) for n in range(1, 8)]
         with _pool() as exe:
-            exe.install_job(PidCountJob())
-            phase = exe.run_phase("combine", blocks)
-            mapped = exe.map(_size_and_pid, blocks)
-        assert runs == [(7, 4), (7, 4)]
-        for out in (phase, mapped):
-            sizes, pids = zip(*(struct.unpack("<qq", v) for v in out))
-            assert sizes == tuple(range(1, 8))
-            assert len(set(pids[:4])) == 1 and len(set(pids[4:])) == 1
+            out = exe.run_phase(PidCountJob(), "combine", blocks)
+        assert runs == [(7, 4)]
+        sizes, pids = zip(*(struct.unpack("<qq", v) for v in out))
+        assert sizes == tuple(range(1, 8))
+        assert len(set(pids[:4])) == 1 and len(set(pids[4:])) == 1
 
     def test_more_workers_than_items(self, rng):
         blocks = [rng.random(10) for _ in range(3)]

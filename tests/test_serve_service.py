@@ -337,6 +337,32 @@ class TestStateManipulation:
 
         run(main())
 
+    def test_requests_cannot_name_a_square_shadow(self):
+        async def main():
+            service = await make_service(shards=2)
+            client = InProcessClient(service)
+            await client.add_observations("a", [1.0, 2.0])
+            shadow = square_shadow("a")
+            blob = (await service.handle({"op": "snapshot", "stream": "a"}))["snapshot"]
+            for request in (
+                {"op": "add_array", "stream": shadow, "values": [3.0]},
+                {"op": "add", "stream": shadow, "value": 3.0},
+                {"op": "restore", "stream": shadow, "snapshot": blob},
+                {"op": "value", "stream": shadow},
+                {"op": "snapshot", "stream": shadow},
+                {"op": "drain", "stream": shadow},
+                {"op": "merge", "src": shadow, "dst": "b"},
+                {"op": "merge", "src": "b", "dst": shadow},
+            ):
+                resp = await service.handle(request)
+                assert resp["ok"] is False and resp["code"] == "service", request
+            stats = await client.moments("a", ddof=1)
+            assert stats["count"] == 2 and stats["mean"] == 1.5
+            assert stats["variance"] == 0.5
+            await service.close()
+
+        run(main())
+
     def test_restore_corrupt_snapshot(self):
         async def main():
             service = await make_service(shards=1)
