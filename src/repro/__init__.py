@@ -22,7 +22,7 @@ memory, BSP, PRAM) consumes the same kernel protocol::
     from repro.plan import DataDescriptor, plan_sum
 
     total = kernel_sum(get_kernel("binned"), [x])     # fold/combine/round
-    plan = plan_sum(DataDescriptor.describe_array(x)) # plane x kernel x tier
+    plan = plan_sum(DataDescriptor.describe_array(x)) # plane x kernel
     assert plan.execute() == total == 1.0
 """
 

@@ -4,7 +4,7 @@ Layering:
 
 * :mod:`~repro.analysis.dataflow.callgraph` — :class:`ProjectIndex`,
   the project-wide function/class index and call resolver (registry
-  dispatch, ``functools.partial``, ``escalates_to`` chains);
+  dispatch, ``functools.partial``);
 * :mod:`~repro.analysis.dataflow.reaching` — per-function reaching
   definitions (forward may-analysis with branch merge and loop
   fixpoint);

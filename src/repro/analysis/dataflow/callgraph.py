@@ -6,16 +6,10 @@ tree, records each module's import aliases, and resolves call
 expressions to :class:`FunctionInfo` targets. Resolution is
 best-effort and *sound for the patterns this repository actually
 uses* — direct calls, ``self`` / base-chain methods, imported names,
-``functools.partial`` bindings, and the two dynamic-dispatch seams the
-kernel layer is built on:
-
-* registry dispatch — ``get_kernel("name")`` resolves to the class
-  registered under that literal; ``get_kernel(<unknown>)`` resolves to
-  *every* registered kernel class (may-alias, so downstream analyses
-  stay conservative);
-* escalation chains — ``kernel.exact_variant()`` and
-  ``get_kernel(x.escalates_to)`` resolve through the class's
-  (possibly inherited) ``escalates_to`` registry name.
+``functools.partial`` bindings, and the kernel layer's registry
+dispatch: ``get_kernel("name")`` resolves to the class registered under
+that literal; ``get_kernel(<unknown>)`` resolves to *every* registered
+kernel class (may-alias, so downstream analyses stay conservative).
 
 Unresolvable calls resolve to the empty set: downstream rules give
 unknown targets the benefit of the doubt, keeping precision over
@@ -38,9 +32,6 @@ TASK_SPAWNERS = frozenset({"create_task", "ensure_future"})
 
 #: Registry accessor names treated as kernel dynamic dispatch.
 _REGISTRY_GETTERS = frozenset({"get_kernel"})
-
-#: Method that returns ``get_kernel(self.escalates_to)`` (kernels/base.py).
-_ESCALATION_METHODS = frozenset({"exact_variant"})
 
 
 @dataclass
@@ -71,8 +62,6 @@ class ClassInfo:
     methods: Dict[str, FunctionInfo] = field(default_factory=dict)
     #: Registry name when decorated with ``@register_kernel``.
     kernel_name: Optional[str] = None
-    #: Own ``escalates_to = "name"`` class attribute, if any.
-    escalates_to: Optional[str] = None
     #: ``self.X = SomeClass(...)`` attribute types seen in any method.
     attr_class_names: Dict[str, Set[str]] = field(default_factory=dict)
 
@@ -219,8 +208,6 @@ class ProjectIndex:
             literal = _str_const(value)
             if literal:
                 info.kernel_name = literal
-        elif name == "escalates_to":
-            info.escalates_to = _str_const(value)
 
     def _scan_self_attr_types(self, info: ClassInfo, method: FunctionInfo) -> None:
         """Record ``self.X = SomeClass(...)`` bindings for receiver typing."""
@@ -281,19 +268,6 @@ class ProjectIndex:
                 out.append(candidates[0])
         return out
 
-    def escalation_targets(self, cls: ClassInfo) -> List[ClassInfo]:
-        """Kernel class(es) ``cls.escalates_to`` names, walking bases."""
-        cur: Optional[ClassInfo] = cls
-        seen: Set[str] = set()
-        while cur is not None and cur.qualname not in seen:
-            seen.add(cur.qualname)
-            if cur.escalates_to is not None:
-                target = self.kernels.get(cur.escalates_to)
-                return [target] if target is not None else []
-            bases = self._base_classes(cur)
-            cur = bases[0] if bases else None
-        return []
-
     def infer_classes(
         self,
         unit: "ModuleUnit",
@@ -332,40 +306,18 @@ class ProjectIndex:
                 return self.infer_classes(unit, scope, cls, expr.func, _depth + 1)
             callee = _callable_name(expr.func)
             if callee in _REGISTRY_GETTERS:
-                return self._registry_dispatch(unit, scope, cls, expr, _depth)
-            if (
-                isinstance(expr.func, ast.Attribute)
-                and expr.func.attr in _ESCALATION_METHODS
-            ):
-                out = []
-                for recv in self.infer_classes(
-                    unit, scope, cls, expr.func.value, _depth + 1
-                ):
-                    out.extend(self.escalation_targets(recv))
-                return out
+                return self._registry_dispatch(expr)
             if callee is not None:
                 return self._classes_named(unit, callee)
         return []
 
-    def _registry_dispatch(
-        self,
-        unit: "ModuleUnit",
-        scope: Optional[ast.AST],
-        cls: Optional[ClassInfo],
-        call: ast.Call,
-        depth: int,
-    ) -> List[ClassInfo]:
+    def _registry_dispatch(self, call: ast.Call) -> List[ClassInfo]:
         """``get_kernel(arg)``: literal -> that class, else every kernel."""
         arg = call.args[0] if call.args else None
         literal = _str_const(arg)
         if literal is not None:
             target = self.kernels.get(literal)
             return [target] if target is not None else []
-        if isinstance(arg, ast.Attribute) and arg.attr == "escalates_to":
-            out: List[ClassInfo] = []
-            for recv in self.infer_classes(unit, scope, cls, arg.value, depth + 1):
-                out.extend(self.escalation_targets(recv))
-            return out
         return sorted(self.kernels.values(), key=lambda c: c.qualname)
 
     def _classes_named(self, unit: "ModuleUnit", name: str) -> List[ClassInfo]:

@@ -247,8 +247,8 @@ class KernelBypassSum(_ScopedRule):
 
     Both are inexact (``np.sum`` pairwise, ``fsum`` correctly rounded
     only in isolation — not combinable across blocks) and neither
-    participates in the kernel protocol's certification/escalation
-    story. Outside ``baselines/``, reductions ride the kernels.
+    merges exactly through the kernel protocol. Outside
+    ``baselines/``, reductions ride the kernels.
     """
 
     id = "FP003"

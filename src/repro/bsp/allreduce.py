@@ -4,16 +4,13 @@ The deployment shape for MPI codes: each rank holds a block of the
 data; ``exact_allreduce_sum`` gives **every** rank the bit-identical
 correctly rounded global sum in ``O(log P)`` supersteps, by exchanging
 wire-framed kernel partials through a recursive-doubling butterfly.
-Because kernel combining is exact and carry-free (or certified, for the
-speculative kernels), the result is independent of the communication
+Because kernel combining is exact and carry-free, the result is independent of the communication
 schedule — the reproducibility property plain float allreduce lacks
 (and the reason MPI_SUM results differ across topologies).
 
 The collective is a kernel schedule: any registered
 :class:`~repro.kernels.base.SumKernel` supplies fold/combine/round and
-the wire format its partials cross the network in. A speculative
-kernel whose final certification fails on any rank triggers one exact
-rerun of the whole collective — extra supersteps, never a wrong bit.
+the wire format its partials cross the network in.
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ import numpy as np
 
 from repro.bsp.simulator import BSPMachine, Rank
 from repro.core.digits import DEFAULT_RADIX, RadixConfig
-from repro.kernels import SumKernel, get_kernel, run_certified
+from repro.kernels import SumKernel, get_kernel
 
 __all__ = ["exact_allreduce_sum", "AllreduceResult"]
 
@@ -86,17 +83,11 @@ def exact_allreduce_sum(
     # With non-power-of-two P the plain butterfly double-counts: route
     # through a power-of-two-folded schedule instead — ranks beyond the
     # fold first send their accumulator to `r - fold`, the butterfly
-    # runs on the folded power of two, then results fan back out. A
-    # failed certificate reruns the whole collective exactly, and the
-    # result reports the rerun's schedule.
+    # runs on the folded power of two, then results fan back out.
     fold = 1 << (p.bit_length() - 1)  # largest power of two <= p
     if p > 1 and fold != p:
-        return run_certified(
-            kernel, mode, lambda k: _allreduce_folded(blocks, p, fold, mode, k)
-        )
-    return run_certified(
-        kernel, mode, lambda k: _allreduce_butterfly(blocks, p, mode, k)
-    )
+        return _allreduce_folded(blocks, p, fold, mode, kernel)
+    return _allreduce_butterfly(blocks, p, mode, kernel)
 
 
 def _allreduce_butterfly(

@@ -8,7 +8,7 @@ Commands:
   print the correctly rounded result (hex and decimal);
 * ``info`` — dataset diagnostics: n, exponent span, condition number,
   exact sum vs naive sum;
-* ``plan`` — show which execution plane / kernel / tier the backend
+* ``plan`` — show which execution plane and kernel the backend
   planner (:mod:`repro.plan`) would schedule for a given input shape;
 * ``serve`` — run the sharded exact-aggregation service
   (:mod:`repro.serve`) until SIGINT or a client ``shutdown`` op;
@@ -122,7 +122,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         print(f"plan: {exc}", file=sys.stderr)
         return 2
     info = plan.describe()
-    for key in ("plane", "kernel", "tier", "workers", "block_items", "n", "layout"):
+    for key in ("plane", "kernel", "workers", "block_items", "n", "layout"):
         print(f"{key:<12s}: {info[key]:,}" if isinstance(info[key], int)
               else f"{key:<12s}: {info[key]}")
     print(f"{'reason':<12s}: {info['reason']}")

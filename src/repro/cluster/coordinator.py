@@ -271,9 +271,9 @@ class ClusterCoordinator:
         self.replication = ReplicationManager(self.ring, replication=replication)
         self.radix = radix
         # Reads merge cross-node partials through the same exact kernel
-        # the nodes fold with; exact_variant() mirrors the service.
+        # the nodes fold with.
         self.kernel_name = kernel
-        self._kernel = get_kernel(kernel, radix=radix).exact_variant()
+        self._kernel = get_kernel(kernel, radix=radix)
         #: placements of every placed stream seen, by name — the worklist
         #: a failover walks to re-establish replication factor
         self._placements: Dict[str, StreamPlacement] = {}

@@ -19,8 +19,6 @@ magic     payload                                            producer
 ``DSUP``  dense superaccumulator: w, base, nlimbs, limbs     kernels
 ``KSTR``  kernel stream: count + any embedded frame          serve
           (``SSUP`` for running sums)                        snapshots
-``TSUP``  gamma-truncated sparse: gamma, drop accounting +   truncated
-          embedded ``SSUP``                                  kernel
 ``BSUP``  binned superaccumulator: chunk budget, non-zero    binned
           exponent bins (index/lo/hi) + embedded ``SSUP``    kernels
           spill
@@ -68,7 +66,6 @@ __all__ = [
     "MAGIC_SPARSE",
     "MAGIC_DENSE",
     "MAGIC_STREAM",
-    "MAGIC_TRUNCATED",
     "MAGIC_BINNED",
     "MAGIC_RAW_BLOCK",
     "MAGIC_FLOAT",
@@ -93,8 +90,6 @@ __all__ = [
     "decode_dense",
     "encode_stream",
     "decode_stream",
-    "encode_truncated",
-    "decode_truncated",
     "encode_binned",
     "decode_binned",
     "encode_raw_block",
@@ -115,7 +110,6 @@ __all__ = [
 MAGIC_SPARSE = b"SSUP"
 MAGIC_DENSE = b"DSUP"
 MAGIC_STREAM = b"KSTR"
-MAGIC_TRUNCATED = b"TSUP"
 MAGIC_BINNED = b"BSUP"
 MAGIC_RAW_BLOCK = b"RAWB"
 MAGIC_FLOAT = b"NF64"
@@ -127,7 +121,6 @@ MAGIC_INGEST_ACK = b"RACK"
 _SPARSE_HEADER = struct.Struct("<4sBq")  # magic, w, ncomponents
 _DENSE_HEADER = struct.Struct("<4sBqqq")  # magic, w, base_index, nlimbs, count
 _COUNT_HEADER = struct.Struct("<4sq")  # magic, count (KSTR / F64D)
-_TRUNC_HEADER = struct.Struct("<4sqq?q")  # magic, gamma, drops, flag, max_idx
 _BINNED_HEADER = struct.Struct("<4sqq")  # magic, chunk budget used, nbins
 _FLOAT_FRAME = struct.Struct("<4sd")  # magic, value
 # magic, seq, crc32, op code, stream_len, n inputs, pad — 32 bytes
@@ -318,48 +311,6 @@ def decode_stream(payload: bytes) -> Tuple[int, bytes]:
     # body was clipped is corrupt, not a shorter snapshot.
     decode(inner)
     return int(count), inner
-
-
-# ----------------------------------------------------------------------
-# TSUP — gamma-truncated sparse superaccumulator
-# ----------------------------------------------------------------------
-
-
-def encode_truncated(
-    gamma: int,
-    drop_count: int,
-    truncated: bool,
-    max_dropped_index: int,
-    acc: "SparseSuperaccumulator",
-) -> bytes:
-    """``TSUP`` frame: truncation accounting + embedded ``SSUP``.
-
-    ``max_dropped_index`` is meaningful only when ``drop_count > 0``
-    (encode 0 otherwise).
-    """
-    header = _TRUNC_HEADER.pack(
-        MAGIC_TRUNCATED, gamma, drop_count, truncated, max_dropped_index
-    )
-    return header + encode_sparse(acc)
-
-
-def decode_truncated(
-    payload: bytes,
-) -> Tuple[int, int, bool, int, "SparseSuperaccumulator"]:
-    """Inverse of :func:`encode_truncated`.
-
-    Returns ``(gamma, drop_count, truncated, max_dropped_index, acc)``.
-    """
-    _check_header(payload, _TRUNC_HEADER, "TruncatedSparseSuperaccumulator")
-    magic, gamma, drops, truncated, max_idx = _TRUNC_HEADER.unpack_from(payload, 0)
-    if magic != MAGIC_TRUNCATED:
-        raise CodecError("not a TruncatedSparseSuperaccumulator payload")
-    if gamma < 1:
-        raise CodecError(f"corrupt header: gamma {gamma} must be >= 1")
-    if drops < 0:
-        raise CodecError(f"corrupt header: negative drop count {drops}")
-    acc = decode_sparse(payload[_TRUNC_HEADER.size :])
-    return int(gamma), int(drops), bool(truncated), int(max_idx), acc
 
 
 # ----------------------------------------------------------------------
@@ -899,7 +850,6 @@ _DECODERS: Dict[bytes, Tuple[str, Callable[[bytes], Any]]] = {
     MAGIC_SPARSE: ("sparse-superaccumulator", decode_sparse),
     MAGIC_DENSE: ("dense-superaccumulator", decode_dense),
     MAGIC_STREAM: ("kernel-stream", decode_stream),
-    MAGIC_TRUNCATED: ("truncated-superaccumulator", decode_truncated),
     MAGIC_BINNED: ("binned-superaccumulator", decode_binned),
     MAGIC_RAW_BLOCK: ("raw-block", decode_raw_block),
     MAGIC_FLOAT: ("naive-float", decode_float),

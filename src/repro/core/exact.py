@@ -41,7 +41,7 @@ def _build(values: np.ndarray, method: str, radix: RadixConfig):
         return partial.to_sparse()
     from repro.kernels import get_kernel
 
-    return get_kernel(method, radix=radix).exact_variant().fold(values)
+    return get_kernel(method, radix=radix).fold(values)
 
 
 def exact_sum(
@@ -74,9 +74,8 @@ def exact_sum(
     if method in _METHODS:
         return _build(arr, method, radix).to_float(mode)
     # Any registered kernel name works as a method: one fold + round
-    # through the generic schedule (with escalation for speculative
-    # kernels), so new kernels are usable here without touching this
-    # module.
+    # through the generic schedule, so new kernels are usable here
+    # without touching this module.
     from repro.kernels import get_kernel, kernel_sum
 
     try:

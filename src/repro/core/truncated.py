@@ -21,7 +21,6 @@ Both sufficient conditions from the paper are implemented:
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Iterable, Optional
 
 from repro.core.digits import DEFAULT_RADIX, RadixConfig
@@ -45,17 +44,9 @@ class TruncatedSparseSuperaccumulator:
             retained components.
         truncated: True iff any component has ever been dropped — i.e.
             whether the held value may differ from the exact sum.
-        drop_count: total number of non-zero components ever dropped by
-            this accumulator or anything merged into it.
-        max_dropped_index: largest radix position of any dropped
-            component (``None`` until the first drop). Together with
-            ``drop_count`` this yields the rigorous truncation-mass
-            bound ``drop_count * R**(max_dropped_index + 1)``, which —
-            unlike :attr:`least_retained_exponent` — stays valid across
-            merges whose retained windows later shift upward.
     """
 
-    __slots__ = ("gamma", "acc", "truncated", "drop_count", "max_dropped_index")
+    __slots__ = ("gamma", "acc", "truncated")
 
     def __init__(
         self,
@@ -64,14 +55,10 @@ class TruncatedSparseSuperaccumulator:
         *,
         acc: Optional[SparseSuperaccumulator] = None,
         truncated: bool = False,
-        drop_count: int = 0,
-        max_dropped_index: Optional[int] = None,
     ) -> None:
         self.gamma = check_positive_int(gamma, name="gamma")
         self.acc = acc if acc is not None else SparseSuperaccumulator.zero(radix)
         self.truncated = truncated
-        self.drop_count = drop_count
-        self.max_dropped_index = max_dropped_index
         self._truncate()
 
     @classmethod
@@ -95,16 +82,10 @@ class TruncatedSparseSuperaccumulator:
     def _truncate(self) -> None:
         extra = self.acc.active_count - self.gamma
         if extra > 0:
-            dropped = self.acc.digits[:extra]
             # Dropping active-but-zero components loses no value and
             # does not invalidate the stopping analysis.
-            nonzero = dropped != 0
-            if nonzero.any():
+            if self.acc.digits[:extra].any():
                 self.truncated = True
-                self.drop_count += int(nonzero.sum())
-                top = int(self.acc.indices[:extra][nonzero][-1])
-                if self.max_dropped_index is None or top > self.max_dropped_index:
-                    self.max_dropped_index = top
             self.acc = SparseSuperaccumulator(
                 self.acc.radix,
                 self.acc.indices[extra:],
@@ -118,18 +99,11 @@ class TruncatedSparseSuperaccumulator:
         """Carry-free merge followed by truncation back to ``gamma``."""
         if other.gamma != self.gamma:
             raise ValueError("gamma mismatch between truncated accumulators")
-        merged_max = self.max_dropped_index
-        if other.max_dropped_index is not None and (
-            merged_max is None or other.max_dropped_index > merged_max
-        ):
-            merged_max = other.max_dropped_index
         return TruncatedSparseSuperaccumulator(
             self.gamma,
             self.acc.radix,
             acc=self.acc.add(other.acc),
             truncated=self.truncated or other.truncated,
-            drop_count=self.drop_count + other.drop_count,
-            max_dropped_index=merged_max,
         )
 
     @property
@@ -143,22 +117,6 @@ class TruncatedSparseSuperaccumulator:
         if self.acc.indices.size == 0:
             return -(1 << 30)  # effectively -infinity: nothing retained
         return self.acc.radix.w * int(self.acc.indices[0])
-
-    def truncation_mass_bound(self) -> Fraction:
-        """Rigorous bound on ``|exact value - retained value|``.
-
-        Every dropped component ``d * R**i`` satisfies ``|d| < R`` and
-        ``i <= max_dropped_index``, so the dropped mass is strictly
-        below ``drop_count * R**(max_dropped_index + 1)``. Exact
-        (integer) arithmetic — safe to compare against half-ulp gaps.
-        """
-        if self.drop_count == 0 or self.max_dropped_index is None:
-            return Fraction(0)
-        w = self.acc.radix.w
-        exp = w * (self.max_dropped_index + 1)
-        if exp >= 0:
-            return Fraction(self.drop_count * (1 << exp))
-        return Fraction(self.drop_count, 1 << -exp)
 
     def to_float(self, mode: str = "nearest") -> float:
         """Round the *retained* value (candidate result for §4)."""

@@ -15,8 +15,8 @@ distributions as described in [Zhu & Hayes 2009]":
    (constructed as sign-paired values, shuffled), the worst case for
    iFastSum and an infinite condition number.
 
-Two adversarial additions (not paper data) stress certified fast
-paths such as the ``truncated`` kernel's rounding-cell proof:
+Two adversarial additions (not paper data) stress the final rounding
+and the §4 stopping conditions:
 
 5. ``"cancel"`` — massive cancellation with a tiny *non-zero* residual
    sum (huge but finite condition number);
@@ -139,7 +139,7 @@ def generate_massive_cancellation(n: int, delta: int = 2000, seed: int = 0) -> n
     survives as the true sum. The condition number is enormous but
     finite (unlike ``"sumzero"``), so every digits-of-the-answer claim
     is falsifiable — the adversarial case for any error-bound
-    certificate, which must refuse to certify and escalate.
+    stopping test, which must refuse to stop early.
     """
     check_positive_int(n, name="n")
     rng = np.random.default_rng(seed)

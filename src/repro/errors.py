@@ -7,7 +7,6 @@ __all__ = [
     "NonFiniteInputError",
     "RepresentationError",
     "ModelViolationError",
-    "CertificationError",
     "CodecError",
     "EmptyStreamError",
     "ReductionRangeError",
@@ -44,18 +43,6 @@ class ModelViolationError(ReproError, RuntimeError):
 
     Raised by the PRAM simulator on EREW access conflicts and by the
     external-memory device when an algorithm exceeds internal memory.
-    """
-
-
-class CertificationError(ReproError, ArithmeticError):
-    """A speculative fast-path result could not be proven correct.
-
-    Raised by a speculative kernel's ``round`` (the §4 ``truncated``
-    kernel) when the dropped mass could move the result across a
-    rounding-cell boundary, or when a directed mode asks for a rounding
-    the certificate cannot prove. Callers rerun exactly
-    (:func:`~repro.kernels.base.run_certified`); the error therefore
-    signals "redo exactly", never a wrong published result.
     """
 
 

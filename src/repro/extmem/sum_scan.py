@@ -11,19 +11,18 @@ theorem draws.
 The scan is a kernel schedule: any registered
 :class:`~repro.kernels.base.SumKernel` can supply fold/combine/round,
 with the kernel's ``width`` (the paper's sigma) charged against the
-memory budget. A speculative kernel whose certification fails at round
-time triggers one exact re-scan — extra I/Os, never a wrong bit.
+memory budget.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional, Tuple
+from typing import Optional
 
 from repro.core.digits import DEFAULT_RADIX, RadixConfig
 from repro.extmem.device import BlockDevice, IOStats
 from repro.extmem.ext_array import ExtArray
 from repro.extmem.sum_sort import ExtMemSumResult
-from repro.kernels import SumKernel, get_kernel, run_certified
+from repro.kernels import SumKernel, get_kernel
 
 __all__ = ["extmem_sum_scan"]
 
@@ -51,24 +50,19 @@ def extmem_sum_scan(
     start_writes = device.stats.writes
     B = device.block_size
 
-    def scan(k: SumKernel) -> Tuple[float, SumKernel, Any]:
-        acc = k.zero()
-        for block in source.scan():
-            # The resident footprint during a block's processing: the
-            # input block, the partial before, and the (at most B*3
-            # component) batch being folded in.
-            batch = k.fold(block)
-            with device.allocate(
-                B + k.width(acc) + k.width(batch),
-                what="in-memory superaccumulator (Theorem 6 requires sigma <= M)",
-            ):
-                acc = k.combine(acc, batch)
-        with device.allocate(k.width(acc), what="rounding"):
-            return k.round(acc, mode), k, acc
-
-    # A failed proof re-scans with the exact kernel; the I/O totals
-    # below keep both scans' cost.
-    value, kernel, acc = run_certified(kernel, mode, scan)
+    acc = kernel.zero()
+    for block in source.scan():
+        # The resident footprint during a block's processing: the
+        # input block, the partial before, and the (at most B*3
+        # component) batch being folded in.
+        batch = kernel.fold(block)
+        with device.allocate(
+            B + kernel.width(acc) + kernel.width(batch),
+            what="in-memory superaccumulator (Theorem 6 requires sigma <= M)",
+        ):
+            acc = kernel.combine(acc, batch)
+    with device.allocate(kernel.width(acc), what="rounding"):
+        value = kernel.round(acc, mode)
     io = IOStats(
         reads=device.stats.reads - start_reads,
         writes=device.stats.writes - start_writes,

@@ -8,8 +8,8 @@ Importing this package registers the built-in kernels::
     1.0
 
 See :mod:`repro.kernels.base` for the protocol and the registry, and
-:mod:`repro.plan` for the planner that picks a plane x kernel x tier
-for a described dataset.
+:mod:`repro.plan` for the planner that picks a plane x kernel for a
+described dataset.
 """
 
 from repro.kernels.base import (
@@ -20,7 +20,6 @@ from repro.kernels.base import (
     kernel_names,
     kernel_sum,
     register_kernel,
-    run_certified,
 )
 from repro.kernels.accumulators import (
     DenseKernel,
@@ -29,7 +28,6 @@ from repro.kernels.accumulators import (
     SparseKernel,
 )
 from repro.kernels.binned import BinnedKernel, BinnedPartial
-from repro.kernels.speculative import TruncatedKernel
 
 __all__ = [
     "SumKernel",
@@ -39,12 +37,10 @@ __all__ = [
     "kernel_names",
     "kernel_sum",
     "kernel_fold",
-    "run_certified",
     "SparseKernel",
     "DenseKernel",
     "SmallKernel",
     "RunningSumKernel",
     "BinnedKernel",
     "BinnedPartial",
-    "TruncatedKernel",
 ]

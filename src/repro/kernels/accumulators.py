@@ -34,7 +34,7 @@ class SparseKernel(SumKernel):
     Partial type: :class:`~repro.core.sparse.SparseSuperaccumulator`.
     Carry-free merges keep combine O(active) and order-independent;
     this kernel is the exact reference every other kernel must match
-    bitwise, and the default escalation target.
+    bitwise.
     """
 
     name = "sparse"

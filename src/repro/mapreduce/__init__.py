@@ -8,8 +8,7 @@
   kernel; :class:`SparseSuperaccumulatorJob` /
   :class:`SmallSuperaccumulatorJob` name it for the two kernels of
   Figures 1-3 (:class:`NaiveSumJob` is the inexact control);
-* :func:`parallel_sum` — the one-call driver, which reruns a failed
-  certificate exactly through :func:`~repro.kernels.run_certified`.
+* :func:`parallel_sum` — the one-call driver.
 """
 
 from repro.mapreduce.dataplane import BlockRef, ShmDataPlane, resolve_block

@@ -37,7 +37,7 @@ from repro.mapreduce.runtime import (
     run_job,
     shared_process_executor,
 )
-from repro.kernels import SumKernel, kernel_names, run_certified
+from repro.kernels import kernel_names
 from repro.mapreduce.sum_job import KernelSumJob, NaiveSumJob
 from repro.util.validation import check_finite_array, ensure_float64_array
 
@@ -87,12 +87,10 @@ def parallel_sum(
         workers: worker count; ``None`` or 1 runs serially in-process.
         method: any registered kernel name
             (``repro.kernels.kernel_names()``: ``"sparse"`` is the
-            paper's, ``"small"`` the Neal comparator, ``"truncated"``
-            the §4 gamma-truncated kernel), run as the
+            paper's, ``"small"`` the Neal comparator), run as the
             :class:`~repro.mapreduce.sum_job.KernelSumJob` over that
-            kernel; a speculative kernel whose certificate fails reruns
-            exactly over the same placed blocks. ``"naive"`` is the
-            inexact control — for demonstrations only.
+            kernel. ``"naive"`` is the inexact control — for
+            demonstrations only.
         block_items: simulated HDFS block size in items.
         reducers: the ``p`` of §6.1; defaults to the worker count.
         radix: superaccumulator digit configuration.
@@ -133,24 +131,11 @@ def parallel_sum(
     p = reducers if reducers is not None else nodes
 
     def execute(items, exe) -> JobResult:
-        def run(j) -> JobResult:
-            try:
-                return run_job(j, items, reducers=p, executor=exe, partitioner=partitioner)
-            except NonFiniteInputError:
-                check_finite_array(arr)  # a fold found one: name its input index
-                raise
-
-        if not isinstance(job, KernelSumJob):
-            return run(job)
-
-        def attempt(kernel: SumKernel) -> JobResult:
-            # The blocks stay placed: the exact rerun, or a directed
-            # mode's exact variant, runs over the same items.
-            if kernel is job.kernel:
-                return run(job)
-            return run(KernelSumJob(kernel.radix, job.mode, kernel_name=kernel.name))
-
-        return run_certified(job.kernel, job.mode, attempt)
+        try:
+            return run_job(job, items, reducers=p, executor=exe, partitioner=partitioner)
+        except NonFiniteInputError:
+            check_finite_array(arr)  # a fold found one: name its input index
+            raise
 
     if kind == "process" and w > 1:
         pool = shared_process_executor(w)

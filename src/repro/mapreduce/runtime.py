@@ -414,24 +414,29 @@ class _RetryingMap:
     attempt) and resolve block descriptors locally, so a worker-side
     failure never strands data in shared memory; exceeding the budget
     re-raises the last error.
+
+    :attr:`last_makespan` is the wrapped executor's simulated makespan
+    for a phase it completed, and ``None`` for a retried phase, which
+    no simulated clock timed: :func:`run_job` then reports the phase's
+    wall time.
     """
 
     def __init__(self, exe, max_retries: int) -> None:
         self._exe = exe
         self._max_retries = max_retries
-
-    @property
-    def last_makespan(self):
-        """Pass through the wrapped executor's simulated makespan."""
-        return getattr(self._exe, "last_makespan", None)
+        self.last_makespan: Optional[float] = None
 
     def run_phase(self, job: "MapReduceJob", phase: str, items: Sequence[Any]) -> List[bytes]:
+        self.last_makespan = None
         try:
-            return self._exe.run_phase(job, phase, items)
+            out = self._exe.run_phase(job, phase, items)
         except Exception:
             if self._max_retries <= 0:
                 raise
-        out: List[bytes] = []
+        else:
+            self.last_makespan = getattr(self._exe, "last_makespan", None)
+            return out
+        out = []
         for item in items:
             attempt = 0
             while True:

@@ -4,9 +4,8 @@ Every exact job here is the *same* job — :class:`KernelSumJob`, a
 generic schedule of :class:`~repro.kernels.base.SumKernel` calls
 (``combine`` = fold + to_wire, ``reduce`` = from_wire + combine,
 ``postprocess`` = combine + round) — parameterized by kernel name.
-Every registered kernel runs through it, including the speculative
-``"truncated"`` kernel (§4), whose partials ship gamma-truncated.
-Two one-line subclasses name the paper's Figure 1-3 jobs:
+Every registered kernel runs through it. Two one-line subclasses name
+the paper's Figure 1-3 jobs:
 
 * :class:`SparseSuperaccumulatorJob` — the paper's algorithm over the
   ``"sparse"`` kernel: per-block (alpha, beta)-regularized
@@ -52,22 +51,16 @@ class KernelSumJob(MapReduceJob):
 
     * ``combine``: block -> ``to_wire(fold(block))`` (the §6.2 combine
       step; kernels decide what crosses the shuffle — sparse, dense,
-      binned or truncated accumulators).
+      small or binned accumulators).
     * ``reduce``: left-fold of ``from_wire`` payloads through the
       kernel's associative ``combine``.
     * ``postprocess``: one more fold over the reducer outputs, then a
-      single ``round``. Speculative kernels certify here and raise
-      :class:`~repro.errors.CertificationError` when the proof fails;
-      ``parallel_sum`` runs the job through
-      :func:`~repro.kernels.base.run_certified`, which then reruns it
-      with the exact variant (and, since certificates prove nearest
-      rounding only, runs the exact variant alone in a directed mode).
+      single ``round``.
 
     ``postprocess`` runs driver-side (see
     :func:`~repro.mapreduce.runtime.run_job`), so what it leaves on the
     job survives any executor: :attr:`partial` is the merged partial it
-    rounded (the reduction engine reads an exact kernel's exact term
-    sum from it).
+    rounded (the reduction engine reads the exact term sum from it).
     """
 
     #: registry name of the kernel this job schedules

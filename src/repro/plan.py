@@ -1,4 +1,4 @@
-"""Backend planner: pick plane x kernel x tier for a summation task.
+"""Backend planner: pick plane x kernel for a summation task.
 
 Every execution plane in this repo — serial, streaming, serving,
 MapReduce, external memory, BSP, PRAM — consumes the same
@@ -10,7 +10,7 @@ makes that decision explicit and inspectable:
   it is already in memory or sitting in a ``.f64`` dataset file, how
   many workers the caller can spend);
 * :func:`plan_sum` turns a descriptor into a :class:`SumPlan` — the
-  chosen plane, kernel and tier plus a human-readable reason;
+  chosen plane and kernel plus a human-readable reason;
 * :meth:`SumPlan.execute` runs the plan and returns the correctly
   rounded float, bit-identical across every choice the planner could
   have made (that is the whole point of the kernel protocol).
@@ -77,17 +77,14 @@ SMALL_INPUT_ITEMS = 1 << 16
 #: ``kernel_rates_melem_per_s`` row (``benchmarks/bench_native.py``),
 #: rounded to 0.1.
 #: Only the relative order matters to the planner — it ranks candidate
-#: kernels by these and picks the fastest one the mode and op accept —
+#: kernels by these and picks the fastest one the digit width accepts —
 #: so a different host changes the margins, not the decisions.
-#: ``running`` and ``truncated`` are unbenched estimates kept below the
-#: measured folds they wrap.
+#: ``running`` is unbenched, so it has no rate and ranks last.
 KERNEL_RATES: Dict[str, float] = {
     "binned": 125.1,
     "dense": 5.8,
     "small": 5.7,
     "sparse": 5.5,
-    "running": 2.7,
-    "truncated": 1.8,
 }
 
 #: Kernels whose fold needs the vectorized int64 digit paths
@@ -104,9 +101,8 @@ class KernelCandidate:
     Attributes:
         name: registry kernel name.
         accepted: whether the planner may auto-select this kernel for
-            the requested mode/radix. Rejected candidates stay in the
-            table so ``repro plan --explain`` shows *why* (op
-            capability, directed-mode certification, digit width).
+            the requested radix. Rejected candidates stay in the table
+            so ``repro plan --explain`` shows *why* (the digit width).
         reason: one line of rationale.
         rate: measured reference rate in Melem/s (None if unbenched).
     """
@@ -117,54 +113,19 @@ class KernelCandidate:
     rate: Optional[float] = None
 
 
-def kernel_candidates(
-    mode: str = "nearest",
-    radix: RadixConfig = DEFAULT_RADIX,
-    op: str = "sum",
-) -> List[KernelCandidate]:
+def kernel_candidates(radix: RadixConfig = DEFAULT_RADIX) -> List[KernelCandidate]:
     """Rank every registered kernel for a reduction task.
 
     Returns candidates sorted fastest-first by :data:`KERNEL_RATES`;
     the first accepted row is what :func:`plan_sum` picks when the
-    caller does not force a kernel.
-
-    ``op`` names a registered reduction (``sum``, ``dot``, ``norm2``,
-    ``mean``, ``var``). Ops that finish from the exact accumulated
-    fraction (``needs_exact``) reject speculative kernels: a certified
-    nearest-rounded *sum* proves nothing about the mean or the square
-    root downstream of it.
+    caller does not force a kernel. Every kernel is exact, so every
+    kernel hosts every op in every rounding mode; only the digit width
+    rules kernels out.
     """
-    from repro.reduce.ops import get_op, kernel_supports
-
-    reduction = get_op(op)
     names = sorted(kernel_names(), key=lambda n: (-KERNEL_RATES.get(n, 0.0), n))
     out: List[KernelCandidate] = []
     for name in names:
         rate = KERNEL_RATES.get(name)
-        k = get_kernel(name, radix=radix)
-        if not kernel_supports(reduction, k):
-            out.append(
-                KernelCandidate(
-                    name,
-                    False,
-                    f"op {op!r} finishes from the exact fraction, which "
-                    f"a speculative kernel does not keep; use an exact "
-                    f"accumulator",
-                    rate,
-                )
-            )
-            continue
-        if not k.exact and mode != "nearest":
-            out.append(
-                KernelCandidate(
-                    name,
-                    False,
-                    f"speculative certificates prove nearest rounding only; "
-                    f"mode={mode!r} needs an exact kernel",
-                    rate,
-                )
-            )
-            continue
         if name in _VECTOR_FOLD_KERNELS and not radix.supports_vectorized:
             out.append(
                 KernelCandidate(
@@ -176,13 +137,7 @@ def kernel_candidates(
                 )
             )
             continue
-        if not k.exact:
-            reason = (
-                "certified fast paths with exact escalation — fastest "
-                "when the input's condition admits a certificate"
-            )
-        else:
-            reason = "exact fold"
+        reason = "exact fold"
         if rate is not None:
             reason += f"; ~{rate:g} Melem/s measured on the reference host"
         out.append(KernelCandidate(name, True, reason, rate))
@@ -202,14 +157,10 @@ def _chunks(arr: np.ndarray, block_items: int) -> Iterator[np.ndarray]:
 
 
 def _partial(kernel: SumKernel, wire: Optional[bytes]) -> Any:
-    """An exact kernel's merged partial from a plane result's wire frame.
+    """The merged partial from a plane result's wire frame.
 
-    A plane that folded nothing may keep no frame. A speculative
-    kernel's partial is never read: only exact kernels host the
-    finishes that need it.
+    A plane that folded nothing may keep no frame.
     """
-    if not kernel.exact:
-        return None
     return kernel.zero() if wire is None else kernel.from_wire(wire)
 
 
@@ -240,7 +191,7 @@ def _fold_mapreduce(kernel, terms, *, mode, workers, block_items):
         mode=mode,
         job=job,
     )
-    return value, job.partial if kernel.exact else None
+    return value, job.partial
 
 
 def _fold_extmem(kernel, terms, *, mode, workers, block_items):
@@ -276,20 +227,17 @@ def _local(fold: Callable[..., Tuple[float, Any]]) -> Callable[..., float]:
     """The runner of a local plane, from its fold of one term stream.
 
     The op expands its inputs into term streams and ``fold`` folds each
-    one on the plane, returning the rounded term sum (escalation
-    included) and, for exact kernels, the merged partial. A rounded-sum
-    op's answer is that rounded sum; an exact-fraction op finishes from
-    the partials' exact fractions. Elements outside the op's expansion
-    band come back as an exact rest, added to those fractions: then
-    even a rounded-sum op finishes from them, on the kernel's exact
-    variant.
+    one on the plane, returning the rounded term sum and the merged
+    partial. A rounded-sum op's answer is that rounded sum; an
+    exact-fraction op finishes from the partials' exact fractions.
+    Elements outside the op's expansion band come back as an exact
+    rest, added to those fractions: then even a rounded-sum op
+    finishes from them.
     """
 
     def run(kernel_name, op, x, y, *, radix, mode, workers, block_items):
         kernel = get_kernel(kernel_name, radix=radix)
         streams, rest = op.expand_exact(x, y)
-        if rest is not None:
-            kernel = kernel.exact_variant()
         folds = [
             fold(kernel, terms, mode=mode, workers=workers, block_items=block_items)
             for terms in streams
@@ -406,16 +354,15 @@ def run_reduction(
     whichever plane/kernel pair the caller (or the planner) picks.
 
     Raises:
-        ValueError: unknown plane/kernel/op/rounding mode, a mode the
-            op's finish does not define, or a kernel that cannot host
-            the op (exact-fraction finishes need ``exact`` kernels).
+        ValueError: unknown plane/kernel/op/rounding mode, or a mode the
+            op's finish does not define.
         ReductionRangeError: on the serve and cluster planes only,
             inputs outside the op's error-free expansion band (their
             stream partials span only the binary64 range).
         EmptyStreamError: ``mean``/``var`` finishes on too few
             observations (sums and norms of nothing are simply 0.0).
     """
-    from repro.reduce.ops import get_op, kernel_supports
+    from repro.reduce.ops import get_op
 
     if isinstance(op, str):
         op = get_op(op)
@@ -426,12 +373,6 @@ def run_reduction(
             f"unknown kernel {kernel_name!r}; expected one of {list(kernel_names())}"
         )
     check_mode(mode)
-    if not kernel_supports(op, get_kernel(kernel_name, radix=radix)):
-        raise ValueError(
-            f"kernel {kernel_name!r} cannot host op {op.name!r}: the finish "
-            f"needs the exact term-sum fraction and the kernel's partials "
-            f"are speculative/lossy (exact=False)"
-        )
     xa, ya = op.validate(x, y)
     return PLANES[plane](
         kernel_name, op, xa, ya, radix=radix, mode=mode,
@@ -457,8 +398,7 @@ class DataDescriptor:
             provided one (optional — plans can also be made from sizes
             alone and fed data at execute time).
         op: registered reduction the caller wants (``"sum"`` by
-            default). Non-sum ops constrain kernel choice — see
-            :func:`kernel_candidates`.
+            default).
     """
 
     n: int
@@ -514,14 +454,11 @@ class DataDescriptor:
 
 @dataclass
 class SumPlan:
-    """An executable decision: plane x kernel x tier (+ why).
+    """An executable decision: plane x kernel (+ why).
 
     Attributes:
         plane: key into :data:`PLANES`.
         kernel: registered kernel name.
-        tier: ``"speculative"`` (certified fast path, exact escalation
-            on a failed proof) or ``"exact"`` (superaccumulator all the
-            way down).
         workers: workers the plan will use.
         block_items: fold granularity.
         reason: one line of planner rationale, shown by ``repro plan``.
@@ -529,7 +466,6 @@ class SumPlan:
 
     plane: str
     kernel: str
-    tier: str
     workers: int
     block_items: int
     reason: str
@@ -545,7 +481,6 @@ class SumPlan:
             "plane": self.plane,
             "kernel": self.kernel,
             "op": self.descriptor.op,
-            "tier": self.tier,
             "workers": self.workers,
             "block_items": self.block_items,
             "n": self.descriptor.n,
@@ -596,7 +531,7 @@ def plan_sum(
     radix: RadixConfig = DEFAULT_RADIX,
     block_items: int = DEFAULT_BLOCK_ITEMS,
 ) -> SumPlan:
-    """Choose a plane, kernel and tier for a summation task.
+    """Choose a plane and kernel for a summation task.
 
     Heuristics (each encoded in the returned plan's ``reason``):
 
@@ -612,27 +547,13 @@ def plan_sum(
       exponent fold in every rounding mode, and the sparse fold when a
       digit width above 31 bits rules out the vectorized folds.
     """
-    from repro.reduce.ops import get_op, kernel_supports
-
-    op = descriptor.op
-    reduction = get_op(op)
-    candidates = kernel_candidates(mode=mode, radix=radix, op=op)
+    candidates = kernel_candidates(radix)
     if kernel is None:
         kernel = next(c.name for c in candidates if c.accepted)
     elif kernel not in kernel_names():
         raise ValueError(
             f"unknown kernel {kernel!r}; expected one of {list(kernel_names())}"
         )
-    k = get_kernel(kernel, radix=radix)
-    if not kernel_supports(reduction, k):
-        raise ValueError(
-            f"kernel {kernel!r} cannot host op {op!r}: the op finishes "
-            f"from the exact fraction, which a speculative kernel does "
-            f"not keep"
-        )
-    # Directed rounding cannot ride a certificate: every plane runs the
-    # kernel's exact variant (kernels.run_certified), so report that.
-    tier = "speculative" if (not k.exact and mode == "nearest") else "exact"
 
     n = descriptor.n
     workers = descriptor.workers
@@ -672,7 +593,6 @@ def plan_sum(
     return SumPlan(
         plane=plane,
         kernel=kernel,
-        tier=tier,
         workers=workers,
         block_items=block_items,
         reason=reason,

@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.core.digits import DEFAULT_RADIX, RadixConfig
 from repro.core.rounding import round_digits
-from repro.kernels import SumKernel, get_kernel, run_certified
+from repro.kernels import SumKernel, get_kernel
 from repro.pram.machine import PRAM, PRAMStats
 from repro.pram.primitives import parallel_prefix
 from repro.util.validation import check_finite_array, ensure_float64_array
@@ -152,10 +152,7 @@ def pram_exact_sum(
             partials live at the tree nodes (default ``"sparse"``, the
             paper's algorithm). Kernels whose root partial exposes
             dense regularized digits run the Section 3 carry-propagate
-            finish; others round through the kernel directly, and a
-            speculative kernel whose certificate fails reruns the tree
-            exactly on the same machine (costs charged twice — a
-            retry, never a wrong bit).
+            finish; others round through the kernel directly.
         machine: accountant to charge; a fresh one is created (and
             returned in the result) when omitted.
         mode: rounding direction for the final conversion.
@@ -181,22 +178,7 @@ def pram_exact_sum(
     m = machine if machine is not None else PRAM()
     if kernel is None:
         kernel = get_kernel("sparse", radix=radix)
-    # A failed certificate reruns the whole tree with the exact kernel,
-    # charges accumulating on the same machine.
-    return run_certified(
-        kernel, mode, lambda k: _tree_sum(arr, m, k, radix, mode, cascade)
-    )
 
-
-def _tree_sum(
-    arr: np.ndarray,
-    m: PRAM,
-    kernel: SumKernel,
-    radix: RadixConfig,
-    mode: str,
-    cascade: bool,
-) -> PRAMSumResult:
-    """Steps 1-7 of :func:`pram_exact_sum` with one kernel."""
     # Steps 1-2: tree build + leaf conversion (O(1) rounds, O(n) work).
     m.charge(rounds=1, work=int(arr.size), processors=int(arr.size))
     nodes = [kernel.fold_scalar(float(x)) for x in arr]
@@ -262,8 +244,7 @@ def _tree_sum(
         value = round_digits(nonoverlap, base, radix, mode)
         return PRAMSumResult(value, m.stats, root_width, kernel.to_wire(root))
 
-    # Kernels without dense regularized digits round directly (and may
-    # fail their certificate here).
+    # Kernels without dense regularized digits round directly.
     sigma = max(1, root_width)
     m.charge(
         rounds=max(1, math.ceil(math.log2(max(sigma, 2)))),

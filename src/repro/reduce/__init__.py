@@ -14,7 +14,7 @@ execution planes of :data:`repro.plan.PLANES`. Convenience one-liners::
 
 Each accepts ``plane=``/``kernel=``/``workers=`` to pick where the
 terms fold; the bits never change with the choice. Without a
-``kernel=``, the planner's fastest kernel that can host the op runs
+``kernel=``, the planner's fastest kernel runs
 (:func:`repro.plan.kernel_candidates`). Every finite input has a
 value: elements whose products leave the error-free expansion band
 are reduced exactly through :func:`~repro.reduce.ops.exact_products`.
@@ -34,7 +34,6 @@ from repro.reduce.ops import (
     SumOp,
     VarOp,
     get_op,
-    kernel_supports,
     op_names,
     register_op,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "register_op",
     "get_op",
     "op_names",
-    "kernel_supports",
     "sum",
     "dot",
     "norm2",
@@ -59,11 +57,11 @@ __all__ = [
 ]
 
 
-def _kernel(kernel: Optional[str], op: str, mode: str, radix: RadixConfig) -> str:
+def _kernel(kernel: Optional[str], radix: RadixConfig) -> str:
     """The caller's kernel, else the planner's first accepted candidate."""
     if kernel is not None:
         return kernel
-    return next(c.name for c in kernel_candidates(mode, radix, op) if c.accepted)
+    return next(c.name for c in kernel_candidates(radix) if c.accepted)
 
 
 def sum(  # noqa: A001 - deliberate: ``reduce.sum`` mirrors the op name
@@ -78,7 +76,7 @@ def sum(  # noqa: A001 - deliberate: ``reduce.sum`` mirrors the op name
 ) -> float:
     """Correctly rounded sum (the identity op, for API symmetry)."""
     return run_reduction(
-        plane, _kernel(kernel, "sum", mode, radix), "sum", values,
+        plane, _kernel(kernel, radix), "sum", values,
         radix=radix, mode=mode, workers=workers, block_items=block_items,
     )
 
@@ -96,7 +94,7 @@ def dot(
 ) -> float:
     """Correctly rounded inner product ``fl(sum(x_i * y_i))``."""
     return run_reduction(
-        plane, _kernel(kernel, "dot", mode, radix), "dot", x, y,
+        plane, _kernel(kernel, radix), "dot", x, y,
         radix=radix, mode=mode, workers=workers, block_items=block_items,
     )
 
@@ -112,7 +110,7 @@ def norm2(
 ) -> float:
     """Correctly rounded Euclidean norm ``fl(sqrt(sum(x_i^2)))``."""
     return run_reduction(
-        plane, _kernel(kernel, "norm2", "nearest", radix), "norm2", values,
+        plane, _kernel(kernel, radix), "norm2", values,
         radix=radix, mode="nearest", workers=workers, block_items=block_items,
     )
 
@@ -129,7 +127,7 @@ def mean(
 ) -> float:
     """Correctly rounded arithmetic mean (EmptyStreamError on no data)."""
     return run_reduction(
-        plane, _kernel(kernel, "mean", mode, radix), "mean", values,
+        plane, _kernel(kernel, radix), "mean", values,
         radix=radix, mode=mode, workers=workers, block_items=block_items,
     )
 
@@ -147,6 +145,6 @@ def var(
 ) -> float:
     """Correctly rounded variance with the requested ``ddof``."""
     return run_reduction(
-        plane, _kernel(kernel, "var", mode, radix), VarOp(ddof=ddof), values,
+        plane, _kernel(kernel, radix), VarOp(ddof=ddof), values,
         radix=radix, mode=mode, workers=workers, block_items=block_items,
     )

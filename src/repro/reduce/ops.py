@@ -18,14 +18,13 @@ composition:
 Ops split by what their finish needs:
 
 * **rounded-sum ops** (``sum``, ``dot``): the answer *is* the correctly
-  rounded sum of the terms, so every kernel — exact or speculative —
-  can host them; a certified fast path stays a certified fast path.
+  rounded sum of the terms.
 * **exact-fraction ops** (``norm2``, ``mean``, ``var``): the finish
   performs algebra (square root, division) on the *exact* term sum
-  before the single rounding, so only kernels with
-  ``exact = True`` (whose partials expose
-  :meth:`~repro.kernels.base.SumKernel.exact_fraction`) can host them.
-  The planner's candidate table rejects the rest with a reason.
+  (:meth:`~repro.kernels.base.SumKernel.exact_fraction`) before the
+  single rounding.
+
+Every kernel is exact, so every kernel hosts every op.
 
 Expansion exactness has a domain: TwoProduct/TwoSquare are error-free
 only while the products neither overflow nor lose bits to underflow
@@ -71,7 +70,6 @@ __all__ = [
     "register_op",
     "get_op",
     "op_names",
-    "kernel_supports",
     "exact_products",
     "square_domain_mask",
     "product_domain_mask",
@@ -157,8 +155,7 @@ class ReduceOp(ABC):
             the finish needs two exact sums — e.g. ``var`` needs both
             ``sum(x)`` and ``sum(x^2)``).
         needs_exact: True when the finish consumes exact Fractions
-            (division / square root before the single rounding), which
-            restricts hosting to kernels with ``exact = True``.
+            (division / square root before the single rounding).
     """
 
     name: str = "?"
@@ -250,8 +247,7 @@ class DotOp(ReduceOp):
     """Inner product: terms are TwoProduct ``(p, e)`` pairs.
 
     ``sum(x*y) == sum(terms)`` exactly, so the correctly rounded dot is
-    the correctly rounded term sum — hostable by every kernel,
-    certificates included.
+    the correctly rounded term sum.
     """
 
     name = "dot"
@@ -386,15 +382,6 @@ def get_op(name: str) -> ReduceOp:
 def op_names() -> List[str]:
     """Sorted names of all registered ops."""
     return sorted(_OPS)
-
-
-def kernel_supports(op: ReduceOp, kernel) -> bool:
-    """Whether ``kernel`` can host ``op``.
-
-    Rounded-sum ops ride any kernel; exact-fraction ops need an exact
-    accumulator behind :meth:`~repro.kernels.base.SumKernel.exact_fraction`.
-    """
-    return (not op.needs_exact) or bool(kernel.exact)
 
 
 register_op(SumOp())

@@ -119,14 +119,10 @@ def _check_kernels() -> None:
     for name in kernel_names():
         kernel = get_kernel(name)
         assert kernel_sum(kernel, blocks) == want, name
-        # wire round-trip through the codec registry (speculative
-        # kernels may refuse to round a truncated/uncertified partial,
-        # so assert frame stability, and the value only when exact)
-        part = kernel.fold(x)
-        frame = kernel.to_wire(part)
+        # wire round-trip through the codec registry
+        frame = kernel.to_wire(kernel.fold(x))
         assert kernel.to_wire(kernel.from_wire(frame)) == frame, name
-        if kernel.exact:
-            assert kernel.round(kernel.from_wire(frame)) == want, name
+        assert kernel.round(kernel.from_wire(frame)) == want, name
 
 
 def _check_binned() -> None:
@@ -155,13 +151,10 @@ def _check_plan() -> None:
     assert plan.execute() == want
     big = plan_sum(DataDescriptor(n=1 << 20, layout="memory", workers=4))
     assert big.plane == "mapreduce", big.plane
-    directed = plan_sum(DataDescriptor.describe_array(x), mode="down")
-    assert directed.tier == "exact", directed.tier
     # Every candidate row carries a non-empty rationale and the chosen
     # kernel is registered.
+    assert all(c.reason for c in kernel_candidates())
     for mode in ("nearest", "down"):
-        cands = kernel_candidates(mode=mode)
-        assert all(c.reason for c in cands)
         chosen = plan_sum(DataDescriptor.describe_array(x), mode=mode).kernel
         assert chosen in kernel_names(), chosen
 

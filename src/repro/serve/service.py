@@ -223,9 +223,8 @@ class ReproService:
         self.metrics = ServiceMetrics()
         # One kernel instance serves the whole service: shards fold
         # through it, reads recombine through it, and snapshots
-        # use its wire format. exact_variant() pins stateful streams to
-        # the exact fold path.
-        self._kernel = get_kernel(self.config.kernel, radix=radix).exact_variant()
+        # use its wire format.
+        self._kernel = get_kernel(self.config.kernel, radix=radix)
         self.shards: List[AccumulatorShard] = [
             AccumulatorShard(i, metrics=self.metrics, radix=radix, kernel=self._kernel)
             for i in range(self.config.shards)

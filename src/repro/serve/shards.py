@@ -54,11 +54,9 @@ class AccumulatorShard:
         self.radix = radix
         self.metrics = metrics if metrics is not None else ServiceMetrics()
         self._streams: Dict[str, Any] = {}
-        # Stateful streams always take the exact bulk path
-        # (exact_variant): a certified rounded float cannot be folded on.
         if kernel is None:
             kernel = get_kernel("running", radix=radix)
-        self._kernel = kernel.exact_variant()
+        self._kernel = kernel
 
     def fold(self, stream: str, array: np.ndarray) -> int:
         """Append a validated float64 array to ``stream``; returns its size.

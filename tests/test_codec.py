@@ -35,16 +35,12 @@ def _valid_frames():
 
     dense = get_kernel("dense").fold(np.array([2.0, -1e16, 5e-9]))
 
-    truncated_kernel = get_kernel("truncated")
     binned = get_kernel("binned")
     binned_part = binned.fold(np.array([1.0, 3e-290, -7e154, 5e-324]))
     return {
         codec.MAGIC_SPARSE: codec.encode_sparse(acc),
         codec.MAGIC_DENSE: codec.encode_dense(dense),
         codec.MAGIC_STREAM: codec.encode_stream(3, codec.encode_sparse(acc)),
-        codec.MAGIC_TRUNCATED: truncated_kernel.to_wire(
-            truncated_kernel.fold(np.array([1.0, 2.0, -4.0]))
-        ),
         codec.MAGIC_BINNED: binned.to_wire(binned_part),
         codec.MAGIC_RAW_BLOCK: codec.encode_raw_block(np.array([1.5, -2.5])),
         codec.MAGIC_FLOAT: codec.encode_float(3.25),
@@ -65,7 +61,7 @@ FRAMES = _valid_frames()
 
 def test_every_registered_format_has_a_fixture_frame():
     assert set(FRAMES) == set(codec.registered_formats())
-    assert len(FRAMES) == 11
+    assert len(FRAMES) == 10
 
 
 @pytest.mark.parametrize("magic", sorted(FRAMES))
@@ -100,7 +96,6 @@ def test_wrong_magic_raises_codec_error(magic):
         codec.MAGIC_SPARSE: codec.decode_sparse,
         codec.MAGIC_DENSE: codec.decode_dense,
         codec.MAGIC_STREAM: codec.decode_stream,
-        codec.MAGIC_TRUNCATED: codec.decode_truncated,
         codec.MAGIC_BINNED: codec.decode_binned,
         codec.MAGIC_RAW_BLOCK: codec.decode_raw_block,
         codec.MAGIC_FLOAT: codec.decode_float,

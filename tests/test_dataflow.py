@@ -9,8 +9,8 @@ shapes (staged publish, claim-before-await, sanitized fold) must stay
 silent, because a noisy rule gets suppressed into irrelevance.
 
 Call-graph resolution is tested directly on :class:`ProjectIndex`
-because the dynamic-dispatch seams (kernel registry, ``partial``,
-escalation chains) are exactly where a naive graph would go blind.
+because the dynamic-dispatch seams (kernel registry, ``partial``) are
+exactly where a naive graph would go blind.
 """
 
 from __future__ import annotations
@@ -247,7 +247,7 @@ def test_fp100_scoped_to_ingest_planes():
 
 
 # ----------------------------------------------------------------------
-# call graph: registry dispatch, partial, escalation chains
+# call graph: registry dispatch, partial
 # ----------------------------------------------------------------------
 
 KERNELS_SRC = """\
@@ -256,7 +256,6 @@ from repro.kernels.base import register_kernel
 @register_kernel
 class FastKernel:
     name = "fast"
-    escalates_to = "exact"
 
     def fold(self, arr):
         return arr
@@ -289,15 +288,6 @@ def direct():
 def dynamic(name):
     k = get_kernel(name)
     return k.fold(None)
-
-def escalate():
-    k = get_kernel("fast")
-    e = k.exact_variant()
-    return e.fold(None)
-
-def inherited_escalation():
-    k = get_kernel("tuned")
-    return get_kernel(k.escalates_to)().fold(None)
 
 def via_partial():
     f = partial(helper, 1)
@@ -337,21 +327,6 @@ def test_callgraph_unknown_registry_key_is_may_alias(index):
     # so downstream analyses stay conservative.
     out = edges(index, "repro.serve.callers.dynamic")
     assert "repro.kernels.fx.FastKernel.fold" in out
-    assert "repro.kernels.fx.ExactKernel.fold" in out
-
-
-def test_callgraph_escalation_chain(index):
-    out = edges(index, "repro.serve.callers.escalate")
-    # e = k.exact_variant() must land on the exact escalation target —
-    # and only there (escalate() never calls the fast kernel's fold).
-    assert "repro.kernels.fx.ExactKernel.fold" in out
-    assert "repro.kernels.fx.FastKernel.fold" not in out
-
-
-def test_callgraph_inherited_escalates_to(index):
-    # TunedKernel inherits escalates_to="exact" from FastKernel; the
-    # chain walk must resolve get_kernel(k.escalates_to) through bases.
-    out = edges(index, "repro.serve.callers.inherited_escalation")
     assert "repro.kernels.fx.ExactKernel.fold" in out
 
 

@@ -22,9 +22,9 @@ from repro.data import generate
 from repro.kernels import kernel_names
 from repro.plan import PLANES, run_reduction
 
-#: Adversarial panels: massive cancellation (escalation pressure),
-#: near-ulp rounding ties (certificate boundary pressure), Anderson's
-#: zero-mean deviations (the paper's hard statistical panel).
+#: Adversarial panels: massive cancellation, near-ulp rounding ties
+#: (final-bit pressure), Anderson's zero-mean deviations (the paper's
+#: hard statistical panel).
 DATASETS = {
     name: generate(name, 400, delta=300, seed=13)
     for name in ("cancel", "tie", "anderson")
@@ -57,22 +57,15 @@ def test_every_kernel_on_every_plane_matches_serial_sparse(
 def test_kernel_matrix_under_process_executor(kernel):
     """The mapreduce plane on a real worker pool, under the start
     method CI selects via REPRO_START_METHOD."""
-    from repro.kernels import get_kernel, run_certified
     from repro.mapreduce.runtime import MultiprocessExecutor, run_job
     from repro.mapreduce.sum_job import KernelSumJob
 
     data = DATASETS["cancel"]
     blocks = [np.asarray(b) for b in np.array_split(data, 6)]
     with MultiprocessExecutor(2, start_method=_start_method()) as exe:
-        # Speculative kernels may fail the global certificate on this
-        # panel; run_certified reruns the job exactly, as the driver does.
-        value = run_certified(
-            get_kernel(kernel),
-            "nearest",
-            lambda k: run_job(
-                KernelSumJob(kernel_name=k.name), blocks, reducers=2, executor=exe
-            ).value,
-        )
+        value = run_job(
+            KernelSumJob(kernel_name=kernel), blocks, reducers=2, executor=exe
+        ).value
     assert value == REFERENCE["cancel"]
 
 
@@ -88,8 +81,8 @@ def test_planner_choices_are_in_the_matrix():
 
 
 # ---------------------------------------------------------------------------
-# reduction-op rows (PR 9 invariant): every op x every capable kernel x
-# every plane, bit-identical to the serial sparse reference — including
+# reduction-op rows (PR 9 invariant): every op x every kernel x every
+# plane, bit-identical to the serial sparse reference — including
 # the serve/cluster round-trips through op-tagged wire frames.
 
 #: Expansion-domain-safe panel: magnitudes ~2^±60, so TwoSquare and
@@ -115,20 +108,8 @@ REDUCE_REFERENCE = {op: _reduce_reference(op) for op in REDUCE_OPS}
 @pytest.mark.parametrize("plane", sorted(PLANES))
 @pytest.mark.parametrize("op", REDUCE_OPS)
 def test_every_op_on_every_plane_matches_serial_sparse(plane, kernel, op):
-    from repro.kernels import get_kernel
-    from repro.reduce import get_op, kernel_supports, run_reduction
+    from repro.reduce import run_reduction
 
-    if not kernel_supports(get_op(op), get_kernel(kernel)):
-        # Exact-fraction finishes refuse speculative kernels up front,
-        # on every plane — exactly as the planner's candidate table
-        # rejects them.
-        with pytest.raises(ValueError):
-            run_reduction(
-                plane, kernel, op, REDUCE_X,
-                REDUCE_Y if op == "dot" else None,
-                workers=2, block_items=64,
-            )
-        return
     value = run_reduction(
         plane, kernel, op, REDUCE_X,
         REDUCE_Y if op == "dot" else None,

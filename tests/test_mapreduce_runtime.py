@@ -180,6 +180,34 @@ class TestFaultTolerance:
         res = run_job(FlakySum(), blocks, reducers=2, max_retries=1)
         assert res.value == ref_sum(x)
 
+    def test_retried_phase_reports_its_own_time(self, rng):
+        # A slow combine sets the simulated clock; the reduce that fails
+        # once and is retried in-process must not report that makespan.
+        import time
+
+        class SlowCombineFlakyReduce(CountJob):
+            def __init__(self):
+                self.reduce_failed = False
+
+            def combine(self, block):
+                time.sleep(0.05)
+                return super().combine(block)
+
+            def reduce(self, values):
+                if not self.reduce_failed:
+                    self.reduce_failed = True
+                    raise OSError("transient reducer failure")
+                return super().reduce(values)
+
+        blocks = [rng.random(10) for _ in range(4)]
+        res = run_job(
+            SlowCombineFlakyReduce(), blocks, reducers=2,
+            executor=SimulatedClusterExecutor(2), max_retries=1,
+        )
+        assert res.value == 40.0
+        assert res.phase_seconds["combine"] >= 0.1
+        assert res.phase_seconds["reduce"] < 0.05
+
 
 class TestExecutors:
     def test_serial(self):

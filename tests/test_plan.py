@@ -62,7 +62,6 @@ class TestPlannerDecisions:
         assert plan.plane == "serial"
         # The binned fold's measured rate outranks every other kernel's.
         assert plan.kernel == "binned"
-        assert plan.tier == "exact"
 
     def test_small_input_with_workers_still_serial(self):
         plan = plan_sum(DataDescriptor(n=1000, layout="memory", workers=8))
@@ -91,18 +90,12 @@ class TestPlannerDecisions:
 
     def test_directed_mode_selects_exact_tier(self):
         plan = plan_sum(DataDescriptor(n=1000, layout="memory"), mode="down")
-        # Fastest exact kernel: the binned exponent fold.
+        # Fastest kernel: the binned exponent fold, in every mode.
         assert plan.kernel == "binned"
-        assert plan.tier == "exact"
-        forced = plan_sum(
-            DataDescriptor(n=1000, layout="memory"), kernel="truncated", mode="up"
-        )
-        assert forced.tier == "exact"  # certificates only prove nearest
 
     def test_explicit_kernel_is_honored(self):
         plan = plan_sum(DataDescriptor(n=1000, layout="memory"), kernel="small")
         assert plan.kernel == "small"
-        assert plan.tier == "exact"
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ValueError, match="unknown kernel"):
@@ -111,7 +104,7 @@ class TestPlannerDecisions:
     def test_describe_is_json_flat(self):
         info = plan_sum(DataDescriptor(n=10, layout="memory")).describe()
         assert set(info) == {
-            "plane", "kernel", "tier", "workers", "block_items",
+            "plane", "kernel", "workers", "block_items",
             "n", "layout", "reason", "op",
         }
 
@@ -134,7 +127,7 @@ class TestKernelCandidates:
         from repro.plan import kernel_candidates
 
         wide = RadixConfig(w=40)
-        cands = {c.name: c for c in kernel_candidates(mode="down", radix=wide)}
+        cands = {c.name: c for c in kernel_candidates(radix=wide)}
         assert not cands["binned"].accepted
         assert "w=40" in cands["binned"].reason
         plan = plan_sum(
@@ -151,11 +144,11 @@ class TestKernelCandidates:
         from repro.plan import kernel_candidates
 
         radix = RadixConfig(w=w)
-        cands = {c.name: c for c in kernel_candidates(mode=mode, radix=radix)}
+        cands = {c.name: c for c in kernel_candidates(radix=radix)}
         for name in ("binned", "dense", "small"):
             assert cands[name].accepted == (w <= 31)
         plan = plan_sum(DataDescriptor.describe_array(data), mode=mode, radix=radix)
-        assert (plan.kernel, plan.tier) == (kernel, "exact")
+        assert plan.kernel == kernel
         assert plan.execute() == exact_sum(data, method="sparse", mode=mode)
 
     def test_benched_rates_match_the_bench_file(self):
@@ -166,6 +159,16 @@ class TestKernelCandidates:
         assert measured
         for name, rate in measured.items():
             assert KERNEL_RATES[name] == round(rate, 1), name
+
+    def test_only_benched_kernels_claim_a_measured_rate(self):
+        from repro.plan import kernel_candidates
+
+        bench = Path(__file__).resolve().parents[1] / "BENCH_native.json"
+        measured = json.loads(bench.read_text())["kernel_rates_melem_per_s"]
+        for cand in kernel_candidates():
+            if cand.name not in measured:
+                assert cand.rate is None, cand.name
+                assert "measured" not in cand.reason, cand.name
 
     def test_plan_carries_its_candidate_table(self):
         plan = plan_sum(DataDescriptor(n=100, layout="memory"))

@@ -20,12 +20,10 @@ from repro.core.eft import product_domain_mask, square_domain_mask
 from repro.core.exact import exact_sum_fraction
 from repro.core.rounding import MAX_FINITE
 from repro.errors import EmptyStreamError
-from repro.kernels import get_kernel, kernel_names
 from repro.reduce import (
     DotOp,
     VarOp,
     get_op,
-    kernel_supports,
     op_names,
     register_op,
     run_reduction,
@@ -58,15 +56,6 @@ class TestRegistry:
         # Same policy as the kernel registry: re-registration replaces.
         fresh = register_op(DotOp())
         assert get_op("dot") is fresh
-
-    def test_kernel_supports_semantics(self):
-        exact = get_kernel("sparse")
-        for name in ("sum", "dot"):
-            for kernel in kernel_names():
-                assert kernel_supports(get_op(name), get_kernel(kernel))
-        for name in ("norm2", "mean", "var"):
-            assert kernel_supports(get_op(name), exact)
-            assert not kernel_supports(get_op(name), get_kernel("truncated"))
 
 
 class TestExpansionExactness:
@@ -261,10 +250,6 @@ class TestEngineValidation:
         with pytest.raises(ValueError, match="unknown"):
             run_reduction("serial", "sparse", "median", [1.0])
 
-    def test_speculative_kernel_refused_for_exact_finish(self):
-        with pytest.raises(ValueError, match="cannot host"):
-            run_reduction("serial", "truncated", "norm2", [1.0, 2.0])
-
     def test_dot_shape_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             reduce.dot([1.0, 2.0], [3.0])
@@ -279,16 +264,6 @@ class TestEngineValidation:
 
 
 class TestOpAwarePlanner:
-    def test_candidates_reject_speculative_for_exact_ops(self):
-        from repro.plan import kernel_candidates
-
-        rows = {c.name: c for c in kernel_candidates(op="var")}
-        assert not rows["truncated"].accepted
-        assert rows["sparse"].accepted
-        # rounded-sum ops keep the speculative kernel available
-        rows = {c.name: c for c in kernel_candidates(op="dot")}
-        assert rows["truncated"].accepted
-
     def test_descriptor_validates_op(self):
         from repro.plan import DataDescriptor
 
@@ -303,18 +278,7 @@ class TestOpAwarePlanner:
         assert plan.describe()["op"] == "dot"
         assert plan.execute() == ref_dot(x, y)
         plan = plan_sum(DataDescriptor.describe_array(x, op="norm2"))
-        assert plan.kernel != "truncated"
-        assert plan.tier == "exact"
         assert is_rounded_sqrt(plan.execute(), exact_products(x))
-
-    def test_forced_incapable_kernel_raises(self):
-        from repro.plan import DataDescriptor, plan_sum
-
-        with pytest.raises(ValueError, match="cannot host"):
-            plan_sum(
-                DataDescriptor.describe_array([1.0], op="mean"),
-                kernel="truncated",
-            )
 
 
 class TestRunningStatsSharesExpansion:

@@ -128,7 +128,7 @@ class TestBinnedStreamState:
         from repro.kernels import get_kernel
         from repro.kernels.binned import BinnedPartial
 
-        kernel = get_kernel("running").exact_variant()
+        kernel = get_kernel("running")
         stream = kernel.new_stream()
         batches = [random_hard_array(rng, size) for _ in range(40)]
         resolves = _counting(monkeypatch, BinnedPartial, "to_sparse")
